@@ -30,7 +30,6 @@ from .characters import (
     DirichletCharacter,
     UnitGroupStructure,
     char_product,
-    chi_eval,
     enumerate_characters,
     keller_one,
     unit_group,
@@ -84,7 +83,6 @@ __all__ = [
     "UnitGroupStructure",
     "UnsupportedSizeError",
     "char_product",
-    "chi_eval",
     "d_table",
     "enumerate_characters",
     "error_E",

@@ -14,7 +14,8 @@ and tallied.  Series and table generation can fan out over worker
 processes; results are collected by grid index, so output is bit-identical
 to a sequential run.
 
-CSV schemas (all floats rendered with 17 significant digits):
+The CLI renders these results with the CSV schemas below (floats with 17
+significant digits):
 
  * series: ``n, s, modulus, label, neg_log_error``
  * fits:   ``n, a, b, r, s_min, s_max, n_points, n_excluded``
@@ -23,8 +24,6 @@ CSV schemas (all floats rendered with 17 significant digits):
 
 from __future__ import annotations
 
-import csv
-import io
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from typing import Optional, Sequence
 from . import primes, recursion
 from .characters import DirichletCharacter, enumerate_characters
 from .errors import DomainError
-from .mpnum import BigFloat, format_decimal, to_float
+from .mpnum import BigFloat, to_float
 
 __all__ = [
     "SeriesPoint",
@@ -46,9 +45,6 @@ __all__ = [
     "linear_fit",
     "slope_series",
     "d_table",
-    "series_csv",
-    "fits_csv",
-    "dtable_csv",
     "fmt_float",
 ]
 
@@ -171,10 +167,6 @@ def linear_fit(points: Sequence[SeriesPoint], n_excluded: int = 0) -> FitResult:
     )
 
 
-def fit_series(series: NegLogSeries) -> FitResult:
-    return linear_fit(series.points, series.n_excluded)
-
-
 def slope_series(
     n_min: int,
     n_max: int,
@@ -196,7 +188,7 @@ def slope_series(
     out = []
     for n in range(n_min, n_max + 1):
         series = neg_log_series(n, s_min, s_max, chi, workers=workers)
-        out.append((n, fit_series(series)))
+        out.append((n, linear_fit(series.points, series.n_excluded)))
     return out
 
 
@@ -239,7 +231,7 @@ def d_table(n_list: Sequence[int], s: int, moduli: Sequence[int], workers: int =
 
 
 # ---------------------------------------------------------------------------
-# CSV rendering
+# Float rendering
 # ---------------------------------------------------------------------------
 
 FLOAT_DIGITS = 17
@@ -247,44 +239,3 @@ FLOAT_DIGITS = 17
 
 def fmt_float(v: float) -> str:
     return f"{v:.{FLOAT_DIGITS}g}"
-
-
-def series_csv(series: NegLogSeries) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("n", "s", "modulus", "label", "neg_log_error"))
-    for p in series.points:
-        w.writerow(
-            (series.n, p.s, series.modulus, series.label, format_decimal(p.y, FLOAT_DIGITS))
-        )
-    return buf.getvalue()
-
-
-def fits_csv(fits) -> str:
-    """fits: iterable of (n, FitResult)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("n", "a", "b", "r", "s_min", "s_max", "n_points", "n_excluded"))
-    for n, f in fits:
-        w.writerow(
-            (n, fmt_float(f.a), fmt_float(f.b), fmt_float(f.r), f.s_min, f.s_max, f.n_points, f.n_excluded)
-        )
-    return buf.getvalue()
-
-
-def dtable_csv(table: DTable) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("modulus", "label", "n", "d_value", "status"))
-    for row in table.rows:
-        for cell in row.cells:
-            w.writerow(
-                (
-                    row.modulus,
-                    row.label,
-                    cell.n,
-                    format_decimal(cell.value, FLOAT_DIGITS),
-                    cell.status,
-                )
-            )
-    return buf.getvalue()

@@ -22,16 +22,22 @@ varying fastest, and ``label = 1 + sum t_i * (product of later radices)``.
 Label 1 is always the principal character, and for a cyclic unit group with
 generator g this makes character j send g to ``e**(2 pi i (j-1)/phi(k))``.
 
-Values are dense tables indexed by residue (modulus cap 10**4), so
-evaluation is a table lookup and group identities can be checked cell by
-cell.
+Values
+------
+Every value of a group is ``e(a/lam)`` with ``lam`` the lcm of the generator
+orders ``o_i`` (the Carmichael exponent of k): the character with exponents
+``t_i`` sends a unit with discrete logs ``d_i`` to
+``a = sum t_i * d_i * (lam/o_i) mod lam``.  The ``lam`` values are built
+once per group and shared by every cell holding them, so enumeration is an
+integer dot product and a list index, with no ``Fraction`` arithmetic.
+Tables are dense and indexed by residue (modulus cap 10**4), so evaluation
+is a table lookup and group identities can be checked cell by cell.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,10 +55,8 @@ __all__ = [
     "unit_group",
     "enumerate_characters",
     "keller_one",
-    "chi_eval",
     "char_product",
     "character_table_rows",
-    "character_table_csv",
 ]
 
 MODULUS_CAP = 10**4
@@ -80,10 +84,6 @@ class CharValue:
         g = math.gcd(a, m)
         return CharValue("root", a // g, m // g)
 
-    @staticmethod
-    def from_fraction(fr: Fraction) -> "CharValue":
-        return CharValue.root(fr.numerator % fr.denominator, fr.denominator)
-
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
@@ -105,14 +105,14 @@ class CharValue:
     def mul(self, other: "CharValue") -> "CharValue":
         if self.is_zero or other.is_zero:
             return CHAR_ZERO
-        return CharValue.from_fraction(self.exponent() + other.exponent())
+        return CharValue.root(self.a * other.m + other.a * self.m, self.m * other.m)
 
     def pow(self, e: int) -> "CharValue":
         if self.is_zero:
             if e == 0:
                 raise DomainError("0**0 is undefined")
             return CHAR_ZERO
-        return CharValue.from_fraction(self.exponent() * e)
+        return CharValue.root(self.a * e, self.m)
 
     def conjugate(self) -> "CharValue":
         if self.is_zero:
@@ -174,12 +174,8 @@ class DirichletCharacter:
         return any(not v.is_real for v in self.table)
 
     def conjugate_label(self) -> int:
-        group = enumerate_characters(self.modulus)
-        target = tuple(v.conjugate() for v in self.table)
-        for ch in group.characters:
-            if ch.table == target:
-                return ch.label
-        raise AssertionError("conjugate character missing from group")
+        orders = enumerate_characters(self.modulus).structure.generator_orders()
+        return _label(tuple(-t for t in self.exponents), orders)
 
     def __repr__(self):
         return f"DirichletCharacter(modulus={self.modulus}, label={self.label})"
@@ -284,47 +280,52 @@ def _component_dlogs(comp: UnitGroupComponent) -> dict:
     return table
 
 
+def _label(exponents: tuple, orders: tuple) -> int:
+    """Mixed-radix label of an exponent tuple, each exponent taken mod its order."""
+    idx = 0
+    for t, o in zip(exponents, orders):
+        idx = idx * o + t % o
+    return idx + 1
+
+
+def _exponents(label: int, orders: tuple) -> tuple:
+    """Inverse of ``_label``: the exponent tuple of a label."""
+    idx = label - 1
+    exponents = [0] * len(orders)
+    for pos in range(len(orders) - 1, -1, -1):
+        idx, exponents[pos] = divmod(idx, orders[pos])
+    return tuple(exponents)
+
+
 @lru_cache(maxsize=None)
 def enumerate_characters(k: int) -> CharacterGroup:
     """All phi(k) characters mod k, labelled per the mixed-radix convention."""
     structure = unit_group(k)
     orders = structure.generator_orders()
-    phi = math.prod(orders)
+    lam = math.lcm(*orders)
+    roots = [CharValue.root(a, lam) for a in range(lam)]
     comp_dlogs = [_component_dlogs(c) for c in structure.components]
     qs = [c.prime_power for c in structure.components]
 
-    unit_dlog = {}
+    # discrete logs scaled to the common denominator lam; None off the units
+    scaled_dlogs = []
     for n in range(k):
         if math.gcd(n, k) == 1:
             vec = []
             for q, dl in zip(qs, comp_dlogs):
                 vec.extend(dl[n % q])
-            unit_dlog[n] = tuple(vec)
+            scaled_dlogs.append(tuple(d * (lam // o) for d, o in zip(vec, orders)))
+        else:
+            scaled_dlogs.append(None)
 
     characters = []
-    for label in range(1, phi + 1):
-        idx = label - 1
-        exponents = [0] * len(orders)
-        for pos in range(len(orders) - 1, -1, -1):
-            idx, exponents[pos] = divmod(idx, orders[pos])
-        exponents = tuple(exponents)
-        value_cache = {}
-        table = []
-        for n in range(k):
-            vec = unit_dlog.get(n)
-            if vec is None:
-                table.append(CHAR_ZERO)
-                continue
-            got = value_cache.get(vec)
-            if got is None:
-                fr = sum(
-                    (Fraction(t * d, o) for t, d, o in zip(exponents, vec, orders)),
-                    Fraction(0),
-                )
-                got = CharValue.from_fraction(fr)
-                value_cache[vec] = got
-            table.append(got)
-        characters.append(DirichletCharacter(k, label, exponents, tuple(table)))
+    for label in range(1, math.prod(orders) + 1):
+        exponents = _exponents(label, orders)
+        table = tuple(
+            CHAR_ZERO if vec is None else roots[sum(map(operator.mul, exponents, vec)) % lam]
+            for vec in scaled_dlogs
+        )
+        characters.append(DirichletCharacter(k, label, exponents, table))
     return CharacterGroup(k, structure, tuple(characters))
 
 
@@ -338,11 +339,6 @@ def keller_one() -> DirichletCharacter:
     return enumerate_characters(1).characters[0]
 
 
-def chi_eval(chi: DirichletCharacter, n: int) -> CharValue:
-    """Evaluate a character at any integer (reduced by true mathematical mod)."""
-    return chi(n)
-
-
 def char_product(x: DirichletCharacter, y: DirichletCharacter) -> DirichletCharacter:
     """Pointwise product, returned as the group member with matching table."""
     if x.modulus != y.modulus:
@@ -351,11 +347,7 @@ def char_product(x: DirichletCharacter, y: DirichletCharacter) -> DirichletChara
         )
     group = enumerate_characters(x.modulus)
     orders = group.structure.generator_orders()
-    exps = tuple((a + b) % o for a, b, o in zip(x.exponents, y.exponents, orders))
-    label = 0
-    for e, o in zip(exps, orders):
-        label = label * o + e
-    return group.characters[label]
+    return group.by_label(_label(tuple(a + b for a, b in zip(x.exponents, y.exponents)), orders))
 
 
 def character_table_rows(group: CharacterGroup) -> list:
@@ -368,11 +360,3 @@ def character_table_rows(group: CharacterGroup) -> list:
             else:
                 rows.append((ch.label, n, "root", v.a, v.m))
     return rows
-
-
-def character_table_csv(group: CharacterGroup) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("label", "n", "kind", "a", "m"))
-    writer.writerows(character_table_rows(group))
-    return buf.getvalue()

@@ -11,10 +11,10 @@ Subcommands
 
 Data goes to stdout (or ``--output FILE``) as CSV by default or JSON with
 ``--format json`` carrying identical values; diagnostics and warnings go to
-stderr.  Exit codes: 0 success, 1 domain error, 2 argument error.  All
-numeric output is plain decimal, never locale-dependent.  ``--workers``
-(default from the PRIMEREC_WORKERS environment variable) parallelises
-sweeps without changing their output.
+stderr.  Exit codes: 0 success, 1 domain error, 2 argument error, 3 the
+output file cannot be written.  All numeric output is plain decimal, never
+locale-dependent.  ``--workers`` (default from the PRIMEREC_WORKERS
+environment variable) parallelises sweeps without changing their output.
 """
 
 from __future__ import annotations
@@ -226,8 +226,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(buf.getvalue())
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 3
     else:
         sys.stdout.write(buf.getvalue())
     return code

@@ -24,5 +24,6 @@ class UnsupportedSizeError(DomainError):
 class PrecisionLossError(PrimerecError, ArithmeticError):
     """A result vanished entirely at working precision.
 
-    Retrying with a larger guard-bit allowance is the documented remedy.
+    Retrying with a larger working precision (``prec_bits``, the CLI's
+    ``--precision``) is the documented remedy.
     """

@@ -394,9 +394,6 @@ class PrecisionContext:
     def from_fraction(self, fr: Fraction) -> BigFloat:
         return _div(self.from_int(fr.numerator), self.from_int(fr.denominator), self._wp)
 
-    def complex(self, re: BigFloat, im: BigFloat = ZERO) -> BigComplex:
-        return BigComplex(re, im)
-
     def _promote(self, x):
         if isinstance(x, BigFloat):
             return BigComplex(x, ZERO)
@@ -441,25 +438,6 @@ class PrecisionContext:
         re_num = _add(_mul(x.re, y.re, wp), _mul(x.im, y.im, wp), wp)
         im_num = _add(_mul(x.im, y.re, wp), _neg(_mul(x.re, y.im, wp)), wp)
         return BigComplex(_div(re_num, den, wp), _div(im_num, den, wp))
-
-    def pow_int(self, z, e: int):
-        """z**e by binary exponentiation, e a non-negative integer."""
-        if not isinstance(e, int) or e < 0:
-            raise DomainError(f"pow_int exponent must be a non-negative integer, got {e!r}")
-        zero = z.is_zero
-        if zero and e == 0:
-            raise DomainError("0**0 is undefined")
-        if zero:
-            return ZERO if isinstance(z, BigFloat) else C_ZERO
-        acc = ONE if isinstance(z, BigFloat) else C_ONE
-        base = z
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return acc
 
     # -- algebraic / transcendental ----------------------------------------
 

@@ -205,7 +205,7 @@ def estimate(
     if mag.is_zero:
         raise PrecisionLossError(
             f"residual vanished at working precision ({ctx.prec_bits} bits) "
-            f"for n={n}, s={s}; retry with a larger guard-bit allowance"
+            f"for n={n}, s={s}; retry with a larger prec_bits (--precision)"
         )
     est = ctx.inv_root(mag, s)
     rounded = nearest_int(est)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import oracle, recursion
 from .characters import CHAR_ZERO, CharValue, enumerate_characters
-from .mpnum import PrecisionContext
+from .mpnum import C_ZERO, PrecisionContext
 
 __all__ = ["run_selftest", "character_property_failures", "oracle_equivalence_failures"]
 
@@ -57,7 +57,7 @@ def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
                     )
                     break
             if not ch.is_principal:
-                acc = ctx.complex(ctx.from_int(0))
+                acc = C_ZERO
                 for n in range(k):
                     v = ch(n)
                     if not v.is_zero:

@@ -400,7 +400,7 @@ def test_c6_slope_anchor():
     ln(6/5); under 5 minutes."""
     t0 = time.perf_counter()
     series = analysis.neg_log_series(2, 20, 500, K1)
-    fit = analysis.fit_series(series)
+    fit = analysis.linear_fit(series.points, series.n_excluded)
     y = {p.s: to_float(p.y) for p in series.points}
     local = (y[500] - y[450]) / 50
     target = math.log(6 / 5)

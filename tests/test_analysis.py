@@ -7,18 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from primerec import analysis
 from primerec.analysis import (
     SeriesPoint,
     d_table,
-    dtable_csv,
-    fits_csv,
     linear_fit,
     neg_log_series,
-    series_csv,
     slope_series,
 )
 from primerec.characters import enumerate_characters, keller_one
+from primerec.cli import run
 from primerec.errors import DomainError
 from primerec.mpnum import PrecisionContext, to_float
 
@@ -75,7 +72,7 @@ class TestNegLogSeries:
     def test_single_point_series_cannot_fit(self):
         series = neg_log_series(2, 25, 25, K1)
         with pytest.raises(DomainError):
-            analysis.fit_series(series)
+            linear_fit(series.points, series.n_excluded)
 
     def test_conjugate_series_identical(self):
         a = neg_log_series(3, 20, 26, G5.by_label(2))
@@ -147,10 +144,15 @@ class TestDTable:
         assert seq == par
 
 
+def cli_csv(capsys, *argv):
+    assert run(list(argv)) == 0
+    return capsys.readouterr().out
+
+
 class TestCsv:
-    def test_series_schema_and_roundtrip(self):
+    def test_series_schema_and_roundtrip(self, capsys):
         series = neg_log_series(2, 20, 24, K1)
-        text = series_csv(series)
+        text = cli_csv(capsys, "sweep", "--n", "2", "--s-min", "20", "--s-max", "24")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert list(rows[0].keys()) == ["n", "s", "modulus", "label", "neg_log_error"]
         assert [int(r["s"]) for r in rows] == [20, 21, 22, 23, 24]
@@ -160,18 +162,16 @@ class TestCsv:
             mantissa = r["neg_log_error"].split("e")[0].replace("-", "").replace(".", "")
             assert len(mantissa) == 17
 
-    def test_fits_schema(self):
-        fits = slope_series(2, 2, 20, 40)
-        text = fits_csv(fits)
+    def test_fits_schema(self, capsys):
+        text = cli_csv(capsys, "slopes", "--n-min", "2", "--n-max", "2", "--s-min", "20", "--s-max", "40")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert list(rows[0].keys()) == [
             "n", "a", "b", "r", "s_min", "s_max", "n_points", "n_excluded",
         ]
         assert float(rows[0]["r"]) > 0.99
 
-    def test_dtable_schema(self):
-        table = d_table([3], 50, [4])
-        text = dtable_csv(table)
+    def test_dtable_schema(self, capsys):
+        text = cli_csv(capsys, "dtable", "--n-list", "3", "--s", "50", "--moduli", "4")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert list(rows[0].keys()) == ["modulus", "label", "n", "d_value", "status"]
         assert rows[0]["modulus"] == "4" and rows[0]["n"] == "3"

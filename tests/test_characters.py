@@ -11,12 +11,11 @@ from primerec.characters import (
     CHAR_ZERO,
     CharValue,
     char_product,
-    character_table_csv,
-    chi_eval,
     enumerate_characters,
     keller_one,
     unit_group,
 )
+from primerec.cli import run
 from primerec.errors import DomainError, UnsupportedSizeError
 
 R = CharValue.root
@@ -24,6 +23,12 @@ R = CharValue.root
 
 def phi(k: int) -> int:
     return max(1, sum(1 for n in range(k) if math.gcd(n, k) == 1))
+
+
+def crt_lift(g: int, q: int, k: int) -> int:
+    """The residue mod k that is g mod q and 1 mod k/q."""
+    m = k // q
+    return (g * m * pow(m, -1, q) + q * pow(q, -1, m)) % k
 
 
 def multiplicative_order(g: int, q: int) -> int:
@@ -76,6 +81,20 @@ class TestCharValue:
         assert prod.exponent() == expect
         assert x.mul(y) == y.mul(x)
         assert math.gcd(prod.a, prod.m) == 1 or prod.a == 0
+
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=-50, max_value=50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pow_matches_exponent_multiplication(self, a, m, e):
+        got = R(a, m).pow(e)
+        assert got.exponent() == (R(a, m).exponent() * e) % 1
+        assert math.gcd(got.a, got.m) == 1 or got.a == 0
+        assert CHAR_ZERO.pow(abs(e) + 1) == CHAR_ZERO
+        with pytest.raises(DomainError):
+            CHAR_ZERO.pow(0)
 
 
 class TestUnitGroup:
@@ -167,20 +186,20 @@ class TestEnumeration:
 class TestEvaluation:
     def test_periodicity_and_lookup(self):
         chi2 = enumerate_characters(5).by_label(2)
-        assert chi_eval(chi2, 3) == R(3, 4)
-        assert chi_eval(chi2, 10) == CHAR_ZERO
-        assert chi_eval(chi2, 8) == chi_eval(chi2, 3)
+        assert chi2(3) == R(3, 4)
+        assert chi2(10) == CHAR_ZERO
+        assert chi2(8) == chi2(3)
 
     def test_negative_arguments_true_mod(self):
         chi2 = enumerate_characters(5).by_label(2)
-        assert chi_eval(chi2, -2) == chi_eval(chi2, 3)
-        assert chi_eval(chi2, -10) == CHAR_ZERO
+        assert chi2(-2) == chi2(3)
+        assert chi2(-10) == CHAR_ZERO
 
     def test_keller_one(self):
         k1 = keller_one()
         assert k1.modulus == 1
-        assert chi_eval(k1, 6).is_one
-        assert chi_eval(k1, 0).is_one
+        assert k1(6).is_one
+        assert k1(0).is_one
         assert len(enumerate_characters(1)) == 1
 
 
@@ -217,10 +236,37 @@ class TestProduct:
         assert g9.by_label(3).conjugate_label() == 5
 
 
+# every k <= 60, plus groups whose generator orders differ from their lcm
+LABELLING_MODULI = list(range(1, 61)) + [720, 997, 1000]
+
+
+class TestLabelling:
+    def test_generators_map_to_exponent_roots(self):
+        for k in LABELLING_MODULI:
+            group = enumerate_characters(k)
+            gens = [
+                (crt_lift(g, c.prime_power, k), order)
+                for c in group.structure.components
+                for g, order in c.generators
+            ]
+            for ch in group.characters:
+                assert len(ch.exponents) == len(gens)
+                for (x, order), t in zip(gens, ch.exponents):
+                    assert ch(x) == R(t, order), (k, ch.label, x)
+
+    def test_conjugate_label_matches_table_scan(self):
+        for k in LABELLING_MODULI:
+            group = enumerate_characters(k)
+            label_of_table = {ch.table: ch.label for ch in group.characters}
+            for ch in group.characters:
+                conj = tuple(v.conjugate() for v in ch.table)
+                assert ch.conjugate_label() == label_of_table[conj], (k, ch.label)
+
+
 class TestExport:
-    def test_csv_shape_and_zero_cells(self):
-        text = character_table_csv(enumerate_characters(5))
-        lines = text.strip().splitlines()
+    def test_csv_shape_and_zero_cells(self, capsys):
+        assert run(["chars", "--modulus", "5"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "label,n,kind,a,m"
         assert len(lines) == 1 + 4 * 5
         assert lines[1] == "1,0,zero,,"

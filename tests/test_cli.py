@@ -36,6 +36,13 @@ class TestChars:
         assert code == 1
         assert "error:" in err
 
+    def test_unwritable_output_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = invoke(capsys, "chars", "--modulus", "5", "-o", str(target))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
 
 class TestEstimate:
     def test_basic(self, capsys):

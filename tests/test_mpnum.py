@@ -108,28 +108,6 @@ class TestArith:
         assert got == xf * yf or rel_err(CTX.mul(x, y), xf * yf) <= Fraction(1, 2**127)
 
 
-class TestPowInt:
-    def test_small_powers(self):
-        assert CTX.pow_int(CTX.from_int(2), 10).to_fraction() == 1024
-        i = BigComplex(ZERO, ONE)
-        assert CTX.pow_int(i, 2).re.to_fraction() == -1
-
-    def test_exact_integer_power(self):
-        # stays exactly integral while prec_bits exceeds the result width
-        big = PrecisionContext(128)
-        assert big.pow_int(big.from_int(5), 30).to_fraction() == 5**30
-
-    def test_zero_cases(self):
-        with pytest.raises(DomainError):
-            CTX.pow_int(ZERO, 0)
-        assert CTX.pow_int(ZERO, 5).is_zero
-        assert CTX.pow_int(CTX.from_int(7), 0).to_fraction() == 1
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(DomainError):
-            CTX.pow_int(ONE, -1)
-
-
 class TestSqrt:
     def test_exact(self):
         assert CTX.sqrt(CTX.from_int(4)).to_fraction() == 2

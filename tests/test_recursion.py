@@ -226,6 +226,15 @@ class TestEstimate:
         with pytest.raises(PrecisionLossError):
             recursion.estimate(2, 50, K1)
 
+    def test_precision_loss_remedy(self):
+        # chi(5) = 0 mod 10: the residual is near 7**-600, about 133 bits below
+        # the 6**-600 that the automatic precision is sized for
+        chi = enumerate_characters(10).by_label(1)
+        with pytest.raises(PrecisionLossError, match=r"prec_bits \(--precision\)"):
+            recursion.estimate(2, 600, chi)
+        res = recursion.estimate(2, 600, chi, prec_bits=2200)
+        assert res.rounded == 9 and res.warning
+
 
 class TestErrorFunctionals:
     def test_error_decreases_for_fixed_n(self):
