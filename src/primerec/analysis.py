@@ -6,8 +6,10 @@ least-squares lines with Pearson correlation, per-n slope sweeps, and the
 signed error-difference table comparing every character against the
 trivial one at a fixed s.
 
-Error values are computed at the automatically chosen high precision and y
-is kept as a ``BigFloat``; fits convert to machine doubles, which is ample
+Error values come from ``recursion.estimate`` (residual at the automatic
+working precision, error at the width that survives the cancellation).  y
+is a ``BigFloat`` computed in a 64-bit context: its 17 printed digits need
+about 57 bits, and fits convert it to machine doubles, which is ample
 because y is O(100) while fit tolerances live at the third digit.  Points
 where the error vanishes at working precision are excluded from a series
 and tallied.  Series and table generation can fan out over worker
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 from . import primes, recursion
 from .characters import DirichletCharacter, enumerate_characters
 from .errors import DomainError
-from .mpnum import BigFloat, to_float
+from .mpnum import BigFloat, PrecisionContext, to_float
 
 __all__ = [
     "SeriesPoint",
@@ -50,12 +52,13 @@ __all__ = [
 
 S_RANGE_CAP = 2000
 N_RANGE = (2, 30)
+_Y_CTX = PrecisionContext(64)
 
 
 @dataclass(frozen=True)
 class SeriesPoint:
     s: int
-    y: BigFloat  # -ln(error), kept at full working precision
+    y: BigFloat  # -ln(error), in the 64-bit context _Y_CTX
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,7 @@ def _series_task(task):
     res = recursion.estimate(n, s, chi)
     if res.error.is_zero:
         return None
-    ctx = recursion.required_precision(n, s)
-    return ctx.neg(ctx.ln(res.error))
+    return _Y_CTX.neg(_Y_CTX.ln(res.error))
 
 
 def neg_log_series(

@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 MODULUS_CAP = 10**4
+# Groups kept by ``enumerate_characters``: enough for the moduli one analysis
+# run touches (a ``chars`` table plus a five-modulus ``dtable`` and the
+# trivial group), while a process enumerating many large moduli stays bounded.
+_CACHED_GROUPS = 8
 
 
 @dataclass(frozen=True)
@@ -297,7 +301,7 @@ def _exponents(label: int, orders: tuple) -> tuple:
     return tuple(exponents)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_GROUPS)
 def enumerate_characters(k: int) -> CharacterGroup:
     """All phi(k) characters mod k, labelled per the mixed-radix convention."""
     structure = unit_group(k)

@@ -40,8 +40,9 @@ Algorithms
    fixed point.  The folding guarantees conjugate arguments produce
    bit-identical real parts and bit-negated imaginary parts.
 
-Constants (pi, ln 2) are memoised per working precision behind a lock, safe
-for concurrent readers.  Values are immutable; all operations are pure
+Constants (pi, ln 2) and roots of unity are memoised per working precision
+behind a lock, safe for concurrent readers; only the few most recently
+created precisions are kept.  Values are immutable; all operations are pure
 functions of (inputs, context).
 """
 
@@ -265,10 +266,28 @@ def _div_int(x: BigFloat, n: int, wp: int) -> BigFloat:
 # far below the 32-bit margin callers reserve.
 # ---------------------------------------------------------------------------
 
-_CONST_LOCK = threading.Lock()
-_CONST_CACHE: dict = {}
-_ROOT_CACHE: dict = {}
-_ROOT_LOCK = threading.Lock()
+# Both caches hold one sub-dict per working precision.  Hits only happen
+# within one precision, and a sweep over s visits a new one at every s, so
+# only the most recently created few are kept: enough for the eight residual
+# precisions a ``dtable`` row cycles through (n = 3..8, raised for some
+# characters), which would otherwise recompute every root at every cell.
+_CACHED_PRECISIONS = 16
+_CACHE_LOCK = threading.Lock()
+_CONST_CACHE: dict = {}  # bits -> {name: fixed-point int}
+_ROOT_CACHE: dict = {}  # working bits -> {(a, m): BigComplex}
+
+
+def _level(cache: dict, bits: int) -> dict:
+    """The sub-dict of ``cache`` for ``bits``, evicting the oldest precision."""
+    level = cache.get(bits)
+    if level is None:
+        with _CACHE_LOCK:
+            level = cache.get(bits)
+            if level is None:
+                level = cache[bits] = {}
+                while len(cache) > _CACHED_PRECISIONS:
+                    del cache[next(iter(cache))]
+    return level
 
 
 def _fp_atan_inv(k: int, bits: int) -> int:
@@ -308,12 +327,12 @@ def _fp_ln2(bits: int) -> int:
 
 
 def _const(name: str, bits: int) -> int:
-    key = (name, bits)
-    got = _CONST_CACHE.get(key)
+    level = _level(_CONST_CACHE, bits)
+    got = level.get(name)
     if got is not None:
         return got
-    with _CONST_LOCK:
-        got = _CONST_CACHE.get(key)
+    with _CACHE_LOCK:
+        got = level.get(name)
         if got is None:
             if name == "pi":
                 got = _fp_pi(bits)
@@ -323,7 +342,7 @@ def _const(name: str, bits: int) -> int:
                 got = _fp_ln2(bits)
             else:  # pragma: no cover
                 raise KeyError(name)
-            _CONST_CACHE[key] = got
+            level[name] = got
     return got
 
 
@@ -548,8 +567,8 @@ class PrecisionContext:
         if m < 1:
             raise DomainError(f"root_of_unity modulus must be positive, got {m}")
         a %= m
-        key = (a, m, self._wp)
-        got = _ROOT_CACHE.get(key)
+        level = _level(_ROOT_CACHE, self._wp)
+        got = level.get((a, m))
         if got is not None:
             return got
         f = Fraction(a, m)
@@ -572,9 +591,8 @@ class PrecisionContext:
         re = _norm(cos_sign, cos_fp, -wp2, self._wp)
         im = _norm(sin_sign, sin_fp, -wp2, self._wp)
         val = BigComplex(re, im)
-        with _ROOT_LOCK:
-            _ROOT_CACHE.setdefault(key, val)
-        return val
+        with _CACHE_LOCK:
+            return level.setdefault((a, m), val)
 
     def _widened(self, extra: int) -> "PrecisionContext":
         return PrecisionContext(self.prec_bits, self.guard_bits + extra)

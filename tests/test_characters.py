@@ -182,6 +182,15 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             enumerate_characters(5).by_label(5)
 
+    def test_group_cache_is_bounded(self):
+        # one tables run touches 7 moduli: chars K, then dtable 4, 5, 8, 9, P
+        # and the trivial group
+        maxsize = enumerate_characters.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 7
+        for k in range(300, 300 + maxsize + 3):
+            enumerate_characters(k)
+        assert enumerate_characters.cache_info().currsize == maxsize
+
 
 class TestEvaluation:
     def test_periodicity_and_lookup(self):

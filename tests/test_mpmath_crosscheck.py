@@ -118,6 +118,13 @@ class TestPipelineAgainstMpmath:
         if err_ref != 0:
             assert abs(bf_mp(res.error) - err_ref) / err_ref < mp.mpf(2) ** -40
 
+    def test_error_at_the_sweep_cap(self):
+        # n = 2, s = 2000: about 5.3k residual bits, about 690 after the
+        # cancellation; the error sits about 537 bits below the estimate
+        res = recursion.estimate(2, 2000, keller_one())
+        _, err_ref = estimate_mp(2, 2000, keller_one())
+        assert abs(bf_mp(res.error) - err_ref) <= err_ref * mp.mpf(2) ** -64
+
     def test_error_difference(self):
         ch = enumerate_characters(9).by_label(2)
         d = recursion.error_diff_D(5, 50, ch)

@@ -353,7 +353,7 @@ class TestConcurrency:
         from primerec import mpnum
 
         prec = 1536  # chosen to miss any previously warmed cache entry
-        mpnum._CONST_CACHE.pop(("pi", prec + 32 + 96), None)
+        mpnum._CONST_CACHE.pop(prec + 32 + 96, None)
         ctx = PrecisionContext(prec)
         results = [None] * 8
 
@@ -366,6 +366,20 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
+
+
+class TestCaches:
+    def test_per_precision_caches_are_bounded(self):
+        from primerec import mpnum
+
+        for prec in range(700, 700 + 3 * mpnum._CACHED_PRECISIONS):
+            ctx = PrecisionContext(prec)
+            z = ctx.root_of_unity(1, 7)
+            ctx.pi()
+        assert len(mpnum._ROOT_CACHE) <= mpnum._CACHED_PRECISIONS
+        assert len(mpnum._CONST_CACHE) <= mpnum._CACHED_PRECISIONS
+        # the latest precision is still served from the cache
+        assert PrecisionContext(prec).root_of_unity(8, 7) is z
 
 
 class TestRendering:

@@ -5,6 +5,7 @@ Derived expectations are recomputed here with exact rational arithmetic
 values appear only with their documented tolerances.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from primerec import oracle, recursion
 from primerec.characters import enumerate_characters, keller_one
 from primerec.errors import DomainError, PrecisionLossError
-from primerec.mpnum import PrecisionContext, to_float
+from primerec.mpnum import PrecisionContext, format_decimal, nearest_int, to_float
 from primerec.primes import first_n_primes, is_prime
 
 K1 = keller_one()
@@ -226,14 +227,119 @@ class TestEstimate:
         with pytest.raises(PrecisionLossError):
             recursion.estimate(2, 50, K1)
 
-    def test_precision_loss_remedy(self):
-        # chi(5) = 0 mod 10: the residual is near 7**-600, about 133 bits below
-        # the 6**-600 that the automatic precision is sized for
+    def test_precision_loss_remedy(self, monkeypatch):
+        # chi(5) = 0 mod 10: the residual is near 9**-600 (9 and 27 are the
+        # first 3-smooth tail terms coprime to 10), far below the 6**-600
+        # that the trivial character's precision is sized for; the
+        # automatic precision is sized from 27
         chi = enumerate_characters(10).by_label(1)
+        res = recursion.estimate(2, 600, chi)
+        assert res.rounded == 9 and res.warning
+        res = recursion.estimate(2, 600, chi, prec_bits=3200)
+        assert res.rounded == 9 and res.warning
+        from primerec.mpnum import C_ZERO
+
+        monkeypatch.setattr(recursion, "residual", lambda *a, **k: C_ZERO)
         with pytest.raises(PrecisionLossError, match=r"prec_bits \(--precision\)"):
             recursion.estimate(2, 600, chi)
-        res = recursion.estimate(2, 600, chi, prec_bits=2200)
-        assert res.rounded == 9 and res.warning
+
+
+def exact_estimate(n: int, s: int, chi, digits: int) -> Fraction:
+    """|residual|**(-1/s) from the exact oracle residual, by decimal ln/exp."""
+    r = oracle.residual_exact(n, s, chi)
+    mag2 = r.re**2 + r.im**2
+    with localcontext() as c:
+        c.prec = digits
+        ln = Decimal(mag2.numerator).ln() - Decimal(mag2.denominator).ln()
+        return Fraction((-ln / (2 * s)).exp())
+
+
+class TestDownstreamWidth:
+    """Root, error and margin run at the width the cancellation left.
+
+    The reference is the full-width chain: everything after |residual| at
+    the residual's own precision.  The cells cover the width clamped to P
+    (s = 20), the narrow width (also for mod 9, n = 1, where chi(3) = 0),
+    and the two cells where the chain is redone at P: a margin that cancels
+    (mod 5, target 5 with chi(5) = 0) and a second-order error (mod 16,
+    where the tail terms 5 and 9 differ in phase by i).
+    """
+
+    @pytest.mark.parametrize(
+        "modulus,label,n,s,widths",
+        [
+            (1, 1, 2, 20, "full"),
+            (1, 1, 2, 300, "narrow"),
+            (1, 1, 2, 2000, "narrow"),
+            (5, 2, 2, 600, "redone"),
+            (9, 2, 1, 200, "narrow"),
+            (16, 2, 2, 300, "redone"),
+        ],
+    )
+    def test_matches_full_width_chain(self, monkeypatch, modulus, label, n, s, widths):
+        used = []
+        finish = recursion._finish
+
+        def recording(ctx, *args):
+            used.append(ctx.prec_bits)
+            return finish(ctx, *args)
+
+        monkeypatch.setattr(recursion, "_finish", recording)
+        chi = enumerate_characters(modulus).by_label(label)
+        res = recursion.estimate(n, s, chi)
+        P = res.prec_bits
+        assert P == recursion.required_precision(n, s, chi).prec_bits
+        assert (used[0] == P) == (widths == "full")
+        assert used[1:] == ([P] if widths == "redone" else [])
+
+        ctx = PrecisionContext(P)
+        est = ctx.inv_root(ctx.complex_abs(res.residual), s)
+        rounded = nearest_int(est)
+        error = ctx.abs(ctx.sub(ctx.from_int(res.target), est))
+        margin = ctx.abs(ctx.sub(est, ctx.from_int(rounded)))
+        assert res.rounded == rounded
+        for got, want in ((res.estimate, est), (res.error, error), (res.margin, margin)):
+            assert format_decimal(got, 17) == format_decimal(want, 17)
+
+
+class TestPrecisionSizing:
+    """Precision sized from the character's own tail terms (ROADMAP S1)."""
+
+    def test_tail_terms_set_the_base(self):
+        G10 = enumerate_characters(10)
+        # chi(5) = 0 mod 10: the estimate tends to 9 and its margin is set
+        # by 27, the next 3-smooth tail term coprime to 10
+        assert recursion.required_precision(2, 600, G10.by_label(1)).prec_bits == 2949
+        # chi(2) = 0 mod 4: the error is set by 9, the second term after 5
+        assert recursion.required_precision(2, 300, G4.by_label(2)).prec_bits == 1047
+        # chi(5) = 0 mod 5: the estimate tends to 6 and its margin is set by 8
+        assert recursion.required_precision(2, 300, G5.by_label(2)).prec_bits == 996
+        # the trivial character keeps 2 p_n = 6
+        for chi in (None, K1):
+            assert recursion.required_precision(2, 300, chi).prec_bits == 872
+        # every prime up to p_n divides 6, so 5 is the only tail term
+        G6 = enumerate_characters(6)
+        assert recursion.required_precision(2, 300, G6.by_label(2)).prec_bits == 872
+
+    @pytest.mark.parametrize(
+        "modulus,label,n,s",
+        [
+            (1, 1, 2, 2000),
+            (4, 2, 2, 300),
+            (4, 2, 2, 1000),
+            (8, 3, 3, 600),
+            (10, 1, 2, 600),
+        ],
+    )
+    def test_against_exact_oracle(self, modulus, label, n, s):
+        chi = enumerate_characters(modulus).by_label(label)
+        res = recursion.estimate(n, s, chi)
+        est = exact_estimate(n, s, chi, 400)
+        error = abs(res.target - est)
+        margin = abs(est - res.rounded)
+        for got, want in ((res.estimate, est), (res.error, error), (res.margin, margin)):
+            got = got.to_fraction()
+            assert abs(got - want) <= want / (1 << 64), (float(got), float(want))
 
 
 class TestErrorFunctionals:
