@@ -9,8 +9,8 @@ error decays: ``-ln(error)`` series, their least-squares slopes, and signed
 error differences between characters and the trivial case.
 
 Layers: ``mpnum`` (arbitrary-precision arithmetic), ``characters`` (exact
-character algebra), ``primes``, ``recursion`` (estimates and error
-functionals), ``analysis`` (series, fits, tables), ``oracle`` (exact
+character algebra), ``primes``, ``recursion`` (residuals and
+estimates), ``analysis`` (series, fits, tables), ``oracle`` (exact
 Gaussian-rational cross-check), ``cli`` (command-line front end).
 """
 
@@ -52,8 +52,6 @@ from .mpnum import (
 from .primes import first_n_primes, is_prime, nth_prime
 from .recursion import (
     EstimateResult,
-    error_E,
-    error_diff_D,
     estimate,
     euler_product,
     l_partial_sum,
@@ -85,8 +83,6 @@ __all__ = [
     "char_product",
     "d_table",
     "enumerate_characters",
-    "error_E",
-    "error_diff_D",
     "estimate",
     "euler_product",
     "first_n_primes",

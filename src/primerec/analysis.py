@@ -11,10 +11,11 @@ working precision, error at the width that survives the cancellation).  y
 is a ``BigFloat`` computed in a 64-bit context: its 17 printed digits need
 about 57 bits, and fits convert it to machine doubles, which is ample
 because y is O(100) while fit tolerances live at the third digit.  Points
-where the error vanishes at working precision are excluded from a series
-and tallied.  Series and table generation can fan out over worker
-processes; results are collected by grid index, so output is bit-identical
-to a sequential run.
+where the error vanishes are excluded from a series and tallied.  Each
+command evaluates every distinct ``(n, s, character)`` estimate once, in
+one fan-out over worker processes (the trivial character's errors, for
+instance, are shared by every row of a table); results are collected by
+grid index, so output is bit-identical to a sequential run.
 
 The CLI renders these results with the CSV schemas below (floats with 17
 significant digits):
@@ -112,13 +113,34 @@ def _map_tasks(func, tasks, workers: int):
         return list(pool.map(func, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _series_task(task):
+def _error_task(task):
     n, s, modulus, label = task
-    chi = _char(modulus, label)
-    res = recursion.estimate(n, s, chi)
-    if res.error.is_zero:
-        return None
-    return _Y_CTX.neg(_Y_CTX.ln(res.error))
+    return recursion.estimate(n, s, _char(modulus, label)).error
+
+
+def _series_task(task):
+    error = _error_task(task)
+    return None if error.is_zero else _Y_CTX.neg(_Y_CTX.ln(error))
+
+
+def _series(ns, s_min: int, s_max: int, chi: DirichletCharacter, workers: int):
+    """One y(s) series per n in ``ns``, every (n, s) cell in one fan-out."""
+    if not (1 <= s_min <= s_max <= S_RANGE_CAP):
+        raise DomainError(
+            f"s range [{s_min}, {s_max}] must satisfy 1 <= s_min <= s_max <= {S_RANGE_CAP}"
+        )
+    s_values = range(s_min, s_max + 1)
+    # n varies fastest, so every chunk a worker takes mixes cheap and costly n
+    tasks = [(n, s, chi.modulus, chi.label) for s in s_values for n in ns]
+    ys = _map_tasks(_series_task, tasks, workers)
+    out = []
+    for i, n in enumerate(ns):
+        column = ys[i :: len(ns)]
+        points = tuple(SeriesPoint(s, y) for s, y in zip(s_values, column) if y is not None)
+        if not points:
+            raise DomainError(f"series for n={n} over [{s_min}, {s_max}] is empty")
+        out.append(NegLogSeries(n, chi.modulus, chi.label, points, len(s_values) - len(points)))
+    return out
 
 
 def neg_log_series(
@@ -129,22 +151,7 @@ def neg_log_series(
     workers: int = 1,
 ) -> NegLogSeries:
     """y(s) = -ln(error) for s in [s_min, s_max]; zero-error points excluded."""
-    if not (1 <= s_min <= s_max <= S_RANGE_CAP):
-        raise DomainError(
-            f"s range [{s_min}, {s_max}] must satisfy 1 <= s_min <= s_max <= {S_RANGE_CAP}"
-        )
-    tasks = [(n, s, chi.modulus, chi.label) for s in range(s_min, s_max + 1)]
-    ys = _map_tasks(_series_task, tasks, workers)
-    points = []
-    excluded = 0
-    for (_, s, _, _), y in zip(tasks, ys):
-        if y is None:
-            excluded += 1
-        else:
-            points.append(SeriesPoint(s, y))
-    if not points:
-        raise DomainError(f"series for n={n} over [{s_min}, {s_max}] is empty")
-    return NegLogSeries(n, chi.modulus, chi.label, tuple(points), excluded)
+    return _series([n], s_min, s_max, chi, workers)[0]
 
 
 def linear_fit(points: Sequence[SeriesPoint], n_excluded: int = 0) -> FitResult:
@@ -187,48 +194,41 @@ def slope_series(
         )
     if chi is None:
         chi = enumerate_characters(1).characters[0]
-    out = []
-    for n in range(n_min, n_max + 1):
-        series = neg_log_series(n, s_min, s_max, chi, workers=workers)
-        out.append((n, linear_fit(series.points, series.n_excluded)))
-    return out
+    series = _series(range(n_min, n_max + 1), s_min, s_max, chi, workers)
+    return [(ser.n, linear_fit(ser.points, ser.n_excluded)) for ser in series]
 
 
-def _d_task(task):
-    n, s, modulus, label = task
-    chi = _char(modulus, label)
-    value = recursion.error_diff_D(n, s, chi)
-    target = primes.nth_prime(n + 1)
+def _status(chi: DirichletCharacter, n: int) -> str:
     flags = []
     if chi.is_principal:
         flags.append("principal")
-    if chi(target).is_zero:
+    if chi(primes.nth_prime(n + 1)).is_zero:
         flags.append("char-zero-at-target")
-    return value, "+".join(flags)
+    return "+".join(flags)
 
 
 def d_table(n_list: Sequence[int], s: int, moduli: Sequence[int], workers: int = 1) -> DTable:
-    """Signed error differences, one row per (modulus, label), columns n_list."""
+    """Signed error differences, one row per (modulus, label), columns n_list.
+
+    A cell is the trivial character's error minus the row character's, at
+    ``required_precision(n, s)``.
+    """
     if not isinstance(s, int) or s < 2:
         raise DomainError(f"the table exponent s must be an integer >= 2, got {s!r}")
     if not n_list:
         raise DomainError("n_list must not be empty")
-    row_keys = []
-    for k in moduli:
-        group = enumerate_characters(k)
-        row_keys.extend((k, ch.label) for ch in group.characters)
-    tasks = [
-        (n, s, modulus, label) for modulus, label in row_keys for n in n_list
-    ]
-    results = _map_tasks(_d_task, tasks, workers)
+    chars = [ch for k in moduli for ch in enumerate_characters(k).characters]
+    keys = [(1, 1)] + [(ch.modulus, ch.label) for ch in chars]
+    tasks = list(dict.fromkeys((n, s, k, label) for k, label in keys for n in n_list))
+    error = dict(zip(tasks, _map_tasks(_error_task, tasks, workers)))
     rows = []
-    it = iter(results)
-    for modulus, label in row_keys:
-        cells = tuple(
-            DCell(n, value, status)
-            for n, (value, status) in zip(n_list, (next(it) for _ in n_list))
-        )
-        rows.append(DRow(modulus, label, cells))
+    for ch in chars:
+        cells = []
+        for n in n_list:
+            e_trivial, e_chi = error[n, s, 1, 1], error[n, s, ch.modulus, ch.label]
+            d = recursion.required_precision(n, s).sub(e_trivial, e_chi)
+            cells.append(DCell(n, d, _status(ch, n)))
+        rows.append(DRow(ch.modulus, ch.label, tuple(cells)))
     return DTable(s, tuple(rows))
 
 

@@ -14,8 +14,8 @@ value equality.  A ``BigComplex`` is a pair of ``BigFloat`` components.
 
 Precision model
 ---------------
-All arithmetic is driven by a ``PrecisionContext(prec_bits, guard_bits)``.
-Operations round internally to ``prec_bits + guard_bits`` mantissa bits
+All arithmetic is driven by a ``PrecisionContext(prec_bits)``.  Operations
+round internally to ``prec_bits + GUARD_BITS`` (96) mantissa bits
 (round-half-even), so every result is faithful (within 1 ulp, relative error
 ``<= 2**(1 - prec_bits)``) at the contracted precision with a wide margin.
 There are no NaNs or infinities; domain violations raise ``DomainError`` and
@@ -371,35 +371,35 @@ def _fp_sin_cos(p: int, q: int, wp2: int) -> tuple[int, int]:
     return sin_acc, cos_acc
 
 
+GUARD_BITS = 96
+
+
 class PrecisionContext:
     """Precision policy plus the arithmetic operating under it.
 
-    ``prec_bits`` is the contracted precision (>= 64); ``guard_bits`` extra
+    ``prec_bits`` is the contracted precision (>= 64); ``GUARD_BITS`` extra
     bits are carried by every intermediate so composite operations remain
     faithful at the contract.  Contexts are immutable and shareable.
     """
 
-    __slots__ = ("prec_bits", "guard_bits", "_wp")
+    __slots__ = ("prec_bits", "_wp")
 
-    def __init__(self, prec_bits: int, guard_bits: int = 96):
+    def __init__(self, prec_bits: int):
         if not isinstance(prec_bits, int) or prec_bits < 64:
             raise DomainError(f"prec_bits must be an integer >= 64, got {prec_bits!r}")
-        if not isinstance(guard_bits, int) or guard_bits < 0:
-            raise DomainError(f"guard_bits must be a non-negative integer, got {guard_bits!r}")
         self.prec_bits = prec_bits
-        self.guard_bits = guard_bits
-        self._wp = prec_bits + guard_bits
+        self._wp = prec_bits + GUARD_BITS
 
     def __eq__(self, other):
         if not isinstance(other, PrecisionContext):
             return NotImplemented
-        return self.prec_bits == other.prec_bits and self.guard_bits == other.guard_bits
+        return self.prec_bits == other.prec_bits
 
     def __hash__(self):
-        return hash((self.prec_bits, self.guard_bits))
+        return hash(self.prec_bits)
 
     def __repr__(self):
-        return f"PrecisionContext(prec_bits={self.prec_bits}, guard_bits={self.guard_bits})"
+        return f"PrecisionContext(prec_bits={self.prec_bits})"
 
     # -- constructors -------------------------------------------------------
 
@@ -594,13 +594,10 @@ class PrecisionContext:
         with _CACHE_LOCK:
             return level.setdefault((a, m), val)
 
-    def _widened(self, extra: int) -> "PrecisionContext":
-        return PrecisionContext(self.prec_bits, self.guard_bits + extra)
-
     def complex_abs(self, z: BigComplex) -> BigFloat:
         # computed 32 bits wide so the square/sum/sqrt chain stays well
-        # inside 1 ulp at the contract even with a minimal guard setting
-        wide = self._widened(32)
+        # inside 1 ulp at the contract
+        wide = PrecisionContext(self.prec_bits + 32)
         wp2 = wide._wp
         sq = _add(_mul(z.re, z.re, wp2), _mul(z.im, z.im, wp2), wp2)
         r = wide.sqrt(sq)
@@ -616,7 +613,7 @@ class PrecisionContext:
             raise DomainError(f"inv_root order must be a positive integer, got {s!r}")
         if x.sign <= 0:
             raise DomainError("inv_root requires a positive argument")
-        wide = self._widened(64)
+        wide = PrecisionContext(self.prec_bits + 64)
         r = wide.exp(_div_int(_neg(wide.ln(x)), s, wide._wp))
         return _norm(r.sign, r.man, r.exp, self._wp)
 

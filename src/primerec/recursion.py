@@ -9,17 +9,20 @@ The partial sum and the truncated product both sit near 1 but agree to
 roughly ``p_{n+1}**-s``, so the subtraction cancels about
 ``s * log2(p_{n+1})`` bits.  Two precisions follow from that:
 
- * The residual is computed at ``P = ceil(s * log2(max(2 p_n, m*))) + 96``
-   bits (``required_precision``).  Every index the sum and product disagree
-   on is a tail term: a prime in ``(p_n, 2 p_n)`` or a ``p_n``-smooth
+ * The residual is computed at ``P = ceil(s * log2(base)) + 96`` bits
+   (``required_precision``).  Every index the sum and product disagree on
+   is a tail term: a prime in ``(p_n, 2 p_n)`` or a ``p_n``-smooth
    ``m >= 2 p_n``.  The estimate tends to the first tail term ``m1`` with
    ``chi(m1) != 0`` (``p_{n+1}`` unless chi vanishes there), and its
    distance from ``m1`` (the error, or the margin when ``m1`` is not the
-   target) is about ``(m1/m*)**s`` relative, where ``m*`` is the second
-   such term.  So at least 96 significant bits of that distance survive
-   the cancellation, unless the two terms differ in phase by ``+-i``,
-   which cancels the first-order part (an open case).  For the trivial
-   character ``m* <= 2 p_n``.
+   target) is about ``(m1/m2)**s`` relative, where ``m2`` is the second
+   such term, so ``base = max(2 p_n, m2)`` keeps at least 96 significant
+   bits of that distance.  When ``chi(m2) / chi(m1) = +-i`` the
+   first-order part of the distance cancels and about ``(m1/m2)**(2s)``
+   is left, so the base is ``max(2 p_n, m2**2 / m1)``.  For the trivial
+   character ``m2 <= 2 p_n``.  When ``m1`` is the only tail term the
+   residual is exactly ``chi(m1) * m1**-s``, and the estimate is reported
+   as exactly ``m1`` with margin 0.
  * Everything downstream of ``|residual|`` (the root, rounding, error and
    margin) runs at the width the subtraction left: ``P + top(|residual|)``
    surviving bits plus 64, clamped to ``[64, P]``.  When the error or the
@@ -42,12 +45,14 @@ integers; s = 1 is accepted but of dubious value for the trivial character
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
 from . import primes
-from .characters import DirichletCharacter, keller_one
+from .characters import DirichletCharacter
 from .errors import DomainError, PrecisionLossError
 from .mpnum import (
     BigComplex,
@@ -55,6 +60,7 @@ from .mpnum import (
     C_ONE,
     C_ZERO,
     ONE,
+    ZERO,
     PrecisionContext,
     _top,
     nearest_int,
@@ -68,8 +74,6 @@ __all__ = [
     "residual",
     "scaled_residual",
     "estimate",
-    "error_E",
-    "error_diff_D",
 ]
 
 
@@ -128,27 +132,33 @@ def _tail_terms(n: int, chi: DirichletCharacter):
         m += 1
 
 
+def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
+    """(``required_precision(n, s, chi)``, chi's first two tail terms)."""
+    _check_n_s(n, s)
+    base = Fraction(2 * primes.nth_prime(n))
+    terms = [] if chi is None else list(islice(_tail_terms(n, chi), 2))
+    if len(terms) == 2:
+        m1, m2 = terms
+        quarter_turn = chi(m2).mul(chi(m1).conjugate()).m == 4
+        base = max(base, Fraction(m2 * m2, m1) if quarter_turn else Fraction(m2))
+    bits = (math.ceil(base**s) - 1).bit_length()
+    return PrecisionContext(max(64, bits + 96)), terms
+
+
 def required_precision(
     n: int, s: int, chi: Optional[DirichletCharacter] = None
 ) -> PrecisionContext:
-    """Working precision for the (n, s) residual: ceil(s*log2(max(2 p_n, m*))) + 96 bits.
+    """Working precision for the (n, s) residual: ceil(s*log2(base)) + 96 bits.
 
     The sum and product are O(1) but agree to about p_{n+1}**-s, which is
     larger than (2 p_n)**-s; the allowance keeps >= 96 significant bits of
-    the residual.  Given ``chi``, ``m*`` is its second tail term with
-    chi(m) != 0 (see the module docstring); without ``chi``, or when there
-    is no such term, the base is 2 p_n.  Never below the 64-bit context
-    floor.
+    the residual.  Given ``chi``, the base is set by its first two tail
+    terms m1 < m2 with chi(m) != 0: ``max(2 p_n, m2)``, or
+    ``max(2 p_n, m2**2 / m1)`` when chi(m2)/chi(m1) = +-i (see the module
+    docstring).  Without ``chi``, or with fewer than two such terms, the
+    base is 2 p_n.  Never below the 64-bit context floor.
     """
-    _check_n_s(n, s)
-    base = 2 * primes.nth_prime(n)
-    if chi is not None:
-        base = max(base, next(islice(_tail_terms(n, chi), 1, None), base))
-    power = base**s
-    bits = power.bit_length() - 1
-    if power != 1 << bits:
-        bits += 1
-    return PrecisionContext(max(64, bits + 96))
+    return _sizing(n, s, chi)[0]
 
 
 def _char_complex(ctx: PrecisionContext, chi: DirichletCharacter, j: int):
@@ -252,8 +262,7 @@ def estimate(
     ``prec_bits``); the rest at the width that survives the cancellation,
     as the module docstring describes.
     """
-    _check_n_s(n, s)
-    req = required_precision(n, s, chi)
+    req, terms = _sizing(n, s, chi)
     if prec_bits is None:
         ctx = req
     else:
@@ -262,7 +271,7 @@ def estimate(
                 f"precision override of {prec_bits} bits is below the "
                 f"{req.prec_bits} bits required for n={n}, s={s}"
             )
-        ctx = PrecisionContext(prec_bits, req.guard_bits)
+        ctx = PrecisionContext(prec_bits)
     target = primes.nth_prime(n + 1)
     warning = None
     if chi(target).is_zero:
@@ -277,14 +286,17 @@ def estimate(
             f"residual vanished at working precision ({ctx.prec_bits} bits) "
             f"for n={n}, s={s}; retry with a larger prec_bits (--precision)"
         )
-    width = min(max(ctx.prec_bits + _top(mag) + 64, 64), ctx.prec_bits)
-    est, rounded, error, margin = _finish(
-        PrecisionContext(width, ctx.guard_bits), mag, s, target
-    )
-    if width < ctx.prec_bits and any(
-        x.is_zero or _top(est) - _top(x) > width - 64 for x in (error, margin)
-    ):
-        est, rounded, error, margin = _finish(ctx, mag, s, target)
+    if len(terms) == 1:
+        # the residual is exactly chi(m1) * m1**-s
+        m1 = terms[0]
+        est, rounded, error, margin = ctx.from_int(m1), m1, ctx.from_int(abs(target - m1)), ZERO
+    else:
+        width = min(max(ctx.prec_bits + _top(mag) + 64, 64), ctx.prec_bits)
+        est, rounded, error, margin = _finish(PrecisionContext(width), mag, s, target)
+        if width < ctx.prec_bits and any(
+            x.is_zero or _top(est) - _top(x) > width - 64 for x in (error, margin)
+        ):
+            est, rounded, error, margin = _finish(ctx, mag, s, target)
     return EstimateResult(
         n=n,
         s=s,
@@ -300,15 +312,3 @@ def estimate(
         warning=warning,
     )
 
-
-def error_E(n: int, s: int, chi: DirichletCharacter) -> BigFloat:
-    """|p_{n+1} - estimate|: the absolute recursion error at finite s."""
-    return estimate(n, s, chi).error
-
-
-def error_diff_D(n: int, s: int, chi: DirichletCharacter) -> BigFloat:
-    """Signed trivial-character error minus the chi error at the same (n, s)."""
-    ctx = required_precision(n, s)
-    e_trivial = estimate(n, s, keller_one()).error
-    e_chi = estimate(n, s, chi).error
-    return ctx.sub(e_trivial, e_chi)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from primerec import analysis, recursion
 from primerec.analysis import (
     SeriesPoint,
     d_table,
@@ -99,6 +100,19 @@ class TestSlopeSeries:
         # the n=2 slope sits near the decay rate set by the 6^-s subleading term
         assert 0.18 <= fits[0][1].a <= 0.22
 
+    def test_one_pool_per_command(self, monkeypatch):
+        pools = []
+        real = analysis.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", counting)
+        par = slope_series(2, 4, 20, 30, workers=2)
+        assert len(pools) == 1
+        assert par == slope_series(2, 4, 20, 30, workers=1)
+
     def test_n_range_validation(self):
         with pytest.raises(DomainError):
             slope_series(1, 3, 20, 40)
@@ -137,6 +151,23 @@ class TestDTable:
             d_table([3], 1, [4])
         with pytest.raises(DomainError):
             d_table([], 50, [4])
+
+    def test_each_estimate_once(self, monkeypatch):
+        # 6 characters x 2 columns, plus the trivial character once per
+        # column; a modulus-1 row reuses the trivial estimates
+        calls = []
+        real = recursion.estimate
+
+        def counting(n, s, chi, *args):
+            calls.append((n, s, chi.modulus, chi.label))
+            return real(n, s, chi, *args)
+
+        monkeypatch.setattr(recursion, "estimate", counting)
+        d_table([3, 4], 50, [4, 5])
+        assert len(calls) == len(set(calls)) == 14
+        calls.clear()
+        d_table([3, 4], 50, [4, 1, 5])
+        assert len(calls) == len(set(calls)) == 14
 
     def test_parallel_matches_sequential(self):
         seq = d_table([3, 4], 50, [4, 9], workers=1)

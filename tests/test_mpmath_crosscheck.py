@@ -14,6 +14,7 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 from primerec import recursion
+from primerec.analysis import d_table
 from primerec.characters import enumerate_characters, keller_one
 from primerec.mpnum import BigComplex, BigFloat, PrecisionContext
 from primerec.primes import first_n_primes
@@ -87,9 +88,9 @@ def chi_mp(ch, n):
     return mp.e ** (2j * mp.pi * v.a / v.m)
 
 
-def estimate_mp(n, s, ch):
+def estimate_mp(n, s, ch, bits=None):
     ps = first_n_primes(n + 1)
-    mp.mp.prec = recursion.required_precision(n, s).prec_bits + 256
+    mp.mp.prec = bits or recursion.required_precision(n, s).prec_bits + 256
     J = 2 * ps[-2] - 1
     total = sum(chi_mp(ch, j) / mp.mpf(j) ** s for j in range(1, J + 1))
     prod = mp.mpf(1)
@@ -125,9 +126,27 @@ class TestPipelineAgainstMpmath:
         _, err_ref = estimate_mp(2, 2000, keller_one())
         assert abs(bf_mp(res.error) - err_ref) <= err_ref * mp.mpf(2) ** -64
 
+    @pytest.mark.parametrize(
+        "modulus,label,s,field",
+        [
+            (17, 3, 600, "error"),  # tail terms 5 and 6, chi(6)/chi(5) = +-i
+            (10, 2, 200, "margin"),  # chi(5) = 0; tail terms 9 and 27, chi(3) = +-i
+        ],
+    )
+    def test_quarter_turn_cells(self, modulus, label, s, field):
+        # the first-order part of the distance cancels, leaving about
+        # (m1/m2)**(2s) relative, which the precision must resolve
+        ch = enumerate_characters(modulus).by_label(label)
+        res = recursion.estimate(2, s, ch)
+        est, err = estimate_mp(2, s, ch, bits=3 * res.prec_bits)
+        want = err if field == "error" else abs(est - res.rounded)
+        got = res.error if field == "error" else res.margin
+        assert abs(bf_mp(got) - want) <= want * mp.mpf(2) ** -64
+
     def test_error_difference(self):
         ch = enumerate_characters(9).by_label(2)
-        d = recursion.error_diff_D(5, 50, ch)
+        row = next(r for r in d_table([5], 50, [9]).rows if r.label == ch.label)
+        d = row.cells[0].value
         _, ek = estimate_mp(5, 50, keller_one())
         _, ec = estimate_mp(5, 50, ch)
         want = ek - ec

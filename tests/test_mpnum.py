@@ -41,13 +41,11 @@ class TestContext:
     def test_prec_floor(self):
         with pytest.raises(DomainError):
             PrecisionContext(63)
-        with pytest.raises(DomainError):
-            PrecisionContext(128, -1)
         assert PrecisionContext(64).prec_bits == 64
 
     def test_context_equality(self):
         assert PrecisionContext(128) == PrecisionContext(128)
-        assert PrecisionContext(128) != PrecisionContext(128, 64)
+        assert PrecisionContext(128) != PrecisionContext(129)
 
 
 class TestArith:
@@ -308,21 +306,6 @@ class TestPrecisionMonotonicity:
         ]
         for a, b in pairs:
             assert abs(a.to_fraction() - b.to_fraction()) <= abs(b.to_fraction()) * tol
-
-    def test_composites_faithful_with_zero_guard(self):
-        # the 1-ulp contract must survive a guard-free context, including
-        # the ln/exp chain whose intermediate rounding scales with |ln x|
-        bare = PrecisionContext(128, 0)
-        ref = PrecisionContext(128, 192)
-        tol = Fraction(1, 2**127)
-        for val, s in ((Fraction(10**30), 9), (Fraction(1, 7**40), 40), (Fraction(97, 89), 3)):
-            a = bare.inv_root(bare.from_fraction(val), s)
-            b = ref.inv_root(ref.from_fraction(val), s)
-            assert abs(a.to_fraction() - b.to_fraction()) <= b.to_fraction() * 2 * tol
-        z = BigComplex(bare.from_fraction(Fraction(3, 7)), bare.from_fraction(Fraction(-2, 9)))
-        a = bare.complex_abs(z)
-        exact = z.re.to_fraction() ** 2 + z.im.to_fraction() ** 2
-        assert abs(a.to_fraction() ** 2 - exact) <= exact * 4 * tol
 
 
 class TestRepresentation:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from primerec import oracle, recursion
+from primerec.analysis import d_table, neg_log_series
 from primerec.characters import enumerate_characters, keller_one
 from primerec.errors import DomainError, PrecisionLossError
 from primerec.mpnum import PrecisionContext, format_decimal, nearest_int, to_float
@@ -22,6 +23,12 @@ G5 = enumerate_characters(5)
 G8 = enumerate_characters(8)
 G9 = enumerate_characters(9)
 CTX = PrecisionContext(192)
+
+
+def d_cell(n: int, s: int, chi):
+    """The error-difference table cell of ``chi`` at (n, s)."""
+    row = next(r for r in d_table([n], s, [chi.modulus]).rows if r.label == chi.label)
+    return row.cells[0].value
 
 
 def close_to(value, exact: Fraction, rel_bits: int = 120) -> bool:
@@ -142,7 +149,7 @@ class TestResidual:
     def test_precision_stability(self):
         for n, s in ((2, 30), (5, 45), (8, 60)):
             base = recursion.required_precision(n, s)
-            wide = PrecisionContext(base.prec_bits + 128, base.guard_bits)
+            wide = PrecisionContext(base.prec_bits + 128)
             a = recursion.residual(n, s, K1, ctx=base)
             b = recursion.residual(n, s, K1, ctx=wide)
             ma = base.complex_abs(a).to_fraction()
@@ -204,10 +211,21 @@ class TestEstimate:
     def test_fourth_prime_with_even_modulus(self):
         res = recursion.estimate(4, 50, G4.by_label(1))
         assert res.rounded == 11
-        d = recursion.error_diff_D(4, 50, G4.by_label(1))
+        d = d_cell(4, 50, G4.by_label(1))
         # published reference: about -1.277e-06 (sign and leading digit)
         v = to_float(d)
         assert v < 0 and f"{abs(v):.0e}"[0] == "1"
+
+    def test_single_term_residual_is_exact(self):
+        # chi vanishes at every prime up to p_n and the target is the only
+        # tail term, so the residual is exactly chi(target) * target**-s
+        for modulus, n in ((2, 1), (6, 2)):
+            chi = enumerate_characters(modulus).by_label(1)
+            res = recursion.estimate(n, 50, chi)
+            assert res.estimate.to_fraction() == res.rounded == res.target
+            assert res.error.is_zero and res.margin.is_zero
+            with pytest.raises(DomainError, match="is empty"):
+                neg_log_series(n, 50, 52, chi)
 
     def test_warning_when_character_vanishes_at_target(self):
         res = recursion.estimate(2, 50, G5.by_label(2))
@@ -259,10 +277,13 @@ class TestDownstreamWidth:
 
     The reference is the full-width chain: everything after |residual| at
     the residual's own precision.  The cells cover the width clamped to P
-    (s = 20), the narrow width (also for mod 9, n = 1, where chi(3) = 0),
-    and the two cells where the chain is redone at P: a margin that cancels
-    (mod 5, target 5 with chi(5) = 0) and a second-order error (mod 16,
-    where the tail terms 5 and 9 differ in phase by i).
+    (s = 20) and the narrow width (also for mod 9, n = 1, where chi(3) = 0).
+    Two cells have leading tail terms that differ in phase by +-i, so the
+    first-order part of a distance cancels: the margin of mod 5 (target 5
+    with chi(5) = 0, terms 6 and 8) and the error of mod 16 (terms 5 and 9).
+    Sized from m2**2 / m1 they run at the narrow width; sized blind to chi
+    ("redone") their second-order distance lies below it, and the chain is
+    redone at P.
     """
 
     @pytest.mark.parametrize(
@@ -271,12 +292,17 @@ class TestDownstreamWidth:
             (1, 1, 2, 20, "full"),
             (1, 1, 2, 300, "narrow"),
             (1, 1, 2, 2000, "narrow"),
+            (5, 2, 2, 600, "narrow"),
             (5, 2, 2, 600, "redone"),
             (9, 2, 1, 200, "narrow"),
+            (16, 2, 2, 300, "narrow"),
             (16, 2, 2, 300, "redone"),
         ],
     )
     def test_matches_full_width_chain(self, monkeypatch, modulus, label, n, s, widths):
+        if widths == "redone":
+            sizing = recursion._sizing
+            monkeypatch.setattr(recursion, "_sizing", lambda n, s, chi: sizing(n, s, None))
         used = []
         finish = recursion._finish
 
@@ -312,8 +338,9 @@ class TestPrecisionSizing:
         assert recursion.required_precision(2, 600, G10.by_label(1)).prec_bits == 2949
         # chi(2) = 0 mod 4: the error is set by 9, the second term after 5
         assert recursion.required_precision(2, 300, G4.by_label(2)).prec_bits == 1047
-        # chi(5) = 0 mod 5: the estimate tends to 6 and its margin is set by 8
-        assert recursion.required_precision(2, 300, G5.by_label(2)).prec_bits == 996
+        # chi(5) = 0 mod 5: the estimate tends to 6 and its margin is set by
+        # 8; chi(8)/chi(6) = chi(3) = i, so the base is 8**2/6
+        assert recursion.required_precision(2, 300, G5.by_label(2)).prec_bits == 1121
         # the trivial character keeps 2 p_n = 6
         for chi in (None, K1):
             assert recursion.required_precision(2, 300, chi).prec_bits == 872
@@ -344,36 +371,36 @@ class TestPrecisionSizing:
 
 class TestErrorFunctionals:
     def test_error_decreases_for_fixed_n(self):
-        errors = [recursion.error_E(2, s, K1).to_fraction() for s in (20, 40, 60, 80)]
+        errors = [recursion.estimate(2, s, K1).error.to_fraction() for s in (20, 40, 60, 80)]
         assert errors == sorted(errors, reverse=True)
 
     def test_d_is_consistent_difference(self):
         ctx = recursion.required_precision(3, 50)
-        ek = recursion.error_E(3, 50, K1)
-        e5 = recursion.error_E(3, 50, G5.by_label(1))
-        d = recursion.error_diff_D(3, 50, G5.by_label(1))
+        ek = recursion.estimate(3, 50, K1).error
+        e5 = recursion.estimate(3, 50, G5.by_label(1)).error
+        d = d_cell(3, 50, G5.by_label(1))
         assert ctx.sub(ek, e5) == d
 
     def test_trivial_difference_is_exact_zero(self):
-        assert recursion.error_diff_D(3, 50, K1).is_zero
-        assert recursion.error_diff_D(6, 60, K1).is_zero
+        assert d_cell(3, 50, K1).is_zero
+        assert d_cell(6, 60, K1).is_zero
 
     def test_third_prime_anchor(self):
-        d = to_float(recursion.error_diff_D(3, 50, G4.by_label(1)))
+        d = to_float(d_cell(3, 50, G4.by_label(1)))
         assert abs(d - 2.518e-9) / 2.518e-9 < 0.01
 
     def test_mod9_half_ratio(self):
-        d4 = to_float(recursion.error_diff_D(3, 50, G4.by_label(1)))
-        d9 = to_float(recursion.error_diff_D(3, 50, G9.by_label(2)))
+        d4 = to_float(d_cell(3, 50, G4.by_label(1)))
+        d9 = to_float(d_cell(3, 50, G9.by_label(2)))
         assert abs(d9 / d4 - 0.5) < 1e-3
 
     def test_conjugate_characters_identical_errors(self):
         for n, s in ((3, 40), (5, 50)):
-            a = recursion.error_E(n, s, G5.by_label(2))
-            b = recursion.error_E(n, s, G5.by_label(4))
+            a = recursion.estimate(n, s, G5.by_label(2)).error
+            b = recursion.estimate(n, s, G5.by_label(4)).error
             assert a == b  # bit-identical by conjugate symmetry
-        a = recursion.error_E(4, 45, G9.by_label(2))
-        b = recursion.error_E(4, 45, G9.by_label(6))
+        a = recursion.estimate(4, 45, G9.by_label(2)).error
+        b = recursion.estimate(4, 45, G9.by_label(6)).error
         assert a == b
 
 
