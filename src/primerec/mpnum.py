@@ -61,7 +61,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "C_ZERO",
-    "C_ONE",
     "format_decimal",
     "to_float",
     "nearest_int",
@@ -146,7 +145,6 @@ class BigComplex:
 
 
 C_ZERO = BigComplex(ZERO, ZERO)
-C_ONE = BigComplex(ONE, ZERO)
 
 
 def _norm(sign: int, man: int, exp: int, wp: int) -> BigFloat:
@@ -235,14 +233,6 @@ def _div(x: BigFloat, y: BigFloat, wp: int) -> BigFloat:
         q = (q << 1) | 1
         exp -= 1
     return _norm(x.sign * y.sign, q, exp, wp)
-
-
-def _mul_int(x: BigFloat, n: int, wp: int) -> BigFloat:
-    if x.sign == 0 or n == 0:
-        return ZERO
-    if n > 0:
-        return _norm(x.sign, x.man * n, x.exp, wp)
-    return _norm(-x.sign, x.man * -n, x.exp, wp)
 
 
 def _div_int(x: BigFloat, n: int, wp: int) -> BigFloat:
@@ -410,20 +400,18 @@ class PrecisionContext:
             return _norm(1, n, 0, self._wp)
         return _norm(-1, -n, 0, self._wp)
 
+    def from_fixed(self, v: int, bits: int) -> BigFloat:
+        """The fixed-point integer v scaled by 2**-bits, rounded to the context."""
+        return _from_signed(v, -bits, self._wp)
+
     def from_fraction(self, fr: Fraction) -> BigFloat:
         return _div(self.from_int(fr.numerator), self.from_int(fr.denominator), self._wp)
 
-    def _promote(self, x):
-        if isinstance(x, BigFloat):
-            return BigComplex(x, ZERO)
-        return x
-
-    # -- ring operations ----------------------------------------------------
+    # -- ring operations (add, sub and neg also on two BigComplex) ----------
 
     def add(self, x, y):
-        if isinstance(x, BigFloat) and isinstance(y, BigFloat):
+        if isinstance(x, BigFloat):
             return _add(x, y, self._wp)
-        x, y = self._promote(x), self._promote(y)
         return BigComplex(_add(x.re, y.re, self._wp), _add(x.im, y.im, self._wp))
 
     def sub(self, x, y):
@@ -437,26 +425,11 @@ class PrecisionContext:
     def abs(self, x: BigFloat) -> BigFloat:
         return _abs(x)
 
-    def mul(self, x, y):
-        if isinstance(x, BigFloat) and isinstance(y, BigFloat):
-            return _mul(x, y, self._wp)
-        x, y = self._promote(x), self._promote(y)
-        wp = self._wp
-        re = _add(_mul(x.re, y.re, wp), _neg(_mul(x.im, y.im, wp)), wp)
-        im = _add(_mul(x.re, y.im, wp), _mul(x.im, y.re, wp), wp)
-        return BigComplex(re, im)
+    def mul(self, x: BigFloat, y: BigFloat) -> BigFloat:
+        return _mul(x, y, self._wp)
 
-    def div(self, x, y):
-        if isinstance(x, BigFloat) and isinstance(y, BigFloat):
-            return _div(x, y, self._wp)
-        x, y = self._promote(x), self._promote(y)
-        if y.is_zero:
-            raise DomainError("complex division by zero")
-        wp = self._wp
-        den = _add(_mul(y.re, y.re, wp), _mul(y.im, y.im, wp), wp)
-        re_num = _add(_mul(x.re, y.re, wp), _mul(x.im, y.im, wp), wp)
-        im_num = _add(_mul(x.im, y.re, wp), _neg(_mul(x.re, y.im, wp)), wp)
-        return BigComplex(_div(re_num, den, wp), _div(im_num, den, wp))
+    def div(self, x: BigFloat, y: BigFloat) -> BigFloat:
+        return _div(x, y, self._wp)
 
     # -- algebraic / transcendental ----------------------------------------
 

@@ -35,12 +35,19 @@ the next prime ``p_{n+1}`` as s grows, provided ``chi(p_{n+1}) != 0`` (when
 the next prime divides the modulus the limit degenerates; the result is
 flagged, not rejected).
 
-Terms are summed in increasing j without compensation: the working
-precision already exceeds the cancellation depth by design, so ordering
-cannot disturb the contracted accuracy, and the evaluation stays
-deterministic and bit-reproducible.  Exponent s is restricted to positive
-integers; s = 1 is accepted but of dubious value for the trivial character
-(the harmonic-like partial sum has no limit to track).
+The sum and the product run in fixed point, on integers scaled by
+``2**W`` with ``W = P + 96 + 16``, converted to the context's ``P + 96``
+bits at the end.  The sum adds ``2**W // j**s`` into one integer per
+character value and multiplies each total by its root of unity once; the
+product multiplies the factors ``1 - chi(p) * (2**W // p**s)`` and inverts
+the result once.  Every rounding truncates toward zero, so conjugate
+characters give bit-conjugate results.  Before the conversion each
+component is within ``J + c + 1 + ln J`` units of ``2**-W`` for the sum
+(``c`` values of chi other than 1 on 1..J) and ``12 n + 2`` for the
+product when ``s >= 2`` (at s = 1 it grows with the product's size).
+Exponent s is restricted to positive integers; s = 1 is accepted but of
+dubious value for the trivial character (the harmonic-like partial sum has
+no limit to track).
 """
 
 from __future__ import annotations
@@ -55,11 +62,9 @@ from . import primes
 from .characters import DirichletCharacter
 from .errors import DomainError, PrecisionLossError
 from .mpnum import (
+    GUARD_BITS,
     BigComplex,
     BigFloat,
-    C_ONE,
-    C_ZERO,
-    ONE,
     ZERO,
     PrecisionContext,
     _top,
@@ -161,51 +166,75 @@ def required_precision(
     return _sizing(n, s, chi)[0]
 
 
-def _char_complex(ctx: PrecisionContext, chi: DirichletCharacter, j: int):
-    v = chi(j)
-    if v.is_zero:
-        return None
-    return ctx.root_of_unity(v.a, v.m)
+def _trunc(v: int, d: int) -> int:
+    """v / d rounded toward zero (d > 0), so that negating v negates the result."""
+    return v // d if v >= 0 else -(-v // d)
+
+
+def _fixed_mul(t: int, x: BigFloat) -> int:
+    """t * x rounded toward zero, for a fixed-point integer t and |x| <= 1."""
+    return _trunc(x.sign * t * x.man, 1 << -x.exp)
+
+
+def _kernel(ctx: PrecisionContext):
+    """(W, a context whose roots of unity carry W bits): 16 guard bits past ctx."""
+    wide = PrecisionContext(ctx.prec_bits + 16)
+    return wide.prec_bits + GUARD_BITS, wide
 
 
 def l_partial_sum(
     chi: DirichletCharacter, s: int, J: int, ctx: PrecisionContext
 ) -> BigComplex:
-    """sum_{j=1}^{J} chi(j) / j**s, summed in increasing j."""
+    """sum_{j=1}^{J} chi(j) / j**s in fixed point (see the module docstring)."""
     if not isinstance(J, int) or J < 1:
         raise DomainError(f"J must be a positive integer, got {J!r}")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"s must be a positive integer, got {s!r}")
-    acc = C_ZERO
+    W, wide = _kernel(ctx)
+    one = 1 << W
+    classes = {}
     for j in range(1, J + 1):
-        z = _char_complex(ctx, chi, j)
-        if z is None:
-            continue
-        r = ctx.div(ONE, ctx.from_int(j**s))
-        acc = ctx.add(acc, BigComplex(ctx.mul(z.re, r), ctx.mul(z.im, r)))
-    return acc
+        v = chi(j)
+        if not v.is_zero:
+            classes[v] = classes.get(v, 0) + one // j**s
+    re = im = 0
+    for v, total in classes.items():
+        if v.a == 0:
+            re += total
+        else:
+            z = wide.root_of_unity(v.a, v.m)
+            re += _fixed_mul(total, z.re)
+            im += _fixed_mul(total, z.im)
+    return BigComplex(ctx.from_fixed(re, W), ctx.from_fixed(im, W))
 
 
 def euler_product(
     chi: DirichletCharacter, s: int, n: int, ctx: PrecisionContext
 ) -> BigComplex:
-    """prod over the first n primes of (1 - chi(p)/p**s)**-1.
+    """prod over the first n primes of (1 - chi(p)/p**s)**-1, in fixed point.
 
     A vanishing chi(p) contributes a factor of exactly 1 and is skipped.
     """
     _check_n_s(n, s)
-    acc = C_ONE
+    W, wide = _kernel(ctx)
+    one = 1 << W
+    re, im = one, 0
     for p in primes.first_n_primes(n):
-        z = _char_complex(ctx, chi, p)
-        if z is None:
+        v = chi(p)
+        if v.is_zero:
             continue
-        r = ctx.div(ONE, ctx.from_int(p**s))
-        factor = BigComplex(
-            ctx.sub(ONE, ctx.mul(z.re, r)),
-            ctx.neg(ctx.mul(z.im, r)),
-        )
-        acc = ctx.mul(acc, ctx.div(C_ONE, factor))
-    return acc
+        x = one // p**s
+        if v.a == 0:
+            fr, fi = one - x, 0
+        else:
+            z = wide.root_of_unity(v.a, v.m)
+            fr, fi = one - _fixed_mul(x, z.re), -_fixed_mul(x, z.im)
+        re, im = _trunc(re * fr - im * fi, one), _trunc(re * fi + im * fr, one)
+    den = re * re + im * im
+    return BigComplex(
+        ctx.from_fixed(_trunc(re << 2 * W, den), W),
+        ctx.from_fixed(_trunc(-im << 2 * W, den), W),
+    )
 
 
 def residual(
@@ -263,6 +292,11 @@ def estimate(
     as the module docstring describes.
     """
     req, terms = _sizing(n, s, chi)
+    if not terms:
+        raise DomainError(
+            f"the residual is exactly zero for modulus {chi.modulus}, label {chi.label} at "
+            f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
+        )
     if prec_bits is None:
         ctx = req
     else:

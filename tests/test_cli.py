@@ -70,6 +70,14 @@ class TestEstimate:
         assert code == 1
         assert "required" in err
 
+    def test_zero_residual_exit_1(self, capsys):
+        code, out, err = invoke(
+            capsys, "estimate", "--n", "1", "--s", "50", "--modulus", "6", "--label", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: the residual is exactly zero for modulus 6, label 1")
+        assert "--precision" not in err
+
 
 class TestSweep:
     def test_csv(self, capsys):

@@ -69,15 +69,10 @@ class TestKernelAgainstMpmath:
         for _ in range(25):
             parts = [
                 BigFloat(rng.choice([1, -1]), rng.getrandbits(80) | 1, rng.randrange(-50, 50))
-                for _ in range(4)
+                for _ in range(2)
             ]
-            z, w = BigComplex(*parts[:2]), BigComplex(*parts[2:])
+            z = BigComplex(*parts)
             zm = mp.mpc(bf_mp(z.re), bf_mp(z.im))
-            wm = mp.mpc(bf_mp(w.re), bf_mp(w.im))
-            q = ctx.div(z, w)
-            want = zm / wm
-            assert_close(q.re, want.real, self.PREC, 3, abs_floor=abs(want))
-            assert_close(q.im, want.imag, self.PREC, 3, abs_floor=abs(want))
             assert_close(ctx.complex_abs(z), abs(zm), self.PREC, 2)
 
 

@@ -126,6 +126,21 @@ class TestResidual:
                         got = recursion.residual(n, s, ch)
                         exact = oracle.residual_exact(n, s, ch)
                         assert oracle.abs2_delta_within(got, exact, 64), (k, ch.label, n, s)
+        # the fixed-point kernels, component by component, to 2^-(P+64)
+        # absolute at the residual's own working precision P
+        for k in (1, 4, 5, 8, 10, 16):
+            for ch in enumerate_characters(k).characters:
+                for n in (1, 2, 5, 12):
+                    J = 2 * first_n_primes(n)[-1] - 1
+                    for s in (1, 2, 20, 150):
+                        ctx = recursion.required_precision(n, s, ch)
+                        tol = Fraction(1, 1 << (ctx.prec_bits + 64))
+                        for got, exact in (
+                            (recursion.l_partial_sum(ch, s, J, ctx), oracle.l_partial_sum_exact(ch, s, J)),
+                            (recursion.euler_product(ch, s, n, ctx), oracle.euler_product_exact(ch, s, n)),
+                        ):
+                            assert abs(got.re.to_fraction() - exact.re) <= tol, (k, ch.label, n, s)
+                            assert abs(got.im.to_fraction() - exact.im) <= tol, (k, ch.label, n, s)
 
     def test_truncation_against_full_euler_product(self):
         # |sum_{j<=J} - prod_{p<=J}| <= 2 J^(1-s) / (s-1): both sides expand
@@ -227,6 +242,14 @@ class TestEstimate:
             with pytest.raises(DomainError, match="is empty"):
                 neg_log_series(n, 50, 52, chi)
 
+    def test_zero_residual_is_a_domain_error(self):
+        # chi vanishes at 2 and 3 mod 6, so no tail term survives at n = 1
+        # and the residual is exactly zero; no precision can help
+        chi = enumerate_characters(6).by_label(1)
+        for prec_bits in (None, 5000):
+            with pytest.raises(DomainError, match="exactly zero for modulus 6, label 1 at n=1"):
+                recursion.estimate(1, 50, chi, prec_bits=prec_bits)
+
     def test_warning_when_character_vanishes_at_target(self):
         res = recursion.estimate(2, 50, G5.by_label(2))
         assert res.warning is not None
@@ -302,7 +325,10 @@ class TestDownstreamWidth:
     def test_matches_full_width_chain(self, monkeypatch, modulus, label, n, s, widths):
         if widths == "redone":
             sizing = recursion._sizing
-            monkeypatch.setattr(recursion, "_sizing", lambda n, s, chi: sizing(n, s, None))
+            # the precision of a chi-blind sizing; the tail terms stay chi's own
+            monkeypatch.setattr(
+                recursion, "_sizing", lambda n, s, chi: (sizing(n, s, None)[0], sizing(n, s, chi)[1])
+            )
         used = []
         finish = recursion._finish
 
@@ -402,6 +428,22 @@ class TestErrorFunctionals:
         a = recursion.estimate(4, 45, G9.by_label(2)).error
         b = recursion.estimate(4, 45, G9.by_label(6)).error
         assert a == b
+        # the kernels themselves are bit-conjugate: every rounding step
+        # truncates toward zero
+        for k in (5, 7, 13, 16, 21, 97):
+            group = enumerate_characters(k)
+            for ch in group.characters:
+                bar = group.by_label(ch.conjugate_label())
+                for n in (1, 3, 6):
+                    J = 2 * first_n_primes(n)[-1] - 1
+                    for s in (2, 20, 150):
+                        ctx = recursion.required_precision(n, s, ch)
+                        assert recursion.l_partial_sum(bar, s, J, ctx) == (
+                            recursion.l_partial_sum(ch, s, J, ctx).conjugate()
+                        ), (k, ch.label, n, s)
+                        assert recursion.euler_product(bar, s, n, ctx) == (
+                            recursion.euler_product(ch, s, n, ctx).conjugate()
+                        ), (k, ch.label, n, s)
 
 
 class TestRounding:
