@@ -40,6 +40,7 @@ from .errors import (
     PrimerecError,
     RangeError,
     UnsupportedSizeError,
+    ZeroResidualError,
 )
 from .mpnum import (
     BigComplex,
@@ -80,6 +81,7 @@ __all__ = [
     "SeriesPoint",
     "UnitGroupStructure",
     "UnsupportedSizeError",
+    "ZeroResidualError",
     "char_product",
     "d_table",
     "enumerate_characters",

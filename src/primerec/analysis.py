@@ -22,7 +22,8 @@ significant digits):
 
  * series: ``n, s, modulus, label, neg_log_error``
  * fits:   ``n, a, b, r, s_min, s_max, n_points, n_excluded``
- * dtable: ``modulus, label, n, d_value, status``
+ * dtable: ``modulus, label, n, d_value, status`` (``d_value`` is empty
+   for a ``zero-residual`` cell)
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 
 from . import primes, recursion
 from .characters import DirichletCharacter, enumerate_characters
-from .errors import DomainError
+from .errors import DomainError, ZeroResidualError
 from .mpnum import BigFloat, PrecisionContext, to_float
 
 __all__ = [
@@ -85,7 +86,7 @@ class FitResult:
 @dataclass(frozen=True)
 class DCell:
     n: int
-    value: BigFloat  # signed
+    value: Optional[BigFloat]  # signed; None when the residual is exactly zero
     status: str  # "" or "+"-joined flags
 
 
@@ -116,6 +117,13 @@ def _map_tasks(func, tasks, workers: int):
 def _error_task(task):
     n, s, modulus, label = task
     return recursion.estimate(n, s, _char(modulus, label)).error
+
+
+def _d_error_task(task):
+    try:
+        return _error_task(task)
+    except ZeroResidualError:
+        return None
 
 
 def _series_task(task):
@@ -198,12 +206,14 @@ def slope_series(
     return [(ser.n, linear_fit(ser.points, ser.n_excluded)) for ser in series]
 
 
-def _status(chi: DirichletCharacter, n: int) -> str:
+def _status(chi: DirichletCharacter, n: int, zero_residual: bool) -> str:
     flags = []
     if chi.is_principal:
         flags.append("principal")
     if chi(primes.nth_prime(n + 1)).is_zero:
         flags.append("char-zero-at-target")
+    if zero_residual:
+        flags.append("zero-residual")
     return "+".join(flags)
 
 
@@ -211,7 +221,8 @@ def d_table(n_list: Sequence[int], s: int, moduli: Sequence[int], workers: int =
     """Signed error differences, one row per (modulus, label), columns n_list.
 
     A cell is the trivial character's error minus the row character's, at
-    ``required_precision(n, s)``.
+    ``required_precision(n, s)``.  When the row character's residual is
+    exactly zero the cell has no value and the ``zero-residual`` flag.
     """
     if not isinstance(s, int) or s < 2:
         raise DomainError(f"the table exponent s must be an integer >= 2, got {s!r}")
@@ -220,14 +231,15 @@ def d_table(n_list: Sequence[int], s: int, moduli: Sequence[int], workers: int =
     chars = [ch for k in moduli for ch in enumerate_characters(k).characters]
     keys = [(1, 1)] + [(ch.modulus, ch.label) for ch in chars]
     tasks = list(dict.fromkeys((n, s, k, label) for k, label in keys for n in n_list))
-    error = dict(zip(tasks, _map_tasks(_error_task, tasks, workers)))
+    error = dict(zip(tasks, _map_tasks(_d_error_task, tasks, workers)))
     rows = []
     for ch in chars:
         cells = []
         for n in n_list:
+            # the trivial character's residual is never zero (Bertrand)
             e_trivial, e_chi = error[n, s, 1, 1], error[n, s, ch.modulus, ch.label]
-            d = recursion.required_precision(n, s).sub(e_trivial, e_chi)
-            cells.append(DCell(n, d, _status(ch, n)))
+            d = None if e_chi is None else recursion.required_precision(n, s).sub(e_trivial, e_chi)
+            cells.append(DCell(n, d, _status(ch, n, d is None)))
         rows.append(DRow(ch.modulus, ch.label, tuple(cells)))
     return DTable(s, tuple(rows))
 

@@ -181,21 +181,15 @@ def _cmd_dtable(args, out):
     rows = []
     for row in table.rows:
         for cell in row.cells:
-            # "principal" is informational; only degenerate cells warn
+            # "principal" is informational; only degenerate cells warn (a
+            # zero-residual cell also vanishes at its target, a tail term)
             if "char-zero-at-target" in cell.status:
                 print(
                     f"warning: modulus {row.modulus} label {row.label} n={cell.n}: {cell.status}",
                     file=sys.stderr,
                 )
-            rows.append(
-                (
-                    row.modulus,
-                    row.label,
-                    cell.n,
-                    format_decimal(cell.value, analysis.FLOAT_DIGITS),
-                    cell.status,
-                )
-            )
+            d_value = "" if cell.value is None else format_decimal(cell.value, analysis.FLOAT_DIGITS)
+            rows.append((row.modulus, row.label, cell.n, d_value, cell.status))
     _emit(args, header, rows, out)
     return 0
 

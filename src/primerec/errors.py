@@ -21,6 +21,13 @@ class UnsupportedSizeError(DomainError):
     """The argument is valid but larger than the supported size cap."""
 
 
+class ZeroResidualError(DomainError):
+    """The residual is exactly zero, so there is nothing to estimate.
+
+    The character vanishes at every tail term; no precision helps.
+    """
+
+
 class PrecisionLossError(PrimerecError, ArithmeticError):
     """A result vanished entirely at working precision.
 

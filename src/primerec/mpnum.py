@@ -10,7 +10,8 @@ A ``BigFloat`` is ``sign * man * 2**exp`` with
 
 Zero is canonical (``sign == 0`` iff ``man == 0``, with ``exp == 0``), and a
 nonzero mantissa never carries trailing zero bits, so structural equality is
-value equality.  A ``BigComplex`` is a pair of ``BigFloat`` components.
+value equality.  A ``BigComplex`` is a pair of ``BigFloat`` components, the
+value type of complex results; all arithmetic is on ``BigFloat``.
 
 Precision model
 ---------------
@@ -35,14 +36,17 @@ Algorithms
    independent Euler split ``4*(atan(1/2) + atan(1/3))`` is exposed so the
    two can be cross-checked.
  * ``ln 2``  - ``2*atanh(1/3)``.
- * ``root_of_unity`` - the exponent fraction is folded exactly into the
-   first octant (tracking sign swaps), then sine and cosine Taylor series in
-   fixed point.  The folding guarantees conjugate arguments produce
-   bit-identical real parts and bit-negated imaginary parts.
+ * ``fixed_root`` - a root of unity as a fixed-point (cos, sin) pair of
+   integers: the exponent fraction is folded exactly into the first octant
+   (tracking sign swaps), then the sine's Taylor series and the cosine as
+   the integer square root of ``1 - sin**2`` run 32 bits past the requested
+   scale and are truncated toward zero.  The folding makes conjugate
+   exponents give equal cosines and exactly negated sines, and quarter and
+   half turns exact.
 
-Constants (pi, ln 2) and roots of unity are memoised per working precision
-behind a lock, safe for concurrent readers; only the few most recently
-created precisions are kept.  Values are immutable; all operations are pure
+Constants (pi, ln 2) and roots of unity are memoised per precision behind a
+lock, safe for concurrent readers; only the few most recently created
+precisions are kept.  Values are immutable; all operations are pure
 functions of (inputs, context).
 """
 
@@ -60,7 +64,7 @@ __all__ = [
     "PrecisionContext",
     "ZERO",
     "ONE",
-    "C_ZERO",
+    "fixed_root",
     "format_decimal",
     "to_float",
     "nearest_int",
@@ -142,9 +146,6 @@ class BigComplex:
 
     def __repr__(self):
         return f"BigComplex({format_decimal(self.re, 20)}, {format_decimal(self.im, 20)})"
-
-
-C_ZERO = BigComplex(ZERO, ZERO)
 
 
 def _norm(sign: int, man: int, exp: int, wp: int) -> BigFloat:
@@ -264,7 +265,7 @@ def _div_int(x: BigFloat, n: int, wp: int) -> BigFloat:
 _CACHED_PRECISIONS = 16
 _CACHE_LOCK = threading.Lock()
 _CONST_CACHE: dict = {}  # bits -> {name: fixed-point int}
-_ROOT_CACHE: dict = {}  # working bits -> {(a, m): BigComplex}
+_ROOT_CACHE: dict = {}  # bits -> {(a, m): (cos, sin) fixed-point ints}
 
 
 def _level(cache: dict, bits: int) -> dict:
@@ -337,12 +338,16 @@ def _const(name: str, bits: int) -> int:
 
 
 def _fp_sin_cos(p: int, q: int, wp2: int) -> tuple[int, int]:
-    """(sin, cos) of 2*pi*p/q scaled by 2**wp2, for 0 <= p/q <= 1/8."""
+    """(sin, cos) of 2*pi*p/q scaled by 2**wp2, for 0 <= p/q <= 1/8.
+
+    The sine comes from its Taylor series, the cosine from the integer
+    square root of 1 - sin**2; its error is at most the sine's (the angle
+    is at most pi/4) plus 1 unit.
+    """
     if p == 0:
         return 0, 1 << wp2
     theta = (2 * _const("pi", wp2) * p) // q
     tsq = (theta * theta) >> wp2
-    # sine
     term = theta
     sin_acc = theta
     i = 1
@@ -350,15 +355,39 @@ def _fp_sin_cos(p: int, q: int, wp2: int) -> tuple[int, int]:
         term = ((term * tsq) >> wp2) // ((2 * i) * (2 * i + 1))
         sin_acc += -term if i & 1 else term
         i += 1
-    # cosine
-    term = 1 << wp2
-    cos_acc = term
-    i = 1
-    while term:
-        term = ((term * tsq) >> wp2) // ((2 * i - 1) * (2 * i))
-        cos_acc += -term if i & 1 else term
-        i += 1
-    return sin_acc, cos_acc
+    return sin_acc, math.isqrt((1 << 2 * wp2) - sin_acc * sin_acc)
+
+
+def fixed_root(a: int, m: int, bits: int) -> tuple[int, int]:
+    """(cos, sin) of 2 pi a / m as integers scaled by 2**bits, each truncated
+    toward zero and within 2 units of the exact value (a reduced mod m).
+
+    Conjugate exponents (a and m-a) give equal cosines and exactly negated
+    sines, and quarter and half turns are exact, by construction.
+    """
+    if m < 1:
+        raise DomainError(f"root of unity modulus must be positive, got {m}")
+    a %= m
+    level = _level(_ROOT_CACHE, bits)
+    got = level.get((a, m))
+    if got is not None:
+        return got
+    # fold a/m exactly into the first octant as p/q, tracking sign swaps
+    p, q = a, m
+    sin_sign = cos_sign = 1
+    if 2 * p > q:  # a/m -> 1 - a/m
+        p, sin_sign = q - p, -1
+    if 4 * p > q:  # -> 1/2 - p/q
+        p, q, cos_sign = q - 2 * p, 2 * q, -1
+    swap = 8 * p > q  # -> 1/4 - p/q, sine and cosine exchanged
+    if swap:
+        p, q = q - 4 * p, 4 * q
+    sin_fp, cos_fp = _fp_sin_cos(p, q, bits + 32)
+    if swap:
+        sin_fp, cos_fp = cos_fp, sin_fp
+    val = (cos_sign * (cos_fp >> 32), sin_sign * (sin_fp >> 32))
+    with _CACHE_LOCK:
+        return level.setdefault((a, m), val)
 
 
 GUARD_BITS = 96
@@ -407,20 +436,16 @@ class PrecisionContext:
     def from_fraction(self, fr: Fraction) -> BigFloat:
         return _div(self.from_int(fr.numerator), self.from_int(fr.denominator), self._wp)
 
-    # -- ring operations (add, sub and neg also on two BigComplex) ----------
+    # -- ring operations -----------------------------------------------------
 
-    def add(self, x, y):
-        if isinstance(x, BigFloat):
-            return _add(x, y, self._wp)
-        return BigComplex(_add(x.re, y.re, self._wp), _add(x.im, y.im, self._wp))
+    def add(self, x: BigFloat, y: BigFloat) -> BigFloat:
+        return _add(x, y, self._wp)
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
+    def sub(self, x: BigFloat, y: BigFloat) -> BigFloat:
+        return self.add(x, _neg(y))
 
-    def neg(self, x):
-        if isinstance(x, BigFloat):
-            return _neg(x)
-        return BigComplex(_neg(x.re), _neg(x.im))
+    def neg(self, x: BigFloat) -> BigFloat:
+        return _neg(x)
 
     def abs(self, x: BigFloat) -> BigFloat:
         return _abs(x)
@@ -432,25 +457,6 @@ class PrecisionContext:
         return _div(x, y, self._wp)
 
     # -- algebraic / transcendental ----------------------------------------
-
-    def sqrt(self, x: BigFloat) -> BigFloat:
-        if x.sign < 0:
-            raise DomainError("sqrt of a negative value")
-        if x.sign == 0:
-            return ZERO
-        wp = self._wp
-        man, exp = x.man, x.exp
-        shift = max(0, 2 * (wp + 2) - man.bit_length())
-        if (exp - shift) & 1:
-            shift += 1
-        m2 = man << shift
-        r = math.isqrt(m2)
-        exp = (exp - shift) >> 1
-        if r * r != m2:
-            # sticky bit: the doubled representative (2r+1) sits at half ulp
-            r = (r << 1) | 1
-            exp -= 1
-        return _norm(1, r, exp, wp)
 
     def ln(self, x: BigFloat) -> BigFloat:
         if x.sign <= 0:
@@ -530,51 +536,6 @@ class PrecisionContext:
     def ln2(self) -> BigFloat:
         wp2 = self._wp + 32
         return _norm(1, _const("ln2", wp2), -wp2, self._wp)
-
-    def root_of_unity(self, a: int, m: int) -> BigComplex:
-        """e**(2 pi i a / m) with a reduced mod m.
-
-        Conjugate exponents (a and m-a) yield bit-identical real parts and
-        bit-negated imaginary parts by construction.
-        """
-        if m < 1:
-            raise DomainError(f"root_of_unity modulus must be positive, got {m}")
-        a %= m
-        level = _level(_ROOT_CACHE, self._wp)
-        got = level.get((a, m))
-        if got is not None:
-            return got
-        f = Fraction(a, m)
-        sin_sign = 1
-        cos_sign = 1
-        if f > Fraction(1, 2):
-            f = 1 - f
-            sin_sign = -1
-        if f > Fraction(1, 4):
-            f = Fraction(1, 2) - f
-            cos_sign = -1
-        swap = False
-        if f > Fraction(1, 8):
-            f = Fraction(1, 4) - f
-            swap = True
-        wp2 = self._wp + 32
-        sin_fp, cos_fp = _fp_sin_cos(f.numerator, f.denominator, wp2)
-        if swap:
-            sin_fp, cos_fp = cos_fp, sin_fp
-        re = _norm(cos_sign, cos_fp, -wp2, self._wp)
-        im = _norm(sin_sign, sin_fp, -wp2, self._wp)
-        val = BigComplex(re, im)
-        with _CACHE_LOCK:
-            return level.setdefault((a, m), val)
-
-    def complex_abs(self, z: BigComplex) -> BigFloat:
-        # computed 32 bits wide so the square/sum/sqrt chain stays well
-        # inside 1 ulp at the contract
-        wide = PrecisionContext(self.prec_bits + 32)
-        wp2 = wide._wp
-        sq = _add(_mul(z.re, z.re, wp2), _mul(z.im, z.im, wp2), wp2)
-        r = wide.sqrt(sq)
-        return _norm(r.sign, r.man, r.exp, self._wp) if r.sign else ZERO
 
     def inv_root(self, x: BigFloat, s: int) -> BigFloat:
         """x**(-1/s) = exp(-ln(x)/s) for positive x and integer s >= 1.

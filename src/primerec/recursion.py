@@ -25,10 +25,11 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    as exactly ``m1`` with margin 0.
  * Everything downstream of ``|residual|`` (the root, rounding, error and
    margin) runs at the width the subtraction left: ``P + top(|residual|)``
-   surviving bits plus 64, clamped to ``[64, P]``.  When the error or the
-   margin is zero or lies within 64 bits of that width below the estimate,
-   the chain is redone at ``P``, so no printed digit depends on the
-   narrower width.
+   surviving bits plus 64, clamped to ``[64, P]``.  The root is taken of
+   ``|residual|**2`` with order ``2 s``, so no square root is needed.
+   When the error or the margin is zero or lies within 64 bits of that
+   width below the estimate, the chain is redone at ``P``, so no printed
+   digit depends on the narrower width.
 
 Taking ``|residual| ** (-1/s)`` then lands within a shrinking distance of
 the next prime ``p_{n+1}`` as s grows, provided ``chi(p_{n+1}) != 0`` (when
@@ -37,14 +38,23 @@ flagged, not rejected).
 
 The sum and the product run in fixed point, on integers scaled by
 ``2**W`` with ``W = P + 96 + 16``, converted to the context's ``P + 96``
-bits at the end.  The sum adds ``2**W // j**s`` into one integer per
-character value and multiplies each total by its root of unity once; the
-product multiplies the factors ``1 - chi(p) * (2**W // p**s)`` and inverts
-the result once.  Every rounding truncates toward zero, so conjugate
-characters give bit-conjugate results.  Before the conversion each
-component is within ``J + c + 1 + ln J`` units of ``2**-W`` for the sum
-(``c`` values of chi other than 1 on 1..J) and ``12 n + 2`` for the
-product when ``s >= 2`` (at s = 1 it grows with the product's size).
+bits at the end.  Roots of unity come from ``mpnum.fixed_root`` at the same
+scale, each component truncated and within 2 units of ``2**-W`` (1 is
+exact).  The sum adds ``2**W // j**s`` into one integer per character
+value and multiplies each total by its root once; the product multiplies
+the factors ``1 - chi(p) * (2**W // p**s)`` and inverts the result once.
+Every rounding truncates toward zero, so conjugate characters give
+bit-conjugate results.  Before the conversion each component is within
+``J + c + 2 + 2 ln J`` units of ``2**-W`` for the sum: J from the terms,
+one truncation for each of the ``c`` values of chi other than 1 on 1..J,
+and 2 units of root error per unit of class total, the totals summing to
+at most ``1 + ln J``.  For the product, when ``s >= 2``, it is within
+``20 n + 2``: each factor is within 3.2 units (1 from ``2**W // p**s``,
+``2 sqrt 2 / p**s`` from the root, ``sqrt 2`` from truncation), the partial
+products stay below ``zeta(2) / zeta(4) < 1.52`` in magnitude, each product
+truncates by ``sqrt 2``, and the inversion scales the error by at most
+``zeta(2)**2 < 2.71`` and truncates once more.  At s = 1 the product's
+bound grows with its size.
 Exponent s is restricted to positive integers; s = 1 is accepted but of
 dubious value for the trivial character (the harmonic-like partial sum has
 no limit to track).
@@ -60,7 +70,7 @@ from typing import Optional
 
 from . import primes
 from .characters import DirichletCharacter
-from .errors import DomainError, PrecisionLossError
+from .errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
 from .mpnum import (
     GUARD_BITS,
     BigComplex,
@@ -68,6 +78,7 @@ from .mpnum import (
     ZERO,
     PrecisionContext,
     _top,
+    fixed_root,
     nearest_int,
 )
 
@@ -79,7 +90,14 @@ __all__ = [
     "residual",
     "scaled_residual",
     "estimate",
+    "MAX_KERNEL_COST",
 ]
+
+# A residual's kernel divides 2**W by j**s for J = 2 p_n - 1 values of j,
+# at W = P + 112 bits, in CPython's schoolbook time: about c * J * W**2 with
+# c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine.  ``residual`` refuses a
+# projected J * W**2 above this cap (about 80 s there).
+MAX_KERNEL_COST = 10**14
 
 
 @dataclass(frozen=True)
@@ -171,15 +189,9 @@ def _trunc(v: int, d: int) -> int:
     return v // d if v >= 0 else -(-v // d)
 
 
-def _fixed_mul(t: int, x: BigFloat) -> int:
-    """t * x rounded toward zero, for a fixed-point integer t and |x| <= 1."""
-    return _trunc(x.sign * t * x.man, 1 << -x.exp)
-
-
-def _kernel(ctx: PrecisionContext):
-    """(W, a context whose roots of unity carry W bits): 16 guard bits past ctx."""
-    wide = PrecisionContext(ctx.prec_bits + 16)
-    return wide.prec_bits + GUARD_BITS, wide
+def _kernel_bits(ctx: PrecisionContext) -> int:
+    """W, the kernels' fixed-point scale: 16 guard bits past the context's."""
+    return ctx.prec_bits + GUARD_BITS + 16
 
 
 def l_partial_sum(
@@ -190,7 +202,7 @@ def l_partial_sum(
         raise DomainError(f"J must be a positive integer, got {J!r}")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"s must be a positive integer, got {s!r}")
-    W, wide = _kernel(ctx)
+    W = _kernel_bits(ctx)
     one = 1 << W
     classes = {}
     for j in range(1, J + 1):
@@ -202,9 +214,9 @@ def l_partial_sum(
         if v.a == 0:
             re += total
         else:
-            z = wide.root_of_unity(v.a, v.m)
-            re += _fixed_mul(total, z.re)
-            im += _fixed_mul(total, z.im)
+            cos, sin = fixed_root(v.a, v.m, W)
+            re += _trunc(total * cos, one)
+            im += _trunc(total * sin, one)
     return BigComplex(ctx.from_fixed(re, W), ctx.from_fixed(im, W))
 
 
@@ -216,7 +228,7 @@ def euler_product(
     A vanishing chi(p) contributes a factor of exactly 1 and is skipped.
     """
     _check_n_s(n, s)
-    W, wide = _kernel(ctx)
+    W = _kernel_bits(ctx)
     one = 1 << W
     re, im = one, 0
     for p in primes.first_n_primes(n):
@@ -227,8 +239,8 @@ def euler_product(
         if v.a == 0:
             fr, fi = one - x, 0
         else:
-            z = wide.root_of_unity(v.a, v.m)
-            fr, fi = one - _fixed_mul(x, z.re), -_fixed_mul(x, z.im)
+            cos, sin = fixed_root(v.a, v.m, W)
+            fr, fi = one - _trunc(x * cos, one), -_trunc(x * sin, one)
         re, im = _trunc(re * fr - im * fi, one), _trunc(re * fi + im * fr, one)
     den = re * re + im * im
     return BigComplex(
@@ -247,13 +259,22 @@ def residual(
 
     Computed under ``required_precision(n, s, chi)`` unless an explicit
     context is supplied (a larger one is useful for precision-stability
-    checks).
+    checks).  An input whose projected kernel cost ``J * W**2`` exceeds
+    ``MAX_KERNEL_COST`` raises ``UnsupportedSizeError`` before either
+    kernel runs.
     """
     _check_n_s(n, s)
     if ctx is None:
         ctx = required_precision(n, s, chi)
     J = 2 * primes.nth_prime(n) - 1
-    return ctx.sub(l_partial_sum(chi, s, J, ctx), euler_product(chi, s, n, ctx))
+    cost = J * _kernel_bits(ctx) ** 2
+    if cost > MAX_KERNEL_COST:
+        raise UnsupportedSizeError(
+            f"n={n}, s={s} at {ctx.prec_bits} bits projects a kernel cost J*W**2 = {cost:.2e} "
+            f"bit**2, above the cap of {MAX_KERNEL_COST:.0e}"
+        )
+    a, b = l_partial_sum(chi, s, J, ctx), euler_product(chi, s, n, ctx)
+    return BigComplex(ctx.sub(a.re, b.re), ctx.sub(a.im, b.im))
 
 
 def scaled_residual(n: int, s: int, chi: DirichletCharacter) -> BigComplex:
@@ -266,9 +287,9 @@ def scaled_residual(n: int, s: int, chi: DirichletCharacter) -> BigComplex:
     return BigComplex(ctx.mul(r.re, scale), ctx.mul(r.im, scale))
 
 
-def _finish(ctx: PrecisionContext, mag: BigFloat, s: int, target: int):
-    """(estimate, rounded, error, margin) from |residual| under ``ctx``."""
-    est = ctx.inv_root(mag, s)
+def _finish(ctx: PrecisionContext, sq: BigFloat, s: int, target: int):
+    """(estimate, rounded, error, margin) from |residual|**2 under ``ctx``."""
+    est = ctx.inv_root(sq, 2 * s)
     rounded = nearest_int(est)
     error = ctx.abs(ctx.sub(ctx.from_int(target), est))
     margin = ctx.abs(ctx.sub(est, ctx.from_int(rounded)))
@@ -293,7 +314,7 @@ def estimate(
     """
     req, terms = _sizing(n, s, chi)
     if not terms:
-        raise DomainError(
+        raise ZeroResidualError(
             f"the residual is exactly zero for modulus {chi.modulus}, label {chi.label} at "
             f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
         )
@@ -314,8 +335,8 @@ def estimate(
             f"the target prime {target}; the limit degenerates away from it"
         )
     r = residual(n, s, chi, ctx=ctx)
-    mag = ctx.complex_abs(r)
-    if mag.is_zero:
+    sq = ctx.add(ctx.mul(r.re, r.re), ctx.mul(r.im, r.im))
+    if sq.is_zero:
         raise PrecisionLossError(
             f"residual vanished at working precision ({ctx.prec_bits} bits) "
             f"for n={n}, s={s}; retry with a larger prec_bits (--precision)"
@@ -325,12 +346,13 @@ def estimate(
         m1 = terms[0]
         est, rounded, error, margin = ctx.from_int(m1), m1, ctx.from_int(abs(target - m1)), ZERO
     else:
-        width = min(max(ctx.prec_bits + _top(mag) + 64, 64), ctx.prec_bits)
-        est, rounded, error, margin = _finish(PrecisionContext(width), mag, s, target)
+        # top(|residual|) = (top(|residual|**2) + 1) // 2
+        width = min(max(ctx.prec_bits + (_top(sq) + 1) // 2 + 64, 64), ctx.prec_bits)
+        est, rounded, error, margin = _finish(PrecisionContext(width), sq, s, target)
         if width < ctx.prec_bits and any(
             x.is_zero or _top(est) - _top(x) > width - 64 for x in (error, margin)
         ):
-            est, rounded, error, margin = _finish(ctx, mag, s, target)
+            est, rounded, error, margin = _finish(ctx, sq, s, target)
     return EstimateResult(
         n=n,
         s=s,

@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from fractions import Fraction
 
 from . import oracle, recursion
 from .characters import CHAR_ZERO, CharValue, enumerate_characters
-from .mpnum import C_ZERO, PrecisionContext
+from .mpnum import fixed_root
 
 __all__ = ["run_selftest", "character_property_failures", "oracle_equivalence_failures"]
 
@@ -33,8 +32,6 @@ def _phi(k: int) -> int:
 def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
     """Count, multiplicativity, orthogonality and zero pattern for k <= k_max."""
     failures = []
-    ctx = PrecisionContext(256)
-    tol = Fraction(1, 1 << 200)
     for k in range(1, k_max + 1):
         group = enumerate_characters(k)
         if len(group) != _phi(k):
@@ -57,15 +54,13 @@ def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
                     )
                     break
             if not ch.is_principal:
-                acc = C_ZERO
-                for n in range(k):
-                    v = ch(n)
-                    if not v.is_zero:
-                        acc = ctx.add(acc, ctx.root_of_unity(v.a, v.m))
-                mag = ctx.complex_abs(acc)
-                if mag.to_fraction() > tol:
+                # the sum of the values, scaled by 2**256, must be below 2**-200
+                roots = [fixed_root(v.a, v.m, 256) for v in map(ch, range(k)) if not v.is_zero]
+                re, im = sum(r[0] for r in roots), sum(r[1] for r in roots)
+                if re * re + im * im > 1 << 112:
                     failures.append(
-                        f"modulus {k} label {ch.label}: orthogonality sum is {mag!r}"
+                        f"modulus {k} label {ch.label}: orthogonality sum is "
+                        f"({re} + {im}i) * 2**-256"
                     )
     return failures
 

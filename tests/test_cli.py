@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 from primerec.cli import run
 
@@ -79,6 +80,14 @@ class TestEstimate:
         assert "--precision" not in err
 
 
+    def test_cost_cap_refuses_up_front(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, "estimate", "--n", "100000", "--s", "100000")
+        assert time.perf_counter() - t0 < 2
+        assert code == 1 and out == ""
+        assert err.startswith("error: n=100000, s=100000") and "above the cap of 1e+14" in err
+
+
 class TestSweep:
     def test_csv(self, capsys):
         code, out, _ = invoke(capsys, "sweep", "--n", "2", "--s-min", "20", "--s-max", "24")
@@ -100,6 +109,13 @@ class TestSweep:
         for jrow, crow in zip(payload["rows"], csv_rows):
             assert str(jrow["neg_log_error"]) == crow["neg_log_error"]
             assert str(jrow["s"]) == crow["s"]
+
+    def test_zero_residual_exit_1(self, capsys):
+        code, out, err = invoke(
+            capsys, "sweep", "--n", "1", "--s-min", "50", "--s-max", "52", "--modulus", "6", "--label", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: the residual is exactly zero for modulus 6, label 1")
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "series.csv"
@@ -135,6 +151,25 @@ class TestDTable:
         flagged = [r for r in rows if r["status"]]
         assert any("char-zero-at-target" in r["status"] for r in flagged)
         assert "warning:" in err
+
+    def test_zero_residual_cells(self, capsys):
+        # mod 6 at n = 1: no tail term has chi != 0, so both residuals are
+        # exactly zero; the n = 2 cells are unaffected
+        code, out, err = invoke(capsys, "dtable", "--n-list", "1,2", "--s", "50", "--moduli", "6")
+        assert code == 0
+        lines = out.splitlines()
+        code2, out2, _ = invoke(capsys, "dtable", "--n-list", "2", "--s", "50", "--moduli", "6")
+        assert code2 == 0
+        assert [lines[0]] + [ln for ln in lines[1:] if ln.split(",")[2] == "2"] == out2.splitlines()
+        zero = [r for r in parse_csv(out) if r["n"] == "1"]
+        assert len(zero) == 2
+        assert all(r["d_value"] == "" and "zero-residual" in r["status"].split("+") for r in zero)
+        assert err.count("zero-residual") == 2
+        code, out, _ = invoke(
+            capsys, "dtable", "--n-list", "1,2", "--s", "50", "--moduli", "6", "--format", "json"
+        )
+        assert code == 0
+        assert [r["d_value"] for r in json.loads(out)["rows"] if r["n"] == 1] == ["", ""]
 
     def test_reference_anchor(self, capsys):
         code, out, _ = invoke(

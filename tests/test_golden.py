@@ -1,15 +1,28 @@
-"""CLI data output is byte-identical to committed reference files.
+"""CLI data output and the estimate scan are identical to committed references.
 
-The files in ``tests/golden`` were written by the BigFloat residual loop
+The CLI files in ``tests/golden`` were written by the BigFloat residual loop
 that the fixed-point kernel replaced; any change to the evaluation route
-must keep every printed digit.  Each file name is its command line.
+must keep every printed digit.  Each CLI file name is its command line.
+
+``scan_mod1-24.txt`` holds one ``estimate`` per line for every character
+mod 1..24, n in SCAN_N and s in SCAN_S: ``k label n s prec_bits rounded``
+and the 17-digit estimate, error and margin, or ``DomainError`` for a cell
+that raises any subclass of it.  It was written with BigFloat roots of
+unity and a square root of |residual|**2, before ``mpnum.fixed_root`` and
+the root of |residual|**2 of order 2s replaced them.  Regenerate it with
+``PYTHONPATH=src python tests/test_golden.py > tests/golden/scan_mod1-24.txt``
+only when a change of printed digits is intended.
 """
 
 from pathlib import Path
 
 import pytest
 
+from primerec.characters import enumerate_characters
 from primerec.cli import run
+from primerec.errors import DomainError
+from primerec.mpnum import format_decimal
+from primerec.recursion import estimate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -24,8 +37,43 @@ CASES = {
     ],
 }
 
+SCAN_FILE = "scan_mod1-24.txt"
+SCAN_MODULI = range(1, 25)
+SCAN_N = (1, 2, 3, 5)
+SCAN_S = (50, 200, 600)
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(capsys, name):
     assert run(CASES[name] + ["--workers", "1"]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def scan_lines():
+    """One line per scan cell, in (k, label, n, s) order."""
+    for k in SCAN_MODULI:
+        for chi in enumerate_characters(k).characters:
+            for n in SCAN_N:
+                for s in SCAN_S:
+                    cell = f"{k} {chi.label} {n} {s}"
+                    try:
+                        r = estimate(n, s, chi)
+                    except DomainError:
+                        yield f"{cell} DomainError"
+                        continue
+                    digits = " ".join(format_decimal(x, 17) for x in (r.estimate, r.error, r.margin))
+                    yield f"{cell} {r.prec_bits} {r.rounded} {digits}"
+
+
+def test_scan_matches_golden():
+    want = (GOLDEN / SCAN_FILE).read_text(encoding="utf-8").splitlines()
+    got = list(scan_lines())
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    shown = "\n".join(f"  want {w}\n  got  {g}" for w, g in bad[:5])
+    assert not bad, f"{len(bad)} of {len(want)} scan cells differ, first:\n{shown}"
+    assert len(got) == len(want)
+
+
+if __name__ == "__main__":
+    for line in scan_lines():
+        print(line)

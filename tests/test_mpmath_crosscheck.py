@@ -16,7 +16,7 @@ mp = pytest.importorskip("mpmath")
 from primerec import recursion
 from primerec.analysis import d_table
 from primerec.characters import enumerate_characters, keller_one
-from primerec.mpnum import BigComplex, BigFloat, PrecisionContext
+from primerec.mpnum import BigFloat, PrecisionContext, fixed_root
 from primerec.primes import first_n_primes
 
 
@@ -49,31 +49,23 @@ class TestKernelAgainstMpmath:
         for _ in range(60):
             x = BigFloat(1, rng.getrandbits(160) | 1, rng.randrange(-200, 200))
             xm = bf_mp(x)
-            assert_close(ctx.sqrt(x), mp.sqrt(xm), self.PREC, 1)
             assert_close(ctx.ln(x), mp.log(xm), self.PREC, 2)
             s = rng.randrange(1, 100)
             assert_close(ctx.inv_root(x, s), mp.exp(-mp.log(xm) / s), self.PREC, 3)
             y = BigFloat(rng.choice([1, -1]), rng.getrandbits(64) | 1, rng.randrange(-140, -59))
             assert_close(ctx.exp(y), mp.exp(bf_mp(y)), self.PREC, 2)
 
-    def test_roots_of_unity(self, ctx):
-        for m in (1, 2, 3, 4, 5, 7, 8, 9, 12, 17, 36, 97):
-            for a in range(min(m, 16)):
-                z = ctx.root_of_unity(a, m)
-                th = 2 * mp.pi * a / m
-                assert_close(z.re, mp.cos(th), self.PREC, 2, abs_floor=1)
-                assert_close(z.im, mp.sin(th), self.PREC, 2, abs_floor=1)
-
-    def test_complex_field(self, ctx):
-        rng = random.Random(99)
-        for _ in range(25):
-            parts = [
-                BigFloat(rng.choice([1, -1]), rng.getrandbits(80) | 1, rng.randrange(-50, 50))
-                for _ in range(2)
-            ]
-            z = BigComplex(*parts)
-            zm = mp.mpc(bf_mp(z.re), bf_mp(z.im))
-            assert_close(ctx.complex_abs(z), abs(zm), self.PREC, 2)
+    def test_roots_of_unity(self):
+        # every value within 2 units of 2**-bits
+        for bits in (64, 256, 1000):
+            mp.mp.prec = bits + 128
+            scale = mp.mpf(2) ** bits
+            for m in (1, 2, 3, 4, 5, 7, 8, 9, 12, 17, 36, 97, 200):
+                for a in range(m):
+                    c, s = fixed_root(a, m, bits)
+                    th = 2 * mp.pi * a / m
+                    assert abs(c - mp.cos(th) * scale) < 2
+                    assert abs(s - mp.sin(th) * scale) < 2
 
 
 def chi_mp(ch, n):

@@ -2,8 +2,8 @@
 
 Expected values are either exact integer/rational identities or are
 recomputed here from independent series (factorial series for e, the
-geometric-log series for ln(6/5), squaring for sqrt), never from the code
-under test.
+geometric-log series for ln(6/5), integer square roots for the sixth root
+of unity), never from the code under test.
 """
 
 import math
@@ -22,6 +22,7 @@ from primerec.mpnum import (
     BigComplex,
     BigFloat,
     PrecisionContext,
+    fixed_root,
     format_decimal,
     nearest_int,
     to_float,
@@ -29,6 +30,7 @@ from primerec.mpnum import (
 
 CTX = PrecisionContext(128)
 FR = CTX.from_fraction
+BITS = (64, 256, 1000)  # fixed_root scales under test
 
 
 def rel_err(x: BigFloat, exact: Fraction) -> Fraction:
@@ -81,23 +83,6 @@ class TestArith:
         assert got == xf + yf or rel_err(CTX.add(x, y), xf + yf) <= Fraction(1, 2**127)
         got = CTX.mul(x, y).to_fraction()
         assert got == xf * yf or rel_err(CTX.mul(x, y), xf * yf) <= Fraction(1, 2**127)
-
-
-class TestSqrt:
-    def test_exact(self):
-        assert CTX.sqrt(CTX.from_int(4)).to_fraction() == 2
-        assert CTX.sqrt(ZERO).is_zero
-
-    def test_sqrt2_by_squaring(self):
-        ctx = PrecisionContext(256)
-        r = ctx.sqrt(ctx.from_int(2))
-        # squaring oracle plus the universally known leading digits
-        assert abs(r.to_fraction() ** 2 - 2) <= Fraction(2, 2**255) * 4
-        assert format_decimal(r, 21).startswith("1.41421356237309504880")
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            CTX.sqrt(CTX.from_int(-1))
 
 
 class TestLnExp:
@@ -181,68 +166,50 @@ class TestPi:
         assert delta <= Fraction(4, 2**1022)
 
     def test_half_turn_is_minus_one(self):
-        z = CTX.root_of_unity(1, 2)
-        assert z.re.to_fraction() == -1
-        assert z.im.is_zero
+        for bits in BITS:
+            for m in range(2, 201, 2):
+                assert fixed_root(m // 2, m, bits) == (-(1 << bits), 0)
+
+
+ONE_128 = 1 << 128
 
 
 class TestRootOfUnity:
     def test_trivial(self):
-        z = CTX.root_of_unity(0, 1)
-        assert z.re.to_fraction() == 1 and z.im.is_zero
+        assert fixed_root(0, 1, 128) == (ONE_128, 0)
 
     def test_quarter_turn_exact(self):
-        z = CTX.root_of_unity(1, 4)
-        assert z.re.is_zero and z.im.to_fraction() == 1
+        for bits in BITS:
+            for m in range(4, 201, 4):
+                assert fixed_root(m // 4, m, bits) == (0, 1 << bits)
+                assert fixed_root(3 * m // 4, m, bits) == (0, -(1 << bits))
 
     def test_sixth_root_via_sqrt_oracle(self):
-        z = CTX.root_of_unity(1, 6)
-        assert rel_err(z.re, Fraction(1, 2)) <= Fraction(1, 2**124)
-        half_sqrt3 = CTX.div(CTX.sqrt(CTX.from_int(3)), CTX.from_int(2))
-        assert abs(z.im.to_fraction() - half_sqrt3.to_fraction()) <= Fraction(1, 2**124)
+        c, s = fixed_root(1, 6, 128)
+        assert abs(c - ONE_128 // 2) <= 2
+        # sqrt(3)/2 scaled by 2**128 lies in [isqrt(3 * 2**256) / 2, that + 1/2)
+        assert abs(2 * s - math.isqrt(3 << 256)) <= 4
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(DomainError):
-            CTX.root_of_unity(1, 0)
+            fixed_root(1, 0, 128)
 
     def test_unit_magnitude_and_conjugate_product(self):
         for m in (3, 5, 7, 9, 12, 17):
             for a in range(m):
-                z = CTX.root_of_unity(a, m)
-                mag = CTX.complex_abs(z)
-                assert rel_err(mag, Fraction(1)) <= Fraction(1, 2**126)
-                w = CTX.root_of_unity(m - a, m)
-                prod_re = CTX.sub(CTX.mul(z.re, w.re), CTX.mul(z.im, w.im))
-                prod_im = CTX.add(CTX.mul(z.re, w.im), CTX.mul(z.im, w.re))
-                assert abs(prod_re.to_fraction() - 1) <= Fraction(1, 2**124)
-                assert abs(prod_im.to_fraction()) <= Fraction(1, 2**124)
+                c, s = fixed_root(a, m, 128)
+                # |z| within 2**-126 of 1, so |z|**2 within 2**-125
+                assert abs(c * c + s * s - ONE_128**2) <= ONE_128**2 >> 125
+                wc, ws = fixed_root(m - a, m, 128)
+                assert abs(c * wc - s * ws - ONE_128**2) <= ONE_128**2 >> 124
+                assert abs(c * ws + s * wc) <= ONE_128**2 >> 124
 
     def test_conjugate_bit_symmetry(self):
-        for a, m in ((1, 7), (2, 9), (3, 11), (5, 13)):
-            z = CTX.root_of_unity(a, m)
-            w = CTX.root_of_unity(m - a, m)
-            assert z.re == w.re
-            assert z.im.man == w.im.man and z.im.exp == w.im.exp
-            assert z.im.sign == -w.im.sign
-
-
-class TestComplexAbs:
-    def test_pythagorean(self):
-        z = BigComplex(CTX.from_int(3), CTX.from_int(4))
-        assert CTX.complex_abs(z).to_fraction() == 5
-
-    def test_zero(self):
-        assert CTX.complex_abs(BigComplex(ZERO, ZERO)).is_zero
-
-    def test_rotation_invariance(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            z = BigComplex(
-                FR(Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(32) + 1)),
-                FR(Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(32) + 1)),
-            )
-            iz = BigComplex(CTX.neg(z.im), z.re)  # i * z, exactly
-            assert CTX.complex_abs(iz) == CTX.complex_abs(z)
+        for bits in BITS:
+            for m in range(1, 201):
+                for a in range(m):
+                    c, s = fixed_root(a, m, bits)
+                    assert fixed_root(m - a, m, bits) == (c, -s)
 
 
 class TestInvRoot:
@@ -268,22 +235,29 @@ class TestPrecisionMonotonicity:
     def test_plus_64_bits_agreement(self):
         lo, hi = PrecisionContext(128), PrecisionContext(192)
         x = Fraction(355, 113)
-        z_lo = BigComplex(lo.from_fraction(x), lo.from_int(-3))
-        z_hi = BigComplex(hi.from_fraction(x), hi.from_int(-3))
+
+        def abs2(ctx):
+            re, im = ctx.from_fraction(x), ctx.from_int(-3)
+            return ctx.add(ctx.mul(re, re), ctx.mul(im, im))
+
+        def root(ctx, i):
+            # at the context's working bits, as the residual kernels use it
+            bits = ctx.prec_bits + 96
+            return Fraction(fixed_root(3, 11, bits)[i], 1 << bits)
+
         tol = Fraction(1, 2**126)
         pairs = [
             (lo.ln(lo.from_fraction(x)), hi.ln(hi.from_fraction(x))),
             (lo.exp(lo.from_fraction(x)), hi.exp(hi.from_fraction(x))),
-            (lo.sqrt(lo.from_fraction(x)), hi.sqrt(hi.from_fraction(x))),
             (lo.inv_root(lo.from_fraction(x), 7), hi.inv_root(hi.from_fraction(x), 7)),
             (lo.pi(), hi.pi()),
             (lo.div(ONE, lo.from_fraction(x)), hi.div(ONE, hi.from_fraction(x))),
-            (lo.complex_abs(z_lo), hi.complex_abs(z_hi)),
-            (lo.root_of_unity(3, 11).re, hi.root_of_unity(3, 11).re),
-            (lo.root_of_unity(3, 11).im, hi.root_of_unity(3, 11).im),
+            (abs2(lo), abs2(hi)),
         ]
+        pairs = [(a.to_fraction(), b.to_fraction()) for a, b in pairs]
+        pairs += [(root(lo, i), root(hi, i)) for i in (0, 1)]
         for a, b in pairs:
-            assert abs(a.to_fraction() - b.to_fraction()) <= abs(b.to_fraction()) * tol
+            assert abs(a - b) <= abs(b) * tol
 
 
 class TestRepresentation:
@@ -334,13 +308,12 @@ class TestCaches:
         from primerec import mpnum
 
         for prec in range(700, 700 + 3 * mpnum._CACHED_PRECISIONS):
-            ctx = PrecisionContext(prec)
-            z = ctx.root_of_unity(1, 7)
-            ctx.pi()
+            z = fixed_root(1, 7, prec)
+            PrecisionContext(prec).pi()
         assert len(mpnum._ROOT_CACHE) <= mpnum._CACHED_PRECISIONS
         assert len(mpnum._CONST_CACHE) <= mpnum._CACHED_PRECISIONS
         # the latest precision is still served from the cache
-        assert PrecisionContext(prec).root_of_unity(8, 7) is z
+        assert fixed_root(8, 7, prec) is z
 
 
 class TestRendering:

@@ -13,8 +13,8 @@ import pytest
 from primerec import oracle, recursion
 from primerec.analysis import d_table, neg_log_series
 from primerec.characters import enumerate_characters, keller_one
-from primerec.errors import DomainError, PrecisionLossError
-from primerec.mpnum import PrecisionContext, format_decimal, nearest_int, to_float
+from primerec.errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
+from primerec.mpnum import ZERO, BigComplex, PrecisionContext, format_decimal, nearest_int, to_float
 from primerec.primes import first_n_primes, is_prime
 
 K1 = keller_one()
@@ -29,6 +29,11 @@ def d_cell(n: int, s: int, chi):
     """The error-difference table cell of ``chi`` at (n, s)."""
     row = next(r for r in d_table([n], s, [chi.modulus]).rows if r.label == chi.label)
     return row.cells[0].value
+
+
+def abs2(z) -> Fraction:
+    """|z|**2 of a BigComplex, exactly."""
+    return z.re.to_fraction() ** 2 + z.im.to_fraction() ** 2
 
 
 def close_to(value, exact: Fraction, rel_bits: int = 120) -> bool:
@@ -152,14 +157,11 @@ class TestResidual:
                 for s in (2, 3, 5):
                     for J in (10, 50, 100):
                         count = sum(1 for p in primes_100 if p <= J)
-                        lhs = ctx.complex_abs(
-                            ctx.sub(
-                                recursion.l_partial_sum(ch, s, J, ctx),
-                                recursion.euler_product(ch, s, count, ctx),
-                            )
-                        ).to_fraction()
+                        a = recursion.l_partial_sum(ch, s, J, ctx)
+                        b = recursion.euler_product(ch, s, count, ctx)
+                        lhs2 = abs2(BigComplex(ctx.sub(a.re, b.re), ctx.sub(a.im, b.im)))
                         bound = 2 * Fraction(J) ** (1 - s) / (s - 1)
-                        assert lhs <= bound, (k, ch.label, s, J, float(lhs), float(bound))
+                        assert lhs2 <= bound**2, (k, ch.label, s, J, float(lhs2), float(bound))
 
     def test_precision_stability(self):
         for n, s in ((2, 30), (5, 45), (8, 60)):
@@ -167,9 +169,9 @@ class TestResidual:
             wide = PrecisionContext(base.prec_bits + 128)
             a = recursion.residual(n, s, K1, ctx=base)
             b = recursion.residual(n, s, K1, ctx=wide)
-            ma = base.complex_abs(a).to_fraction()
-            mb = wide.complex_abs(b).to_fraction()
-            assert abs(ma - mb) <= mb / (1 << 64)
+            # |a| within 2**-64 of |b| relative, on the squares
+            tol = Fraction(1, 1 << 64)
+            assert (1 - tol) ** 2 * abs2(b) <= abs2(a) <= (1 + tol) ** 2 * abs2(b)
 
 
 class TestScaledResidual:
@@ -247,8 +249,9 @@ class TestEstimate:
         # and the residual is exactly zero; no precision can help
         chi = enumerate_characters(6).by_label(1)
         for prec_bits in (None, 5000):
-            with pytest.raises(DomainError, match="exactly zero for modulus 6, label 1 at n=1"):
+            with pytest.raises(ZeroResidualError, match="exactly zero for modulus 6, label 1 at n=1"):
                 recursion.estimate(1, 50, chi, prec_bits=prec_bits)
+        assert issubclass(ZeroResidualError, DomainError)
 
     def test_warning_when_character_vanishes_at_target(self):
         res = recursion.estimate(2, 50, G5.by_label(2))
@@ -262,9 +265,7 @@ class TestEstimate:
             recursion.estimate(2, 50, K1, prec_bits=200)  # below the required 226
 
     def test_precision_loss_guard(self, monkeypatch):
-        from primerec.mpnum import C_ZERO
-
-        monkeypatch.setattr(recursion, "residual", lambda *a, **k: C_ZERO)
+        monkeypatch.setattr(recursion, "residual", lambda *a, **k: BigComplex(ZERO, ZERO))
         with pytest.raises(PrecisionLossError):
             recursion.estimate(2, 50, K1)
 
@@ -278,9 +279,7 @@ class TestEstimate:
         assert res.rounded == 9 and res.warning
         res = recursion.estimate(2, 600, chi, prec_bits=3200)
         assert res.rounded == 9 and res.warning
-        from primerec.mpnum import C_ZERO
-
-        monkeypatch.setattr(recursion, "residual", lambda *a, **k: C_ZERO)
+        monkeypatch.setattr(recursion, "residual", lambda *a, **k: BigComplex(ZERO, ZERO))
         with pytest.raises(PrecisionLossError, match=r"prec_bits \(--precision\)"):
             recursion.estimate(2, 600, chi)
 
@@ -345,7 +344,8 @@ class TestDownstreamWidth:
         assert used[1:] == ([P] if widths == "redone" else [])
 
         ctx = PrecisionContext(P)
-        est = ctx.inv_root(ctx.complex_abs(res.residual), s)
+        r = res.residual
+        est = ctx.inv_root(ctx.add(ctx.mul(r.re, r.re), ctx.mul(r.im, r.im)), 2 * s)
         rounded = nearest_int(est)
         error = ctx.abs(ctx.sub(ctx.from_int(res.target), est))
         margin = ctx.abs(ctx.sub(est, ctx.from_int(rounded)))
@@ -457,3 +457,41 @@ class TestRounding:
                 res = recursion.estimate(n, 60, ch)
                 assert res.rounded == target, (n, ch.modulus, ch.label)
                 assert is_prime(res.rounded)
+
+
+class TestCostGuard:
+    """Inputs whose projected kernel cost J * W**2 exceeds the cap are refused
+    before either kernel runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(recursion, "l_partial_sum", kernel)
+        monkeypatch.setattr(recursion, "euler_product", kernel)
+
+    def test_estimate(self):
+        with pytest.raises(UnsupportedSizeError, match=r"n=100000, s=100000 .* above the cap of 1e\+14"):
+            recursion.estimate(100000, 100000, K1)
+
+    def test_precision_override(self):
+        # n = 2, s = 50 needs 226 bits; 2**23 bits projects 5 * (2**23 + 112)**2
+        with pytest.raises(UnsupportedSizeError, match="n=2, s=50"):
+            recursion.estimate(2, 50, K1, prec_bits=1 << 23)
+
+    def test_scaled_residual_and_dtable(self):
+        with pytest.raises(UnsupportedSizeError):
+            recursion.scaled_residual(1000, 20000, K1)
+        with pytest.raises(UnsupportedSizeError):
+            d_table([1000], 20000, [4])
+
+    def test_cap_is_the_boundary(self, monkeypatch):
+        # J = 5 at n = 2 and W = 412: with the cap at exactly J * W**2 the input passes
+        ctx = PrecisionContext(300)
+        monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 5 * 412**2 - 1)
+        with pytest.raises(UnsupportedSizeError):
+            recursion.residual(2, 50, K1, ctx)
+        monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 5 * 412**2)
+        with pytest.raises(AssertionError, match="the kernel ran"):
+            recursion.residual(2, 50, K1, ctx)
