@@ -262,25 +262,14 @@ def unit_group(k: int) -> UnitGroupStructure:
 def _component_dlogs(comp: UnitGroupComponent) -> dict:
     """residue -> exponent tuple over this component's generators."""
     q = comp.prime_power
-    if not comp.generators:
-        return {1 % q: ()}
-    if len(comp.generators) == 1:
-        g, order = comp.generators[0]
-        table = {}
-        acc = 1
-        for i in range(order):
-            table[acc] = (i,)
-            acc = acc * g % q
-        return table
-    (g1, o1), (g2, o2) = comp.generators
-    table = {}
-    acc1 = 1
-    for i in range(o1):
-        acc = acc1
-        for j in range(o2):
-            table[acc] = (i, j)
-            acc = acc * g2 % q
-        acc1 = acc1 * g1 % q
+    table = {1 % q: ()}
+    for g, order in comp.generators:
+        extended = {}
+        for acc, exps in table.items():
+            for i in range(order):
+                extended[acc] = exps + (i,)
+                acc = acc * g % q
+        table = extended
     return table
 
 
@@ -354,13 +343,11 @@ def char_product(x: DirichletCharacter, y: DirichletCharacter) -> DirichletChara
     return group.by_label(_label(tuple(a + b for a, b in zip(x.exponents, y.exponents)), orders))
 
 
-def character_table_rows(group: CharacterGroup) -> list:
-    """Rows (label, n, kind, a, m) for CSV export; zero cells carry no exponent."""
-    rows = []
+def character_table_rows(group: CharacterGroup):
+    """Yield rows (label, n, kind, a, m) for CSV export; zero cells carry no exponent."""
     for ch in group.characters:
         for n, v in enumerate(ch.table):
             if v.is_zero:
-                rows.append((ch.label, n, "zero", "", ""))
+                yield ch.label, n, "zero", "", ""
             else:
-                rows.append((ch.label, n, "root", v.a, v.m))
-    return rows
+                yield ch.label, n, "root", v.a, v.m

@@ -31,7 +31,8 @@ Algorithms
  * ``ln``    - exponent extraction ``ln(f * 2**e) = ln f + e*ln 2`` with the
    significand normalised into ``[sqrt(1/2), sqrt(2))`` so the ``e*ln 2``
    contribution never cancels catastrophically, then the odd atanh series of
-   ``u = (f-1)/(f+1)`` (``|u| < 0.172``) in fixed point.
+   ``u = (f-1)/(f+1)`` (``|u| < 0.172``) in fixed point; a power of two
+   has ``u = 0`` and takes the same path.
  * ``pi``    - Machin's formula ``16*atan(1/5) - 4*atan(1/239)``; an
    independent Euler split ``4*(atan(1/2) + atan(1/3))`` is exposed so the
    two can be cross-checked.
@@ -236,21 +237,6 @@ def _div(x: BigFloat, y: BigFloat, wp: int) -> BigFloat:
     return _norm(x.sign * y.sign, q, exp, wp)
 
 
-def _div_int(x: BigFloat, n: int, wp: int) -> BigFloat:
-    if n == 0:
-        raise DomainError("division by zero")
-    if x.sign == 0:
-        return ZERO
-    k = wp + 2 + max(0, n.bit_length() - x.man.bit_length())
-    q, r = divmod(x.man << k, abs(n))
-    exp = x.exp - k
-    if r:
-        q = (q << 1) | 1
-        exp -= 1
-    sign = x.sign if n > 0 else -x.sign
-    return _norm(sign, q, exp, wp)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point constant kernels.  All return floor-accurate integers scaled by
 # 2**bits; per-iteration floor error is < 1 unit and the iteration counts are
@@ -423,11 +409,7 @@ class PrecisionContext:
     # -- constructors -------------------------------------------------------
 
     def from_int(self, n: int) -> BigFloat:
-        if n == 0:
-            return ZERO
-        if n > 0:
-            return _norm(1, n, 0, self._wp)
-        return _norm(-1, -n, 0, self._wp)
+        return _from_signed(n, 0, self._wp)
 
     def from_fixed(self, v: int, bits: int) -> BigFloat:
         """The fixed-point integer v scaled by 2**-bits, rounded to the context."""
@@ -473,11 +455,6 @@ class PrecisionContext:
             e = x.exp + bl
             num = x.man - (1 << bl)
             den = x.man + (1 << bl)
-        if num == 0:
-            if e == 0:
-                return ZERO
-            wp2 = wp + 32
-            return _from_signed(e * _const("ln2", wp2), -wp2, wp)
         # Near x == 1 the leading zeros of u eat into the fixed-point budget.
         extra = max(0, bl - abs(num).bit_length()) if e == 0 else 0
         wp2 = wp + 32 + extra
@@ -541,14 +518,15 @@ class PrecisionContext:
         """x**(-1/s) = exp(-ln(x)/s) for positive x and integer s >= 1.
 
         The chained rounding between ln and exp scales with |ln x|, so the
-        chain runs 64 bits wide of the context before the final rounding.
+        chain runs 64 bits wide of the context before the final rounding;
+        the division by s is the correctly rounded ``div``.
         """
         if not isinstance(s, int) or s < 1:
             raise DomainError(f"inv_root order must be a positive integer, got {s!r}")
         if x.sign <= 0:
             raise DomainError("inv_root requires a positive argument")
         wide = PrecisionContext(self.prec_bits + 64)
-        r = wide.exp(_div_int(_neg(wide.ln(x)), s, wide._wp))
+        r = wide.exp(_div(_neg(wide.ln(x)), wide.from_int(s), wide._wp))
         return _norm(r.sign, r.man, r.exp, self._wp)
 
 

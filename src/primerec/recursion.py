@@ -27,9 +27,13 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    margin) runs at the width the subtraction left: ``P + top(|residual|)``
    surviving bits plus 64, clamped to ``[64, P]``.  The root is taken of
    ``|residual|**2`` with order ``2 s``, so no square root is needed.
-   When the error or the margin is zero or lies within 64 bits of that
-   width below the estimate, the chain is redone at ``P``, so no printed
-   digit depends on the narrower width.
+   The chain runs once, at that width, and cannot lose a bit the residual
+   determines: the residual resolves only about
+   ``P + log2|residual| + 94`` bits relative (the kernel bound below plus
+   the rounding to ``P + 96`` bits), while the chain rounds the estimate to
+   ``width + 96 = P + log2|residual| + 160`` bits, with ``inv_root``
+   working 64 bits wider still.  Running it at ``P`` instead could only
+   re-derive bits the residual does not determine.
 
 Taking ``|residual| ** (-1/s)`` then lands within a shrinking distance of
 the next prime ``p_{n+1}`` as s grows, provided ``chi(p_{n+1}) != 0`` (when
@@ -96,8 +100,18 @@ __all__ = [
 # A residual's kernel divides 2**W by j**s for J = 2 p_n - 1 values of j,
 # at W = P + 112 bits, in CPython's schoolbook time: about c * J * W**2 with
 # c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine.  ``residual`` refuses a
-# projected J * W**2 above this cap (about 80 s there).
+# projected J * W**2 above this cap (about 80 s there); the precision sizing
+# (``required_precision``, ``estimate``) refuses J * W**2 plus the chain cost
+# below.
 MAX_KERNEL_COST = 10**14
+# The chain after the cancellation (``inv_root``'s ln and exp) runs at about
+# w = s * log2(base / m1) + 160 bits, known from the tail terms before any
+# arithmetic.  ``ln``'s atanh series takes about w / 5 products of w-bit
+# integers in CPython's Karatsuba time, and on the same machine the chain of
+# n = 2, trivial chi took 0.09 s at w = 8k, 1.8 s at 26k, 8.7 s at 53k and
+# 19.8 s at 79k bits: about c' * w**2.5 with c' ~ 1.4e-11 s, which is
+# 17 * w**2.5 in the kernel's units of c.
+_CHAIN_WEIGHT = 17
 
 
 @dataclass(frozen=True)
@@ -155,8 +169,32 @@ def _tail_terms(n: int, chi: DirichletCharacter):
         m += 1
 
 
+def _check_cost(n: int, s: int, ctx: PrecisionContext, terms: list) -> None:
+    """Refuse (n, s) at ``ctx`` when the projected cost exceeds the cap.
+
+    The kernels cost J * W**2.  With two tail terms an estimate also runs the
+    chain at about ``P - s * log2(m1) + 64`` bits (``estimate`` clamps it to
+    ``[64, P]``), which adds ``_CHAIN_WEIGHT * w**2.5``.
+    """
+    kernel = (2 * primes.nth_prime(n) - 1) * _kernel_bits(ctx) ** 2
+    chain = 0
+    if len(terms) == 2:
+        w = min(max(ctx.prec_bits - math.floor(s * math.log2(terms[0])) + 64, 64), ctx.prec_bits)
+        chain = _CHAIN_WEIGHT * w * w * math.isqrt(w)
+    if kernel + chain > MAX_KERNEL_COST:
+        raise UnsupportedSizeError(
+            f"n={n}, s={s} at {ctx.prec_bits} bits projects a kernel cost J*W**2 = {kernel:.2e} "
+            f"plus a chain cost of {chain:.2e} bit**2, above the cap of {MAX_KERNEL_COST:.0e}"
+        )
+
+
 def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
-    """(``required_precision(n, s, chi)``, chi's first two tail terms)."""
+    """(``required_precision(n, s, chi)``, chi's first two tail terms).
+
+    The cost guard runs on ``ceil(s * log2(base)) - 1`` in floating point, a
+    lower bound on that bit count, before the base is raised to the s-th
+    power.
+    """
     _check_n_s(n, s)
     base = Fraction(2 * primes.nth_prime(n))
     terms = [] if chi is None else list(islice(_tail_terms(n, chi), 2))
@@ -164,6 +202,7 @@ def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
         m1, m2 = terms
         quarter_turn = chi(m2).mul(chi(m1).conjugate()).m == 4
         base = max(base, Fraction(m2 * m2, m1) if quarter_turn else Fraction(m2))
+    _check_cost(n, s, PrecisionContext(max(64, math.ceil(s * math.log2(base)) - 1 + 96)), terms)
     bits = (math.ceil(base**s) - 1).bit_length()
     return PrecisionContext(max(64, bits + 96)), terms
 
@@ -179,7 +218,9 @@ def required_precision(
     terms m1 < m2 with chi(m) != 0: ``max(2 p_n, m2)``, or
     ``max(2 p_n, m2**2 / m1)`` when chi(m2)/chi(m1) = +-i (see the module
     docstring).  Without ``chi``, or with fewer than two such terms, the
-    base is 2 p_n.  Never below the 64-bit context floor.
+    base is 2 p_n.  Never below the 64-bit context floor.  Raises
+    ``UnsupportedSizeError`` when the estimate's projected cost exceeds
+    ``MAX_KERNEL_COST`` (see ``estimate``).
     """
     return _sizing(n, s, chi)[0]
 
@@ -266,13 +307,8 @@ def residual(
     _check_n_s(n, s)
     if ctx is None:
         ctx = required_precision(n, s, chi)
+    _check_cost(n, s, ctx, [])
     J = 2 * primes.nth_prime(n) - 1
-    cost = J * _kernel_bits(ctx) ** 2
-    if cost > MAX_KERNEL_COST:
-        raise UnsupportedSizeError(
-            f"n={n}, s={s} at {ctx.prec_bits} bits projects a kernel cost J*W**2 = {cost:.2e} "
-            f"bit**2, above the cap of {MAX_KERNEL_COST:.0e}"
-        )
     a, b = l_partial_sum(chi, s, J, ctx), euler_product(chi, s, n, ctx)
     return BigComplex(ctx.sub(a.re, b.re), ctx.sub(a.im, b.im))
 
@@ -285,15 +321,6 @@ def scaled_residual(n: int, s: int, chi: DirichletCharacter) -> BigComplex:
     r = residual(n, s, chi, ctx=ctx)
     scale = ctx.from_int(target**s)
     return BigComplex(ctx.mul(r.re, scale), ctx.mul(r.im, scale))
-
-
-def _finish(ctx: PrecisionContext, sq: BigFloat, s: int, target: int):
-    """(estimate, rounded, error, margin) from |residual|**2 under ``ctx``."""
-    est = ctx.inv_root(sq, 2 * s)
-    rounded = nearest_int(est)
-    error = ctx.abs(ctx.sub(ctx.from_int(target), est))
-    margin = ctx.abs(ctx.sub(est, ctx.from_int(rounded)))
-    return est, rounded, error, margin
 
 
 def estimate(
@@ -310,7 +337,10 @@ def estimate(
     result rather than an exception, so sweeps keep their rows.  The
     residual is computed at the working precision (reported as
     ``prec_bits``); the rest at the width that survives the cancellation,
-    as the module docstring describes.
+    as the module docstring describes.  An input whose projected kernel
+    plus chain cost exceeds ``MAX_KERNEL_COST`` raises
+    ``UnsupportedSizeError`` before the precision is sized in full and
+    before any kernel runs.
     """
     req, terms = _sizing(n, s, chi)
     if not terms:
@@ -327,6 +357,7 @@ def estimate(
                 f"{req.prec_bits} bits required for n={n}, s={s}"
             )
         ctx = PrecisionContext(prec_bits)
+        _check_cost(n, s, ctx, terms)
     target = primes.nth_prime(n + 1)
     warning = None
     if chi(target).is_zero:
@@ -348,11 +379,11 @@ def estimate(
     else:
         # top(|residual|) = (top(|residual|**2) + 1) // 2
         width = min(max(ctx.prec_bits + (_top(sq) + 1) // 2 + 64, 64), ctx.prec_bits)
-        est, rounded, error, margin = _finish(PrecisionContext(width), sq, s, target)
-        if width < ctx.prec_bits and any(
-            x.is_zero or _top(est) - _top(x) > width - 64 for x in (error, margin)
-        ):
-            est, rounded, error, margin = _finish(ctx, sq, s, target)
+        chain = PrecisionContext(width)
+        est = chain.inv_root(sq, 2 * s)
+        rounded = nearest_int(est)
+        error = chain.abs(chain.sub(chain.from_int(target), est))
+        margin = chain.abs(chain.sub(est, chain.from_int(rounded)))
     return EstimateResult(
         n=n,
         s=s,

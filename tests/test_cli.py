@@ -5,6 +5,8 @@ import io
 import json
 import time
 
+import pytest
+
 from primerec.cli import run
 
 
@@ -86,6 +88,14 @@ class TestEstimate:
         assert time.perf_counter() - t0 < 2
         assert code == 1 and out == ""
         assert err.startswith("error: n=100000, s=100000") and "above the cap of 1e+14" in err
+
+    @pytest.mark.parametrize("s", ["1000000", "10000000"])
+    def test_chain_cost_refused_at_once(self, capsys, s):
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, "estimate", "--n", "2", "--s", s)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: n=2, s={s}") and "above the cap of 1e+14" in err
 
 
 class TestSweep:

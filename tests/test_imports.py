@@ -1,9 +1,12 @@
-"""Every name a ``primerec`` module imports is used there.
+"""Every name a ``primerec`` module imports is used there, and every private
+top-level name is used somewhere in the package.
 
-A stdlib stand-in for a linter's unused-import rule: each module under
-``src/primerec`` is parsed with ``ast``, and an imported name must be
-referenced somewhere in the module or listed in its ``__all__`` (which
-covers the package's re-exports in ``__init__.py``).
+A stdlib stand-in for a linter's unused-import and dead-code rules: each
+module under ``src/primerec`` is parsed with ``ast``.  An imported name must
+be referenced somewhere in the module or listed in its ``__all__`` (which
+covers the package's re-exports in ``__init__.py``).  A top-level ``_name``
+(not a dunder) must be referenced by some module of the package, so a
+helper left behind when its last caller goes fails here.
 """
 
 import ast
@@ -37,6 +40,36 @@ def unused_imports(path: Path) -> list:
     return [f"{path.name}:{line} {name}" for name, line in imported if name not in used]
 
 
+def unreferenced_private_names(paths: list) -> list:
+    """``file:line name`` for each private top-level name no module references."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.startswith("_") and not name.endswith("__") and name not in used
+            ]
+    return found
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "mpnum.py", "recursion.py"}
 
@@ -50,3 +83,14 @@ def test_catches_an_unused_import(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text('"""Doc."""\n\nimport math\nfrom fractions import Fraction\n\nx = math.pi\n')
     assert unused_imports(mod) == ["mod.py:4 Fraction"]
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private_names(MODULES) == []
+
+
+def test_catches_an_unreferenced_private_name(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text('"""Doc."""\n\n_LIMIT = 3\n_cache = {}\n\n\ndef _left_behind(x):\n    return x\n')
+    b.write_text('"""Doc."""\n\nfrom .a import _LIMIT\nfrom . import a\n\ny = a._cache\n')
+    assert unreferenced_private_names([a, b]) == ["a.py:7 _left_behind"]

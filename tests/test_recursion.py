@@ -295,7 +295,7 @@ def exact_estimate(n: int, s: int, chi, digits: int) -> Fraction:
 
 
 class TestDownstreamWidth:
-    """Root, error and margin run at the width the cancellation left.
+    """Root, error and margin run once, at the width the cancellation left.
 
     The reference is the full-width chain: everything after |residual| at
     the residual's own precision.  The cells cover the width clamped to P
@@ -303,9 +303,7 @@ class TestDownstreamWidth:
     Two cells have leading tail terms that differ in phase by +-i, so the
     first-order part of a distance cancels: the margin of mod 5 (target 5
     with chi(5) = 0, terms 6 and 8) and the error of mod 16 (terms 5 and 9).
-    Sized from m2**2 / m1 they run at the narrow width; sized blind to chi
-    ("redone") their second-order distance lies below it, and the chain is
-    redone at P.
+    Sized from m2**2 / m1 they run at the narrow width too.
     """
 
     @pytest.mark.parametrize(
@@ -315,33 +313,26 @@ class TestDownstreamWidth:
             (1, 1, 2, 300, "narrow"),
             (1, 1, 2, 2000, "narrow"),
             (5, 2, 2, 600, "narrow"),
-            (5, 2, 2, 600, "redone"),
             (9, 2, 1, 200, "narrow"),
             (16, 2, 2, 300, "narrow"),
-            (16, 2, 2, 300, "redone"),
         ],
     )
     def test_matches_full_width_chain(self, monkeypatch, modulus, label, n, s, widths):
-        if widths == "redone":
-            sizing = recursion._sizing
-            # the precision of a chi-blind sizing; the tail terms stay chi's own
-            monkeypatch.setattr(
-                recursion, "_sizing", lambda n, s, chi: (sizing(n, s, None)[0], sizing(n, s, chi)[1])
-            )
         used = []
-        finish = recursion._finish
+        inv_root = PrecisionContext.inv_root
 
         def recording(ctx, *args):
             used.append(ctx.prec_bits)
-            return finish(ctx, *args)
+            return inv_root(ctx, *args)
 
-        monkeypatch.setattr(recursion, "_finish", recording)
+        monkeypatch.setattr(PrecisionContext, "inv_root", recording)
         chi = enumerate_characters(modulus).by_label(label)
         res = recursion.estimate(n, s, chi)
+        monkeypatch.undo()
         P = res.prec_bits
         assert P == recursion.required_precision(n, s, chi).prec_bits
-        assert (used[0] == P) == (widths == "full")
-        assert used[1:] == ([P] if widths == "redone" else [])
+        assert len(used) == 1
+        assert (used[0] == P) == (widths == "full") and used[0] <= P
 
         ctx = PrecisionContext(P)
         r = res.residual
@@ -460,8 +451,8 @@ class TestRounding:
 
 
 class TestCostGuard:
-    """Inputs whose projected kernel cost J * W**2 exceeds the cap are refused
-    before either kernel runs."""
+    """Inputs whose projected cost (the kernels' J * W**2, plus the chain's for
+    an estimate) exceeds the cap are refused before either kernel runs."""
 
     @pytest.fixture(autouse=True)
     def no_kernel(self, monkeypatch):
@@ -475,10 +466,26 @@ class TestCostGuard:
         with pytest.raises(UnsupportedSizeError, match=r"n=100000, s=100000 .* above the cap of 1e\+14"):
             recursion.estimate(100000, 100000, K1)
 
+    @pytest.mark.parametrize("s", [10**6, 10**7])
+    def test_refused_before_sizing(self, monkeypatch, s):
+        # n = 2: the kernels alone pass at s = 10**6, but the chain's ln at
+        # about s * log2(6/5) bits would run for minutes; at 10**7 the
+        # kernels exceed the cap, and the base's s-th power alone takes seconds
+        def fail(*args):
+            raise AssertionError("sized in full or ran ln")
+
+        monkeypatch.setattr(Fraction, "__pow__", fail)
+        monkeypatch.setattr(PrecisionContext, "ln", fail)
+        with pytest.raises(UnsupportedSizeError, match=rf"n=2, s={s} .* above the cap of 1e\+14"):
+            recursion.estimate(2, s, K1)
+
     def test_precision_override(self):
         # n = 2, s = 50 needs 226 bits; 2**23 bits projects 5 * (2**23 + 112)**2
         with pytest.raises(UnsupportedSizeError, match="n=2, s=50"):
             recursion.estimate(2, 50, K1, prec_bits=1 << 23)
+        # 10**6 bits pass the kernel cap, but the chain would run at about 10**6 bits
+        with pytest.raises(UnsupportedSizeError, match=r"n=2, s=50 at 1000000 bits .* chain cost of 1\.70e\+16"):
+            recursion.estimate(2, 50, K1, prec_bits=10**6)
 
     def test_scaled_residual_and_dtable(self):
         with pytest.raises(UnsupportedSizeError):
