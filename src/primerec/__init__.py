@@ -54,6 +54,7 @@ from .primes import first_n_primes, is_prime, nth_prime
 from .recursion import (
     EstimateResult,
     estimate,
+    estimate_many,
     euler_product,
     l_partial_sum,
     required_precision,
@@ -86,6 +87,7 @@ __all__ = [
     "d_table",
     "enumerate_characters",
     "estimate",
+    "estimate_many",
     "euler_product",
     "first_n_primes",
     "format_decimal",

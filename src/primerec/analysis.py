@@ -15,7 +15,9 @@ where the error vanishes are excluded from a series and tallied.  Each
 command evaluates every distinct ``(n, s, character)`` estimate once, in
 one fan-out over worker processes (the trivial character's errors, for
 instance, are shared by every row of a table); results are collected by
-grid index, so output is bit-identical to a sequential run.
+grid index, so output is bit-identical to a sequential run.  A series task
+holds every n of one s (``recursion.estimate_many``), so their L-sums share
+one pass of divisions; a table keeps one task per cell.
 
 The CLI renders these results with the CSV schemas below (floats with 17
 significant digits):
@@ -114,37 +116,33 @@ def _map_tasks(func, tasks, workers: int):
         return list(pool.map(func, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _error_task(task):
-    n, s, modulus, label = task
-    return recursion.estimate(n, s, _char(modulus, label)).error
-
-
 def _d_error_task(task):
+    n, s, modulus, label = task
     try:
-        return _error_task(task)
+        return recursion.estimate(n, s, _char(modulus, label)).error
     except ZeroResidualError:
         return None
 
 
 def _series_task(task):
-    error = _error_task(task)
-    return None if error.is_zero else _Y_CTX.neg(_Y_CTX.ln(error))
+    """y(s) for every n of one s; None where the error vanishes."""
+    ns, s, modulus, label = task
+    errors = [r.error for r in recursion.estimate_many(ns, s, _char(modulus, label))]
+    return [None if e.is_zero else _Y_CTX.neg(_Y_CTX.ln(e)) for e in errors]
 
 
 def _series(ns, s_min: int, s_max: int, chi: DirichletCharacter, workers: int):
-    """One y(s) series per n in ``ns``, every (n, s) cell in one fan-out."""
+    """One y(s) series per n in ``ns``, one task per s holding every n."""
     if not (1 <= s_min <= s_max <= S_RANGE_CAP):
         raise DomainError(
             f"s range [{s_min}, {s_max}] must satisfy 1 <= s_min <= s_max <= {S_RANGE_CAP}"
         )
     s_values = range(s_min, s_max + 1)
-    # n varies fastest, so every chunk a worker takes mixes cheap and costly n
-    tasks = [(n, s, chi.modulus, chi.label) for s in s_values for n in ns]
-    ys = _map_tasks(_series_task, tasks, workers)
+    tasks = [(tuple(ns), s, chi.modulus, chi.label) for s in s_values]
+    rows = _map_tasks(_series_task, tasks, workers)
     out = []
     for i, n in enumerate(ns):
-        column = ys[i :: len(ns)]
-        points = tuple(SeriesPoint(s, y) for s, y in zip(s_values, column) if y is not None)
+        points = tuple(SeriesPoint(s, row[i]) for s, row in zip(s_values, rows) if row[i] is not None)
         if not points:
             raise DomainError(f"series for n={n} over [{s_min}, {s_max}] is empty")
         out.append(NegLogSeries(n, chi.modulus, chi.label, points, len(s_values) - len(points)))

@@ -59,6 +59,16 @@ products stay below ``zeta(2) / zeta(4) < 1.52`` in magnitude, each product
 truncates by ``sqrt 2``, and the inversion scales the error by at most
 ``zeta(2)**2 < 2.71`` and truncates once more.  At s = 1 the product's
 bound grows with its size.
+
+The estimates of several n at one s (``estimate_many``) share the sum's
+divisions: each ``2**W // j**s`` is divided once, at the widest W among
+the cells whose J reaches j, and each of those cells adds it shifted right
+by the difference of the widths.  For integers ``A >= B >= 0`` and
+``d >= 1``, ``floor(floor(2**A / d) / 2**B) = floor(2**(A - B) / d)``, so
+every cell adds exactly the integers it would divide alone: its result,
+and the bound above, are unchanged, and no division is wider than one the
+cells would make alone.
+
 Exponent s is restricted to positive integers; s = 1 is accepted but of
 dubious value for the trivial character (the harmonic-like partial sum has
 no limit to track).
@@ -94,16 +104,25 @@ __all__ = [
     "residual",
     "scaled_residual",
     "estimate",
+    "estimate_many",
     "MAX_KERNEL_COST",
 ]
 
 # A residual's kernel divides 2**W by j**s for J = 2 p_n - 1 values of j,
 # at W = P + 112 bits, in CPython's schoolbook time: about c * J * W**2 with
-# c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine.  ``residual`` refuses a
-# projected J * W**2 above this cap (about 80 s there); the precision sizing
-# (``required_precision``, ``estimate``) refuses J * W**2 plus the chain cost
-# below.
+# c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine (the Euler product's
+# per-prime work included).  ``residual`` refuses a projected
+# (J + _INVERSION_WEIGHT) * W**2 above this cap (about 80 s there); the
+# precision sizing (``required_precision``, ``estimate``) refuses that plus
+# the chain cost below.
 MAX_KERNEL_COST = 10**14
+# The Euler product ends in one inversion, whatever n is: a 3W-bit by 2W-bit
+# division per nonzero component.  On the same machine, at W = 400k bits,
+# ``euler_product`` took 7.9 units of c * W**2 at n = 1 with the trivial
+# character (one division) and 14.5 with chi(2) = i mod 5 (two), and the
+# residual of n = 2, s = 300000 (J = 5, W = 776k) 6.4 s where J * W**2
+# projected 2.4 s: about 7 units per division, 14 for both (9.1 s there).
+_INVERSION_WEIGHT = 14
 # The chain after the cancellation (``inv_root``'s ln and exp) runs at about
 # w = s * log2(base / m1) + 160 bits, known from the tail terms before any
 # arithmetic.  ``ln``'s atanh series takes about w / 5 products of w-bit
@@ -172,18 +191,20 @@ def _tail_terms(n: int, chi: DirichletCharacter):
 def _check_cost(n: int, s: int, ctx: PrecisionContext, terms: list) -> None:
     """Refuse (n, s) at ``ctx`` when the projected cost exceeds the cap.
 
-    The kernels cost J * W**2.  With two tail terms an estimate also runs the
-    chain at about ``P - s * log2(m1) + 64`` bits (``estimate`` clamps it to
-    ``[64, P]``), which adds ``_CHAIN_WEIGHT * w**2.5``.
+    The kernels cost (J + _INVERSION_WEIGHT) * W**2.  With two tail terms an
+    estimate also runs the chain at about ``P - s * log2(m1) + 64`` bits
+    (``estimate`` clamps it to ``[64, P]``), which adds
+    ``_CHAIN_WEIGHT * w**2.5``.
     """
-    kernel = (2 * primes.nth_prime(n) - 1) * _kernel_bits(ctx) ** 2
+    kernel = (2 * primes.nth_prime(n) - 1 + _INVERSION_WEIGHT) * _kernel_bits(ctx) ** 2
     chain = 0
     if len(terms) == 2:
         w = min(max(ctx.prec_bits - math.floor(s * math.log2(terms[0])) + 64, 64), ctx.prec_bits)
         chain = _CHAIN_WEIGHT * w * w * math.isqrt(w)
     if kernel + chain > MAX_KERNEL_COST:
         raise UnsupportedSizeError(
-            f"n={n}, s={s} at {ctx.prec_bits} bits projects a kernel cost J*W**2 = {kernel:.2e} "
+            f"n={n}, s={s} at {ctx.prec_bits} bits projects a kernel cost "
+            f"(J + {_INVERSION_WEIGHT})*W**2 = {kernel:.2e} "
             f"plus a chain cost of {chain:.2e} bit**2, above the cap of {MAX_KERNEL_COST:.0e}"
         )
 
@@ -196,6 +217,13 @@ def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
     power.
     """
     _check_n_s(n, s)
+    if s > MAX_KERNEL_COST:
+        # J >= 3 and W > 2 s, so the kernels alone cost more than 12 s**2;
+        # refused before s meets floating point, which it may overflow
+        raise UnsupportedSizeError(
+            f"n={n}, s={s} projects a kernel cost above 12*s**2 bit**2, "
+            f"far above the cap of {MAX_KERNEL_COST:.0e}"
+        )
     base = Fraction(2 * primes.nth_prime(n))
     terms = [] if chi is None else list(islice(_tail_terms(n, chi), 2))
     if len(terms) == 2:
@@ -243,22 +271,51 @@ def l_partial_sum(
         raise DomainError(f"J must be a positive integer, got {J!r}")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"s must be a positive integer, got {s!r}")
-    W = _kernel_bits(ctx)
-    one = 1 << W
-    classes = {}
-    for j in range(1, J + 1):
-        v = chi(j)
-        if not v.is_zero:
-            classes[v] = classes.get(v, 0) + one // j**s
-    re = im = 0
-    for v, total in classes.items():
-        if v.a == 0:
-            re += total
-        else:
-            cos, sin = fixed_root(v.a, v.m, W)
-            re += _trunc(total * cos, one)
-            im += _trunc(total * sin, one)
-    return BigComplex(ctx.from_fixed(re, W), ctx.from_fixed(im, W))
+    return _l_partial_sums(chi, s, [(J, ctx)])[0]
+
+
+def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
+    """``l_partial_sum(chi, s, J, ctx)`` for every ``(J, ctx)`` in ``cells``, in one pass over j.
+
+    Each ``2**W // j**s`` is divided once, at the widest W among the cells
+    whose J reaches j, and each of those cells adds it shifted down to its
+    own W (see the module docstring), so every cell's terms are the ones it
+    would divide alone.
+    """
+    k = chi.modulus
+    # class of chi(r) for every residue r a term reaches; -1 where chi vanishes
+    roots, cls = {}, []
+    for v in chi.table[: max((J for J, _ in cells), default=0) + 1]:
+        cls.append(-1 if v.is_zero else roots.setdefault((v.a, v.m), len(roots)))
+    widths = [_kernel_bits(ctx) for _, ctx in cells]
+    totals = [[0] * len(roots) for _ in cells]
+    lo = 0
+    for hi in sorted({J for J, _ in cells}):
+        # every j in (lo, hi] is reached by exactly the cells with J >= hi
+        active = [(t, W) for (J, _), W, t in zip(cells, widths, totals) if J >= hi]
+        wide = max(W for _, W in active)
+        one = 1 << wide
+        active = [(t, wide - W) for t, W in active]
+        for j in range(lo + 1, hi + 1):
+            c = cls[j % k]
+            if c >= 0:
+                x = one // j**s
+                for t, shift in active:
+                    t[c] += x >> shift
+        lo = hi
+    out = []
+    for (_, ctx), W, t in zip(cells, widths, totals):
+        one = 1 << W
+        re = im = 0
+        for (a, m), total in zip(roots, t):
+            if a == 0:
+                re += total
+            elif total:
+                cos, sin = fixed_root(a, m, W)
+                re += _trunc(total * cos, one)
+                im += _trunc(total * sin, one)
+        out.append(BigComplex(ctx.from_fixed(re, W), ctx.from_fixed(im, W)))
+    return out
 
 
 def euler_product(
@@ -300,17 +357,26 @@ def residual(
 
     Computed under ``required_precision(n, s, chi)`` unless an explicit
     context is supplied (a larger one is useful for precision-stability
-    checks).  An input whose projected kernel cost ``J * W**2`` exceeds
-    ``MAX_KERNEL_COST`` raises ``UnsupportedSizeError`` before either
-    kernel runs.
+    checks).  An input whose projected kernel cost
+    ``(J + _INVERSION_WEIGHT) * W**2`` exceeds ``MAX_KERNEL_COST`` raises
+    ``UnsupportedSizeError`` before either kernel runs.
     """
     _check_n_s(n, s)
     if ctx is None:
         ctx = required_precision(n, s, chi)
     _check_cost(n, s, ctx, [])
-    J = 2 * primes.nth_prime(n) - 1
-    a, b = l_partial_sum(chi, s, J, ctx), euler_product(chi, s, n, ctx)
-    return BigComplex(ctx.sub(a.re, b.re), ctx.sub(a.im, b.im))
+    return _residuals([n], s, chi, [ctx])[0]
+
+
+def _residuals(ns, s: int, chi: DirichletCharacter, ctxs: list) -> list:
+    """``residual(n, s, chi, ctx)`` for each n in ``ns`` and its context in
+    ``ctxs``, the L-sums in one pass; the costs are checked by the caller."""
+    cells = [(2 * primes.nth_prime(n) - 1, ctx) for n, ctx in zip(ns, ctxs)]
+    out = []
+    for n, ctx, a in zip(ns, ctxs, _l_partial_sums(chi, s, cells)):
+        b = euler_product(chi, s, n, ctx)
+        out.append(BigComplex(ctx.sub(a.re, b.re), ctx.sub(a.im, b.im)))
+    return out
 
 
 def scaled_residual(n: int, s: int, chi: DirichletCharacter) -> BigComplex:
@@ -342,6 +408,28 @@ def estimate(
     ``UnsupportedSizeError`` before the precision is sized in full and
     before any kernel runs.
     """
+    return _estimates([n], s, chi, prec_bits)[0]
+
+
+def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
+    """``[estimate(n, s, chi) for n in ns]``, with the L-sums in one pass.
+
+    Every n is sized, and checked against the cost cap, before any kernel
+    runs; the first failing n raises.  The results are bit-identical to
+    ``estimate``'s.
+    """
+    return _estimates(ns, s, chi)
+
+
+def _estimates(ns, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None) -> list:
+    """Size every n, run the kernels of all of them, then each chain."""
+    sized = [_working_precision(n, s, chi, prec_bits) for n in ns]
+    rs = _residuals(ns, s, chi, [ctx for ctx, _ in sized])
+    return [_finish(n, s, chi, ctx, terms, r) for n, (ctx, terms), r in zip(ns, sized, rs)]
+
+
+def _working_precision(n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int]):
+    """(context, chi's first two tail terms) for an estimate at (n, s)."""
     req, terms = _sizing(n, s, chi)
     if not terms:
         raise ZeroResidualError(
@@ -349,15 +437,21 @@ def estimate(
             f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
         )
     if prec_bits is None:
-        ctx = req
-    else:
-        if prec_bits < req.prec_bits:
-            raise DomainError(
-                f"precision override of {prec_bits} bits is below the "
-                f"{req.prec_bits} bits required for n={n}, s={s}"
-            )
-        ctx = PrecisionContext(prec_bits)
-        _check_cost(n, s, ctx, terms)
+        return req, terms
+    if prec_bits < req.prec_bits:
+        raise DomainError(
+            f"precision override of {prec_bits} bits is below the "
+            f"{req.prec_bits} bits required for n={n}, s={s}"
+        )
+    ctx = PrecisionContext(prec_bits)
+    _check_cost(n, s, ctx, terms)
+    return ctx, terms
+
+
+def _finish(
+    n: int, s: int, chi: DirichletCharacter, ctx: PrecisionContext, terms: list, r: BigComplex
+) -> EstimateResult:
+    """The estimate, error and margin from the residual ``r`` at ``ctx``."""
     target = primes.nth_prime(n + 1)
     warning = None
     if chi(target).is_zero:
@@ -365,7 +459,6 @@ def estimate(
             f"character (modulus {chi.modulus}, label {chi.label}) vanishes at "
             f"the target prime {target}; the limit degenerates away from it"
         )
-    r = residual(n, s, chi, ctx=ctx)
     sq = ctx.add(ctx.mul(r.re, r.re), ctx.mul(r.im, r.im))
     if sq.is_zero:
         raise PrecisionLossError(
@@ -398,4 +491,3 @@ def estimate(
         prec_bits=ctx.prec_bits,
         warning=warning,
     )
-

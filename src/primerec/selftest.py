@@ -37,16 +37,19 @@ def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
         if len(group) != _phi(k):
             failures.append(f"modulus {k}: expected {_phi(k)} characters, got {len(group)}")
         for ch in group.characters:
+            # each value e(a/m) as the exponent a * (lcm / m) mod lcm; None for zero
+            lcm = math.lcm(*(v.m for v in ch.table))
+            e = [None if v.is_zero else v.a * (lcm // v.m) for v in ch.table]
             for m in range(k):
-                for n in range(k):
-                    if ch((m * n) % k) != ch(m).mul(ch(n)):
-                        failures.append(
-                            f"modulus {k} label {ch.label}: multiplicativity fails at ({m},{n})"
-                        )
-                        break
-                else:
-                    continue
-                break
+                em = e[m]
+                row = [e[m * n % k] for n in range(k)]
+                want = [None] * k if em is None else [None if x is None else (em + x) % lcm for x in e]
+                if row != want:
+                    n = next(n for n in range(k) if row[n] != want[n])
+                    failures.append(
+                        f"modulus {k} label {ch.label}: multiplicativity fails at ({m},{n})"
+                    )
+                    break
             for n in range(k):
                 if ch(n).is_zero != (k > 1 and math.gcd(n, k) > 1):
                     failures.append(

@@ -97,6 +97,13 @@ class TestEstimate:
         assert code == 1 and out == ""
         assert err.startswith(f"error: n=2, s={s}") and "above the cap of 1e+14" in err
 
+    @pytest.mark.parametrize("s", [str(10**14 + 1), "1" + "0" * 160, "1" + "0" * 400])
+    def test_huge_exponent_refused(self, capsys, s):
+        # beyond float range s * log2(base) and the projected cost would overflow
+        code, out, err = invoke(capsys, "estimate", "--n", "2", "--s", s)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: n=2, s={s} ") and "above the cap of 1e+14" in err
+
 
 class TestSweep:
     def test_csv(self, capsys):

@@ -1,5 +1,6 @@
 """Exact-oracle arithmetic tests and the built-in verification suites."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -77,3 +78,27 @@ class TestSuites:
         assert run(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("k, label, cell", [(7, 3, 5), (16, 6, 9), (45, 20, 44)])
+    def test_corrupted_cell_fails_multiplicativity(self, capsys, monkeypatch, k, label, cell):
+        from primerec import selftest
+        from primerec.cli import run
+
+        group = enumerate_characters(k)
+        ch = group.by_label(label)
+        table = list(ch.table)
+        table[cell] = table[cell].mul(CharValue.root(1, 3))
+        bad = dataclasses.replace(ch, table=tuple(table))
+        chars = tuple(bad if c.label == label else c for c in group.characters)
+        corrupt = dataclasses.replace(group, characters=chars)
+        real = selftest.enumerate_characters
+        monkeypatch.setattr(selftest, "enumerate_characters", lambda m: corrupt if m == k else real(m))
+        # the first (m, n), m-major, with chi(m n) != chi(m) chi(n), by CharValue algebra
+        m, n = next(
+            (m, n) for m in range(k) for n in range(k) if bad(m * n % k) != bad(m).mul(bad(n))
+        )
+        message = f"modulus {k} label {label}: multiplicativity fails at ({m},{n})"
+        assert character_property_failures(k)[0] == message
+        assert run(["selftest"]) >= 1
+        out = capsys.readouterr().out
+        assert "FAIL  character properties" in out and message in out

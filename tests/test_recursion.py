@@ -5,16 +5,28 @@ Derived expectations are recomputed here with exact rational arithmetic
 values appear only with their documented tolerances.
 """
 
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primerec import oracle, recursion
 from primerec.analysis import d_table, neg_log_series
 from primerec.characters import enumerate_characters, keller_one
 from primerec.errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
-from primerec.mpnum import ZERO, BigComplex, PrecisionContext, format_decimal, nearest_int, to_float
+from primerec.mpnum import (
+    GUARD_BITS,
+    ZERO,
+    BigComplex,
+    PrecisionContext,
+    fixed_root,
+    format_decimal,
+    nearest_int,
+    to_float,
+)
 from primerec.primes import first_n_primes, is_prime
 
 K1 = keller_one()
@@ -82,6 +94,58 @@ class TestPartialSum:
             recursion.l_partial_sum(K1, 1, 0, CTX)
         with pytest.raises(DomainError):
             recursion.l_partial_sum(K1, 0, 5, CTX)
+
+
+def per_cell_partial_sum(chi, s: int, J: int, ctx) -> BigComplex:
+    """The one-cell L-sum loop the shared pass replaced: each cell divides
+    ``2**W // j**s`` at its own W and groups the terms by character value."""
+    W = ctx.prec_bits + GUARD_BITS + 16
+    one = 1 << W
+
+    def trunc(v):  # v / 2**W rounded toward zero
+        return v // one if v >= 0 else -(-v // one)
+
+    classes = {}
+    for j in range(1, J + 1):
+        v = chi(j)
+        if not v.is_zero:
+            classes[v] = classes.get(v, 0) + one // j**s
+    real = imag = 0
+    for v, total in classes.items():
+        if v.a == 0:
+            real += total
+        else:
+            cos, sin = fixed_root(v.a, v.m, W)
+            real += trunc(total * cos)
+            imag += trunc(total * sin)
+    return BigComplex(ctx.from_fixed(real, W), ctx.from_fixed(imag, W))
+
+
+class TestSharedPass:
+    """The pass over j shared by several (J, precision) cells gives each cell
+    the bits of its own per-cell loop: ``floor(floor(2**A / d) / 2**B)`` is
+    ``floor(2**(A - B) / d)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 24),
+        pick=st.integers(0, 10**6),
+        s=st.integers(1, 60),
+        cells=st.lists(st.tuples(st.integers(1, 120), st.integers(64, 1500)), min_size=1, max_size=5),
+    )
+    # J order and W order disagree: the shortest cell is the widest
+    @example(k=13, pick=5, s=30, cells=[(100, 64), (7, 1400), (50, 300), (7, 200), (100, 900)])
+    def test_matches_per_cell_loop(self, k, pick, s, cells):
+        group = enumerate_characters(k)
+        chi = group.characters[pick % len(group)]
+        cells = [(J, PrecisionContext(p)) for J, p in cells]
+        got = recursion._l_partial_sums(chi, s, cells)
+        assert got == [per_cell_partial_sum(chi, s, J, ctx) for J, ctx in cells]
+
+    def test_estimate_many_matches_estimate(self):
+        for chi, ns in ((K1, range(2, 31)), (G5.by_label(2), [6, 2, 4, 2]), (G9.by_label(3), [1, 7])):
+            for s in (1, 20, 97):
+                assert recursion.estimate_many(ns, s, chi) == [recursion.estimate(n, s, chi) for n in ns]
 
 
 class TestEulerProduct:
@@ -265,7 +329,7 @@ class TestEstimate:
             recursion.estimate(2, 50, K1, prec_bits=200)  # below the required 226
 
     def test_precision_loss_guard(self, monkeypatch):
-        monkeypatch.setattr(recursion, "residual", lambda *a, **k: BigComplex(ZERO, ZERO))
+        monkeypatch.setattr(recursion, "_residuals", lambda ns, *a: [BigComplex(ZERO, ZERO)] * len(ns))
         with pytest.raises(PrecisionLossError):
             recursion.estimate(2, 50, K1)
 
@@ -279,7 +343,7 @@ class TestEstimate:
         assert res.rounded == 9 and res.warning
         res = recursion.estimate(2, 600, chi, prec_bits=3200)
         assert res.rounded == 9 and res.warning
-        monkeypatch.setattr(recursion, "residual", lambda *a, **k: BigComplex(ZERO, ZERO))
+        monkeypatch.setattr(recursion, "_residuals", lambda ns, *a: [BigComplex(ZERO, ZERO)] * len(ns))
         with pytest.raises(PrecisionLossError, match=r"prec_bits \(--precision\)"):
             recursion.estimate(2, 600, chi)
 
@@ -451,7 +515,7 @@ class TestRounding:
 
 
 class TestCostGuard:
-    """Inputs whose projected cost (the kernels' J * W**2, plus the chain's for
+    """Inputs whose projected cost (the kernels' (J + 14) * W**2, plus the chain's for
     an estimate) exceeds the cap are refused before either kernel runs."""
 
     @pytest.fixture(autouse=True)
@@ -460,6 +524,7 @@ class TestCostGuard:
             raise AssertionError("the kernel ran")
 
         monkeypatch.setattr(recursion, "l_partial_sum", kernel)
+        monkeypatch.setattr(recursion, "_l_partial_sums", kernel)
         monkeypatch.setattr(recursion, "euler_product", kernel)
 
     def test_estimate(self):
@@ -468,9 +533,9 @@ class TestCostGuard:
 
     @pytest.mark.parametrize("s", [10**6, 10**7])
     def test_refused_before_sizing(self, monkeypatch, s):
-        # n = 2: the kernels alone pass at s = 10**6, but the chain's ln at
-        # about s * log2(6/5) bits would run for minutes; at 10**7 the
-        # kernels exceed the cap, and the base's s-th power alone takes seconds
+        # n = 2: at s = 10**6 the kernels project about 1.3e14 and the
+        # chain's ln at about s * log2(6/5) bits would run for minutes; at
+        # 10**7 the base's s-th power alone takes seconds
         def fail(*args):
             raise AssertionError("sized in full or ran ln")
 
@@ -480,7 +545,7 @@ class TestCostGuard:
             recursion.estimate(2, s, K1)
 
     def test_precision_override(self):
-        # n = 2, s = 50 needs 226 bits; 2**23 bits projects 5 * (2**23 + 112)**2
+        # n = 2, s = 50 needs 226 bits; 2**23 bits projects (5 + 14) * (2**23 + 112)**2
         with pytest.raises(UnsupportedSizeError, match="n=2, s=50"):
             recursion.estimate(2, 50, K1, prec_bits=1 << 23)
         # 10**6 bits pass the kernel cap, but the chain would run at about 10**6 bits
@@ -494,11 +559,28 @@ class TestCostGuard:
             d_table([1000], 20000, [4])
 
     def test_cap_is_the_boundary(self, monkeypatch):
-        # J = 5 at n = 2 and W = 412: with the cap at exactly J * W**2 the input passes
+        # J = 5 at n = 2 and W = 412; the projection is (J + 14) * W**2, 14 for
+        # the Euler product's final inversion: with the cap at exactly that
+        # the input passes
         ctx = PrecisionContext(300)
-        monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 5 * 412**2 - 1)
-        with pytest.raises(UnsupportedSizeError):
+        monkeypatch.setattr(recursion, "MAX_KERNEL_COST", (5 + 14) * 412**2 - 1)
+        with pytest.raises(UnsupportedSizeError, match=r"\(J \+ 14\)\*W\*\*2"):
             recursion.residual(2, 50, K1, ctx)
-        monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 5 * 412**2)
+        monkeypatch.setattr(recursion, "MAX_KERNEL_COST", (5 + 14) * 412**2)
         with pytest.raises(AssertionError, match="the kernel ran"):
             recursion.residual(2, 50, K1, ctx)
+
+    def test_projection_counts_the_inversion(self, monkeypatch):
+        # n = 2, s = 300000, trivial chi: the kernels took 6.4-6.6 s on a
+        # 2-vCPU x86 machine, most of it in the Euler product's final
+        # inversion, where J * W**2 alone projected 2.4 s at the documented
+        # 0.8e-12 s per unit; the projection must land within 2x of that
+        ctx = recursion.required_precision(2, 300000)
+        monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 0)
+        with pytest.raises(UnsupportedSizeError) as info:
+            recursion.residual(2, 300000, K1, ctx)
+        kernel = float(re.search(r"\*W\*\*2 = (\S+)", str(info.value)).group(1))
+        W = ctx.prec_bits + 112
+        assert kernel == pytest.approx((5 + 14) * W**2, rel=1e-2)
+        assert 6.5 / 2 <= kernel * 0.8e-12 <= 6.5 * 2
+        assert 5 * W**2 * 0.8e-12 < 6.5 / 2  # the model without the inversion
