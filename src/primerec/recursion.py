@@ -26,14 +26,25 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
  * Everything downstream of ``|residual|`` (the root, rounding, error and
    margin) runs at the width the subtraction left: ``P + top(|residual|)``
    surviving bits plus 64, clamped to ``[64, P]``.  The root is taken of
-   ``|residual|**2`` with order ``2 s``, so no square root is needed.
-   The chain runs once, at that width, and cannot lose a bit the residual
-   determines: the residual resolves only about
-   ``P + log2|residual| + 94`` bits relative (the kernel bound below plus
-   the rounding to ``P + 96`` bits), while the chain rounds the estimate to
-   ``width + 96 = P + log2|residual| + 160`` bits, with ``inv_root``
-   working 64 bits wider still.  Running it at ``P`` instead could only
-   re-derive bits the residual does not determine.
+   ``u = |residual|**2 * m1**(2s)`` with order ``2 s`` and multiplied by
+   ``m1``, so no square root is needed.  ``m1**(2s)`` is an exact integer
+   and ``u = 1 + O((m1/m2)**s)``, so ``ln(u)`` runs with exponent 0 (no
+   ``ln 2`` term), its atanh series gains about ``2 s log2(m2/m1)`` bits a
+   term, and exp's argument ``ln(u) / (2s)`` is as small, so exp skips most
+   of its squarings: the argument reduction of Brent & Zimmermann, *Modern
+   Computer Arithmetic*, ch. 4, by a factor the tail terms give.  The chain
+   runs once, at that width, and cannot lose a bit the residual determines:
+   the residual resolves only about ``P + log2|residual| + 94`` bits
+   relative (the kernel bound below plus the rounding to ``P + 96`` bits).
+   The chain rounds at ``width + 96 = P + log2|residual| + 160`` bits: u
+   twice (``m1**(2s)`` and the product), then the root and its product
+   with m1, at most a half-ulp each, and u's two reach the root divided by
+   ``2 s``.  ``inv_root`` works 64 bits wider, where ``ln(u)`` is small (a
+   few units at most, when many tail terms lie near m2), so its absolute
+   error is below ``|ln(u)| * 2**-(width + 159)``.  So the estimate is
+   within ``2**-(width + 94)`` relative, 64 bits below the last bit the
+   residual resolves.  Running the chain at ``P`` could only re-derive bits
+   the residual does not determine.
 
 Taking ``|residual| ** (-1/s)`` then lands within a shrinking distance of
 the next prime ``p_{n+1}`` as s grows, provided ``chi(p_{n+1}) != 0`` (when
@@ -48,26 +59,29 @@ exact).  The sum adds ``2**W // j**s`` into one integer per character
 value and multiplies each total by its root once; the product multiplies
 the factors ``1 - chi(p) * (2**W // p**s)`` and inverts the result once.
 Every rounding truncates toward zero, so conjugate characters give
-bit-conjugate results.  Before the conversion each component is within
-``J + c + 2 + 2 ln J`` units of ``2**-W`` for the sum: J from the terms,
-one truncation for each of the ``c`` values of chi other than 1 on 1..J,
-and 2 units of root error per unit of class total, the totals summing to
-at most ``1 + ln J``.  For the product, when ``s >= 2``, it is within
-``20 n + 2``: each factor is within 3.2 units (1 from ``2**W // p**s``,
-``2 sqrt 2 / p**s`` from the root, ``sqrt 2`` from truncation), the partial
-products stay below ``zeta(2) / zeta(4) < 1.52`` in magnitude, each product
-truncates by ``sqrt 2``, and the inversion scales the error by at most
-``zeta(2)**2 < 2.71`` and truncates once more.  At s = 1 the product's
-bound grows with its size.
+bit-conjugate results; a truncation by ``2**W`` is a signed shift, and only
+the product's final inversion divides.  Before the conversion each
+component is within ``J + c + 2 + 2 ln J`` units of ``2**-W`` for the sum:
+J from the terms, one truncation for each of the ``c`` values of chi other
+than 1 on 1..J, and 2 units of root error per unit of class total, the
+totals summing to at most ``1 + ln J``.  For the product, when
+``s >= 2``, it is within ``20 n + 2``: each factor is within 3.2 units (1
+from ``2**W // p**s``, ``2 sqrt 2 / p**s`` from the root, ``sqrt 2`` from
+truncation), the partial products stay below ``zeta(2) / zeta(4) < 1.52``
+in magnitude, each product truncates by ``sqrt 2``, and the inversion
+scales the error by at most ``zeta(2)**2 < 2.71`` and truncates once more.
+At s = 1 the product's bound grows with its size.
 
-The estimates of several n at one s (``estimate_many``) share the sum's
-divisions: each ``2**W // j**s`` is divided once, at the widest W among
-the cells whose J reaches j, and each of those cells adds it shifted right
-by the difference of the widths.  For integers ``A >= B >= 0`` and
-``d >= 1``, ``floor(floor(2**A / d) / 2**B) = floor(2**(A - B) / d)``, so
-every cell adds exactly the integers it would divide alone: its result,
-and the bound above, are unchanged, and no division is wider than one the
-cells would make alone.
+The estimates of several n at one s (``estimate_many``) share the
+divisions of both kernels: each ``2**W // j**s`` of the sum is divided
+once, at the widest W among the cells whose J reaches j, and each
+``2**W // p**s`` of the product once, at the widest W among the cells whose
+n reaches p.  Each of those cells takes the quotient shifted right by the
+difference of the widths.  For integers ``A >= B >= 0`` and ``d >= 1``,
+``floor(floor(2**A / d) / 2**B) = floor(2**(A - B) / d)``, so every cell
+uses exactly the integers it would divide alone: its result, and the bounds
+above, are unchanged, and no division is wider than one the cells would
+make alone.
 
 Exponent s is restricted to positive integers; s = 1 is accepted but of
 dubious value for the trivial character (the harmonic-like partial sum has
@@ -112,9 +126,9 @@ __all__ = [
 # at W = P + 112 bits, in CPython's schoolbook time: about c * J * W**2 with
 # c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine (the Euler product's
 # per-prime work included).  ``residual`` refuses a projected
-# (J + _INVERSION_WEIGHT) * W**2 above this cap (about 80 s there); the
-# precision sizing (``required_precision``, ``estimate``) refuses that plus
-# the chain cost below.
+# (J + _INVERSION_WEIGHT) * W**2, plus the computed roots' cost below, above
+# this cap (about 80 s there); the precision sizing (``required_precision``,
+# ``estimate``) refuses that plus the chain cost below.
 MAX_KERNEL_COST = 10**14
 # The Euler product ends in one inversion, whatever n is: a 3W-bit by 2W-bit
 # division per nonzero component.  On the same machine, at W = 400k bits,
@@ -123,14 +137,26 @@ MAX_KERNEL_COST = 10**14
 # residual of n = 2, s = 300000 (J = 5, W = 776k) 6.4 s where J * W**2
 # projected 2.4 s: about 7 units per division, 14 for both (9.1 s there).
 _INVERSION_WEIGHT = 14
-# The chain after the cancellation (``inv_root``'s ln and exp) runs at about
+# The chain after the cancellation (``inv_root``'s ln and exp of
+# u = |residual|**2 * m1**(2s), see ``_finish``) runs at about
 # w = s * log2(base / m1) + 160 bits, known from the tail terms before any
-# arithmetic.  ``ln``'s atanh series takes about w / 5 products of w-bit
-# integers in CPython's Karatsuba time, and on the same machine the chain of
-# n = 2, trivial chi took 0.09 s at w = 8k, 1.8 s at 26k, 8.7 s at 53k and
-# 19.8 s at 79k bits: about c' * w**2.5 with c' ~ 1.4e-11 s, which is
-# 17 * w**2.5 in the kernel's units of c.
-_CHAIN_WEIGHT = 17
+# arithmetic.  u - 1 is about (m1/m2)**s, so ln's atanh series gains about
+# g = 2 s log2(m2 / m1) bits a term (at least 5: its argument is below 0.172)
+# and exp's argument is as small: about w / g products of w-bit integers in
+# CPython's Karatsuba time.  On the same machine, with ``prec_bits``
+# overrides at n = 2 and trivial chi, the chain took 0.45 s at w = 30k bits
+# and g = 26, 3.6 s at 50k and g = 10, 1.28 s at 98k and g = 421, and 0.044 s
+# at 43k and g = 1578: at most 230 * w**2.5 / g in the kernel's units of c.
+# At the automatic precision g is about w, and the chain of n = 2 took
+# 0.003-0.09 s at w = 8k, 26k, 53k and 79k bits, below one unit of c * W**2,
+# which the kernels' (J + 14) * W**2 cover.
+_CHAIN_WEIGHT = 230
+# ``fixed_root`` computes a root of unity of order m not dividing 4 by the
+# sine's Taylor series at W bits, once per W for each such value of chi on
+# 1..J (the L-sum and the product share it).  One root of order 3, 6 or 7
+# took 775-1089 units of c * W**2 at W = 50k bits and 1343-1460 at 100k, and
+# 504-695 at 25k: under 5 * W**2.5.
+_ROOT_WEIGHT = 5
 
 
 @dataclass(frozen=True)
@@ -188,24 +214,35 @@ def _tail_terms(n: int, chi: DirichletCharacter):
         m += 1
 
 
-def _check_cost(n: int, s: int, ctx: PrecisionContext, terms: list) -> None:
+def _check_cost(
+    n: int, s: int, chi: Optional[DirichletCharacter], ctx: PrecisionContext, terms: list
+) -> None:
     """Refuse (n, s) at ``ctx`` when the projected cost exceeds the cap.
 
-    The kernels cost (J + _INVERSION_WEIGHT) * W**2.  With two tail terms an
-    estimate also runs the chain at about ``P - s * log2(m1) + 64`` bits
-    (``estimate`` clamps it to ``[64, P]``), which adds
-    ``_CHAIN_WEIGHT * w**2.5``.
+    The kernels cost (J + _INVERSION_WEIGHT) * W**2, plus
+    ``_ROOT_WEIGHT * W**2.5`` for each root of unity they compute.  With two
+    tail terms m1 < m2 an estimate also runs the chain at about
+    ``P - s * log2(m1) + 64`` bits (``estimate`` clamps it to ``[64, P]``),
+    which adds ``_CHAIN_WEIGHT * w**2.5 / g`` with g the series' gain.
     """
-    kernel = (2 * primes.nth_prime(n) - 1 + _INVERSION_WEIGHT) * _kernel_bits(ctx) ** 2
+    J = 2 * primes.nth_prime(n) - 1
+    W = _kernel_bits(ctx)
+    kernel = (J + _INVERSION_WEIGHT) * W**2
+    values = [] if chi is None else chi.table[: J + 1]
+    roots = len({(v.a, v.m) for v in values if not v.is_zero and 4 % v.m})
+    root_cost = roots * _ROOT_WEIGHT * W**2 * math.isqrt(W)
     chain = 0
     if len(terms) == 2:
-        w = min(max(ctx.prec_bits - math.floor(s * math.log2(terms[0])) + 64, 64), ctx.prec_bits)
-        chain = _CHAIN_WEIGHT * w * w * math.isqrt(w)
-    if kernel + chain > MAX_KERNEL_COST:
+        m1, m2 = terms
+        w = min(max(ctx.prec_bits - math.floor(s * math.log2(m1)) + 64, 64), ctx.prec_bits)
+        gain = max(5, math.floor(2 * s * math.log2(m2 / m1)))
+        chain = _CHAIN_WEIGHT * w * w * math.isqrt(w) // gain
+    if kernel + root_cost + chain > MAX_KERNEL_COST:
         raise UnsupportedSizeError(
             f"n={n}, s={s} at {ctx.prec_bits} bits projects a kernel cost "
-            f"(J + {_INVERSION_WEIGHT})*W**2 = {kernel:.2e} "
-            f"plus a chain cost of {chain:.2e} bit**2, above the cap of {MAX_KERNEL_COST:.0e}"
+            f"(J + {_INVERSION_WEIGHT})*W**2 = {kernel:.2e} plus {roots} computed roots of unity "
+            f"at {_ROOT_WEIGHT}*W**2.5 = {root_cost:.2e} plus a chain cost of {chain:.2e} bit**2, "
+            f"above the cap of {MAX_KERNEL_COST:.0e}"
         )
 
 
@@ -230,7 +267,8 @@ def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
         m1, m2 = terms
         quarter_turn = chi(m2).mul(chi(m1).conjugate()).m == 4
         base = max(base, Fraction(m2 * m2, m1) if quarter_turn else Fraction(m2))
-    _check_cost(n, s, PrecisionContext(max(64, math.ceil(s * math.log2(base)) - 1 + 96)), terms)
+    lower = PrecisionContext(max(64, math.ceil(s * math.log2(base)) - 1 + 96))
+    _check_cost(n, s, chi, lower, terms)
     bits = (math.ceil(base**s) - 1).bit_length()
     return PrecisionContext(max(64, bits + 96)), terms
 
@@ -258,9 +296,28 @@ def _trunc(v: int, d: int) -> int:
     return v // d if v >= 0 else -(-v // d)
 
 
+def _shr(v: int, bits: int) -> int:
+    """v / 2**bits rounded toward zero: ``_trunc(v, 2**bits)`` as a shift."""
+    return v >> bits if v >= 0 else -(-v >> bits)
+
+
 def _kernel_bits(ctx: PrecisionContext) -> int:
     """W, the kernels' fixed-point scale: 16 guard bits past the context's."""
     return ctx.prec_bits + GUARD_BITS + 16
+
+
+def _bands(limits: list, widths: list):
+    """Split ``(0, max(limits)]`` at the distinct limits of the cells.
+
+    For each band ``(lo, hi]`` yields ``lo``, ``hi``, the widest of
+    ``widths`` among the cells whose limit is at least ``hi`` (exactly the
+    cells that reach every index of the band) and those cells' indices.
+    """
+    lo = 0
+    for hi in sorted(set(limits)):
+        reach = [i for i, limit in enumerate(limits) if limit >= hi]
+        yield lo, hi, max(widths[i] for i in reach), reach
+        lo = hi
 
 
 def l_partial_sum(
@@ -289,31 +346,25 @@ def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
         cls.append(-1 if v.is_zero else roots.setdefault((v.a, v.m), len(roots)))
     widths = [_kernel_bits(ctx) for _, ctx in cells]
     totals = [[0] * len(roots) for _ in cells]
-    lo = 0
-    for hi in sorted({J for J, _ in cells}):
-        # every j in (lo, hi] is reached by exactly the cells with J >= hi
-        active = [(t, W) for (J, _), W, t in zip(cells, widths, totals) if J >= hi]
-        wide = max(W for _, W in active)
+    for lo, hi, wide, reach in _bands([J for J, _ in cells], widths):
         one = 1 << wide
-        active = [(t, wide - W) for t, W in active]
+        active = [(totals[i], wide - widths[i]) for i in reach]
         for j in range(lo + 1, hi + 1):
             c = cls[j % k]
             if c >= 0:
                 x = one // j**s
                 for t, shift in active:
                     t[c] += x >> shift
-        lo = hi
     out = []
     for (_, ctx), W, t in zip(cells, widths, totals):
-        one = 1 << W
         re = im = 0
         for (a, m), total in zip(roots, t):
             if a == 0:
                 re += total
             elif total:
                 cos, sin = fixed_root(a, m, W)
-                re += _trunc(total * cos, one)
-                im += _trunc(total * sin, one)
+                re += _shr(total * cos, W)
+                im += _shr(total * sin, W)
         out.append(BigComplex(ctx.from_fixed(re, W), ctx.from_fixed(im, W)))
     return out
 
@@ -326,25 +377,49 @@ def euler_product(
     A vanishing chi(p) contributes a factor of exactly 1 and is skipped.
     """
     _check_n_s(n, s)
-    W = _kernel_bits(ctx)
-    one = 1 << W
-    re, im = one, 0
-    for p in primes.first_n_primes(n):
-        v = chi(p)
-        if v.is_zero:
-            continue
-        x = one // p**s
-        if v.a == 0:
-            fr, fi = one - x, 0
-        else:
-            cos, sin = fixed_root(v.a, v.m, W)
-            fr, fi = one - _trunc(x * cos, one), -_trunc(x * sin, one)
-        re, im = _trunc(re * fr - im * fi, one), _trunc(re * fi + im * fr, one)
-    den = re * re + im * im
-    return BigComplex(
-        ctx.from_fixed(_trunc(re << 2 * W, den), W),
-        ctx.from_fixed(_trunc(-im << 2 * W, den), W),
-    )
+    return _euler_products(chi, s, [(n, ctx)])[0]
+
+
+def _euler_products(chi: DirichletCharacter, s: int, cells: list) -> list:
+    """``euler_product(chi, s, n, ctx)`` for every ``(n, ctx)`` in ``cells``.
+
+    Each ``2**W // p**s`` is divided once, at the widest W among the cells
+    whose n reaches p, and each of those cells takes it shifted down to its
+    own W, as in ``_l_partial_sums``.
+    """
+    widths = [_kernel_bits(ctx) for _, ctx in cells]
+    ns = [n for n, _ in cells]
+    ps = primes.first_n_primes(max(ns))
+    # per prime: (chi(p), its widest W, 2**wide // p**s), or None where chi(p) = 0
+    terms = []
+    for lo, hi, wide, _ in _bands(ns, widths):
+        one = 1 << wide
+        for p in ps[lo:hi]:
+            v = chi(p)
+            terms.append(None if v.is_zero else (v, wide, one // p**s))
+    out = []
+    for (n, ctx), W in zip(cells, widths):
+        one = 1 << W
+        re, im = one, 0
+        for term in terms[:n]:
+            if term is None:
+                continue
+            v, wide, x = term
+            x >>= wide - W
+            if v.a == 0:
+                fr, fi = one - x, 0
+            else:
+                cos, sin = fixed_root(v.a, v.m, W)
+                fr, fi = one - _shr(x * cos, W), -_shr(x * sin, W)
+            re, im = _shr(re * fr - im * fi, W), _shr(re * fi + im * fr, W)
+        den = re * re + im * im
+        out.append(
+            BigComplex(
+                ctx.from_fixed(_trunc(re << 2 * W, den), W),
+                ctx.from_fixed(_trunc(-im << 2 * W, den), W),
+            )
+        )
+    return out
 
 
 def residual(
@@ -358,23 +433,26 @@ def residual(
     Computed under ``required_precision(n, s, chi)`` unless an explicit
     context is supplied (a larger one is useful for precision-stability
     checks).  An input whose projected kernel cost
-    ``(J + _INVERSION_WEIGHT) * W**2`` exceeds ``MAX_KERNEL_COST`` raises
-    ``UnsupportedSizeError`` before either kernel runs.
+    ``(J + _INVERSION_WEIGHT) * W**2``, plus ``_ROOT_WEIGHT * W**2.5`` for
+    each root of unity the kernels compute, exceeds ``MAX_KERNEL_COST``
+    raises ``UnsupportedSizeError`` before either kernel runs.
     """
     _check_n_s(n, s)
     if ctx is None:
         ctx = required_precision(n, s, chi)
-    _check_cost(n, s, ctx, [])
+    _check_cost(n, s, chi, ctx, [])
     return _residuals([n], s, chi, [ctx])[0]
 
 
 def _residuals(ns, s: int, chi: DirichletCharacter, ctxs: list) -> list:
     """``residual(n, s, chi, ctx)`` for each n in ``ns`` and its context in
-    ``ctxs``, the L-sums in one pass; the costs are checked by the caller."""
-    cells = [(2 * primes.nth_prime(n) - 1, ctx) for n, ctx in zip(ns, ctxs)]
+    ``ctxs``, the L-sums in one pass and the products in another; the costs
+    are checked by the caller."""
+    cells = list(zip(ns, ctxs))
+    sums = _l_partial_sums(chi, s, [(2 * primes.nth_prime(n) - 1, ctx) for n, ctx in cells])
+    products = _euler_products(chi, s, cells)
     out = []
-    for n, ctx, a in zip(ns, ctxs, _l_partial_sums(chi, s, cells)):
-        b = euler_product(chi, s, n, ctx)
+    for ctx, a, b in zip(ctxs, sums, products):
         out.append(BigComplex(ctx.sub(a.re, b.re), ctx.sub(a.im, b.im)))
     return out
 
@@ -444,7 +522,7 @@ def _working_precision(n: int, s: int, chi: DirichletCharacter, prec_bits: Optio
             f"{req.prec_bits} bits required for n={n}, s={s}"
         )
     ctx = PrecisionContext(prec_bits)
-    _check_cost(n, s, ctx, terms)
+    _check_cost(n, s, chi, ctx, terms)
     return ctx, terms
 
 
@@ -473,7 +551,10 @@ def _finish(
         # top(|residual|) = (top(|residual|**2) + 1) // 2
         width = min(max(ctx.prec_bits + (_top(sq) + 1) // 2 + 64, 64), ctx.prec_bits)
         chain = PrecisionContext(width)
-        est = chain.inv_root(sq, 2 * s)
+        # the root of u = |residual|**2 * m1**(2s) = 1 + O((m1/m2)**s), scaled back by m1
+        m1 = terms[0]
+        u = chain.mul(sq, chain.from_int(m1 ** (2 * s)))
+        est = chain.mul(chain.from_int(m1), chain.inv_root(u, 2 * s))
         rounded = nearest_int(est)
         error = chain.abs(chain.sub(chain.from_int(target), est))
         margin = chain.abs(chain.sub(est, chain.from_int(rounded)))

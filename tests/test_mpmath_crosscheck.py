@@ -113,6 +113,16 @@ class TestPipelineAgainstMpmath:
         _, err_ref = estimate_mp(2, 2000, keller_one())
         assert abs(bf_mp(res.error) - err_ref) <= err_ref * mp.mpf(2) ** -64
 
+    def test_chain_far_from_one(self):
+        # n = 30, s = 25: the chain's argument |residual|**2 * 127**50 is
+        # about 3, not near 1, since (127/131)**25 ~ 0.46 and many tail terms
+        # follow; the estimate rounds to 124, not the target 127
+        res = recursion.estimate(30, 25, keller_one())
+        est, err = estimate_mp(30, 25, keller_one())
+        margin = abs(est - res.rounded)
+        for got, want in ((res.estimate, est), (res.error, err), (res.margin, margin)):
+            assert abs(bf_mp(got) - want) <= want * mp.mpf(2) ** -64
+
     @pytest.mark.parametrize(
         "modulus,label,s,field",
         [

@@ -96,15 +96,16 @@ class TestPartialSum:
             recursion.l_partial_sum(K1, 0, 5, CTX)
 
 
+def trunc(v: int, d: int) -> int:
+    """v / d rounded toward zero (d > 0)."""
+    return v // d if v >= 0 else -(-v // d)
+
+
 def per_cell_partial_sum(chi, s: int, J: int, ctx) -> BigComplex:
     """The one-cell L-sum loop the shared pass replaced: each cell divides
     ``2**W // j**s`` at its own W and groups the terms by character value."""
     W = ctx.prec_bits + GUARD_BITS + 16
     one = 1 << W
-
-    def trunc(v):  # v / 2**W rounded toward zero
-        return v // one if v >= 0 else -(-v // one)
-
     classes = {}
     for j in range(1, J + 1):
         v = chi(j)
@@ -116,15 +117,39 @@ def per_cell_partial_sum(chi, s: int, J: int, ctx) -> BigComplex:
             real += total
         else:
             cos, sin = fixed_root(v.a, v.m, W)
-            real += trunc(total * cos)
-            imag += trunc(total * sin)
+            real += trunc(total * cos, one)
+            imag += trunc(total * sin, one)
     return BigComplex(ctx.from_fixed(real, W), ctx.from_fixed(imag, W))
 
 
+def per_cell_euler_product(chi, s: int, n: int, ctx) -> BigComplex:
+    """The one-cell product loop the shared pass replaced: each cell divides
+    ``2**W // p**s`` at its own W and truncates by dividing by ``2**W``."""
+    W = ctx.prec_bits + GUARD_BITS + 16
+    one = 1 << W
+    re, im = one, 0
+    for p in first_n_primes(n):
+        v = chi(p)
+        if v.is_zero:
+            continue
+        x = one // p**s
+        if v.a == 0:
+            fr, fi = one - x, 0
+        else:
+            cos, sin = fixed_root(v.a, v.m, W)
+            fr, fi = one - trunc(x * cos, one), -trunc(x * sin, one)
+        re, im = trunc(re * fr - im * fi, one), trunc(re * fi + im * fr, one)
+    den = re * re + im * im
+    return BigComplex(
+        ctx.from_fixed(trunc(re << 2 * W, den), W), ctx.from_fixed(trunc(-im << 2 * W, den), W)
+    )
+
+
 class TestSharedPass:
-    """The pass over j shared by several (J, precision) cells gives each cell
-    the bits of its own per-cell loop: ``floor(floor(2**A / d) / 2**B)`` is
-    ``floor(2**(A - B) / d)``."""
+    """The passes shared by several cells (an L-sum's (J, precision), a
+    product's (n, precision)) give each cell the bits of its own per-cell
+    loop: ``floor(floor(2**A / d) / 2**B)`` is ``floor(2**(A - B) / d)``, and
+    a signed shift truncates as the division by ``2**W`` did."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -141,6 +166,22 @@ class TestSharedPass:
         cells = [(J, PrecisionContext(p)) for J, p in cells]
         got = recursion._l_partial_sums(chi, s, cells)
         assert got == [per_cell_partial_sum(chi, s, J, ctx) for J, ctx in cells]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 24),
+        pick=st.integers(0, 10**6),
+        s=st.integers(1, 60),
+        cells=st.lists(st.tuples(st.integers(1, 30), st.integers(64, 1500)), min_size=1, max_size=5),
+    )
+    # n order and W order disagree: the smallest n is the widest
+    @example(k=13, pick=5, s=30, cells=[(30, 64), (3, 1400), (12, 300), (3, 200), (30, 900)])
+    def test_products_match_per_cell_loop(self, k, pick, s, cells):
+        group = enumerate_characters(k)
+        chi = group.characters[pick % len(group)]
+        cells = [(n, PrecisionContext(p)) for n, p in cells]
+        got = recursion._euler_products(chi, s, cells)
+        assert got == [per_cell_euler_product(chi, s, n, ctx) for n, ctx in cells]
 
     def test_estimate_many_matches_estimate(self):
         for chi, ns in ((K1, range(2, 31)), (G5.by_label(2), [6, 2, 4, 2]), (G9.by_label(3), [1, 7])):
@@ -361,13 +402,17 @@ def exact_estimate(n: int, s: int, chi, digits: int) -> Fraction:
 class TestDownstreamWidth:
     """Root, error and margin run once, at the width the cancellation left.
 
-    The reference is the full-width chain: everything after |residual| at
-    the residual's own precision.  The cells cover the width clamped to P
-    (s = 20) and the narrow width (also for mod 9, n = 1, where chi(3) = 0).
-    Two cells have leading tail terms that differ in phase by +-i, so the
-    first-order part of a distance cancels: the margin of mod 5 (target 5
-    with chi(5) = 0, terms 6 and 8) and the error of mod 16 (terms 5 and 9).
-    Sized from m2**2 / m1 they run at the narrow width too.
+    The chain takes the root of u = |residual|**2 * m1**(2s) and scales it
+    back by m1; the reference is the full-width chain of |residual|**2
+    itself, everything after |residual| at the residual's own precision.
+    The cells cover the width clamped to P (s = 20) and the narrow width
+    (also for mod 9, n = 1, where chi(3) = 0).  Two cells have leading tail
+    terms that differ in phase by +-i, so the first-order part of a distance
+    cancels: the margin of mod 5 (target 5 with chi(5) = 0, terms 6 and 8)
+    and the error of mod 16 (terms 5 and 9).  Sized from m2**2 / m1 they run
+    at the narrow width too.  At n = 30, s = 20 and 25 u is far from 1
+    (3 to 4: (127/131)**s is about 0.5 and many tail terms follow), and mod
+    10 at n = 2 scales by m1 = 9, not the target 5.
     """
 
     @pytest.mark.parametrize(
@@ -379,6 +424,9 @@ class TestDownstreamWidth:
             (5, 2, 2, 600, "narrow"),
             (9, 2, 1, 200, "narrow"),
             (16, 2, 2, 300, "narrow"),
+            (1, 1, 30, 20, "narrow"),
+            (1, 1, 30, 25, "narrow"),
+            (10, 1, 2, 600, "narrow"),
         ],
     )
     def test_matches_full_width_chain(self, monkeypatch, modulus, label, n, s, widths):
@@ -515,8 +563,9 @@ class TestRounding:
 
 
 class TestCostGuard:
-    """Inputs whose projected cost (the kernels' (J + 14) * W**2, plus the chain's for
-    an estimate) exceeds the cap are refused before either kernel runs."""
+    """Inputs whose projected cost (the kernels' (J + 14) * W**2 and computed roots,
+    plus the chain's for an estimate) exceeds the cap are refused before either
+    kernel runs."""
 
     @pytest.fixture(autouse=True)
     def no_kernel(self, monkeypatch):
@@ -526,6 +575,7 @@ class TestCostGuard:
         monkeypatch.setattr(recursion, "l_partial_sum", kernel)
         monkeypatch.setattr(recursion, "_l_partial_sums", kernel)
         monkeypatch.setattr(recursion, "euler_product", kernel)
+        monkeypatch.setattr(recursion, "_euler_products", kernel)
 
     def test_estimate(self):
         with pytest.raises(UnsupportedSizeError, match=r"n=100000, s=100000 .* above the cap of 1e\+14"):
@@ -533,9 +583,8 @@ class TestCostGuard:
 
     @pytest.mark.parametrize("s", [10**6, 10**7])
     def test_refused_before_sizing(self, monkeypatch, s):
-        # n = 2: at s = 10**6 the kernels project about 1.3e14 and the
-        # chain's ln at about s * log2(6/5) bits would run for minutes; at
-        # 10**7 the base's s-th power alone takes seconds
+        # n = 2: at s = 10**6 the kernels project about 1.3e14; at 10**7
+        # the base's s-th power alone takes seconds
         def fail(*args):
             raise AssertionError("sized in full or ran ln")
 
@@ -548,9 +597,25 @@ class TestCostGuard:
         # n = 2, s = 50 needs 226 bits; 2**23 bits projects (5 + 14) * (2**23 + 112)**2
         with pytest.raises(UnsupportedSizeError, match="n=2, s=50"):
             recursion.estimate(2, 50, K1, prec_bits=1 << 23)
-        # 10**6 bits pass the kernel cap, but the chain would run at about 10**6 bits
-        with pytest.raises(UnsupportedSizeError, match=r"n=2, s=50 at 1000000 bits .* chain cost of 1\.70e\+16"):
+        # 10**6 bits pass the kernel cap, but the chain would run at about
+        # 10**6 bits, gaining only 2 * 50 * log2(6/5) = 26 bits a series term
+        # (10.4 s at 10**5 bits on a 2-vCPU x86 machine, growing as w**2.5)
+        with pytest.raises(UnsupportedSizeError, match=r"n=2, s=50 at 1000000 bits .* chain cost of 8\.84e\+15"):
             recursion.estimate(2, 50, K1, prec_bits=10**6)
+
+    def test_computed_roots(self):
+        # mod 7 label 2 takes four values of order 3 or 6 on 1..9 (n = 3),
+        # each a sine series at W bits: at W = 200112 they project
+        # 4 * 5 * W**2.5 = 3.6e14, where the kernels' (9 + 14) * W**2 = 9.2e11
+        # and the chain (s = 2000, m1 = 10, m2 = 12) stay below the cap
+        chi = enumerate_characters(7).by_label(2)
+        roots = r"4 computed roots of unity at 5\*W\*\*2\.5 = 3\.58e\+14"
+        with pytest.raises(UnsupportedSizeError, match=rf"n=3, s=2000 .* {roots}"):
+            recursion.estimate(3, 2000, chi, prec_bits=200000)
+        # the trivial character and a character of order 4 compute no root
+        for chi in (K1, G5.by_label(2)):
+            with pytest.raises(AssertionError, match="the kernel ran"):
+                recursion.estimate(3, 2000, chi, prec_bits=200000)
 
     def test_scaled_residual_and_dtable(self):
         with pytest.raises(UnsupportedSizeError):
