@@ -16,8 +16,8 @@ command evaluates every distinct ``(n, s, character)`` estimate once, in
 one fan-out over worker processes (the trivial character's errors, for
 instance, are shared by every row of a table); results are collected by
 grid index, so output is bit-identical to a sequential run.  A series task
-holds every n of one s (``recursion.estimate_many``), so their L-sums share
-one pass of divisions; a table keeps one task per cell.
+holds every n of one s (``recursion.estimate_many``), so they share one
+running pass of each kernel; a table keeps one task per cell.
 
 The CLI renders these results with the CSV schemas below (floats with 17
 significant digits):

@@ -43,7 +43,8 @@ Algorithms
    the integer square root of ``1 - sin**2`` run 32 bits past the requested
    scale and are truncated toward zero.  The folding makes conjugate
    exponents give equal cosines and exactly negated sines, and quarter and
-   half turns exact.
+   half turns exact; the cache is keyed by the folded angle, so a value and
+   its conjugate share one series.
 
 Constants (pi, ln 2) and roots of unity are memoised per precision behind a
 lock, safe for concurrent readers; only the few most recently created
@@ -251,7 +252,7 @@ def _div(x: BigFloat, y: BigFloat, wp: int) -> BigFloat:
 _CACHED_PRECISIONS = 16
 _CACHE_LOCK = threading.Lock()
 _CONST_CACHE: dict = {}  # bits -> {name: fixed-point int}
-_ROOT_CACHE: dict = {}  # bits -> {(a, m): (cos, sin) fixed-point ints}
+_ROOT_CACHE: dict = {}  # bits -> {(p, q): first-octant (sin, cos) fixed-point ints}
 
 
 def _level(cache: dict, bits: int) -> dict:
@@ -349,17 +350,14 @@ def fixed_root(a: int, m: int, bits: int) -> tuple[int, int]:
     toward zero and within 2 units of the exact value (a reduced mod m).
 
     Conjugate exponents (a and m-a) give equal cosines and exactly negated
-    sines, and quarter and half turns are exact, by construction.
+    sines, and quarter and half turns are exact, by construction.  The cache
+    holds the folded first-octant angle, so a value and its conjugate share
+    one series.
     """
     if m < 1:
         raise DomainError(f"root of unity modulus must be positive, got {m}")
-    a %= m
-    level = _level(_ROOT_CACHE, bits)
-    got = level.get((a, m))
-    if got is not None:
-        return got
     # fold a/m exactly into the first octant as p/q, tracking sign swaps
-    p, q = a, m
+    p, q = a % m, m
     sin_sign = cos_sign = 1
     if 2 * p > q:  # a/m -> 1 - a/m
         p, sin_sign = q - p, -1
@@ -368,12 +366,16 @@ def fixed_root(a: int, m: int, bits: int) -> tuple[int, int]:
     swap = 8 * p > q  # -> 1/4 - p/q, sine and cosine exchanged
     if swap:
         p, q = q - 4 * p, 4 * q
-    sin_fp, cos_fp = _fp_sin_cos(p, q, bits + 32)
+    level = _level(_ROOT_CACHE, bits)
+    got = level.get((p, q))
+    if got is None:
+        sin_fp, cos_fp = _fp_sin_cos(p, q, bits + 32)
+        with _CACHE_LOCK:
+            got = level.setdefault((p, q), (sin_fp >> 32, cos_fp >> 32))
+    sin_fp, cos_fp = got
     if swap:
         sin_fp, cos_fp = cos_fp, sin_fp
-    val = (cos_sign * (cos_fp >> 32), sin_sign * (sin_fp >> 32))
-    with _CACHE_LOCK:
-        return level.setdefault((a, m), val)
+    return cos_sign * cos_fp, sin_sign * sin_fp
 
 
 GUARD_BITS = 96

@@ -72,16 +72,29 @@ in magnitude, each product truncates by ``sqrt 2``, and the inversion
 scales the error by at most ``zeta(2)**2 < 2.71`` and truncates once more.
 At s = 1 the product's bound grows with its size.
 
-The estimates of several n at one s (``estimate_many``) share the
-divisions of both kernels: each ``2**W // j**s`` of the sum is divided
-once, at the widest W among the cells whose J reaches j, and each
-``2**W // p**s`` of the product once, at the widest W among the cells whose
-n reaches p.  Each of those cells takes the quotient shifted right by the
-difference of the widths.  For integers ``A >= B >= 0`` and ``d >= 1``,
-``floor(floor(2**A / d) / 2**B) = floor(2**(A - B) / d)``, so every cell
-uses exactly the integers it would divide alone: its result, and the bounds
-above, are unchanged, and no division is wider than one the cells would
-make alone.
+The estimates of several n at one s (``estimate_many``) share one pass of
+each kernel.  The indices are split into bands at the cells' limits (J for
+the sum, n for the product), and each band runs at the widest W among the
+cells that reach all of it; that width can only shrink from one band to the
+next.  The sum keeps one running total per character value and the product
+one running product, at the current band's width, and shifts them down
+where the width narrows.  So each ``2**W // j**s`` is added once, each
+factor multiplied once with its root taken at its band's width, and no
+division, product or root runs wider than the widest cell that reaches its
+index, which is the cost ``_check_cost`` projects for that cell.  A cell
+reads the pass where its band ends: the sum rotates the totals at that
+band's width, the product takes the running product, and the cell shifts
+the value to its own W (the product is then inverted there).  Every unit
+above is at a width at least the cell's W, so the bounds hold, and each
+narrowing band plus the final shift adds one truncation per running
+component.  A cell whose band is the pass's t-th (t <= n) is thus within
+``J + c + 2 + 2 ln J + (c + 1) t`` units for the sum (each truncated
+total moves a component by under a unit) and ``20 n + 2 + 6 t`` for the
+product (a truncated product moves by under ``sqrt 2``, which the later
+factors scale by at most 1.52 and the inversion by 2.71).  A single cell
+runs at its own W throughout and is within the bounds of the paragraph
+above; with several cells, results may move by a few units of ``2**-W``
+from the single-cell ones.
 
 Exponent s is restricted to positive integers; s = 1 is accepted but of
 dubious value for the trivial character (the harmonic-like partial sum has
@@ -92,7 +105,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
@@ -152,8 +164,9 @@ _INVERSION_WEIGHT = 14
 # which the kernels' (J + 14) * W**2 cover.
 _CHAIN_WEIGHT = 230
 # ``fixed_root`` computes a root of unity of order m not dividing 4 by the
-# sine's Taylor series at W bits, once per W for each such value of chi on
-# 1..J (the L-sum and the product share it).  One root of order 3, 6 or 7
+# sine's Taylor series at W bits, at most once per W for each such value of
+# chi on 1..J (the L-sum and the product share it, and so do a value and its
+# conjugate, which the count below takes twice).  One root of order 3, 6 or 7
 # took 775-1089 units of c * W**2 at W = 50k bits and 1343-1460 at 100k, and
 # 504-695 at 25k: under 5 * W**2.5.
 _ROOT_WEIGHT = 5
@@ -261,16 +274,20 @@ def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
             f"n={n}, s={s} projects a kernel cost above 12*s**2 bit**2, "
             f"far above the cap of {MAX_KERNEL_COST:.0e}"
         )
-    base = Fraction(2 * primes.nth_prime(n))
+    # the base as num / den, den = 1 unless it is m2**2 / m1
+    num, den = 2 * primes.nth_prime(n), 1
     terms = [] if chi is None else list(islice(_tail_terms(n, chi), 2))
     if len(terms) == 2:
         m1, m2 = terms
         quarter_turn = chi(m2).mul(chi(m1).conjugate()).m == 4
-        base = max(base, Fraction(m2 * m2, m1) if quarter_turn else Fraction(m2))
-    lower = PrecisionContext(max(64, math.ceil(s * math.log2(base)) - 1 + 96))
+        other = (m2 * m2, m1) if quarter_turn else (m2, 1)
+        if other[0] * den > num * other[1]:
+            num, den = other
+    lower = PrecisionContext(max(64, math.ceil(s * math.log2(num / den)) - 1 + 96))
     _check_cost(n, s, chi, lower, terms)
-    bits = (math.ceil(base**s) - 1).bit_length()
-    return PrecisionContext(max(64, bits + 96)), terms
+    # ceil(base**s) - 1 in integers
+    top = num**s - 1 if den == 1 else -(-(num**s) // den**s) - 1
+    return PrecisionContext(max(64, top.bit_length() + 96)), terms
 
 
 def required_precision(
@@ -309,14 +326,16 @@ def _kernel_bits(ctx: PrecisionContext) -> int:
 def _bands(limits: list, widths: list):
     """Split ``(0, max(limits)]`` at the distinct limits of the cells.
 
-    For each band ``(lo, hi]`` yields ``lo``, ``hi``, the widest of
-    ``widths`` among the cells whose limit is at least ``hi`` (exactly the
-    cells that reach every index of the band) and those cells' indices.
+    For each band ``(lo, hi]``, in ascending order, yields ``lo``, ``hi``,
+    the widest of ``widths`` among the cells whose limit is at least ``hi``
+    (exactly the cells that reach every index of the band, so it never grows
+    from one band to the next) and the indices of the cells whose limit is
+    ``hi``.
     """
     lo = 0
     for hi in sorted(set(limits)):
-        reach = [i for i, limit in enumerate(limits) if limit >= hi]
-        yield lo, hi, max(widths[i] for i in reach), reach
+        wide = max(w for limit, w in zip(limits, widths) if limit >= hi)
+        yield lo, hi, wide, [i for i, limit in enumerate(limits) if limit == hi]
         lo = hi
 
 
@@ -334,38 +353,40 @@ def l_partial_sum(
 def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
     """``l_partial_sum(chi, s, J, ctx)`` for every ``(J, ctx)`` in ``cells``, in one pass over j.
 
-    Each ``2**W // j**s`` is divided once, at the widest W among the cells
-    whose J reaches j, and each of those cells adds it shifted down to its
-    own W (see the module docstring), so every cell's terms are the ones it
-    would divide alone.
+    One total per character value runs at the width of the current band
+    (``_bands``) and is shifted down where that width narrows; each
+    ``2**W // j**s`` is added once.  A cell rotates the totals where its band
+    ends, at that band's width, and shifts the result to its own W (see the
+    module docstring).
     """
     k = chi.modulus
     # class of chi(r) for every residue r a term reaches; -1 where chi vanishes
     roots, cls = {}, []
-    for v in chi.table[: max((J for J, _ in cells), default=0) + 1]:
+    for v in chi.table[: max(J for J, _ in cells) + 1]:
         cls.append(-1 if v.is_zero else roots.setdefault((v.a, v.m), len(roots)))
     widths = [_kernel_bits(ctx) for _, ctx in cells]
-    totals = [[0] * len(roots) for _ in cells]
-    for lo, hi, wide, reach in _bands([J for J, _ in cells], widths):
-        one = 1 << wide
-        active = [(totals[i], wide - widths[i]) for i in reach]
+    out = [None] * len(cells)
+    totals, cur = [0] * len(roots), max(widths)
+    for lo, hi, wide, ending in _bands([J for J, _ in cells], widths):
+        totals = [t >> (cur - wide) for t in totals]
+        cur, one = wide, 1 << wide
         for j in range(lo + 1, hi + 1):
             c = cls[j % k]
             if c >= 0:
-                x = one // j**s
-                for t, shift in active:
-                    t[c] += x >> shift
-    out = []
-    for (_, ctx), W, t in zip(cells, widths, totals):
+                totals[c] += one // j**s
         re = im = 0
-        for (a, m), total in zip(roots, t):
+        for (a, m), total in zip(roots, totals):
             if a == 0:
                 re += total
             elif total:
-                cos, sin = fixed_root(a, m, W)
-                re += _shr(total * cos, W)
-                im += _shr(total * sin, W)
-        out.append(BigComplex(ctx.from_fixed(re, W), ctx.from_fixed(im, W)))
+                cos, sin = fixed_root(a, m, wide)
+                re += _shr(total * cos, wide)
+                im += _shr(total * sin, wide)
+        for i in ending:
+            ctx, W = cells[i][1], widths[i]
+            out[i] = BigComplex(
+                ctx.from_fixed(_shr(re, wide - W), W), ctx.from_fixed(_shr(im, wide - W), W)
+            )
     return out
 
 
@@ -381,44 +402,40 @@ def euler_product(
 
 
 def _euler_products(chi: DirichletCharacter, s: int, cells: list) -> list:
-    """``euler_product(chi, s, n, ctx)`` for every ``(n, ctx)`` in ``cells``.
+    """``euler_product(chi, s, n, ctx)`` for every ``(n, ctx)`` in ``cells``, in one pass over p.
 
-    Each ``2**W // p**s`` is divided once, at the widest W among the cells
-    whose n reaches p, and each of those cells takes it shifted down to its
-    own W, as in ``_l_partial_sums``.
+    One complex product runs as in ``_l_partial_sums``, each factor
+    multiplied once at its band's width with its root taken there.  A cell
+    shifts the product to its own W where its band ends and inverts it there.
     """
     widths = [_kernel_bits(ctx) for _, ctx in cells]
     ns = [n for n, _ in cells]
     ps = primes.first_n_primes(max(ns))
-    # per prime: (chi(p), its widest W, 2**wide // p**s), or None where chi(p) = 0
-    terms = []
-    for lo, hi, wide, _ in _bands(ns, widths):
-        one = 1 << wide
+    out = [None] * len(cells)
+    cur = max(widths)
+    re, im = 1 << cur, 0
+    for lo, hi, wide, ending in _bands(ns, widths):
+        re, im = _shr(re, cur - wide), _shr(im, cur - wide)
+        cur, one = wide, 1 << wide
         for p in ps[lo:hi]:
             v = chi(p)
-            terms.append(None if v.is_zero else (v, wide, one // p**s))
-    out = []
-    for (n, ctx), W in zip(cells, widths):
-        one = 1 << W
-        re, im = one, 0
-        for term in terms[:n]:
-            if term is None:
+            if v.is_zero:
                 continue
-            v, wide, x = term
-            x >>= wide - W
+            x = one // p**s
             if v.a == 0:
                 fr, fi = one - x, 0
             else:
-                cos, sin = fixed_root(v.a, v.m, W)
-                fr, fi = one - _shr(x * cos, W), -_shr(x * sin, W)
-            re, im = _shr(re * fr - im * fi, W), _shr(re * fi + im * fr, W)
-        den = re * re + im * im
-        out.append(
-            BigComplex(
-                ctx.from_fixed(_trunc(re << 2 * W, den), W),
-                ctx.from_fixed(_trunc(-im << 2 * W, den), W),
+                cos, sin = fixed_root(v.a, v.m, wide)
+                fr, fi = one - _shr(x * cos, wide), -_shr(x * sin, wide)
+            re, im = _shr(re * fr - im * fi, wide), _shr(re * fi + im * fr, wide)
+        for i in ending:
+            ctx, W = cells[i][1], widths[i]
+            a, b = _shr(re, wide - W), _shr(im, wide - W)
+            den = a * a + b * b
+            out[i] = BigComplex(
+                ctx.from_fixed(_trunc(a << 2 * W, den), W),
+                ctx.from_fixed(_trunc(-b << 2 * W, den), W),
             )
-        )
     return out
 
 
@@ -490,11 +507,15 @@ def estimate(
 
 
 def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
-    """``[estimate(n, s, chi) for n in ns]``, with the L-sums in one pass.
+    """``[estimate(n, s, chi) for n in ns]``, with each kernel in one pass.
 
     Every n is sized, and checked against the cost cap, before any kernel
-    runs; the first failing n raises.  The results are bit-identical to
-    ``estimate``'s.
+    runs; the first failing n raises.  Each residual is within the shared
+    pass's bound (see the module docstring), so it can differ from
+    ``estimate``'s by a few units of ``2**-W``, far below the 96 significant
+    bits the sizing keeps: the estimate, error and margin, printed to 17
+    digits, can change only where such a move crosses a rounding boundary of
+    the 17th digit.
     """
     return _estimates(ns, s, chi)
 

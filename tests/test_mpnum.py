@@ -211,6 +211,20 @@ class TestRootOfUnity:
                     c, s = fixed_root(a, m, bits)
                     assert fixed_root(m - a, m, bits) == (c, -s)
 
+    def test_conjugates_share_one_series(self, monkeypatch):
+        from primerec import mpnum
+
+        calls = []
+        series = mpnum._fp_sin_cos
+        monkeypatch.setattr(mpnum, "_ROOT_CACHE", {})
+        monkeypatch.setattr(mpnum, "_fp_sin_cos", lambda *args: calls.append(args) or series(*args))
+        # five distinct first-octant angles: 30, 90/7, 45, 18 and 25.2 degrees
+        for a, m in ((1, 3), (2, 7), (3, 8), (1, 5), (7, 100)):
+            c, s = fixed_root(a, m, 300)
+            assert fixed_root(m - a, m, 300) == (c, -s)
+            assert fixed_root(a + m, m, 300) == (c, s)
+        assert len(calls) == 5
+
 
 class TestInvRoot:
     def test_identity(self):
@@ -304,7 +318,7 @@ class TestConcurrency:
 
 
 class TestCaches:
-    def test_per_precision_caches_are_bounded(self):
+    def test_per_precision_caches_are_bounded(self, monkeypatch):
         from primerec import mpnum
 
         for prec in range(700, 700 + 3 * mpnum._CACHED_PRECISIONS):
@@ -313,7 +327,8 @@ class TestCaches:
         assert len(mpnum._ROOT_CACHE) <= mpnum._CACHED_PRECISIONS
         assert len(mpnum._CONST_CACHE) <= mpnum._CACHED_PRECISIONS
         # the latest precision is still served from the cache
-        assert fixed_root(8, 7, prec) is z
+        monkeypatch.setattr(mpnum, "_fp_sin_cos", None)
+        assert fixed_root(8, 7, prec) == z
 
 
 class TestRendering:

@@ -5,6 +5,7 @@ Derived expectations are recomputed here with exact rational arithmetic
 values appear only with their documented tolerances.
 """
 
+import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -145,48 +146,248 @@ def per_cell_euler_product(chi, s: int, n: int, ctx) -> BigComplex:
     )
 
 
+class ExactContext(PrecisionContext):
+    """A context whose conversion from fixed point is exact, so that a kernel
+    run under it shows every bit of its fixed-point integers."""
+
+    def from_fixed(self, v: int, bits: int):
+        return PrecisionContext(max(64, v.bit_length())).from_fixed(v, bits)
+
+
+def index_widths(limits: list, widths: list, upto: int) -> list:
+    """For i = 1..upto, the widest of ``widths`` among the cells whose limit reaches i."""
+    return [max(w for limit, w in zip(limits, widths) if limit >= i) for i in range(1, upto + 1)]
+
+
+def kernel_bits(ctx) -> int:
+    return ctx.prec_bits + GUARD_BITS + 16
+
+
+def running_partial_sums(chi, s: int, cells: list) -> list:
+    """The shared L-sum pass, cell by cell: per character value a total runs
+    at the width of each index, truncated where that width narrows; a cell
+    rotates the totals at the width of its last index and truncates the
+    result to its own W."""
+    limits, widths = [J for J, _ in cells], [kernel_bits(ctx) for _, ctx in cells]
+    out = []
+    for (J, ctx), W in zip(cells, widths):
+        ws = index_widths(limits, widths, J)
+        cur, totals = ws[0], {}
+        for j, w in enumerate(ws, 1):
+            totals = {v: trunc(t, 1 << (cur - w)) for v, t in totals.items()}
+            cur = w
+            v = chi(j)
+            if not v.is_zero:
+                totals[v] = totals.get(v, 0) + (1 << w) // j**s
+        real = imag = 0
+        for v, total in totals.items():
+            if v.a == 0:
+                real += total
+            else:
+                cos, sin = fixed_root(v.a, v.m, cur)
+                real += trunc(total * cos, 1 << cur)
+                imag += trunc(total * sin, 1 << cur)
+        real, imag = trunc(real, 1 << (cur - W)), trunc(imag, 1 << (cur - W))
+        out.append(BigComplex(ctx.from_fixed(real, W), ctx.from_fixed(imag, W)))
+    return out
+
+
+def running_euler_products(chi, s: int, cells: list) -> list:
+    """The shared product pass, cell by cell: the product runs at the width
+    of each prime's index, truncated where that width narrows, each factor's
+    root taken at that width; a cell truncates the product to its own W and
+    inverts it there."""
+    limits, widths = [n for n, _ in cells], [kernel_bits(ctx) for _, ctx in cells]
+    out = []
+    for (n, ctx), W in zip(cells, widths):
+        ws = index_widths(limits, widths, n)
+        cur = ws[0]
+        re, im = 1 << cur, 0
+        for p, w in zip(first_n_primes(n), ws):
+            re, im = trunc(re, 1 << (cur - w)), trunc(im, 1 << (cur - w))
+            cur, one = w, 1 << w
+            v = chi(p)
+            if v.is_zero:
+                continue
+            x = one // p**s
+            if v.a == 0:
+                fr, fi = one - x, 0
+            else:
+                cos, sin = fixed_root(v.a, v.m, w)
+                fr, fi = one - trunc(x * cos, one), -trunc(x * sin, one)
+            re, im = trunc(re * fr - im * fi, one), trunc(re * fi + im * fr, one)
+        re, im = trunc(re, 1 << (cur - W)), trunc(im, 1 << (cur - W))
+        den = re * re + im * im
+        out.append(
+            BigComplex(
+                ctx.from_fixed(trunc(re << 2 * W, den), W),
+                ctx.from_fixed(trunc(-im << 2 * W, den), W),
+            )
+        )
+    return out
+
+
+def bands_reached(limits: list, limit: int) -> int:
+    """t: the band where a cell with this limit ends is the shared pass's t-th."""
+    return len({other for other in limits if other <= limit})
+
+
+def sum_bound(chi, J: int, t: int) -> float:
+    """The L-sum's bound in units of 2**-W (module docstring of ``recursion``)."""
+    c = len({chi(j) for j in range(1, J + 1) if not chi(j).is_zero}) - 1
+    return J + c + 2 + 2 * math.log(J) + (c + 1) * t
+
+
+def product_bound(n: int, t: int) -> int:
+    """The Euler product's bound in units of 2**-W for s >= 2."""
+    return 20 * n + 2 + 6 * t
+
+
+def within(value: BigComplex, exact, bound: float, W: int) -> bool:
+    """Each component of ``value`` within ``bound`` units of 2**-W of ``exact``."""
+    tol = Fraction(math.ceil(bound), 1 << W)
+    re, im = value.re.to_fraction(), value.im.to_fraction()
+    return abs(re - exact.re) <= tol and abs(im - exact.im) <= tol
+
+
+def any_character(k: int, pick: int):
+    group = enumerate_characters(k)
+    return group.characters[pick % len(group)]
+
+
+def gaussian_character(k: int, pick: int):
+    """A character mod k whose values are fourth roots of unity (the oracle's domain)."""
+    chars = [c for c in enumerate_characters(k).characters if all(4 % v.m == 0 for v in c.table)]
+    return chars[pick % len(chars)]
+
+
+# J order and W order disagree: the shortest cell is the widest, so the
+# passes narrow at later bands
+WIDE_SHORT_SUMS = [(100, 64), (7, 1400), (50, 300), (7, 200), (100, 900)]
+WIDE_SHORT_PRODUCTS = [(30, 64), (3, 1400), (12, 300), (3, 200), (30, 900)]
+PICK = st.integers(0, 10**6)
+SUM_CELLS = st.lists(st.tuples(st.integers(1, 120), st.integers(64, 1500)), min_size=1, max_size=5)
+PRODUCT_CELLS = st.lists(
+    st.tuples(st.integers(1, 30), st.integers(64, 1500)), min_size=1, max_size=5
+)
+
+
 class TestSharedPass:
     """The passes shared by several cells (an L-sum's (J, precision), a
-    product's (n, precision)) give each cell the bits of its own per-cell
-    loop: ``floor(floor(2**A / d) / 2**B)`` is ``floor(2**(A - B) / d)``, and
-    a signed shift truncates as the division by ``2**W`` did."""
+    product's (n, precision)) keep one running value at each band's width.
+    A single cell gets the bits of its own per-cell loop; several cells get
+    the bits of the running pass, within the restated bounds of the exact
+    values."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         k=st.integers(1, 24),
         pick=st.integers(0, 10**6),
         s=st.integers(1, 60),
-        cells=st.lists(st.tuples(st.integers(1, 120), st.integers(64, 1500)), min_size=1, max_size=5),
+        J=st.integers(1, 120),
+        n=st.integers(1, 30),
+        prec=st.integers(64, 1500),
     )
-    # J order and W order disagree: the shortest cell is the widest
-    @example(k=13, pick=5, s=30, cells=[(100, 64), (7, 1400), (50, 300), (7, 200), (100, 900)])
-    def test_matches_per_cell_loop(self, k, pick, s, cells):
-        group = enumerate_characters(k)
-        chi = group.characters[pick % len(group)]
-        cells = [(J, PrecisionContext(p)) for J, p in cells]
+    def test_single_cell_matches_per_cell_loop(self, k, pick, s, J, n, prec):
+        chi = any_character(k, pick)
+        ctx = ExactContext(prec)
+        assert recursion._l_partial_sums(chi, s, [(J, ctx)]) == [
+            per_cell_partial_sum(chi, s, J, ctx)
+        ]
+        assert recursion._euler_products(chi, s, [(n, ctx)]) == [
+            per_cell_euler_product(chi, s, n, ctx)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
+    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_SUMS)
+    # at a small s the rotated totals are large enough to show a root's last bits
+    @example(k=13, pick=5, s=2, cells=WIDE_SHORT_SUMS)
+    def test_sums_match_running_pass(self, k, pick, s, cells):
+        chi = any_character(k, pick)
+        cells = [(J, ExactContext(p)) for J, p in cells]
         got = recursion._l_partial_sums(chi, s, cells)
-        assert got == [per_cell_partial_sum(chi, s, J, ctx) for J, ctx in cells]
+        assert got == running_partial_sums(chi, s, cells)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        k=st.integers(1, 24),
-        pick=st.integers(0, 10**6),
-        s=st.integers(1, 60),
-        cells=st.lists(st.tuples(st.integers(1, 30), st.integers(64, 1500)), min_size=1, max_size=5),
-    )
-    # n order and W order disagree: the smallest n is the widest
-    @example(k=13, pick=5, s=30, cells=[(30, 64), (3, 1400), (12, 300), (3, 200), (30, 900)])
-    def test_products_match_per_cell_loop(self, k, pick, s, cells):
-        group = enumerate_characters(k)
-        chi = group.characters[pick % len(group)]
-        cells = [(n, PrecisionContext(p)) for n, p in cells]
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS)
+    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
+    def test_products_match_running_pass(self, k, pick, s, cells):
+        chi = any_character(k, pick)
+        cells = [(n, ExactContext(p)) for n, p in cells]
         got = recursion._euler_products(chi, s, cells)
-        assert got == [per_cell_euler_product(chi, s, n, ctx) for n, ctx in cells]
+        assert got == running_euler_products(chi, s, cells)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
+    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_SUMS)
+    def test_sums_within_bound(self, k, pick, s, cells):
+        chi = gaussian_character(k, pick)
+        limits = [J for J, _ in cells]
+        cells = [(J, ExactContext(p)) for J, p in cells]
+        for (J, ctx), value in zip(cells, recursion._l_partial_sums(chi, s, cells)):
+            bound = sum_bound(chi, J, bands_reached(limits, J))
+            exact = oracle.l_partial_sum_exact(chi, s, J)
+            assert within(value, exact, bound, kernel_bits(ctx))
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(2, 60), cells=PRODUCT_CELLS)
+    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
+    def test_products_within_bound(self, k, pick, s, cells):
+        chi = gaussian_character(k, pick)
+        limits = [n for n, _ in cells]
+        cells = [(n, ExactContext(p)) for n, p in cells]
+        for (n, ctx), value in zip(cells, recursion._euler_products(chi, s, cells)):
+            bound = product_bound(n, bands_reached(limits, n))
+            exact = oracle.euler_product_exact(chi, s, n)
+            assert within(value, exact, bound, kernel_bits(ctx))
 
     def test_estimate_many_matches_estimate(self):
         for chi, ns in ((K1, range(2, 31)), (G5.by_label(2), [6, 2, 4, 2]), (G9.by_label(3), [1, 7])):
             for s in (1, 20, 97):
-                assert recursion.estimate_many(ns, s, chi) == [recursion.estimate(n, s, chi) for n in ns]
+                for n, got in zip(ns, recursion.estimate_many(ns, s, chi)):
+                    want = recursion.estimate(n, s, chi)
+                    assert (got.rounded, got.target, got.prec_bits, got.warning) == (
+                        want.rounded, want.target, want.prec_bits, want.warning
+                    )
+                    for field in ("estimate", "error", "margin"):
+                        digits = [format_decimal(getattr(r, field), 17) for r in (got, want)]
+                        assert digits[0] == digits[1]
+                    if s >= 2:
+                        # both residuals are within the kernels' bounds of the
+                        # exact one, before their conversion to P + 96 bits:
+                        # four roundings of |sum|, |product| < 2 (2**16 units
+                        # each) and two of the residual
+                        J = 2 * first_n_primes(n)[-1] - 1
+                        t = bands_reached(list(ns), n)
+                        units = 2 * (sum_bound(chi, J, t) + product_bound(n, t)) + 2**19
+                        W = kernel_bits(PrecisionContext(got.prec_bits))
+                        slack = Fraction(math.ceil(units), 1 << W)
+                        a, b = got.residual, want.residual
+                        assert abs(a.re.to_fraction() - b.re.to_fraction()) <= slack
+                        assert abs(a.im.to_fraction() - b.im.to_fraction()) <= slack
+
+    @pytest.mark.parametrize(
+        "ns, precs", [(range(2, 31), None), ([30, 3, 12, 3, 30], [64, 1400, 300, 200, 900])]
+    )
+    def test_roots_once_per_band_width(self, monkeypatch, ns, precs):
+        from primerec import mpnum
+
+        chi, s, ns = enumerate_characters(7).by_label(3), 41, list(ns)
+        if precs is None:
+            ctxs = [recursion.required_precision(n, s, chi) for n in ns]
+        else:
+            ctxs = [PrecisionContext(p) for p in precs]
+        calls = []
+        series = mpnum._fp_sin_cos
+        monkeypatch.setattr(mpnum, "_ROOT_CACHE", {})
+        monkeypatch.setattr(mpnum, "_fp_sin_cos", lambda *args: calls.append(args) or series(*args))
+        recursion._residuals(ns, s, chi, ctxs)
+        bands = {wide for _, _, wide, _ in recursion._bands(ns, [kernel_bits(ctx) for ctx in ctxs])}
+        widths = {}
+        for p, q, wp2 in calls:
+            widths.setdefault((p, q), set()).add(wp2)
+        assert widths and all(len(w) <= len(bands) for w in widths.values())
 
 
 class TestEulerProduct:
