@@ -46,17 +46,18 @@ Algorithms
    half turns exact; the cache is keyed by the folded angle, so a value and
    its conjugate share one series.
 
-Constants (pi, ln 2) and roots of unity are memoised per precision behind a
-lock, safe for concurrent readers; only the few most recently created
-precisions are kept.  Values are immutable; all operations are pure
+Constants (pi, ln 2) and first-octant roots of unity are memoised per
+precision in bounded ``functools.lru_cache``s, safe for concurrent readers
+(threads that miss together compute the same value); only the most recently
+used entries are kept.  Values are immutable; all operations are pure
 functions of (inputs, context).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, RangeError
 
@@ -244,28 +245,13 @@ def _div(x: BigFloat, y: BigFloat, wp: int) -> BigFloat:
 # far below the 32-bit margin callers reserve.
 # ---------------------------------------------------------------------------
 
-# Both caches hold one sub-dict per working precision.  Hits only happen
-# within one precision, and a sweep over s visits a new one at every s, so
-# only the most recently created few are kept: enough for the eight residual
-# precisions a ``dtable`` row cycles through (n = 3..8, raised for some
-# characters), which would otherwise recompute every root at every cell.
-_CACHED_PRECISIONS = 16
-_CACHE_LOCK = threading.Lock()
-_CONST_CACHE: dict = {}  # bits -> {name: fixed-point int}
-_ROOT_CACHE: dict = {}  # bits -> {(p, q): first-octant (sin, cos) fixed-point ints}
-
-
-def _level(cache: dict, bits: int) -> dict:
-    """The sub-dict of ``cache`` for ``bits``, evicting the oldest precision."""
-    level = cache.get(bits)
-    if level is None:
-        with _CACHE_LOCK:
-            level = cache.get(bits)
-            if level is None:
-                level = cache[bits] = {}
-                while len(cache) > _CACHED_PRECISIONS:
-                    del cache[next(iter(cache))]
-    return level
+# Each constant is cached for the few most recently used precisions; a sweep
+# over s visits a new precision at every s.  Roots are cached per (first-octant
+# angle, width), and the characters of one modulus share their angles: a
+# ``dtable`` over n = 3..8 and moduli 4,5,8,9,113 computes 329 of them, which
+# 256 entries could not hold (they recomputed 1110).
+_CACHED_CONSTANTS = 16
+_CACHED_ROOTS = 512
 
 
 def _fp_atan_inv(k: int, bits: int) -> int:
@@ -282,16 +268,19 @@ def _fp_atan_inv(k: int, bits: int) -> int:
     return total
 
 
+@lru_cache(maxsize=_CACHED_CONSTANTS)
 def _fp_pi(bits: int) -> int:
     """pi * 2**bits, Machin: 16 atan(1/5) - 4 atan(1/239)."""
     return 16 * _fp_atan_inv(5, bits) - 4 * _fp_atan_inv(239, bits)
 
 
+@lru_cache(maxsize=_CACHED_CONSTANTS)
 def _fp_pi_euler(bits: int) -> int:
     """pi * 2**bits, Euler split: 4 (atan(1/2) + atan(1/3))."""
     return 4 * (_fp_atan_inv(2, bits) + _fp_atan_inv(3, bits))
 
 
+@lru_cache(maxsize=_CACHED_CONSTANTS)
 def _fp_ln2(bits: int) -> int:
     """ln 2 * 2**bits via 2 atanh(1/3)."""
     x = (1 << bits) // 3
@@ -304,26 +293,6 @@ def _fp_ln2(bits: int) -> int:
     return total << 1
 
 
-def _const(name: str, bits: int) -> int:
-    level = _level(_CONST_CACHE, bits)
-    got = level.get(name)
-    if got is not None:
-        return got
-    with _CACHE_LOCK:
-        got = level.get(name)
-        if got is None:
-            if name == "pi":
-                got = _fp_pi(bits)
-            elif name == "pi_euler":
-                got = _fp_pi_euler(bits)
-            elif name == "ln2":
-                got = _fp_ln2(bits)
-            else:  # pragma: no cover
-                raise KeyError(name)
-            level[name] = got
-    return got
-
-
 def _fp_sin_cos(p: int, q: int, wp2: int) -> tuple[int, int]:
     """(sin, cos) of 2*pi*p/q scaled by 2**wp2, for 0 <= p/q <= 1/8.
 
@@ -333,7 +302,7 @@ def _fp_sin_cos(p: int, q: int, wp2: int) -> tuple[int, int]:
     """
     if p == 0:
         return 0, 1 << wp2
-    theta = (2 * _const("pi", wp2) * p) // q
+    theta = (2 * _fp_pi(wp2) * p) // q
     tsq = (theta * theta) >> wp2
     term = theta
     sin_acc = theta
@@ -343,6 +312,33 @@ def _fp_sin_cos(p: int, q: int, wp2: int) -> tuple[int, int]:
         sin_acc += -term if i & 1 else term
         i += 1
     return sin_acc, math.isqrt((1 << 2 * wp2) - sin_acc * sin_acc)
+
+
+def _first_octant(a: int, m: int) -> tuple:
+    """``(p, q, swap, cos_sign, sin_sign)``: a/m (m >= 1) folded exactly into
+    the first octant, 0 <= p/q <= 1/8.
+
+    (cos, sin) of 2 pi a / m is ``(cos_sign * c, sin_sign * s)``, where
+    (c, s) is (cos, sin) of 2 pi p / q, exchanged when ``swap``.  p = 0
+    exactly for the multiples of a quarter turn.
+    """
+    p, q = a % m, m
+    sin_sign = cos_sign = 1
+    if 2 * p > q:  # a/m -> 1 - a/m
+        p, sin_sign = q - p, -1
+    if 4 * p > q:  # -> 1/2 - p/q
+        p, q, cos_sign = q - 2 * p, 2 * q, -1
+    swap = 8 * p > q  # -> 1/4 - p/q, sine and cosine exchanged
+    if swap:
+        p, q = q - 4 * p, 4 * q
+    return p, q, swap, cos_sign, sin_sign
+
+
+@lru_cache(maxsize=_CACHED_ROOTS)
+def _octant_root(p: int, q: int, bits: int) -> tuple[int, int]:
+    """(sin, cos) of a first-octant 2 pi p / q, scaled by 2**bits and truncated."""
+    sin_fp, cos_fp = _fp_sin_cos(p, q, bits + 32)
+    return sin_fp >> 32, cos_fp >> 32
 
 
 def fixed_root(a: int, m: int, bits: int) -> tuple[int, int]:
@@ -356,23 +352,8 @@ def fixed_root(a: int, m: int, bits: int) -> tuple[int, int]:
     """
     if m < 1:
         raise DomainError(f"root of unity modulus must be positive, got {m}")
-    # fold a/m exactly into the first octant as p/q, tracking sign swaps
-    p, q = a % m, m
-    sin_sign = cos_sign = 1
-    if 2 * p > q:  # a/m -> 1 - a/m
-        p, sin_sign = q - p, -1
-    if 4 * p > q:  # -> 1/2 - p/q
-        p, q, cos_sign = q - 2 * p, 2 * q, -1
-    swap = 8 * p > q  # -> 1/4 - p/q, sine and cosine exchanged
-    if swap:
-        p, q = q - 4 * p, 4 * q
-    level = _level(_ROOT_CACHE, bits)
-    got = level.get((p, q))
-    if got is None:
-        sin_fp, cos_fp = _fp_sin_cos(p, q, bits + 32)
-        with _CACHE_LOCK:
-            got = level.setdefault((p, q), (sin_fp >> 32, cos_fp >> 32))
-    sin_fp, cos_fp = got
+    p, q, swap, cos_sign, sin_sign = _first_octant(a, m)
+    sin_fp, cos_fp = _octant_root(p, q, bits)
     if swap:
         sin_fp, cos_fp = cos_fp, sin_fp
     return cos_sign * cos_fp, sin_sign * sin_fp
@@ -472,7 +453,7 @@ class PrecisionContext:
             j += 2
         total = (acc << 1) if num > 0 else -(acc << 1)
         if e:
-            total += e * _const("ln2", wp2)
+            total += e * _fp_ln2(wp2)
         return _from_signed(total, -wp2, wp)
 
     def exp(self, x: BigFloat) -> BigFloat:
@@ -505,16 +486,16 @@ class PrecisionContext:
 
     def pi(self) -> BigFloat:
         wp2 = self._wp + 32
-        return _norm(1, _const("pi", wp2), -wp2, self._wp)
+        return _norm(1, _fp_pi(wp2), -wp2, self._wp)
 
     def pi_euler(self) -> BigFloat:
         """pi from the independent Euler arctangent split (for cross-checks)."""
         wp2 = self._wp + 32
-        return _norm(1, _const("pi_euler", wp2), -wp2, self._wp)
+        return _norm(1, _fp_pi_euler(wp2), -wp2, self._wp)
 
     def ln2(self) -> BigFloat:
         wp2 = self._wp + 32
-        return _norm(1, _const("ln2", wp2), -wp2, self._wp)
+        return _norm(1, _fp_ln2(wp2), -wp2, self._wp)
 
     def inv_root(self, x: BigFloat, s: int) -> BigFloat:
         """x**(-1/s) = exp(-ln(x)/s) for positive x and integer s >= 1.

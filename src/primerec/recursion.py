@@ -73,28 +73,22 @@ scales the error by at most ``zeta(2)**2 < 2.71`` and truncates once more.
 At s = 1 the product's bound grows with its size.
 
 The estimates of several n at one s (``estimate_many``) share one pass of
-each kernel.  The indices are split into bands at the cells' limits (J for
-the sum, n for the product), and each band runs at the widest W among the
-cells that reach all of it; that width can only shrink from one band to the
-next.  The sum keeps one running total per character value and the product
-one running product, at the current band's width, and shifts them down
-where the width narrows.  So each ``2**W // j**s`` is added once, each
-factor multiplied once with its root taken at its band's width, and no
-division, product or root runs wider than the widest cell that reaches its
-index, which is the cost ``_check_cost`` projects for that cell.  A cell
-reads the pass where its band ends: the sum rotates the totals at that
-band's width, the product takes the running product, and the cell shifts
-the value to its own W (the product is then inverted there).  Every unit
-above is at a width at least the cell's W, so the bounds hold, and each
-narrowing band plus the final shift adds one truncation per running
-component.  A cell whose band is the pass's t-th (t <= n) is thus within
-``J + c + 2 + 2 ln J + (c + 1) t`` units for the sum (each truncated
-total moves a component by under a unit) and ``20 n + 2 + 6 t`` for the
-product (a truncated product moves by under ``sqrt 2``, which the later
-factors scale by at most 1.52 and the inversion by 2.71).  A single cell
-runs at its own W throughout and is within the bounds of the paragraph
-above; with several cells, results may move by a few units of ``2**-W``
-from the single-cell ones.
+each kernel, at the widest W among them.  The sum keeps one running total
+per character value and the product one running product, so each
+``2**W // j**s`` is added once and each factor multiplied once, with its
+root taken at that one width.  A cell reads the pass where its indices end
+(J for the sum, n for the product): the sum rotates the totals, and the
+cell truncates the value to its own W (the product is then inverted
+there).  Each cell's result is thus, bit for bit, the one-cell loop run at
+the pass's width and truncated once, within the bounds above plus one unit
+per component: ``J + c + 3 + 2 ln J`` units for the sum and ``20 n + 6``
+for the product (a truncated product moves by under ``sqrt 2``, which the
+inversion scales by at most 2.71).  A single cell runs at its own W and is
+within the bounds of the paragraph above; with several cells, a residual
+may move by a few units of ``2**-W`` from the single-cell one.  A cell
+narrower than the widest runs its indices at the wider W, so the pass as a
+whole is checked against the cost cap too: the longest cell at the widest
+cell's precision.
 
 Exponent s is restricted to positive integers; s = 1 is accepted but of
 dubious value for the trivial character (the harmonic-like partial sum has
@@ -117,6 +111,7 @@ from .mpnum import (
     BigFloat,
     ZERO,
     PrecisionContext,
+    _first_octant,
     _top,
     fixed_root,
     nearest_int,
@@ -164,11 +159,11 @@ _INVERSION_WEIGHT = 14
 # which the kernels' (J + 14) * W**2 cover.
 _CHAIN_WEIGHT = 230
 # ``fixed_root`` computes a root of unity of order m not dividing 4 by the
-# sine's Taylor series at W bits, at most once per W for each such value of
-# chi on 1..J (the L-sum and the product share it, and so do a value and its
-# conjugate, which the count below takes twice).  One root of order 3, 6 or 7
-# took 775-1089 units of c * W**2 at W = 50k bits and 1343-1460 at 100k, and
-# 504-695 at 25k: under 5 * W**2.5.
+# sine's Taylor series at W bits, once per W for each first-octant angle the
+# values of chi on 1..J fold to (the L-sum and the product share it, and so
+# do a value and its conjugate).  One root of order 3, 6 or 7 took 775-1089
+# units of c * W**2 at W = 50k bits and 1343-1460 at 100k, and 504-695 at
+# 25k: under 5 * W**2.5.
 _ROOT_WEIGHT = 5
 
 
@@ -233,7 +228,9 @@ def _check_cost(
     """Refuse (n, s) at ``ctx`` when the projected cost exceeds the cap.
 
     The kernels cost (J + _INVERSION_WEIGHT) * W**2, plus
-    ``_ROOT_WEIGHT * W**2.5`` for each root of unity they compute.  With two
+    ``_ROOT_WEIGHT * W**2.5`` for each root of unity they compute: one per
+    first-octant angle (``mpnum._first_octant``) other than 0, that is per
+    angle of the values whose order does not divide 4.  With two
     tail terms m1 < m2 an estimate also runs the chain at about
     ``P - s * log2(m1) + 64`` bits (``estimate`` clamps it to ``[64, P]``),
     which adds ``_CHAIN_WEIGHT * w**2.5 / g`` with g the series' gain.
@@ -242,7 +239,8 @@ def _check_cost(
     W = _kernel_bits(ctx)
     kernel = (J + _INVERSION_WEIGHT) * W**2
     values = [] if chi is None else chi.table[: J + 1]
-    roots = len({(v.a, v.m) for v in values if not v.is_zero and 4 % v.m})
+    # one series per folded angle; the values of order dividing 4 (p = 0) are exact
+    roots = len({_first_octant(v.a, v.m)[:2] for v in values if not v.is_zero and 4 % v.m})
     root_cost = roots * _ROOT_WEIGHT * W**2 * math.isqrt(W)
     chain = 0
     if len(terms) == 2:
@@ -323,19 +321,15 @@ def _kernel_bits(ctx: PrecisionContext) -> int:
     return ctx.prec_bits + GUARD_BITS + 16
 
 
-def _bands(limits: list, widths: list):
+def _bands(limits: list):
     """Split ``(0, max(limits)]`` at the distinct limits of the cells.
 
-    For each band ``(lo, hi]``, in ascending order, yields ``lo``, ``hi``,
-    the widest of ``widths`` among the cells whose limit is at least ``hi``
-    (exactly the cells that reach every index of the band, so it never grows
-    from one band to the next) and the indices of the cells whose limit is
-    ``hi``.
+    For each band ``(lo, hi]``, in ascending order, yields ``lo``, ``hi`` and
+    the indices of the cells whose limit is ``hi``.
     """
     lo = 0
     for hi in sorted(set(limits)):
-        wide = max(w for limit, w in zip(limits, widths) if limit >= hi)
-        yield lo, hi, wide, [i for i, limit in enumerate(limits) if limit == hi]
+        yield lo, hi, [i for i, limit in enumerate(limits) if limit == hi]
         lo = hi
 
 
@@ -353,10 +347,9 @@ def l_partial_sum(
 def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
     """``l_partial_sum(chi, s, J, ctx)`` for every ``(J, ctx)`` in ``cells``, in one pass over j.
 
-    One total per character value runs at the width of the current band
-    (``_bands``) and is shifted down where that width narrows; each
-    ``2**W // j**s`` is added once.  A cell rotates the totals where its band
-    ends, at that band's width, and shifts the result to its own W (see the
+    One total per character value runs at the widest W among the cells, and
+    each ``2**W // j**s`` is added once.  A cell rotates the totals where its
+    band (``_bands``) ends and truncates the result to its own W (see the
     module docstring).
     """
     k = chi.modulus
@@ -365,11 +358,11 @@ def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
     for v in chi.table[: max(J for J, _ in cells) + 1]:
         cls.append(-1 if v.is_zero else roots.setdefault((v.a, v.m), len(roots)))
     widths = [_kernel_bits(ctx) for _, ctx in cells]
+    wide = max(widths)
+    one = 1 << wide
     out = [None] * len(cells)
-    totals, cur = [0] * len(roots), max(widths)
-    for lo, hi, wide, ending in _bands([J for J, _ in cells], widths):
-        totals = [t >> (cur - wide) for t in totals]
-        cur, one = wide, 1 << wide
+    totals = [0] * len(roots)
+    for lo, hi, ending in _bands([J for J, _ in cells]):
         for j in range(lo + 1, hi + 1):
             c = cls[j % k]
             if c >= 0:
@@ -404,19 +397,18 @@ def euler_product(
 def _euler_products(chi: DirichletCharacter, s: int, cells: list) -> list:
     """``euler_product(chi, s, n, ctx)`` for every ``(n, ctx)`` in ``cells``, in one pass over p.
 
-    One complex product runs as in ``_l_partial_sums``, each factor
-    multiplied once at its band's width with its root taken there.  A cell
-    shifts the product to its own W where its band ends and inverts it there.
+    One complex product runs at the widest W among the cells, each factor
+    multiplied once with its root taken at that width.  A cell truncates the
+    product to its own W where its band ends and inverts it there.
     """
     widths = [_kernel_bits(ctx) for _, ctx in cells]
+    wide = max(widths)
+    one = 1 << wide
     ns = [n for n, _ in cells]
     ps = primes.first_n_primes(max(ns))
     out = [None] * len(cells)
-    cur = max(widths)
-    re, im = 1 << cur, 0
-    for lo, hi, wide, ending in _bands(ns, widths):
-        re, im = _shr(re, cur - wide), _shr(im, cur - wide)
-        cur, one = wide, 1 << wide
+    re, im = one, 0
+    for lo, hi, ending in _bands(ns):
         for p in ps[lo:hi]:
             v = chi(p)
             if v.is_zero:
@@ -509,21 +501,29 @@ def estimate(
 def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
     """``[estimate(n, s, chi) for n in ns]``, with each kernel in one pass.
 
-    Every n is sized, and checked against the cost cap, before any kernel
-    runs; the first failing n raises.  Each residual is within the shared
-    pass's bound (see the module docstring), so it can differ from
-    ``estimate``'s by a few units of ``2**-W``, far below the 96 significant
-    bits the sizing keeps: the estimate, error and margin, printed to 17
-    digits, can change only where such a move crosses a rounding boundary of
-    the 17th digit.
+    ``ns`` may be any iterable.  Every n is sized, and checked against the
+    cost cap, before any kernel runs; the first failing n raises, and so
+    does a pass whose longest n at the widest n's precision exceeds the cap.
+    Each residual is within the shared pass's bound (see the module
+    docstring), so it can differ from ``estimate``'s by a few units of
+    ``2**-W``, far below the 96 significant bits the sizing keeps: the
+    estimate, error and margin, printed to 17 digits, can change only where
+    such a move crosses a rounding boundary of the 17th digit.
     """
     return _estimates(ns, s, chi)
 
 
 def _estimates(ns, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None) -> list:
     """Size every n, run the kernels of all of them, then each chain."""
+    ns = list(ns)
+    if not ns:
+        return []
     sized = [_working_precision(n, s, chi, prec_bits) for n in ns]
-    rs = _residuals(ns, s, chi, [ctx for ctx, _ in sized])
+    ctxs = [ctx for ctx, _ in sized]
+    if len(ns) > 1:
+        # the pass runs the longest cell's indices at the widest cell's W
+        _check_cost(max(ns), s, chi, PrecisionContext(max(ctx.prec_bits for ctx in ctxs)), [])
+    rs = _residuals(ns, s, chi, ctxs)
     return [_finish(n, s, chi, ctx, terms, r) for n, (ctx, terms), r in zip(ns, sized, rs)]
 
 

@@ -1,15 +1,19 @@
-"""Every name a ``primerec`` module imports is used there, and every private
-top-level name is used somewhere in the package.
+"""Every name a ``primerec`` module imports is used there, every private
+top-level name is used somewhere in the package, and every ``__all__`` entry
+names an attribute of its module.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules: each
 module under ``src/primerec`` is parsed with ``ast``.  An imported name must
 be referenced somewhere in the module or listed in its ``__all__`` (which
 covers the package's re-exports in ``__init__.py``).  A top-level ``_name``
 (not a dunder) must be referenced by some module of the package, so a
-helper left behind when its last caller goes fails here.
+helper left behind when its last caller goes fails here.  A stale
+``__all__`` entry would otherwise fail only at ``from primerec.x import *``.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -94,3 +98,21 @@ def test_catches_an_unreferenced_private_name(tmp_path):
     a.write_text('"""Doc."""\n\n_LIMIT = 3\n_cache = {}\n\n\ndef _left_behind(x):\n    return x\n')
     b.write_text('"""Doc."""\n\nfrom .a import _LIMIT\nfrom . import a\n\ny = a._cache\n')
     assert unreferenced_private_names([a, b]) == ["a.py:7 _left_behind"]
+
+
+def missing_exports(module) -> list:
+    """The entries of ``module.__all__`` that name no attribute of it."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_exist(path):
+    name = "primerec" if path.stem == "__init__" else f"primerec.{path.stem}"
+    assert missing_exports(importlib.import_module(name)) == []
+
+
+def test_catches_a_stale_export():
+    mod = types.ModuleType("mod")
+    mod.__all__ = ["kept", "removed"]
+    mod.kept = 1
+    assert missing_exports(mod) == ["removed"]

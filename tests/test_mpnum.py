@@ -216,7 +216,7 @@ class TestRootOfUnity:
 
         calls = []
         series = mpnum._fp_sin_cos
-        monkeypatch.setattr(mpnum, "_ROOT_CACHE", {})
+        mpnum._octant_root.cache_clear()
         monkeypatch.setattr(mpnum, "_fp_sin_cos", lambda *args: calls.append(args) or series(*args))
         # five distinct first-octant angles: 30, 90/7, 45, 18 and 25.2 degrees
         for a, m in ((1, 3), (2, 7), (3, 8), (1, 5), (7, 100)):
@@ -301,9 +301,8 @@ class TestConcurrency:
 
         from primerec import mpnum
 
-        prec = 1536  # chosen to miss any previously warmed cache entry
-        mpnum._CONST_CACHE.pop(prec + 32 + 96, None)
-        ctx = PrecisionContext(prec)
+        mpnum._fp_pi.cache_clear()
+        ctx = PrecisionContext(1536)
         results = [None] * 8
 
         def worker(i):
@@ -313,7 +312,8 @@ class TestConcurrency:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         assert all(r == results[0] for r in results)
 
 
@@ -321,11 +321,13 @@ class TestCaches:
     def test_per_precision_caches_are_bounded(self, monkeypatch):
         from primerec import mpnum
 
-        for prec in range(700, 700 + 3 * mpnum._CACHED_PRECISIONS):
+        roots, consts = mpnum._octant_root, mpnum._fp_pi
+        for prec in range(700, 700 + roots.cache_info().maxsize + 8):
             z = fixed_root(1, 7, prec)
             PrecisionContext(prec).pi()
-        assert len(mpnum._ROOT_CACHE) <= mpnum._CACHED_PRECISIONS
-        assert len(mpnum._CONST_CACHE) <= mpnum._CACHED_PRECISIONS
+        for cache in (roots, consts):
+            info = cache.cache_info()
+            assert info.maxsize and info.currsize == info.maxsize
         # the latest precision is still served from the cache
         monkeypatch.setattr(mpnum, "_fp_sin_cos", None)
         assert fixed_root(8, 7, prec) == z

@@ -9,6 +9,7 @@ import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,11 +103,17 @@ def trunc(v: int, d: int) -> int:
     return v // d if v >= 0 else -(-v // d)
 
 
-def per_cell_partial_sum(chi, s: int, J: int, ctx) -> BigComplex:
-    """The one-cell L-sum loop the shared pass replaced: each cell divides
-    ``2**W // j**s`` at its own W and groups the terms by character value."""
-    W = ctx.prec_bits + GUARD_BITS + 16
-    one = 1 << W
+def kernel_bits(ctx) -> int:
+    return ctx.prec_bits + GUARD_BITS + 16
+
+
+def per_cell_partial_sum(chi, s: int, J: int, ctx, wide=None) -> BigComplex:
+    """The one-cell L-sum loop: divide ``2**wide // j**s`` (``wide`` defaults
+    to the cell's own W), group the terms by character value, rotate each
+    total at that width and truncate the result to W."""
+    W = kernel_bits(ctx)
+    wide = wide or W
+    one = 1 << wide
     classes = {}
     for j in range(1, J + 1):
         v = chi(j)
@@ -117,17 +124,20 @@ def per_cell_partial_sum(chi, s: int, J: int, ctx) -> BigComplex:
         if v.a == 0:
             real += total
         else:
-            cos, sin = fixed_root(v.a, v.m, W)
+            cos, sin = fixed_root(v.a, v.m, wide)
             real += trunc(total * cos, one)
             imag += trunc(total * sin, one)
+    real, imag = trunc(real, 1 << (wide - W)), trunc(imag, 1 << (wide - W))
     return BigComplex(ctx.from_fixed(real, W), ctx.from_fixed(imag, W))
 
 
-def per_cell_euler_product(chi, s: int, n: int, ctx) -> BigComplex:
-    """The one-cell product loop the shared pass replaced: each cell divides
-    ``2**W // p**s`` at its own W and truncates by dividing by ``2**W``."""
-    W = ctx.prec_bits + GUARD_BITS + 16
-    one = 1 << W
+def per_cell_euler_product(chi, s: int, n: int, ctx, wide=None) -> BigComplex:
+    """The one-cell product loop: divide ``2**wide // p**s`` (``wide``
+    defaults to the cell's own W), truncate each product by dividing by
+    ``2**wide``, truncate the result to W and invert it there."""
+    W = kernel_bits(ctx)
+    wide = wide or W
+    one = 1 << wide
     re, im = one, 0
     for p in first_n_primes(n):
         v = chi(p)
@@ -137,9 +147,10 @@ def per_cell_euler_product(chi, s: int, n: int, ctx) -> BigComplex:
         if v.a == 0:
             fr, fi = one - x, 0
         else:
-            cos, sin = fixed_root(v.a, v.m, W)
+            cos, sin = fixed_root(v.a, v.m, wide)
             fr, fi = one - trunc(x * cos, one), -trunc(x * sin, one)
         re, im = trunc(re * fr - im * fi, one), trunc(re * fi + im * fr, one)
+    re, im = trunc(re, 1 << (wide - W)), trunc(im, 1 << (wide - W))
     den = re * re + im * im
     return BigComplex(
         ctx.from_fixed(trunc(re << 2 * W, den), W), ctx.from_fixed(trunc(-im << 2 * W, den), W)
@@ -154,93 +165,17 @@ class ExactContext(PrecisionContext):
         return PrecisionContext(max(64, v.bit_length())).from_fixed(v, bits)
 
 
-def index_widths(limits: list, widths: list, upto: int) -> list:
-    """For i = 1..upto, the widest of ``widths`` among the cells whose limit reaches i."""
-    return [max(w for limit, w in zip(limits, widths) if limit >= i) for i in range(1, upto + 1)]
-
-
-def kernel_bits(ctx) -> int:
-    return ctx.prec_bits + GUARD_BITS + 16
-
-
-def running_partial_sums(chi, s: int, cells: list) -> list:
-    """The shared L-sum pass, cell by cell: per character value a total runs
-    at the width of each index, truncated where that width narrows; a cell
-    rotates the totals at the width of its last index and truncates the
-    result to its own W."""
-    limits, widths = [J for J, _ in cells], [kernel_bits(ctx) for _, ctx in cells]
-    out = []
-    for (J, ctx), W in zip(cells, widths):
-        ws = index_widths(limits, widths, J)
-        cur, totals = ws[0], {}
-        for j, w in enumerate(ws, 1):
-            totals = {v: trunc(t, 1 << (cur - w)) for v, t in totals.items()}
-            cur = w
-            v = chi(j)
-            if not v.is_zero:
-                totals[v] = totals.get(v, 0) + (1 << w) // j**s
-        real = imag = 0
-        for v, total in totals.items():
-            if v.a == 0:
-                real += total
-            else:
-                cos, sin = fixed_root(v.a, v.m, cur)
-                real += trunc(total * cos, 1 << cur)
-                imag += trunc(total * sin, 1 << cur)
-        real, imag = trunc(real, 1 << (cur - W)), trunc(imag, 1 << (cur - W))
-        out.append(BigComplex(ctx.from_fixed(real, W), ctx.from_fixed(imag, W)))
-    return out
-
-
-def running_euler_products(chi, s: int, cells: list) -> list:
-    """The shared product pass, cell by cell: the product runs at the width
-    of each prime's index, truncated where that width narrows, each factor's
-    root taken at that width; a cell truncates the product to its own W and
-    inverts it there."""
-    limits, widths = [n for n, _ in cells], [kernel_bits(ctx) for _, ctx in cells]
-    out = []
-    for (n, ctx), W in zip(cells, widths):
-        ws = index_widths(limits, widths, n)
-        cur = ws[0]
-        re, im = 1 << cur, 0
-        for p, w in zip(first_n_primes(n), ws):
-            re, im = trunc(re, 1 << (cur - w)), trunc(im, 1 << (cur - w))
-            cur, one = w, 1 << w
-            v = chi(p)
-            if v.is_zero:
-                continue
-            x = one // p**s
-            if v.a == 0:
-                fr, fi = one - x, 0
-            else:
-                cos, sin = fixed_root(v.a, v.m, w)
-                fr, fi = one - trunc(x * cos, one), -trunc(x * sin, one)
-            re, im = trunc(re * fr - im * fi, one), trunc(re * fi + im * fr, one)
-        re, im = trunc(re, 1 << (cur - W)), trunc(im, 1 << (cur - W))
-        den = re * re + im * im
-        out.append(
-            BigComplex(
-                ctx.from_fixed(trunc(re << 2 * W, den), W),
-                ctx.from_fixed(trunc(-im << 2 * W, den), W),
-            )
-        )
-    return out
-
-
-def bands_reached(limits: list, limit: int) -> int:
-    """t: the band where a cell with this limit ends is the shared pass's t-th."""
-    return len({other for other in limits if other <= limit})
-
-
-def sum_bound(chi, J: int, t: int) -> float:
-    """The L-sum's bound in units of 2**-W (module docstring of ``recursion``)."""
+def sum_bound(chi, J: int) -> float:
+    """The L-sum's bound in units of 2**-W (module docstring of ``recursion``),
+    one truncation to W included."""
     c = len({chi(j) for j in range(1, J + 1) if not chi(j).is_zero}) - 1
-    return J + c + 2 + 2 * math.log(J) + (c + 1) * t
+    return J + c + 3 + 2 * math.log(J)
 
 
-def product_bound(n: int, t: int) -> int:
-    """The Euler product's bound in units of 2**-W for s >= 2."""
-    return 20 * n + 2 + 6 * t
+def product_bound(n: int) -> int:
+    """The Euler product's bound in units of 2**-W for s >= 2, one truncation
+    to W included."""
+    return 20 * n + 6
 
 
 def within(value: BigComplex, exact, bound: float, W: int) -> bool:
@@ -255,16 +190,28 @@ def any_character(k: int, pick: int):
     return group.characters[pick % len(group)]
 
 
+def gaussian_characters(k: int) -> list:
+    """The characters mod k whose values are fourth roots of unity (the oracle's domain)."""
+    return [c for c in enumerate_characters(k).characters if all(4 % v.m == 0 for v in c.table)]
+
+
 def gaussian_character(k: int, pick: int):
-    """A character mod k whose values are fourth roots of unity (the oracle's domain)."""
-    chars = [c for c in enumerate_characters(k).characters if all(4 % v.m == 0 for v in c.table)]
+    chars = gaussian_characters(k)
     return chars[pick % len(chars)]
 
 
-# J order and W order disagree: the shortest cell is the widest, so the
-# passes narrow at later bands
+# J order and W order disagree: the shortest cell is the widest, so a
+# longer cell's later indices run wider than its own W
 WIDE_SHORT_SUMS = [(100, 64), (7, 1400), (50, 300), (7, 200), (100, 900)]
 WIDE_SHORT_PRODUCTS = [(30, 64), (3, 1400), (12, 300), (3, 200), (30, 900)]
+# the same at the automatic precisions of mod 70 label 7 (a character of
+# order 4), s = 100, n = 1..30: n = 3 is the widest
+CHI70 = enumerate_characters(70).by_label(7)
+PREC70 = [recursion.required_precision(n, 100, CHI70).prec_bits for n in range(1, 31)]
+MOD70_SUMS = [(2 * p - 1, prec) for p, prec in zip(first_n_primes(30), PREC70)]
+MOD70_PRODUCTS = list(zip(range(1, 31), PREC70))
+MOD70_ANY = dict(k=70, pick=enumerate_characters(70).characters.index(CHI70), s=100)
+MOD70_GAUSSIAN = dict(k=70, pick=gaussian_characters(70).index(CHI70), s=100)
 PICK = st.integers(0, 10**6)
 SUM_CELLS = st.lists(st.tuples(st.integers(1, 120), st.integers(64, 1500)), min_size=1, max_size=5)
 PRODUCT_CELLS = st.lists(
@@ -274,10 +221,9 @@ PRODUCT_CELLS = st.lists(
 
 class TestSharedPass:
     """The passes shared by several cells (an L-sum's (J, precision), a
-    product's (n, precision)) keep one running value at each band's width.
-    A single cell gets the bits of its own per-cell loop; several cells get
-    the bits of the running pass, within the restated bounds of the exact
-    values."""
+    product's (n, precision)) keep one running value at the widest cell's W.
+    Every cell gets the bits of its one-cell loop run at that width and
+    truncated to its own W, within the restated bounds of the exact values."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -303,44 +249,54 @@ class TestSharedPass:
     @example(k=13, pick=5, s=30, cells=WIDE_SHORT_SUMS)
     # at a small s the rotated totals are large enough to show a root's last bits
     @example(k=13, pick=5, s=2, cells=WIDE_SHORT_SUMS)
+    @example(**MOD70_ANY, cells=MOD70_SUMS)
     def test_sums_match_running_pass(self, k, pick, s, cells):
         chi = any_character(k, pick)
         cells = [(J, ExactContext(p)) for J, p in cells]
+        wide = max(kernel_bits(ctx) for _, ctx in cells)
         got = recursion._l_partial_sums(chi, s, cells)
-        assert got == running_partial_sums(chi, s, cells)
+        assert got == [per_cell_partial_sum(chi, s, J, ctx, wide) for J, ctx in cells]
 
     @settings(max_examples=150, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS)
     @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
+    @example(**MOD70_ANY, cells=MOD70_PRODUCTS)
     def test_products_match_running_pass(self, k, pick, s, cells):
         chi = any_character(k, pick)
         cells = [(n, ExactContext(p)) for n, p in cells]
+        wide = max(kernel_bits(ctx) for _, ctx in cells)
         got = recursion._euler_products(chi, s, cells)
-        assert got == running_euler_products(chi, s, cells)
+        assert got == [per_cell_euler_product(chi, s, n, ctx, wide) for n, ctx in cells]
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
     @example(k=13, pick=5, s=30, cells=WIDE_SHORT_SUMS)
+    @example(**MOD70_GAUSSIAN, cells=MOD70_SUMS)
     def test_sums_within_bound(self, k, pick, s, cells):
         chi = gaussian_character(k, pick)
-        limits = [J for J, _ in cells]
         cells = [(J, ExactContext(p)) for J, p in cells]
         for (J, ctx), value in zip(cells, recursion._l_partial_sums(chi, s, cells)):
-            bound = sum_bound(chi, J, bands_reached(limits, J))
             exact = oracle.l_partial_sum_exact(chi, s, J)
-            assert within(value, exact, bound, kernel_bits(ctx))
+            assert within(value, exact, sum_bound(chi, J), kernel_bits(ctx))
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(2, 60), cells=PRODUCT_CELLS)
     @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
+    @example(**MOD70_GAUSSIAN, cells=MOD70_PRODUCTS)
     def test_products_within_bound(self, k, pick, s, cells):
         chi = gaussian_character(k, pick)
-        limits = [n for n, _ in cells]
         cells = [(n, ExactContext(p)) for n, p in cells]
         for (n, ctx), value in zip(cells, recursion._euler_products(chi, s, cells)):
-            bound = product_bound(n, bands_reached(limits, n))
             exact = oracle.euler_product_exact(chi, s, n)
-            assert within(value, exact, bound, kernel_bits(ctx))
+            assert within(value, exact, product_bound(n), kernel_bits(ctx))
+
+    def test_estimate_many_takes_any_iterable(self):
+        chi = G5.by_label(2)
+        assert recursion.estimate_many([], 20, chi) == []
+        assert recursion.estimate_many(iter([]), 20, chi) == []
+        got = recursion.estimate_many((n for n in (4, 2, 4)), 20, chi)
+        assert got == recursion.estimate_many([4, 2, 4], 20, chi)
+        assert [r.n for r in got] == [4, 2, 4]
 
     def test_estimate_many_matches_estimate(self):
         for chi, ns in ((K1, range(2, 31)), (G5.by_label(2), [6, 2, 4, 2]), (G9.by_label(3), [1, 7])):
@@ -359,8 +315,7 @@ class TestSharedPass:
                         # four roundings of |sum|, |product| < 2 (2**16 units
                         # each) and two of the residual
                         J = 2 * first_n_primes(n)[-1] - 1
-                        t = bands_reached(list(ns), n)
-                        units = 2 * (sum_bound(chi, J, t) + product_bound(n, t)) + 2**19
+                        units = 2 * (sum_bound(chi, J) + product_bound(n)) + 2**19
                         W = kernel_bits(PrecisionContext(got.prec_bits))
                         slack = Fraction(math.ceil(units), 1 << W)
                         a, b = got.residual, want.residual
@@ -370,7 +325,9 @@ class TestSharedPass:
     @pytest.mark.parametrize(
         "ns, precs", [(range(2, 31), None), ([30, 3, 12, 3, 30], [64, 1400, 300, 200, 900])]
     )
-    def test_roots_once_per_band_width(self, monkeypatch, ns, precs):
+    def test_roots_at_one_width(self, monkeypatch, ns, precs):
+        # each folded angle's series runs once, at the pass's width (32 bits
+        # past the widest cell's W), for the L-sum and the product together
         from primerec import mpnum
 
         chi, s, ns = enumerate_characters(7).by_label(3), 41, list(ns)
@@ -380,14 +337,12 @@ class TestSharedPass:
             ctxs = [PrecisionContext(p) for p in precs]
         calls = []
         series = mpnum._fp_sin_cos
-        monkeypatch.setattr(mpnum, "_ROOT_CACHE", {})
+        mpnum._octant_root.cache_clear()
         monkeypatch.setattr(mpnum, "_fp_sin_cos", lambda *args: calls.append(args) or series(*args))
         recursion._residuals(ns, s, chi, ctxs)
-        bands = {wide for _, _, wide, _ in recursion._bands(ns, [kernel_bits(ctx) for ctx in ctxs])}
-        widths = {}
-        for p, q, wp2 in calls:
-            widths.setdefault((p, q), set()).add(wp2)
-        assert widths and all(len(w) <= len(bands) for w in widths.values())
+        angles = {(p, q) for p, q, _ in calls if p}
+        assert angles and len(calls) == len({(p, q) for p, q, _ in calls})
+        assert {wp2 for _, _, wp2 in calls} == {max(kernel_bits(ctx) for ctx in ctxs) + 32}
 
 
 class TestEulerProduct:
@@ -805,18 +760,42 @@ class TestCostGuard:
             recursion.estimate(2, 50, K1, prec_bits=10**6)
 
     def test_computed_roots(self):
-        # mod 7 label 2 takes four values of order 3 or 6 on 1..9 (n = 3),
-        # each a sine series at W bits: at W = 200112 they project
-        # 4 * 5 * W**2.5 = 3.6e14, where the kernels' (9 + 14) * W**2 = 9.2e11
-        # and the chain (s = 2000, m1 = 10, m2 = 12) stay below the cap
+        # mod 7 label 2 takes four values of order 3 or 6 on 1..9 (n = 3), which
+        # fold to one first-octant angle, so fixed_root runs one sine series at
+        # W bits: at W = 240112 it projects 5 * W**2.5 = 1.41e14, where the
+        # kernels' (9 + 14) * W**2 = 1.3e12 and the chain (s = 2000, m1 = 10,
+        # m2 = 12) stay below the cap
         chi = enumerate_characters(7).by_label(2)
-        roots = r"4 computed roots of unity at 5\*W\*\*2\.5 = 3\.58e\+14"
+        roots = r"1 computed roots of unity at 5\*W\*\*2\.5 = 1\.41e\+14"
         with pytest.raises(UnsupportedSizeError, match=rf"n=3, s=2000 .* {roots}"):
-            recursion.estimate(3, 2000, chi, prec_bits=200000)
+            recursion.estimate(3, 2000, chi, prec_bits=240000)
+        # at 200000 bits the one root projects 8.95e13, and the input is run;
         # the trivial character and a character of order 4 compute no root
-        for chi in (K1, G5.by_label(2)):
+        for chi in (chi, K1, G5.by_label(2)):
             with pytest.raises(AssertionError, match="the kernel ran"):
                 recursion.estimate(3, 2000, chi, prec_bits=200000)
+        with pytest.raises(AssertionError, match="the kernel ran"):
+            recursion.estimate(3, 2000, K1, prec_bits=240000)
+
+    def test_pass_at_the_widest_width(self, monkeypatch):
+        # n = 2 at s = 300000 needs 775585 bits and n = 30 is sized here at
+        # 200: each passes alone, but one pass runs n = 30's J = 225 indices
+        # at n = 2's W = 775697, (225 + 14) * W**2 = 1.44e14
+        sizing = recursion._sizing
+
+        def narrow_30(n, s, chi):
+            if n != 30:
+                return sizing(n, s, chi)
+            ctx, terms = PrecisionContext(200), list(islice(recursion._tail_terms(n, chi), 2))
+            recursion._check_cost(n, s, chi, ctx, terms)
+            return ctx, terms
+
+        monkeypatch.setattr(recursion, "_sizing", narrow_30)
+        for ns in ([2], [30]):
+            with pytest.raises(AssertionError, match="the kernel ran"):
+                recursion.estimate_many(ns, 300000, K1)
+        with pytest.raises(UnsupportedSizeError, match=r"n=30, s=300000 at 775585 bits .* = 1\.44e\+14"):
+            recursion.estimate_many([2, 30], 300000, K1)
 
     def test_scaled_residual_and_dtable(self):
         with pytest.raises(UnsupportedSizeError):
