@@ -17,15 +17,8 @@ one fan-out over worker processes (the trivial character's errors, for
 instance, are shared by every row of a table); results are collected by
 grid index, so output is bit-identical to a sequential run.  A series task
 holds every n of one s (``recursion.estimate_many``), so they share one
-running pass of each kernel; a table keeps one task per cell.
-
-The CLI renders these results with the CSV schemas below (floats with 17
-significant digits):
-
- * series: ``n, s, modulus, label, neg_log_error``
- * fits:   ``n, a, b, r, s_min, s_max, n_points, n_excluded``
- * dtable: ``modulus, label, n, d_value, status`` (``d_value`` is empty
-   for a ``zero-residual`` cell)
+running pass of each kernel; a table keeps one task per cell.  The CLI
+renders the results (``primerec.cli`` holds the row format).
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ __all__ = [
     "linear_fit",
     "slope_series",
     "d_table",
-    "fmt_float",
 ]
 
 S_RANGE_CAP = 2000
@@ -241,13 +233,3 @@ def d_table(n_list: Sequence[int], s: int, moduli: Sequence[int], workers: int =
         rows.append(DRow(ch.modulus, ch.label, tuple(cells)))
     return DTable(s, tuple(rows))
 
-
-# ---------------------------------------------------------------------------
-# Float rendering
-# ---------------------------------------------------------------------------
-
-FLOAT_DIGITS = 17
-
-
-def fmt_float(v: float) -> str:
-    return f"{v:.{FLOAT_DIGITS}g}"

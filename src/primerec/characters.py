@@ -56,7 +56,6 @@ __all__ = [
     "enumerate_characters",
     "keller_one",
     "char_product",
-    "character_table_rows",
 ]
 
 MODULUS_CAP = 10**4
@@ -110,13 +109,6 @@ class CharValue:
         if self.is_zero or other.is_zero:
             return CHAR_ZERO
         return CharValue.root(self.a * other.m + other.a * self.m, self.m * other.m)
-
-    def pow(self, e: int) -> "CharValue":
-        if self.is_zero:
-            if e == 0:
-                raise DomainError("0**0 is undefined")
-            return CHAR_ZERO
-        return CharValue.root(self.a * e, self.m)
 
     def conjugate(self) -> "CharValue":
         if self.is_zero:
@@ -342,12 +334,3 @@ def char_product(x: DirichletCharacter, y: DirichletCharacter) -> DirichletChara
     orders = group.structure.generator_orders()
     return group.by_label(_label(tuple(a + b for a, b in zip(x.exponents, y.exponents)), orders))
 
-
-def character_table_rows(group: CharacterGroup):
-    """Yield rows (label, n, kind, a, m) for CSV export; zero cells carry no exponent."""
-    for ch in group.characters:
-        for n, v in enumerate(ch.table):
-            if v.is_zero:
-                yield ch.label, n, "zero", "", ""
-            else:
-                yield ch.label, n, "root", v.a, v.m

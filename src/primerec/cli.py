@@ -15,6 +15,21 @@ stderr.  Exit codes: 0 success, 1 domain error, 2 argument error, 3 the
 output file cannot be written.  All numeric output is plain decimal, never
 locale-dependent.  ``--workers`` (default from the PRIMEREC_WORKERS
 environment variable) parallelises sweeps without changing their output.
+
+Row format
+----------
+Each data subcommand yields a header and its rows; ``run`` renders them
+once, as CSV or as JSON ``{"schema": header, "rows": [{column: value}]}``.
+Floats print with 17 significant digits (``FLOAT_DIGITS``).  The schemas:
+
+ * chars:    ``label, n, kind, a, m`` (``kind`` is ``zero`` or ``root``;
+   ``a`` and ``m`` are empty for a zero cell)
+ * estimate: ``n, s, modulus, label, prec_bits, target, rounded,
+   rounded_is_prime, estimate, error, margin, status``
+ * sweep:    ``n, s, modulus, label, neg_log_error``
+ * slopes:   ``n, a, b, r, s_min, s_max, n_points, n_excluded``
+ * dtable:   ``modulus, label, n, d_value, status`` (``d_value`` is empty
+   for a ``zero-residual`` cell)
 """
 
 from __future__ import annotations
@@ -28,12 +43,13 @@ import sys
 from typing import Optional, Sequence
 
 from . import analysis, recursion, selftest
-from .characters import character_table_rows, enumerate_characters
+from .characters import enumerate_characters
 from .errors import PrimerecError
-from .mpnum import format_decimal
+from .mpnum import BigFloat, format_decimal
 from .primes import is_prime
 
 WORKERS_ENV = "PRIMEREC_WORKERS"
+FLOAT_DIGITS = 17
 
 
 def _default_workers() -> int:
@@ -103,29 +119,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, header, rows, out_stream) -> None:
-    if args.format == "json":
+def _render(fmt: str, header, rows, out) -> None:
+    if fmt == "json":
         payload = {"schema": list(header), "rows": [dict(zip(header, row)) for row in rows]}
-        out_stream.write(json.dumps(payload, indent=2))
-        out_stream.write("\n")
+        out.write(json.dumps(payload, indent=2))
+        out.write("\n")
     else:
-        writer = csv.writer(out_stream, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _cmd_chars(args, out):
-    group = enumerate_characters(args.modulus)
-    _emit(args, ("label", "n", "kind", "a", "m"), character_table_rows(group), out)
-    return 0
+def _float(v: float) -> str:
+    return f"{v:.{FLOAT_DIGITS}g}"
 
 
-def _cmd_estimate(args, out):
+def _decimal(x: BigFloat) -> str:
+    return format_decimal(x, FLOAT_DIGITS)
+
+
+def _cmd_chars(args):
+    header = ("label", "n", "kind", "a", "m")
+    # a generator, so CSV never holds the row tuples of a 10**6-cell table at once
+    rows = (
+        (ch.label, n, "zero", "", "") if v.is_zero else (ch.label, n, "root", v.a, v.m)
+        for ch in enumerate_characters(args.modulus).characters
+        for n, v in enumerate(ch.table)
+    )
+    return header, rows
+
+
+def _cmd_estimate(args):
     chi = enumerate_characters(args.modulus).by_label(args.label)
     res = recursion.estimate(args.n, args.s, chi, prec_bits=args.precision)
     if res.warning:
         print(f"warning: {res.warning}", file=sys.stderr)
-    digits = analysis.FLOAT_DIGITS
     header = (
         "n", "s", "modulus", "label", "prec_bits", "target", "rounded",
         "rounded_is_prime", "estimate", "error", "margin", "status",
@@ -133,16 +161,15 @@ def _cmd_estimate(args, out):
     row = (
         res.n, res.s, res.modulus, res.label, res.prec_bits, res.target, res.rounded,
         int(is_prime(res.rounded)) if res.rounded >= 1 else 0,
-        format_decimal(res.estimate, digits),
-        format_decimal(res.error, digits),
-        format_decimal(res.margin, digits),
+        _decimal(res.estimate),
+        _decimal(res.error),
+        _decimal(res.margin),
         "char-zero-at-target" if res.warning else "",
     )
-    _emit(args, header, [row], out)
-    return 0
+    return header, [row]
 
 
-def _cmd_sweep(args, out):
+def _cmd_sweep(args):
     chi = enumerate_characters(args.modulus).by_label(args.label)
     series = analysis.neg_log_series(
         args.n, args.s_min, args.s_max, chi, workers=args.workers
@@ -153,29 +180,23 @@ def _cmd_sweep(args, out):
             file=sys.stderr,
         )
     header = ("n", "s", "modulus", "label", "neg_log_error")
-    rows = [
-        (series.n, p.s, series.modulus, series.label, format_decimal(p.y, analysis.FLOAT_DIGITS))
-        for p in series.points
-    ]
-    _emit(args, header, rows, out)
-    return 0
+    rows = [(series.n, p.s, series.modulus, series.label, _decimal(p.y)) for p in series.points]
+    return header, rows
 
 
-def _cmd_slopes(args, out):
+def _cmd_slopes(args):
     fits = analysis.slope_series(
         args.n_min, args.n_max, args.s_min, args.s_max, workers=args.workers
     )
-    fmt = analysis.fmt_float
     header = ("n", "a", "b", "r", "s_min", "s_max", "n_points", "n_excluded")
     rows = [
-        (n, fmt(f.a), fmt(f.b), fmt(f.r), f.s_min, f.s_max, f.n_points, f.n_excluded)
+        (n, _float(f.a), _float(f.b), _float(f.r), f.s_min, f.s_max, f.n_points, f.n_excluded)
         for n, f in fits
     ]
-    _emit(args, header, rows, out)
-    return 0
+    return header, rows
 
 
-def _cmd_dtable(args, out):
+def _cmd_dtable(args):
     table = analysis.d_table(args.n_list, args.s, args.moduli, workers=args.workers)
     header = ("modulus", "label", "n", "d_value", "status")
     rows = []
@@ -188,10 +209,9 @@ def _cmd_dtable(args, out):
                     f"warning: modulus {row.modulus} label {row.label} n={cell.n}: {cell.status}",
                     file=sys.stderr,
                 )
-            d_value = "" if cell.value is None else format_decimal(cell.value, analysis.FLOAT_DIGITS)
+            d_value = "" if cell.value is None else _decimal(cell.value)
             rows.append((row.modulus, row.label, cell.n, d_value, cell.status))
-    _emit(args, header, rows, out)
-    return 0
+    return header, rows
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -215,7 +235,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     buf = io.StringIO()
     try:
-        code = handler(args, buf)
+        header, rows = handler(args)
+        _render(args.format, header, rows, buf)
     except PrimerecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -228,7 +249,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return 3
     else:
         sys.stdout.write(buf.getvalue())
-    return code
+    return 0
 
 
 def main() -> None:

@@ -316,11 +316,13 @@ def _fp_sin_cos(p: int, q: int, wp2: int) -> tuple[int, int]:
 
 def _first_octant(a: int, m: int) -> tuple:
     """``(p, q, swap, cos_sign, sin_sign)``: a/m (m >= 1) folded exactly into
-    the first octant, 0 <= p/q <= 1/8.
+    the first octant, 0 <= p/q <= 1/8, with p/q in lowest terms.
 
     (cos, sin) of 2 pi a / m is ``(cos_sign * c, sin_sign * s)``, where
     (c, s) is (cos, sin) of 2 pi p / q, exchanged when ``swap``.  p = 0
-    exactly for the multiples of a quarter turn.
+    (and q = 1) exactly for the multiples of a quarter turn.  Reducing p/q
+    gives one cache key per angle and leaves the bits unchanged:
+    ``2 pi_fp p // q`` is the same integer for every multiple of (p, q).
     """
     p, q = a % m, m
     sin_sign = cos_sign = 1
@@ -331,7 +333,8 @@ def _first_octant(a: int, m: int) -> tuple:
     swap = 8 * p > q  # -> 1/4 - p/q, sine and cosine exchanged
     if swap:
         p, q = q - 4 * p, 4 * q
-    return p, q, swap, cos_sign, sin_sign
+    g = math.gcd(p, q)
+    return p // g, q // g, swap, cos_sign, sin_sign
 
 
 @lru_cache(maxsize=_CACHED_ROOTS)

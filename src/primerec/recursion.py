@@ -522,7 +522,14 @@ def _estimates(ns, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = N
     ctxs = [ctx for ctx, _ in sized]
     if len(ns) > 1:
         # the pass runs the longest cell's indices at the widest cell's W
-        _check_cost(max(ns), s, chi, PrecisionContext(max(ctx.prec_bits for ctx in ctxs)), [])
+        widest = max(zip(ns, ctxs), key=lambda cell: cell[1].prec_bits)
+        try:
+            _check_cost(max(ns), s, chi, widest[1], [])
+        except UnsupportedSizeError as exc:
+            raise UnsupportedSizeError(
+                f"the kernel pass shared by n={', '.join(map(str, ns))} is refused: it runs "
+                f"the longest, n={max(ns)}, at the precision of the widest, n={widest[0]}: {exc}"
+            ) from None
     rs = _residuals(ns, s, chi, ctxs)
     return [_finish(n, s, chi, ctx, terms, r) for n, (ctx, terms), r in zip(ns, sized, rs)]
 

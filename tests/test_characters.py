@@ -82,20 +82,6 @@ class TestCharValue:
         assert x.mul(y) == y.mul(x)
         assert math.gcd(prod.a, prod.m) == 1 or prod.a == 0
 
-    @given(
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=-50, max_value=50),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_pow_matches_exponent_multiplication(self, a, m, e):
-        got = R(a, m).pow(e)
-        assert got.exponent() == (R(a, m).exponent() * e) % 1
-        assert math.gcd(got.a, got.m) == 1 or got.a == 0
-        assert CHAR_ZERO.pow(abs(e) + 1) == CHAR_ZERO
-        with pytest.raises(DomainError):
-            CHAR_ZERO.pow(0)
-
 
 class TestUnitGroup:
     def test_examples(self):

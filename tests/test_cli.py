@@ -20,6 +20,28 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chars", "--modulus", "12"],
+        ["estimate", "--n", "2", "--s", "50", "--modulus", "5", "--label", "2"],
+        ["sweep", "--n", "2", "--s-min", "20", "--s-max", "22"],
+        ["slopes", "--n-min", "2", "--n-max", "3", "--s-min", "20", "--s-max", "30"],
+        ["dtable", "--n-list", "1,2", "--s", "50", "--moduli", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_and_csv_carry_the_same_rows(capsys, argv):
+    code_csv, out_csv, err_csv = invoke(capsys, *argv)
+    code_json, out_json, err_json = invoke(capsys, *argv, "--format", "json")
+    assert code_csv == code_json == 0 and err_csv == err_json
+    header, *rows = csv.reader(io.StringIO(out_csv))
+    payload = json.loads(out_json)
+    assert payload["schema"] == header
+    assert [[str(v) for v in row.values()] for row in payload["rows"]] == rows
+    assert rows and all(list(row) == header for row in payload["rows"])
+
+
 class TestChars:
     def test_mod5_table(self, capsys):
         code, out, err = invoke(capsys, "chars", "--modulus", "5")

@@ -218,8 +218,9 @@ class TestRootOfUnity:
         series = mpnum._fp_sin_cos
         mpnum._octant_root.cache_clear()
         monkeypatch.setattr(mpnum, "_fp_sin_cos", lambda *args: calls.append(args) or series(*args))
-        # five distinct first-octant angles: 30, 90/7, 45, 18 and 25.2 degrees
-        for a, m in ((1, 3), (2, 7), (3, 8), (1, 5), (7, 100)):
+        # five distinct first-octant angles: 30, 90/7, 45, 18 and 25.2 degrees;
+        # (1, 12) is 30 degrees again: (1, 3) folds to 2/24, which reduces to 1/12
+        for a, m in ((1, 3), (2, 7), (3, 8), (1, 5), (7, 100), (1, 12)):
             c, s = fixed_root(a, m, 300)
             assert fixed_root(m - a, m, 300) == (c, -s)
             assert fixed_root(a + m, m, 300) == (c, s)

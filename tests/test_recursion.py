@@ -794,8 +794,12 @@ class TestCostGuard:
         for ns in ([2], [30]):
             with pytest.raises(AssertionError, match="the kernel ran"):
                 recursion.estimate_many(ns, 300000, K1)
-        with pytest.raises(UnsupportedSizeError, match=r"n=30, s=300000 at 775585 bits .* = 1\.44e\+14"):
+        with pytest.raises(UnsupportedSizeError, match=r"n=30, s=300000 at 775585 bits .* = 1\.44e\+14") as info:
             recursion.estimate_many([2, 30], 300000, K1)
+        assert str(info.value).startswith(
+            "the kernel pass shared by n=2, 30 is refused: it runs the longest, n=30, "
+            "at the precision of the widest, n=2: n=30, s=300000 at 775585 bits"
+        )
 
     def test_scaled_residual_and_dtable(self):
         with pytest.raises(UnsupportedSizeError):
