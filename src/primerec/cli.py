@@ -5,7 +5,8 @@ Subcommands
  * ``chars    --modulus K``                               character table
  * ``estimate --n N --s S [--modulus K --label L]``       one estimate row
  * ``sweep    --n N --s-min A --s-max B [--modulus ...]`` -ln(error) series
- * ``slopes   --n-min A --n-max B --s-min C --s-max D``   per-n fit lines
+ * ``slopes   --n-min A --n-max B --s-min C --s-max D [--modulus ...]``
+                                                          per-n fit lines
  * ``dtable   --n-list 3,...,8 --s 50 --moduli 4,5,8,9``  error differences
  * ``selftest``                                           built-in suites
 
@@ -40,6 +41,7 @@ import io
 import json
 import os
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 from . import analysis, recursion, selftest
@@ -50,6 +52,8 @@ from .primes import is_prime
 
 WORKERS_ENV = "PRIMEREC_WORKERS"
 FLOAT_DIGITS = 17
+# Rows per JSON encoding call: one chunk's dicts are all the row dicts alive
+_JSON_CHUNK = 4096
 
 
 def _default_workers() -> int:
@@ -104,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--s-min", type=int, required=True)
     p.add_argument("--s-max", type=int, required=True)
+    p.add_argument("--modulus", type=int, default=1)
+    p.add_argument("--label", type=int, default=1)
     p.add_argument("--workers", type=int, default=_default_workers())
     add_io(p)
 
@@ -121,9 +127,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _render(fmt: str, header, rows, out) -> None:
     if fmt == "json":
-        payload = {"schema": list(header), "rows": [dict(zip(header, row)) for row in rows]}
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
+        # the text of json.dumps({"schema": ..., "rows": [...]}, indent=2),
+        # with the rows encoded a chunk at a time, each chunk re-indented
+        # one level under "rows"
+        encoder = json.JSONEncoder(indent=2)
+        schema = encoder.encode(list(header)).replace("\n", "\n  ")
+        out.write(f'{{\n  "schema": {schema},\n  "rows": [')
+        rows, sep = iter(rows), ""
+        while chunk := [dict(zip(header, row)) for row in islice(rows, _JSON_CHUNK)]:
+            # strip the chunk's own "[" and "\n]"
+            out.write(sep + encoder.encode(chunk)[1:-2].replace("\n", "\n  "))
+            sep = ","
+        out.write("\n  ]\n}\n" if sep else "]\n}\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -185,8 +200,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_slopes(args):
+    chi = enumerate_characters(args.modulus).by_label(args.label)
     fits = analysis.slope_series(
-        args.n_min, args.n_max, args.s_min, args.s_max, workers=args.workers
+        args.n_min, args.n_max, args.s_min, args.s_max, chi, workers=args.workers
     )
     header = ("n", "a", "b", "r", "s_min", "s_max", "n_points", "n_excluded")
     rows = [

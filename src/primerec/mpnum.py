@@ -24,15 +24,18 @@ exponent-range violations raise ``RangeError``.
 
 Algorithms
 ----------
- * ``exp``   - argument reduction ``x -> x / 2**t`` until the argument is
-   below ``2**-sqrt(wp)``, Taylor series in fixed point, then ``t`` squarings
-   carried with ``t + 16`` extra guard bits (each squaring doubles the
-   relative error).  Arguments with magnitude above ``2**48`` are rejected.
- * ``ln``    - exponent extraction ``ln(f * 2**e) = ln f + e*ln 2`` with the
-   significand normalised into ``[sqrt(1/2), sqrt(2))`` so the ``e*ln 2``
-   contribution never cancels catastrophically, then the odd atanh series of
-   ``u = (f-1)/(f+1)`` (``|u| < 0.172``) in fixed point; a power of two
-   has ``u = 0`` and takes the same path.
+ * ``exp``   - ``x = q ln 2 + r`` with ``0 <= r < ln 2``, so ``exp x`` is
+   ``2**q exp(r)``; ``exp(r)`` comes from ``_fp_exp``: argument reduction
+   ``r -> r / 2**k`` until the argument is below ``2**-sqrt(bits)``, the
+   Taylor series in fixed point with ``k + 16`` extra guard bits, then ``k``
+   squarings (each doubles the relative error), a negative argument
+   inverted once at the end.  Arguments with magnitude above ``2**48`` are
+   rejected.
+ * ``ln``    - ``_fp_ln``: exponent extraction ``ln(f * 2**e) = ln f + e*ln 2``
+   with the significand normalised into ``[sqrt(1/2), sqrt(2))`` so the
+   ``e*ln 2`` contribution never cancels catastrophically, then the odd
+   atanh series of ``u = (f-1)/(f+1)`` (``|u| < 0.172``) in fixed point; a
+   power of two has ``u = 0`` and takes the same path.
  * ``pi``    - Machin's formula ``16*atan(1/5) - 4*atan(1/239)``; an
    independent Euler split ``4*(atan(1/2) + atan(1/3))`` is exposed so the
    two can be cross-checked.
@@ -45,6 +48,11 @@ Algorithms
    exponents give equal cosines and exactly negated sines, and quarter and
    half turns exact; the cache is keyed by the folded angle, so a value and
    its conjugate share one series.
+
+The fixed-point kernels (``_fp_ln``, ``_fp_exp`` and the truncated power
+``_fp_pow``) take and return integers scaled by ``2**bits``; the context
+methods and ``recursion``'s estimate chain both run on them, so each series
+exists once.
 
 Constants (pi, ln 2) and first-octant roots of unity are memoised per
 precision in bounded ``functools.lru_cache``s, safe for concurrent readers
@@ -293,6 +301,91 @@ def _fp_ln2(bits: int) -> int:
     return total << 1
 
 
+def _ln_split(man: int, exp: int) -> tuple[int, int, int]:
+    """``(e, num, den)`` with ``man * 2**exp = 2**e * f``, f in
+    ``[sqrt(1/2), sqrt(2))`` and ``(f - 1) / (f + 1) = num / den`` (man > 0).
+
+    With f in that range a nonzero ``e ln 2`` never cancels against ``ln f``.
+    """
+    bl = man.bit_length()
+    if man * man < 1 << (2 * bl - 1):  # f0 < sqrt(2)
+        half = 1 << (bl - 1)
+        return exp + bl - 1, man - half, man + half
+    return exp + bl, man - (1 << bl), man + (1 << bl)
+
+
+def _fp_ln(man: int, exp: int, bits: int) -> int:
+    """ln(man * 2**exp) * 2**bits for man > 0.
+
+    Within ``3 T + 4`` units of ``2**-bits`` for T series terms (each gains
+    at least 5 bits, about ``2 log2(1/|u|)`` near 1), plus ``|e|`` times
+    ``_fp_ln2``'s error (under ``0.7 bits + 8`` units) for the e that
+    ``_ln_split`` takes out: within ``(|e| + 1) bits`` units for bits >= 64.
+    """
+    e, num, den = _ln_split(man, exp)
+    # atanh is odd; run the series on |u| so floor division terminates.
+    u = (abs(num) << bits) // den
+    usq = (u * u) >> bits
+    term = u
+    acc = u
+    j = 3
+    while term:
+        term = (term * usq) >> bits
+        acc += term // j
+        j += 2
+    total = (acc << 1) if num > 0 else -(acc << 1)
+    if e:
+        total += e * _fp_ln2(bits)
+    return total
+
+
+def _fp_exp(v: int, bits: int) -> int:
+    """exp(v * 2**-bits) * 2**bits, truncated.
+
+    The argument is divided by ``2**k`` until it is below ``2**-sqrt(bits)``,
+    the Taylor series and the ``k`` squarings run ``k + 16`` bits wider, and
+    a negative argument is inverted once at the end: within 2 units of
+    ``2**-bits`` relative for ``v >= 0``, and ``2 + exp(-x)`` for
+    ``x = v * 2**-bits < 0``, whose final division truncates.
+    """
+    if v < 0:
+        return (1 << 2 * bits) // _fp_exp(-v, bits)
+    k = max(0, v.bit_length() - bits + max(8, math.isqrt(bits)))
+    wp2 = bits + k + 16
+    r = v << 16  # v / 2**k at the scale 2**wp2
+    term = r
+    acc = (1 << wp2) + r
+    j = 2
+    while term:
+        term = ((term * r) >> wp2) // j
+        acc += term
+        j += 1
+    for _ in range(k):
+        acc = (acc * acc) >> wp2
+    return acc >> (k + 16)
+
+
+def _fp_pow(m: int, k: int, bits: int) -> tuple[int, int]:
+    """``(v, e)`` with ``v * 2**e`` within ``2**(k.bit_length() + 1 - bits)``
+    relative of ``m**k`` (m, k >= 1), v at most ``bits`` bits long.
+
+    Left-to-right binary powering, each square truncated to ``bits`` bits:
+    ``k.bit_length() - 1`` truncations, the i-th doubled by each squaring
+    after it.
+    """
+    v, e = m, 0
+    for bit in bin(k)[3:]:
+        v *= v
+        e *= 2
+        if bit == "1":
+            v *= m
+        drop = v.bit_length() - bits
+        if drop > 0:
+            v >>= drop
+            e += drop
+    return v, e
+
+
 def _fp_sin_cos(p: int, q: int, wp2: int) -> tuple[int, int]:
     """(sin, cos) of 2*pi*p/q scaled by 2**wp2, for 0 <= p/q <= 1/8.
 
@@ -429,63 +522,24 @@ class PrecisionContext:
     def ln(self, x: BigFloat) -> BigFloat:
         if x.sign <= 0:
             raise DomainError("ln requires a positive argument")
-        wp = self._wp
-        bl = x.man.bit_length()
-        # Normalise the significand into [sqrt(1/2), sqrt(2)) so that a
-        # nonzero power-of-two exponent can never cancel against ln f.
-        if x.man * x.man < 1 << (2 * bl - 1):  # f0 < sqrt(2)
-            e = x.exp + bl - 1
-            num = x.man - (1 << (bl - 1))
-            den = x.man + (1 << (bl - 1))
-        else:
-            e = x.exp + bl
-            num = x.man - (1 << bl)
-            den = x.man + (1 << bl)
+        e, num, _ = _ln_split(x.man, x.exp)
         # Near x == 1 the leading zeros of u eat into the fixed-point budget.
-        extra = max(0, bl - abs(num).bit_length()) if e == 0 else 0
-        wp2 = wp + 32 + extra
-        # atanh is odd; run the series on |u| so floor division terminates.
-        u = (abs(num) << wp2) // den
-        usq = (u * u) >> wp2
-        term = u
-        acc = u
-        j = 3
-        while term:
-            term = (term * usq) >> wp2
-            acc += term // j
-            j += 2
-        total = (acc << 1) if num > 0 else -(acc << 1)
-        if e:
-            total += e * _fp_ln2(wp2)
-        return _from_signed(total, -wp2, wp)
+        extra = max(0, x.man.bit_length() - abs(num).bit_length()) if e == 0 else 0
+        wp2 = self._wp + 32 + extra
+        return _from_signed(_fp_ln(x.man, x.exp, wp2), -wp2, self._wp)
 
     def exp(self, x: BigFloat) -> BigFloat:
-        wp = self._wp
         if x.sign == 0:
             return ONE
         top = _top(x)
         if top > 48:
             raise RangeError("exp argument magnitude exceeds 2**48")
-        if x.sign < 0:
-            # keeps the fixed-point series all-positive so floors terminate
-            return _div(ONE, self.exp(_neg(x)), wp)
-        rbits = max(8, math.isqrt(wp))
-        k = max(0, top + rbits)
-        wp2 = wp + k + 16
-        # r = x / 2**k as fixed point scaled by 2**wp2; 0 < r < 2**-rbits.
-        shift = x.exp - k + wp2
-        r = x.man << shift if shift >= 0 else x.man >> -shift
-        term = r
-        acc = (1 << wp2) + r
-        j = 2
-        while term:
-            term = ((term * r) >> wp2) // j
-            acc += term
-            j += 1
-        result = _from_signed(acc, -wp2, wp2)
-        for _ in range(k):
-            result = _mul(result, result, wp2)
-        return _norm(result.sign, result.man, result.exp, wp)
+        # x = q ln 2 + r, 0 <= r < ln 2; q ln 2 takes top more bits
+        bits = self._wp + 32 + max(0, top)
+        shift = x.exp + bits
+        v = x.man << shift if shift >= 0 else x.man >> -shift
+        q, r = divmod(x.sign * v, _fp_ln2(bits))
+        return _norm(1, _fp_exp(r, bits), q - bits, self._wp)
 
     def pi(self) -> BigFloat:
         wp2 = self._wp + 32
@@ -499,21 +553,6 @@ class PrecisionContext:
     def ln2(self) -> BigFloat:
         wp2 = self._wp + 32
         return _norm(1, _fp_ln2(wp2), -wp2, self._wp)
-
-    def inv_root(self, x: BigFloat, s: int) -> BigFloat:
-        """x**(-1/s) = exp(-ln(x)/s) for positive x and integer s >= 1.
-
-        The chained rounding between ln and exp scales with |ln x|, so the
-        chain runs 64 bits wide of the context before the final rounding;
-        the division by s is the correctly rounded ``div``.
-        """
-        if not isinstance(s, int) or s < 1:
-            raise DomainError(f"inv_root order must be a positive integer, got {s!r}")
-        if x.sign <= 0:
-            raise DomainError("inv_root requires a positive argument")
-        wide = PrecisionContext(self.prec_bits + 64)
-        r = wide.exp(_div(_neg(wide.ln(x)), wide.from_int(s), wide._wp))
-        return _norm(r.sign, r.man, r.exp, self._wp)
 
 
 # ---------------------------------------------------------------------------

@@ -25,26 +25,37 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    as exactly ``m1`` with margin 0.
  * Everything downstream of ``|residual|`` (the root, rounding, error and
    margin) runs at the width the subtraction left: ``P + top(|residual|)``
-   surviving bits plus 64, clamped to ``[64, P]``.  The root is taken of
-   ``u = |residual|**2 * m1**(2s)`` with order ``2 s`` and multiplied by
-   ``m1``, so no square root is needed.  ``m1**(2s)`` is an exact integer
-   and ``u = 1 + O((m1/m2)**s)``, so ``ln(u)`` runs with exponent 0 (no
-   ``ln 2`` term), its atanh series gains about ``2 s log2(m2/m1)`` bits a
-   term, and exp's argument ``ln(u) / (2s)`` is as small, so exp skips most
-   of its squarings: the argument reduction of Brent & Zimmermann, *Modern
-   Computer Arithmetic*, ch. 4, by a factor the tail terms give.  The chain
-   runs once, at that width, and cannot lose a bit the residual determines:
-   the residual resolves only about ``P + log2|residual| + 94`` bits
-   relative (the kernel bound below plus the rounding to ``P + 96`` bits).
-   The chain rounds at ``width + 96 = P + log2|residual| + 160`` bits: u
-   twice (``m1**(2s)`` and the product), then the root and its product
-   with m1, at most a half-ulp each, and u's two reach the root divided by
-   ``2 s``.  ``inv_root`` works 64 bits wider, where ``ln(u)`` is small (a
-   few units at most, when many tail terms lie near m2), so its absolute
-   error is below ``|ln(u)| * 2**-(width + 159)``.  So the estimate is
-   within ``2**-(width + 94)`` relative, 64 bits below the last bit the
-   residual resolves.  Running the chain at ``P`` could only re-derive bits
-   the residual does not determine.
+   surviving bits plus 64, clamped to ``[64, P]``.  The estimate is
+   ``m1 * u**(-1/(2s))`` with ``u = |residual|**2 * m1**(2s)``, so no
+   square root is needed, and ``_chain`` computes it in one pass over
+   fixed-point integers at ``F = width + 160`` fractional bits:
+   ``m1**(2s)`` by binary powering, each square truncated to ``F + g``
+   bits (g the bit length of 2s); u as its product with ``|residual|**2``,
+   both truncated to ``F + g`` bits; ``ln(u)`` by ``mpnum._fp_ln``;
+   ``t = -ln(u) / (2s)`` truncated toward zero; ``exp(t)`` by
+   ``mpnum._fp_exp``; then ``m1 * exp(t)`` rounded once to the width's
+   context, ``width + 96`` bits.  Since ``u = 1 + O((m1/m2)**s)``, ln's
+   atanh series gains about ``2 s log2(m2/m1)`` bits a term with no
+   ``ln 2`` term, and t is as small, so exp skips most of its squarings:
+   the argument reduction of Brent & Zimmermann, *Modern Computer
+   Arithmetic*, ch. 4, by a factor the tail terms give.
+   The chain cannot lose a bit the residual determines.  The residual
+   resolves only about ``P + log2|residual| + 94`` bits relative (the
+   kernel bound below plus the rounding to ``P + 96`` bits), about
+   ``width + 30``.  In units of ``2**-F`` relative: the power's
+   ``g - 1`` truncations, each doubled by the squarings after it, leave
+   ``m1**(2s)`` within 2 units and the two truncations of u add 1;
+   ``_fp_ln`` is within ``(|e| + 1) F`` units, e the binary exponent it
+   takes out of u (0 for u in ``[sqrt(1/2), sqrt(2))``, a few units when
+   many tail terms lie near m2); dividing by 2s divides those and
+   truncates once more; ``_fp_exp`` adds 2 units, plus
+   ``exp(-t) = u**(1/(2s))`` from its final division when t < 0.  So
+   ``m1 * exp(t)`` is within ``(|e| + 1) F + 8 + u**(1/(2s))`` units,
+   below ``2**64`` while F is below ``2**40`` and u within
+   ``2**(+-2**20)``, and after the rounding the estimate is within
+   ``2**-(width + 95)`` relative: 64 bits below the last bit the residual
+   resolves.  Running the chain at ``P`` could only re-derive bits the
+   residual does not determine.
 
 Taking ``|residual| ** (-1/s)`` then lands within a shrinking distance of
 the next prime ``p_{n+1}`` as s grows, provided ``chi(p_{n+1}) != 0`` (when
@@ -99,11 +110,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Optional
 
 from . import primes
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, enumerate_characters
 from .errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
 from .mpnum import (
     GUARD_BITS,
@@ -112,6 +124,9 @@ from .mpnum import (
     ZERO,
     PrecisionContext,
     _first_octant,
+    _fp_exp,
+    _fp_ln,
+    _fp_pow,
     _top,
     fixed_root,
     nearest_int,
@@ -144,19 +159,19 @@ MAX_KERNEL_COST = 10**14
 # residual of n = 2, s = 300000 (J = 5, W = 776k) 6.4 s where J * W**2
 # projected 2.4 s: about 7 units per division, 14 for both (9.1 s there).
 _INVERSION_WEIGHT = 14
-# The chain after the cancellation (``inv_root``'s ln and exp of
-# u = |residual|**2 * m1**(2s), see ``_finish``) runs at about
+# The chain after the cancellation (``_chain``: ln and exp of
+# u = |residual|**2 * m1**(2s) in fixed point, see ``_finish``) runs at about
 # w = s * log2(base / m1) + 160 bits, known from the tail terms before any
 # arithmetic.  u - 1 is about (m1/m2)**s, so ln's atanh series gains about
 # g = 2 s log2(m2 / m1) bits a term (at least 5: its argument is below 0.172)
 # and exp's argument is as small: about w / g products of w-bit integers in
 # CPython's Karatsuba time.  On the same machine, with ``prec_bits``
-# overrides at n = 2 and trivial chi, the chain took 0.45 s at w = 30k bits
-# and g = 26, 3.6 s at 50k and g = 10, 1.28 s at 98k and g = 421, and 0.044 s
+# overrides at n = 2 and trivial chi, the chain took 0.49 s at w = 30k bits
+# and g = 25, 4.0 s at 50k and g = 9, 1.28 s at 98k and g = 420, and 0.043 s
 # at 43k and g = 1578: at most 230 * w**2.5 / g in the kernel's units of c.
 # At the automatic precision g is about w, and the chain of n = 2 took
-# 0.003-0.09 s at w = 8k, 26k, 53k and 79k bits, below one unit of c * W**2,
-# which the kernels' (J + 14) * W**2 cover.
+# 0.0005-0.016 s at w = 8k, 26k, 53k and 79k bits, far below one unit of
+# c * W**2, which the kernels' (J + 14) * W**2 cover.
 _CHAIN_WEIGHT = 230
 # ``fixed_root`` computes a root of unity of order m not dividing 4 by the
 # sine's Taylor series at W bits, once per W for each first-octant angle the
@@ -165,6 +180,9 @@ _CHAIN_WEIGHT = 230
 # units of c * W**2 at W = 50k bits and 1343-1460 at 100k, and 504-695 at
 # 25k: under 5 * W**2.5.
 _ROOT_WEIGHT = 5
+# (n, modulus, label) whose first two tail terms are kept: a ``slopes`` run
+# visits 29 n for one character, a ``dtable`` one n per cell.
+_CACHED_TAILS = 256
 
 
 @dataclass(frozen=True)
@@ -222,6 +240,16 @@ def _tail_terms(n: int, chi: DirichletCharacter):
         m += 1
 
 
+@lru_cache(maxsize=_CACHED_TAILS)
+def _first_tail_terms(n: int, modulus: int, label: int) -> tuple:
+    """The first two of ``_tail_terms(n, chi)`` for chi = (modulus, label).
+
+    They do not depend on s, so a series over s finds them once.  Keyed on
+    the label, not the character, whose hash covers its whole table.
+    """
+    return tuple(islice(_tail_terms(n, enumerate_characters(modulus).by_label(label)), 2))
+
+
 def _check_cost(
     n: int, s: int, chi: Optional[DirichletCharacter], ctx: PrecisionContext, terms: list
 ) -> None:
@@ -274,7 +302,7 @@ def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
         )
     # the base as num / den, den = 1 unless it is m2**2 / m1
     num, den = 2 * primes.nth_prime(n), 1
-    terms = [] if chi is None else list(islice(_tail_terms(n, chi), 2))
+    terms = [] if chi is None else list(_first_tail_terms(n, chi.modulus, chi.label))
     if len(terms) == 2:
         m1, m2 = terms
         quarter_turn = chi(m2).mul(chi(m1).conjugate()).m == 4
@@ -554,6 +582,23 @@ def _working_precision(n: int, s: int, chi: DirichletCharacter, prec_bits: Optio
     return ctx, terms
 
 
+def _chain(sq: BigFloat, m1: int, s: int, bits: int) -> int:
+    """``m1 * u**(-1/(2s))`` with ``u = sq * m1**(2s)``, scaled by ``2**bits``.
+
+    One pass over fixed-point integers (see the module docstring for the
+    bound): u from ``sq`` and ``m1**(2s)``, both factors and their product
+    truncated to ``bits + g`` bits with ``g`` the bit length of 2s, then
+    ``t = -ln(u) / (2s)`` truncated toward zero and ``m1 * exp(t)``.
+    """
+    k = 2 * s
+    g = k.bit_length()
+    pm, pe = _fp_pow(m1, k, bits + g)
+    drop = max(0, sq.man.bit_length() - bits - g)
+    um, ue = (sq.man >> drop) * pm, sq.exp + drop + pe
+    drop = max(0, um.bit_length() - bits - g)
+    return m1 * _fp_exp(_trunc(-_fp_ln(um >> drop, ue + drop, bits), k), bits)
+
+
 def _finish(
     n: int, s: int, chi: DirichletCharacter, ctx: PrecisionContext, terms: list, r: BigComplex
 ) -> EstimateResult:
@@ -579,10 +624,8 @@ def _finish(
         # top(|residual|) = (top(|residual|**2) + 1) // 2
         width = min(max(ctx.prec_bits + (_top(sq) + 1) // 2 + 64, 64), ctx.prec_bits)
         chain = PrecisionContext(width)
-        # the root of u = |residual|**2 * m1**(2s) = 1 + O((m1/m2)**s), scaled back by m1
-        m1 = terms[0]
-        u = chain.mul(sq, chain.from_int(m1 ** (2 * s)))
-        est = chain.mul(chain.from_int(m1), chain.inv_root(u, 2 * s))
+        bits = width + 160
+        est = chain.from_fixed(_chain(sq, terms[0], s, bits), bits)
         rounded = nearest_int(est)
         error = chain.abs(chain.sub(chain.from_int(target), est))
         margin = chain.abs(chain.sub(est, chain.from_int(rounded)))

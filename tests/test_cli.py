@@ -7,7 +7,9 @@ import time
 
 import pytest
 
-from primerec.cli import run
+from primerec.analysis import slope_series
+from primerec.characters import enumerate_characters
+from primerec.cli import _JSON_CHUNK, _render, run
 
 
 def invoke(capsys, *argv):
@@ -177,6 +179,36 @@ class TestSlopes:
         rows = parse_csv(out)
         assert [r["n"] for r in rows] == ["2", "3"]
         assert all(float(r["r"]) > 0.99 for r in rows)
+
+    def test_character(self, capsys):
+        chi = enumerate_characters(7).by_label(3)
+        code, out, _ = invoke(
+            capsys, "slopes", "--n-min", "2", "--n-max", "4",
+            "--s-min", "20", "--s-max", "40", "--modulus", "7", "--label", "3",
+        )
+        assert code == 0
+        # 17 significant digits give the doubles back exactly
+        got = [(int(r["n"]), float(r["a"]), float(r["b"]), float(r["r"])) for r in parse_csv(out)]
+        assert got == [(n, f.a, f.b, f.r) for n, f in slope_series(2, 4, 20, 40, chi)]
+        # the default character is modulus 1, label 1
+        argv = ["slopes", "--n-min", "2", "--n-max", "3", "--s-min", "20", "--s-max", "30"]
+        assert invoke(capsys, *argv) == invoke(capsys, *argv, "--modulus", "1", "--label", "1")
+
+
+@pytest.mark.parametrize(
+    "header,rows",
+    [
+        (("a", "b"), []),
+        (("a",), [(1,)]),
+        (("k", "x"), [(i, f"v{i}") for i in range(2 * _JSON_CHUNK + 3)]),
+    ],
+    ids=["empty", "one", "three-chunks"],
+)
+def test_json_rows_stream_as_one_document(header, rows):
+    out = io.StringIO()
+    _render("json", header, iter(rows), out)
+    payload = {"schema": list(header), "rows": [dict(zip(header, row)) for row in rows]}
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 class TestDTable:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primerec import oracle, recursion
+from primerec import mpnum, oracle, recursion
 from primerec.analysis import d_table, neg_log_series
 from primerec.characters import enumerate_characters, keller_one
 from primerec.errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
@@ -587,24 +587,27 @@ class TestDownstreamWidth:
     )
     def test_matches_full_width_chain(self, monkeypatch, modulus, label, n, s, widths):
         used = []
-        inv_root = PrecisionContext.inv_root
+        chain = recursion._chain
 
-        def recording(ctx, *args):
-            used.append(ctx.prec_bits)
-            return inv_root(ctx, *args)
+        def recording(sq, m1, s, bits):
+            used.append(bits)
+            return chain(sq, m1, s, bits)
 
-        monkeypatch.setattr(PrecisionContext, "inv_root", recording)
+        monkeypatch.setattr(recursion, "_chain", recording)
         chi = enumerate_characters(modulus).by_label(label)
         res = recursion.estimate(n, s, chi)
         monkeypatch.undo()
         P = res.prec_bits
         assert P == recursion.required_precision(n, s, chi).prec_bits
         assert len(used) == 1
-        assert (used[0] == P) == (widths == "full") and used[0] <= P
+        width = used[0] - 160
+        assert (width == P) == (widths == "full") and width <= P
 
-        ctx = PrecisionContext(P)
+        # |residual|**(-1/s) by the context's ln and exp, 64 bits wider than P
+        ctx, wide = PrecisionContext(P), PrecisionContext(P + 64)
         r = res.residual
-        est = ctx.inv_root(ctx.add(ctx.mul(r.re, r.re), ctx.mul(r.im, r.im)), 2 * s)
+        sq = ctx.add(ctx.mul(r.re, r.re), ctx.mul(r.im, r.im))
+        est = wide.exp(wide.div(wide.neg(wide.ln(sq)), wide.from_int(2 * s)))
         rounded = nearest_int(est)
         error = ctx.abs(ctx.sub(ctx.from_int(res.target), est))
         margin = ctx.abs(ctx.sub(est, ctx.from_int(rounded)))
@@ -613,8 +616,132 @@ class TestDownstreamWidth:
             assert format_decimal(got, 17) == format_decimal(want, 17)
 
 
+def decimal_chain(sq: Fraction, m1: int, s: int, digits: int) -> Decimal:
+    """``m1 * (sq * m1**(2s))**(-1/(2s))`` by decimal ln and exp."""
+    with localcontext() as c:
+        c.prec = digits
+        u = Decimal(sq.numerator * m1 ** (2 * s)) / Decimal(sq.denominator)
+        return m1 * (-u.ln() / (2 * s)).exp()
+
+
+# Kernel arguments checked against decimal at 64 to 20k bits; decimal's ln
+# and exp take about a second each at 20k bits (6k digits), so that width
+# runs one case each
+LN_ARGS = {
+    "below-1": Fraction(3, 4),
+    "1+2^-500": 1 + Fraction(1, 2**500),
+    "1-2^-500": 1 - Fraction(1, 2**500),
+    "3.5": Fraction(7, 2),
+    "tiny": Fraction(3, 2**300),
+}
+EXP_ARGS = {
+    "1/3": Fraction(1, 3),
+    "-1/3": Fraction(-1, 3),
+    "-2^-40": Fraction(-1, 2**40),
+    "5/2": Fraction(5, 2),
+    "-5/2": Fraction(-5, 2),
+}
+
+
+def kernel_cases(args: dict, wide: str) -> list:
+    cases = [pytest.param(b, x, id=f"{b}-{k}") for b in (64, 256, 1000, 5000) for k, x in args.items()]
+    return cases + [pytest.param(20000, args[wide], id=f"20000-{wide}")]
+
+
+class TestChain:
+    """The fixed-point chain after the cancellation (``recursion._chain``).
+
+    Its kernels are compared with ``decimal``: ``_fp_ln`` within
+    ``(|e| + 1) * bits`` units of ``2**-bits``, e the binary exponent it
+    extracts, ``_fp_exp`` within ``2 + exp(-x)`` units relative, and the
+    chain within the module docstring's bound.
+    """
+
+    @pytest.mark.parametrize("bits,u", kernel_cases(LN_ARGS, "1+2^-500"))
+    def test_ln_matches_decimal(self, bits, u):
+        x = PrecisionContext(bits + 600).from_fraction(u)
+        e = mpnum._ln_split(x.man, x.exp)[0]
+        xf = x.to_fraction()
+        with localcontext() as c:
+            c.prec = bits * 30103 // 100000 + 60
+            want = (Decimal(xf.numerator) / Decimal(xf.denominator)).ln() * Decimal(2) ** bits
+            assert abs(Decimal(mpnum._fp_ln(x.man, x.exp, bits)) - want) <= (abs(e) + 1) * bits
+
+    @pytest.mark.parametrize("bits,x", kernel_cases(EXP_ARGS, "-2^-40"))
+    def test_exp_matches_decimal(self, bits, x):
+        v = math.floor(x * 2**bits)
+        with localcontext() as c:
+            c.prec = bits * 30103 // 100000 + 60
+            want = (Decimal(v) / Decimal(2) ** bits).exp()
+            got = Decimal(mpnum._fp_exp(v, bits)) / Decimal(2) ** bits
+            assert abs(got - want) / want * Decimal(2) ** bits <= 2 + (1 / want if v < 0 else 0)
+
+    @pytest.mark.parametrize(
+        "modulus,label,n,s",
+        [
+            (1, 1, 30, 20),  # u near 3.4
+            (1, 1, 30, 25),  # u near 3
+            (4, 2, 2, 20),  # chi(7) = -1: u = (1 - (5/7)**20)**2 < 1
+            (1, 1, 2, 1),
+            (1, 1, 5, 1),
+            (1, 1, 2, 2000),  # u - 1 near 2**-1000
+        ],
+    )
+    def test_cells_match_decimal(self, monkeypatch, modulus, label, n, s):
+        calls = []
+        chain = recursion._chain
+        monkeypatch.setattr(recursion, "_chain", lambda *a: calls.append(a) or chain(*a))
+        recursion.estimate(n, s, enumerate_characters(modulus).by_label(label))
+        (sq, m1, _, bits), = calls
+        self.check(sq.to_fraction(), m1, s, bits)
+
+    @pytest.mark.parametrize("bits", [64, 256, 1000, 5000])
+    @pytest.mark.parametrize(
+        "u,m1,s", [(Fraction(3, 2**300), 3, 5), (Fraction(1, 5), 7, 1), (Fraction(9, 4), 127, 20)]
+    )
+    def test_far_from_one(self, u, m1, s, bits):
+        self.check(u / m1 ** (2 * s), m1, s, bits)
+
+    @staticmethod
+    def check(sq: Fraction, m1: int, s: int, bits: int):
+        x = PrecisionContext(bits + 600).from_fraction(sq)
+        got = recursion._chain(x, m1, s, bits)
+        sq = x.to_fraction()
+        u = sq * m1 ** (2 * s)
+        e = mpnum._ln_split(u.numerator, 0)[0] - mpnum._ln_split(u.denominator, 0)[0]
+        digits = bits * 30103 // 100000 + 60
+        want = decimal_chain(sq, m1, s, digits)
+        bound = (abs(e) + 1) * bits + 8 + float(u) ** (1 / (2 * s))
+        with localcontext() as c:
+            c.prec = digits
+            assert abs(Decimal(got) - want * Decimal(2) ** bits) / want <= bound
+
+    @pytest.mark.parametrize("modulus", [5, 7, 13])
+    def test_conjugates_give_identical_estimates(self, modulus):
+        for chi in enumerate_characters(modulus).characters:
+            conj = enumerate_characters(modulus).by_label(chi.conjugate_label())
+            for s in (20, 150):
+                for a, b in zip(
+                    recursion.estimate_many(range(2, 12), s, chi),
+                    recursion.estimate_many(range(2, 12), s, conj),
+                ):
+                    assert (a.estimate, a.error, a.margin, a.rounded) == (
+                        b.estimate, b.error, b.margin, b.rounded
+                    )
+
+
 class TestPrecisionSizing:
     """Precision sized from the character's own tail terms (ROADMAP S1)."""
+
+    def test_tail_terms_found_once_per_character(self, monkeypatch):
+        recursion._first_tail_terms.cache_clear()
+        found = []
+        tail_terms = recursion._tail_terms
+        monkeypatch.setattr(recursion, "_tail_terms", lambda n, chi: found.append(n) or tail_terms(n, chi))
+        for s in (20, 21, 22):
+            recursion.estimate_many(range(2, 31), s, K1)
+        assert sorted(found) == list(range(2, 31))
+        assert recursion._first_tail_terms.cache_info().maxsize == recursion._CACHED_TAILS
 
     def test_tail_terms_set_the_base(self):
         G10 = enumerate_characters(10)
