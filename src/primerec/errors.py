@@ -29,7 +29,7 @@ class ZeroResidualError(DomainError):
 
 
 class PrecisionLossError(PrimerecError, ArithmeticError):
-    """A result vanished entirely at working precision.
+    """A result is not resolved from zero at working precision.
 
     Retrying with a larger working precision (``prec_bits``, the CLI's
     ``--precision``) is the documented remedy.

@@ -29,13 +29,18 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if flags[i]]
 
 
-def _ensure(n: int) -> None:
+def _ensure(n: int) -> list[int]:
+    """The sieved primes, at least the first n of them."""
     global _primes
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"prime count must be a positive integer, got {n!r}")
+    if n > _MAX_N:
+        raise DomainError(f"prime count {n} exceeds the supported cap of {_MAX_N}")
     if len(_primes) >= n:
-        return
+        return _primes
     with _cache_lock:
         if len(_primes) >= n:
-            return
+            return _primes
         # standard overestimate of p_n, padded for small n
         limit = 24 if n < 10 else int(n * (math.log(n) + math.log(math.log(n)))) + 16
         primes = _sieve(limit)
@@ -43,20 +48,17 @@ def _ensure(n: int) -> None:
             limit *= 2
             primes = _sieve(limit)
         _primes = primes
+        return primes
 
 
 def first_n_primes(n: int) -> list[int]:
     """Ascending list of the first n primes."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"prime count must be a positive integer, got {n!r}")
-    if n > _MAX_N:
-        raise DomainError(f"prime count {n} exceeds the supported cap of {_MAX_N}")
-    _ensure(n)
-    return _primes[:n]
+    return _ensure(n)[:n]
 
 
 def nth_prime(n: int) -> int:
-    return first_n_primes(n)[-1]
+    """The n-th prime, p_1 = 2."""
+    return _ensure(n)[n - 1]
 
 
 def is_prime(m: int) -> bool:

@@ -40,9 +40,10 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    the argument reduction of Brent & Zimmermann, *Modern Computer
    Arithmetic*, ch. 4, by a factor the tail terms give.
    The chain cannot lose a bit the residual determines.  The residual
-   resolves only about ``P + log2|residual| + 94`` bits relative (the
-   kernel bound below plus the rounding to ``P + 96`` bits), about
-   ``width + 30``.  In units of ``2**-F`` relative: the power's
+   resolves only about ``W + log2|residual| - log2(radius)`` bits relative
+   (its radius below, at least 35 units of ``2**-W``), under
+   ``width + 43`` where the width is not clamped to P.  In units of
+   ``2**-F`` relative: the power's
    ``g - 1`` truncations, each doubled by the squarings after it, leave
    ``m1**(2s)`` within 2 units and the two truncations of u add 1;
    ``_fp_ln`` is within ``(|e| + 1) F`` units, e the binary exponent it
@@ -53,9 +54,9 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    ``m1 * exp(t)`` is within ``(|e| + 1) F + 8 + u**(1/(2s))`` units,
    below ``2**64`` while F is below ``2**40`` and u within
    ``2**(+-2**20)``, and after the rounding the estimate is within
-   ``2**-(width + 95)`` relative: 64 bits below the last bit the residual
-   resolves.  Running the chain at ``P`` could only re-derive bits the
-   residual does not determine.
+   ``2**-(width + 95)`` relative: more than 50 bits below the last bit the
+   residual resolves.  Running the chain at ``P`` could only re-derive
+   bits the residual does not determine.
 
 Taking ``|residual| ** (-1/s)`` then lands within a shrinking distance of
 the next prime ``p_{n+1}`` as s grows, provided ``chi(p_{n+1}) != 0`` (when
@@ -63,25 +64,28 @@ the next prime divides the modulus the limit degenerates; the result is
 flagged, not rejected).
 
 The sum and the product run in fixed point, on integers scaled by
-``2**W`` with ``W = P + 96 + 16``, converted to the context's ``P + 96``
-bits at the end.  Roots of unity come from ``mpnum.fixed_root`` at the same
-scale, each component truncated and within 2 units of ``2**-W`` (1 is
-exact).  The sum adds ``2**W // j**s`` into one integer per character
-value and multiplies each total by its root once; the product multiplies
-the factors ``1 - chi(p) * (2**W // p**s)`` and inverts the result once.
-Every rounding truncates toward zero, so conjugate characters give
-bit-conjugate results; a truncation by ``2**W`` is a signed shift, and only
-the product's final inversion divides.  Before the conversion each
-component is within ``J + c + 2 + 2 ln J`` units of ``2**-W`` for the sum:
-J from the terms, one truncation for each of the ``c`` values of chi other
-than 1 on 1..J, and 2 units of root error per unit of class total, the
-totals summing to at most ``1 + ln J``.  For the product, when
-``s >= 2``, it is within ``20 n + 2``: each factor is within 3.2 units (1
-from ``2**W // p**s``, ``2 sqrt 2 / p**s`` from the root, ``sqrt 2`` from
-truncation), the partial products stay below ``zeta(2) / zeta(4) < 1.52``
-in magnitude, each product truncates by ``sqrt 2``, and the inversion
-scales the error by at most ``zeta(2)**2 < 2.71`` and truncates once more.
-At s = 1 the product's bound grows with its size.
+``2**W`` with ``W = P + 96 + 16``.  Roots of unity come from
+``mpnum.fixed_root`` at the same scale, each component truncated and
+within 2 units of ``2**-W`` (1 is exact).  The sum adds ``2**W // j**s``
+into one integer per character value and multiplies each total by its
+root once; the product multiplies the factors
+``1 - chi(p) * (2**W // p**s)`` and inverts the result once.  Every
+rounding truncates toward zero, so conjugate characters give bit-conjugate
+results; a truncation by ``2**W`` is a signed shift, and only the
+product's final inversion divides.  Each component of the sum is within
+``J + c + 2 + 2 ln J`` units of ``2**-W``: J from the terms, one
+truncation for each of the ``c`` values of chi other than 1 on 1..J, and
+2 units of root error per unit of class total, the totals summing to at
+most ``1 + ln J``.  For the product, when ``s >= 2``, it is within
+``20 n + 2``: each factor is within 3.2 units (1 from ``2**W // p**s``,
+``2 sqrt 2 / p**s`` from the root, ``sqrt 2`` from truncation), the
+partial products stay below ``zeta(2) / zeta(4) < 1.52`` in magnitude,
+each product truncates by ``sqrt 2``, and the inversion scales the error
+by at most ``zeta(2)**2 < 2.71`` and truncates once more.  At s = 1 each
+factor is within 3.9 units, and the partial products stay below
+``prod_{p <= p_n} p / (p - 1)``, at most ``prod_{k=2}^{p_n} k / (k - 1) =
+p_n``, whose square bounds the inversion's scale: within
+``(20 n + 2) p_n**3``.
 
 The estimates of several n at one s (``estimate_many``) share one pass of
 each kernel, at the widest W among them.  The sum keeps one running total
@@ -92,14 +96,24 @@ root taken at that one width.  A cell reads the pass where its indices end
 cell truncates the value to its own W (the product is then inverted
 there).  Each cell's result is thus, bit for bit, the one-cell loop run at
 the pass's width and truncated once, within the bounds above plus one unit
-per component: ``J + c + 3 + 2 ln J`` units for the sum and ``20 n + 6``
-for the product (a truncated product moves by under ``sqrt 2``, which the
-inversion scales by at most 2.71).  A single cell runs at its own W and is
-within the bounds of the paragraph above; with several cells, a residual
-may move by a few units of ``2**-W`` from the single-cell one.  A cell
+per component (a truncated product moves by under ``sqrt 2``, which the
+inversion scales by at most 2.71, or ``p_n**2`` at s = 1).  A cell
 narrower than the widest runs its indices at the wider W, so the pass as a
 whole is checked against the cost cap too: the longest cell at the widest
 cell's precision.
+
+So every residual, of one cell or of a shared pass, is a ball
+(midpoint-radius arithmetic: van der Hoeven, *Ball arithmetic*, 2009;
+Johansson, *Arb*, IEEE Trans. Comput. 66(8), 2017): the exact difference
+``(re, im)`` of the kernels' integers at scale ``2**W``, each component
+within ``radius = ceil(J + c + 3 + 2 ln J) + 20 n + 6`` units of ``2**-W``
+of the exact residual's (the product's part times ``p_n**3`` at s = 1).
+With several cells it may move by a few units from the single-cell one.
+``estimate`` raises ``PrecisionLossError`` when the ball contains 0, that
+is when both components lie within the radius.  BigFloats appear only
+where a value leaves the library: ``EstimateResult``'s fields and what
+``l_partial_sum``, ``euler_product`` and ``residual`` return, each
+component rounded once from its integer.
 
 Exponent s is restricted to positive integers; s = 1 is accepted but of
 dubious value for the trivial character (the harmonic-like partial sum has
@@ -111,8 +125,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import Optional
+from itertools import groupby, islice
+from typing import NamedTuple, Optional
 
 from . import primes
 from .characters import DirichletCharacter, enumerate_characters
@@ -127,7 +141,6 @@ from .mpnum import (
     _fp_exp,
     _fp_ln,
     _fp_pow,
-    _top,
     fixed_root,
     nearest_int,
 )
@@ -180,9 +193,9 @@ _CHAIN_WEIGHT = 230
 # units of c * W**2 at W = 50k bits and 1343-1460 at 100k, and 504-695 at
 # 25k: under 5 * W**2.5.
 _ROOT_WEIGHT = 5
-# (n, modulus, label) whose first two tail terms are kept: a ``slopes`` run
-# visits 29 n for one character, a ``dtable`` one n per cell.
-_CACHED_TAILS = 256
+# (n, modulus, label) whose sizing facts (``_cell_facts``) are kept: a
+# ``slopes`` run visits 29 n for one character, a ``dtable`` one n per cell.
+_CACHED_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -240,18 +253,52 @@ def _tail_terms(n: int, chi: DirichletCharacter):
         m += 1
 
 
-@lru_cache(maxsize=_CACHED_TAILS)
-def _first_tail_terms(n: int, modulus: int, label: int) -> tuple:
-    """The first two of ``_tail_terms(n, chi)`` for chi = (modulus, label).
+class _Facts(NamedTuple):
+    """What the sizing, the cost guard and the radius know of (n, chi) before s."""
 
-    They do not depend on s, so a series over s finds them once.  Keyed on
+    terms: tuple  # the first two of ``_tail_terms(n, chi)``
+    num: int  # the base of ``required_precision`` is num / den
+    den: int
+    roots: int  # first-octant angles the kernels compute a root of unity for
+    sum_units: int  # ceil(J + c + 3 + 2 ln J), the L-sum's part of the radius
+
+
+@lru_cache(maxsize=_CACHED_CELLS)
+def _cell_facts(n: int, modulus: int, label: int) -> _Facts:
+    """``_Facts`` of n and chi = (modulus, label).
+
+    None of them depends on s, so a series over s finds them once.  Keyed on
     the label, not the character, whose hash covers its whole table.
     """
-    return tuple(islice(_tail_terms(n, enumerate_characters(modulus).by_label(label)), 2))
+    p = primes.nth_prime(n)
+    J = 2 * p - 1
+    chi = enumerate_characters(modulus).by_label(label)
+    terms = tuple(islice(_tail_terms(n, chi), 2))
+    # the base as num / den, den = 1 unless it is m2**2 / m1
+    num, den = 2 * p, 1
+    if len(terms) == 2:
+        m1, m2 = terms
+        quarter_turn = chi(m2).mul(chi(m1).conjugate()).m == 4
+        other = (m2 * m2, m1) if quarter_turn else (m2, 1)
+        if other[0] * den > num * other[1]:
+            num, den = other
+    values = {(v.a, v.m) for v in chi.table[: J + 1] if not v.is_zero}
+    # one series per folded angle; the values of order dividing 4 (p = 0) are exact
+    roots = len({_first_octant(a, m)[:2] for a, m in values if 4 % m})
+    c = len(values) - 1
+    return _Facts(terms, num, den, roots, math.ceil(J + c + 3 + 2 * math.log(J)))
+
+
+def _facts(n: int, chi: Optional[DirichletCharacter]) -> _Facts:
+    """``_cell_facts`` of (n, chi).  Without chi, those of the trivial
+    character without its tail terms: base 2 p_n, as m2 <= 2 p_n, and no roots."""
+    if chi is None:
+        return _cell_facts(n, 1, 1)._replace(terms=())
+    return _cell_facts(n, chi.modulus, chi.label)
 
 
 def _check_cost(
-    n: int, s: int, chi: Optional[DirichletCharacter], ctx: PrecisionContext, terms: list
+    n: int, s: int, chi: Optional[DirichletCharacter], ctx: PrecisionContext, terms: tuple
 ) -> None:
     """Refuse (n, s) at ``ctx`` when the projected cost exceeds the cap.
 
@@ -266,9 +313,7 @@ def _check_cost(
     J = 2 * primes.nth_prime(n) - 1
     W = _kernel_bits(ctx)
     kernel = (J + _INVERSION_WEIGHT) * W**2
-    values = [] if chi is None else chi.table[: J + 1]
-    # one series per folded angle; the values of order dividing 4 (p = 0) are exact
-    roots = len({_first_octant(v.a, v.m)[:2] for v in values if not v.is_zero and 4 % v.m})
+    roots = _facts(n, chi).roots
     root_cost = roots * _ROOT_WEIGHT * W**2 * math.isqrt(W)
     chain = 0
     if len(terms) == 2:
@@ -300,20 +345,13 @@ def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
             f"n={n}, s={s} projects a kernel cost above 12*s**2 bit**2, "
             f"far above the cap of {MAX_KERNEL_COST:.0e}"
         )
-    # the base as num / den, den = 1 unless it is m2**2 / m1
-    num, den = 2 * primes.nth_prime(n), 1
-    terms = [] if chi is None else list(_first_tail_terms(n, chi.modulus, chi.label))
-    if len(terms) == 2:
-        m1, m2 = terms
-        quarter_turn = chi(m2).mul(chi(m1).conjugate()).m == 4
-        other = (m2 * m2, m1) if quarter_turn else (m2, 1)
-        if other[0] * den > num * other[1]:
-            num, den = other
+    facts = _facts(n, chi)
+    num, den = facts.num, facts.den
     lower = PrecisionContext(max(64, math.ceil(s * math.log2(num / den)) - 1 + 96))
-    _check_cost(n, s, chi, lower, terms)
+    _check_cost(n, s, chi, lower, facts.terms)
     # ceil(base**s) - 1 in integers
     top = num**s - 1 if den == 1 else -(-(num**s) // den**s) - 1
-    return PrecisionContext(max(64, top.bit_length() + 96)), terms
+    return PrecisionContext(max(64, top.bit_length() + 96)), facts.terms
 
 
 def required_precision(
@@ -353,12 +391,17 @@ def _bands(limits: list):
     """Split ``(0, max(limits)]`` at the distinct limits of the cells.
 
     For each band ``(lo, hi]``, in ascending order, yields ``lo``, ``hi`` and
-    the indices of the cells whose limit is ``hi``.
+    the indices of the cells whose limit is ``hi``, in ascending order.
     """
     lo = 0
-    for hi in sorted(set(limits)):
-        yield lo, hi, [i for i, limit in enumerate(limits) if limit == hi]
+    for hi, ending in groupby(sorted(range(len(limits)), key=limits.__getitem__), limits.__getitem__):
+        yield lo, hi, list(ending)
         lo = hi
+
+
+def _to_complex(ctx: PrecisionContext, value: tuple, W: int) -> BigComplex:
+    """The fixed-point pair ``value`` scaled by ``2**-W``, each component rounded to ``ctx``."""
+    return BigComplex(ctx.from_fixed(value[0], W), ctx.from_fixed(value[1], W))
 
 
 def l_partial_sum(
@@ -369,11 +412,13 @@ def l_partial_sum(
         raise DomainError(f"J must be a positive integer, got {J!r}")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"s must be a positive integer, got {s!r}")
-    return _l_partial_sums(chi, s, [(J, ctx)])[0]
+    W = _kernel_bits(ctx)
+    return _to_complex(ctx, _l_partial_sums(chi, s, [(J, W)])[0], W)
 
 
 def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
-    """``l_partial_sum(chi, s, J, ctx)`` for every ``(J, ctx)`` in ``cells``, in one pass over j.
+    """The L-sum to J as a fixed-point ``(re, im)`` at scale ``2**W`` for every
+    ``(J, W)`` in ``cells``, in one pass over j.
 
     One total per character value runs at the widest W among the cells, and
     each ``2**W // j**s`` is added once.  A cell rotates the totals where its
@@ -385,8 +430,7 @@ def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
     roots, cls = {}, []
     for v in chi.table[: max(J for J, _ in cells) + 1]:
         cls.append(-1 if v.is_zero else roots.setdefault((v.a, v.m), len(roots)))
-    widths = [_kernel_bits(ctx) for _, ctx in cells]
-    wide = max(widths)
+    wide = max(W for _, W in cells)
     one = 1 << wide
     out = [None] * len(cells)
     totals = [0] * len(roots)
@@ -404,10 +448,8 @@ def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
                 re += _shr(total * cos, wide)
                 im += _shr(total * sin, wide)
         for i in ending:
-            ctx, W = cells[i][1], widths[i]
-            out[i] = BigComplex(
-                ctx.from_fixed(_shr(re, wide - W), W), ctx.from_fixed(_shr(im, wide - W), W)
-            )
+            shift = wide - cells[i][1]
+            out[i] = _shr(re, shift), _shr(im, shift)
     return out
 
 
@@ -419,18 +461,19 @@ def euler_product(
     A vanishing chi(p) contributes a factor of exactly 1 and is skipped.
     """
     _check_n_s(n, s)
-    return _euler_products(chi, s, [(n, ctx)])[0]
+    W = _kernel_bits(ctx)
+    return _to_complex(ctx, _euler_products(chi, s, [(n, W)])[0], W)
 
 
 def _euler_products(chi: DirichletCharacter, s: int, cells: list) -> list:
-    """``euler_product(chi, s, n, ctx)`` for every ``(n, ctx)`` in ``cells``, in one pass over p.
+    """The Euler product over n primes as a fixed-point ``(re, im)`` at scale
+    ``2**W`` for every ``(n, W)`` in ``cells``, in one pass over p.
 
     One complex product runs at the widest W among the cells, each factor
     multiplied once with its root taken at that width.  A cell truncates the
     product to its own W where its band ends and inverts it there.
     """
-    widths = [_kernel_bits(ctx) for _, ctx in cells]
-    wide = max(widths)
+    wide = max(W for _, W in cells)
     one = 1 << wide
     ns = [n for n, _ in cells]
     ps = primes.first_n_primes(max(ns))
@@ -449,13 +492,10 @@ def _euler_products(chi: DirichletCharacter, s: int, cells: list) -> list:
                 fr, fi = one - _shr(x * cos, wide), -_shr(x * sin, wide)
             re, im = _shr(re * fr - im * fi, wide), _shr(re * fi + im * fr, wide)
         for i in ending:
-            ctx, W = cells[i][1], widths[i]
+            W = cells[i][1]
             a, b = _shr(re, wide - W), _shr(im, wide - W)
             den = a * a + b * b
-            out[i] = BigComplex(
-                ctx.from_fixed(_trunc(a << 2 * W, den), W),
-                ctx.from_fixed(_trunc(-b << 2 * W, den), W),
-            )
+            out[i] = _trunc(a << 2 * W, den), _trunc(-b << 2 * W, den)
     return out
 
 
@@ -477,20 +517,23 @@ def residual(
     _check_n_s(n, s)
     if ctx is None:
         ctx = required_precision(n, s, chi)
-    _check_cost(n, s, chi, ctx, [])
-    return _residuals([n], s, chi, [ctx])[0]
+    _check_cost(n, s, chi, ctx, ())
+    re, im, W, _ = _residuals([n], s, chi, [ctx])[0]
+    return _to_complex(ctx, (re, im), W)
 
 
 def _residuals(ns, s: int, chi: DirichletCharacter, ctxs: list) -> list:
-    """``residual(n, s, chi, ctx)`` for each n in ``ns`` and its context in
-    ``ctxs``, the L-sums in one pass and the products in another; the costs
-    are checked by the caller."""
-    cells = list(zip(ns, ctxs))
-    sums = _l_partial_sums(chi, s, [(2 * primes.nth_prime(n) - 1, ctx) for n, ctx in cells])
+    """The residual of each n in ``ns`` at its context in ``ctxs`` as a ball
+    ``(re, im, W, radius)`` (see the module docstring), the L-sums in one
+    pass and the products in another; the costs are checked by the caller."""
+    cells = list(zip(ns, [_kernel_bits(ctx) for ctx in ctxs]))
+    sums = _l_partial_sums(chi, s, [(2 * primes.nth_prime(n) - 1, W) for n, W in cells])
     products = _euler_products(chi, s, cells)
     out = []
-    for ctx, a, b in zip(ctxs, sums, products):
-        out.append(BigComplex(ctx.sub(a.re, b.re), ctx.sub(a.im, b.im)))
+    for (n, W), (a, b), (c, d) in zip(cells, sums, products):
+        scale = primes.nth_prime(n) ** 3 if s == 1 else 1
+        radius = _facts(n, chi).sum_units + (20 * n + 6) * scale
+        out.append((a - c, b - d, W, radius))
     return out
 
 
@@ -521,7 +564,8 @@ def estimate(
     as the module docstring describes.  An input whose projected kernel
     plus chain cost exceeds ``MAX_KERNEL_COST`` raises
     ``UnsupportedSizeError`` before the precision is sized in full and
-    before any kernel runs.
+    before any kernel runs.  A residual whose ball contains 0 raises
+    ``PrecisionLossError``.
     """
     return _estimates([n], s, chi, prec_bits)[0]
 
@@ -552,14 +596,14 @@ def _estimates(ns, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = N
         # the pass runs the longest cell's indices at the widest cell's W
         widest = max(zip(ns, ctxs), key=lambda cell: cell[1].prec_bits)
         try:
-            _check_cost(max(ns), s, chi, widest[1], [])
+            _check_cost(max(ns), s, chi, widest[1], ())
         except UnsupportedSizeError as exc:
             raise UnsupportedSizeError(
                 f"the kernel pass shared by n={', '.join(map(str, ns))} is refused: it runs "
                 f"the longest, n={max(ns)}, at the precision of the widest, n={widest[0]}: {exc}"
             ) from None
-    rs = _residuals(ns, s, chi, ctxs)
-    return [_finish(n, s, chi, ctx, terms, r) for n, (ctx, terms), r in zip(ns, sized, rs)]
+    balls = _residuals(ns, s, chi, ctxs)
+    return [_finish(n, s, chi, ctx, terms, ball) for n, (ctx, terms), ball in zip(ns, sized, balls)]
 
 
 def _working_precision(n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int]):
@@ -582,8 +626,8 @@ def _working_precision(n: int, s: int, chi: DirichletCharacter, prec_bits: Optio
     return ctx, terms
 
 
-def _chain(sq: BigFloat, m1: int, s: int, bits: int) -> int:
-    """``m1 * u**(-1/(2s))`` with ``u = sq * m1**(2s)``, scaled by ``2**bits``.
+def _chain(sq: int, exp: int, m1: int, s: int, bits: int) -> int:
+    """``m1 * u**(-1/(2s))`` with ``u = sq * 2**exp * m1**(2s)``, scaled by ``2**bits``.
 
     One pass over fixed-point integers (see the module docstring for the
     bound): u from ``sq`` and ``m1**(2s)``, both factors and their product
@@ -593,16 +637,22 @@ def _chain(sq: BigFloat, m1: int, s: int, bits: int) -> int:
     k = 2 * s
     g = k.bit_length()
     pm, pe = _fp_pow(m1, k, bits + g)
-    drop = max(0, sq.man.bit_length() - bits - g)
-    um, ue = (sq.man >> drop) * pm, sq.exp + drop + pe
+    drop = max(0, sq.bit_length() - bits - g)
+    um, ue = (sq >> drop) * pm, exp + drop + pe
     drop = max(0, um.bit_length() - bits - g)
     return m1 * _fp_exp(_trunc(-_fp_ln(um >> drop, ue + drop, bits), k), bits)
 
 
 def _finish(
-    n: int, s: int, chi: DirichletCharacter, ctx: PrecisionContext, terms: list, r: BigComplex
+    n: int, s: int, chi: DirichletCharacter, ctx: PrecisionContext, terms: tuple, ball: tuple
 ) -> EstimateResult:
-    """The estimate, error and margin from the residual ``r`` at ``ctx``."""
+    """The estimate, error and margin from the residual's ball at ``ctx``."""
+    re, im, W, radius = ball
+    if abs(re) <= radius and abs(im) <= radius:
+        raise PrecisionLossError(
+            f"the residual is not resolved from zero at working precision ({ctx.prec_bits} bits) "
+            f"for n={n}, s={s}; retry with a larger prec_bits (--precision)"
+        )
     target = primes.nth_prime(n + 1)
     warning = None
     if chi(target).is_zero:
@@ -610,22 +660,18 @@ def _finish(
             f"character (modulus {chi.modulus}, label {chi.label}) vanishes at "
             f"the target prime {target}; the limit degenerates away from it"
         )
-    sq = ctx.add(ctx.mul(r.re, r.re), ctx.mul(r.im, r.im))
-    if sq.is_zero:
-        raise PrecisionLossError(
-            f"residual vanished at working precision ({ctx.prec_bits} bits) "
-            f"for n={n}, s={s}; retry with a larger prec_bits (--precision)"
-        )
     if len(terms) == 1:
         # the residual is exactly chi(m1) * m1**-s
         m1 = terms[0]
         est, rounded, error, margin = ctx.from_int(m1), m1, ctx.from_int(abs(target - m1)), ZERO
     else:
+        # |residual|**2 = sq * 2**(-2W) exactly, and
         # top(|residual|) = (top(|residual|**2) + 1) // 2
-        width = min(max(ctx.prec_bits + (_top(sq) + 1) // 2 + 64, 64), ctx.prec_bits)
+        sq = re * re + im * im
+        width = min(max(ctx.prec_bits + (sq.bit_length() - 2 * W + 1) // 2 + 64, 64), ctx.prec_bits)
         chain = PrecisionContext(width)
         bits = width + 160
-        est = chain.from_fixed(_chain(sq, terms[0], s, bits), bits)
+        est = chain.from_fixed(_chain(sq, -2 * W, terms[0], s, bits), bits)
         rounded = nearest_int(est)
         error = chain.abs(chain.sub(chain.from_int(target), est))
         margin = chain.abs(chain.sub(est, chain.from_int(rounded)))
@@ -634,7 +680,7 @@ def _finish(
         s=s,
         modulus=chi.modulus,
         label=chi.label,
-        residual=r,
+        residual=_to_complex(ctx, (re, im), W),
         estimate=est,
         rounded=rounded,
         target=target,

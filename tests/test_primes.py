@@ -28,12 +28,14 @@ class TestFirstN:
 
     def test_against_oracle(self):
         assert first_n_primes(200) == trial_division_primes(200)
+        assert [nth_prime(n) for n in range(1, 201)] == trial_division_primes(200)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            first_n_primes(0)
-        with pytest.raises(DomainError):
-            first_n_primes(10**6 + 1)
+        # nth_prime indexes the sieve, where a count below 1 would read it from its end
+        for count in (0, -1, 10**6 + 1, 2.0, "3"):
+            for f in (first_n_primes, nth_prime):
+                with pytest.raises(DomainError):
+                    f(count)
 
     def test_no_composite_gaps(self):
         ps = first_n_primes(100)

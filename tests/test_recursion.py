@@ -21,7 +21,6 @@ from primerec.characters import enumerate_characters, keller_one
 from primerec.errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
 from primerec.mpnum import (
     GUARD_BITS,
-    ZERO,
     BigComplex,
     PrecisionContext,
     fixed_root,
@@ -103,15 +102,15 @@ def trunc(v: int, d: int) -> int:
     return v // d if v >= 0 else -(-v // d)
 
 
-def kernel_bits(ctx) -> int:
-    return ctx.prec_bits + GUARD_BITS + 16
+def kernel_bits(prec_bits: int) -> int:
+    """W, the kernels' scale at a working precision."""
+    return prec_bits + GUARD_BITS + 16
 
 
-def per_cell_partial_sum(chi, s: int, J: int, ctx, wide=None) -> BigComplex:
+def per_cell_partial_sum(chi, s: int, J: int, W: int, wide=None) -> tuple:
     """The one-cell L-sum loop: divide ``2**wide // j**s`` (``wide`` defaults
     to the cell's own W), group the terms by character value, rotate each
     total at that width and truncate the result to W."""
-    W = kernel_bits(ctx)
     wide = wide or W
     one = 1 << wide
     classes = {}
@@ -127,15 +126,13 @@ def per_cell_partial_sum(chi, s: int, J: int, ctx, wide=None) -> BigComplex:
             cos, sin = fixed_root(v.a, v.m, wide)
             real += trunc(total * cos, one)
             imag += trunc(total * sin, one)
-    real, imag = trunc(real, 1 << (wide - W)), trunc(imag, 1 << (wide - W))
-    return BigComplex(ctx.from_fixed(real, W), ctx.from_fixed(imag, W))
+    return trunc(real, 1 << (wide - W)), trunc(imag, 1 << (wide - W))
 
 
-def per_cell_euler_product(chi, s: int, n: int, ctx, wide=None) -> BigComplex:
+def per_cell_euler_product(chi, s: int, n: int, W: int, wide=None) -> tuple:
     """The one-cell product loop: divide ``2**wide // p**s`` (``wide``
     defaults to the cell's own W), truncate each product by dividing by
     ``2**wide``, truncate the result to W and invert it there."""
-    W = kernel_bits(ctx)
     wide = wide or W
     one = 1 << wide
     re, im = one, 0
@@ -152,17 +149,7 @@ def per_cell_euler_product(chi, s: int, n: int, ctx, wide=None) -> BigComplex:
         re, im = trunc(re * fr - im * fi, one), trunc(re * fi + im * fr, one)
     re, im = trunc(re, 1 << (wide - W)), trunc(im, 1 << (wide - W))
     den = re * re + im * im
-    return BigComplex(
-        ctx.from_fixed(trunc(re << 2 * W, den), W), ctx.from_fixed(trunc(-im << 2 * W, den), W)
-    )
-
-
-class ExactContext(PrecisionContext):
-    """A context whose conversion from fixed point is exact, so that a kernel
-    run under it shows every bit of its fixed-point integers."""
-
-    def from_fixed(self, v: int, bits: int):
-        return PrecisionContext(max(64, v.bit_length())).from_fixed(v, bits)
+    return trunc(re << 2 * W, den), trunc(-im << 2 * W, den)
 
 
 def sum_bound(chi, J: int) -> float:
@@ -172,17 +159,16 @@ def sum_bound(chi, J: int) -> float:
     return J + c + 3 + 2 * math.log(J)
 
 
-def product_bound(n: int) -> int:
-    """The Euler product's bound in units of 2**-W for s >= 2, one truncation
-    to W included."""
-    return 20 * n + 6
+def product_bound(n: int, s: int) -> int:
+    """The Euler product's bound in units of 2**-W, one truncation to W
+    included: times p_n**3 at s = 1."""
+    return (20 * n + 6) * (first_n_primes(n)[-1] ** 3 if s == 1 else 1)
 
 
-def within(value: BigComplex, exact, bound: float, W: int) -> bool:
-    """Each component of ``value`` within ``bound`` units of 2**-W of ``exact``."""
-    tol = Fraction(math.ceil(bound), 1 << W)
-    re, im = value.re.to_fraction(), value.im.to_fraction()
-    return abs(re - exact.re) <= tol and abs(im - exact.im) <= tol
+def within(value: tuple, exact, bound: float, W: int) -> bool:
+    """Each component of the fixed-point ``value`` at scale 2**W within
+    ``bound`` units of 2**-W of ``exact``."""
+    return all(abs(v - x * 2**W) <= math.ceil(bound) for v, x in zip(value, (exact.re, exact.im)))
 
 
 def any_character(k: int, pick: int):
@@ -217,13 +203,15 @@ SUM_CELLS = st.lists(st.tuples(st.integers(1, 120), st.integers(64, 1500)), min_
 PRODUCT_CELLS = st.lists(
     st.tuples(st.integers(1, 30), st.integers(64, 1500)), min_size=1, max_size=5
 )
+BALL_CELLS = st.lists(st.tuples(st.integers(1, 6), st.integers(64, 1500)), min_size=1, max_size=5)
 
 
 class TestSharedPass:
-    """The passes shared by several cells (an L-sum's (J, precision), a
-    product's (n, precision)) keep one running value at the widest cell's W.
-    Every cell gets the bits of its one-cell loop run at that width and
-    truncated to its own W, within the restated bounds of the exact values."""
+    """The passes shared by several cells (an L-sum's (J, W), a product's
+    (n, W)) keep one running value at the widest cell's W.  Every cell gets
+    the fixed-point integers of its one-cell loop run at that width and
+    truncated to its own W, within the restated bounds of the exact values,
+    and every residual's ball contains the exact residual."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -236,13 +224,9 @@ class TestSharedPass:
     )
     def test_single_cell_matches_per_cell_loop(self, k, pick, s, J, n, prec):
         chi = any_character(k, pick)
-        ctx = ExactContext(prec)
-        assert recursion._l_partial_sums(chi, s, [(J, ctx)]) == [
-            per_cell_partial_sum(chi, s, J, ctx)
-        ]
-        assert recursion._euler_products(chi, s, [(n, ctx)]) == [
-            per_cell_euler_product(chi, s, n, ctx)
-        ]
+        W = kernel_bits(prec)
+        assert recursion._l_partial_sums(chi, s, [(J, W)]) == [per_cell_partial_sum(chi, s, J, W)]
+        assert recursion._euler_products(chi, s, [(n, W)]) == [per_cell_euler_product(chi, s, n, W)]
 
     @settings(max_examples=150, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
@@ -252,10 +236,10 @@ class TestSharedPass:
     @example(**MOD70_ANY, cells=MOD70_SUMS)
     def test_sums_match_running_pass(self, k, pick, s, cells):
         chi = any_character(k, pick)
-        cells = [(J, ExactContext(p)) for J, p in cells]
-        wide = max(kernel_bits(ctx) for _, ctx in cells)
+        cells = [(J, kernel_bits(p)) for J, p in cells]
+        wide = max(W for _, W in cells)
         got = recursion._l_partial_sums(chi, s, cells)
-        assert got == [per_cell_partial_sum(chi, s, J, ctx, wide) for J, ctx in cells]
+        assert got == [per_cell_partial_sum(chi, s, J, W, wide) for J, W in cells]
 
     @settings(max_examples=150, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS)
@@ -263,10 +247,10 @@ class TestSharedPass:
     @example(**MOD70_ANY, cells=MOD70_PRODUCTS)
     def test_products_match_running_pass(self, k, pick, s, cells):
         chi = any_character(k, pick)
-        cells = [(n, ExactContext(p)) for n, p in cells]
-        wide = max(kernel_bits(ctx) for _, ctx in cells)
+        cells = [(n, kernel_bits(p)) for n, p in cells]
+        wide = max(W for _, W in cells)
         got = recursion._euler_products(chi, s, cells)
-        assert got == [per_cell_euler_product(chi, s, n, ctx, wide) for n, ctx in cells]
+        assert got == [per_cell_euler_product(chi, s, n, W, wide) for n, W in cells]
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
@@ -274,21 +258,39 @@ class TestSharedPass:
     @example(**MOD70_GAUSSIAN, cells=MOD70_SUMS)
     def test_sums_within_bound(self, k, pick, s, cells):
         chi = gaussian_character(k, pick)
-        cells = [(J, ExactContext(p)) for J, p in cells]
-        for (J, ctx), value in zip(cells, recursion._l_partial_sums(chi, s, cells)):
+        cells = [(J, kernel_bits(p)) for J, p in cells]
+        for (J, W), value in zip(cells, recursion._l_partial_sums(chi, s, cells)):
             exact = oracle.l_partial_sum_exact(chi, s, J)
-            assert within(value, exact, sum_bound(chi, J), kernel_bits(ctx))
+            assert within(value, exact, sum_bound(chi, J), W)
 
     @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(2, 60), cells=PRODUCT_CELLS)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS)
     @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
+    @example(k=1, pick=0, s=1, cells=WIDE_SHORT_PRODUCTS)
     @example(**MOD70_GAUSSIAN, cells=MOD70_PRODUCTS)
     def test_products_within_bound(self, k, pick, s, cells):
         chi = gaussian_character(k, pick)
-        cells = [(n, ExactContext(p)) for n, p in cells]
-        for (n, ctx), value in zip(cells, recursion._euler_products(chi, s, cells)):
+        cells = [(n, kernel_bits(p)) for n, p in cells]
+        for (n, W), value in zip(cells, recursion._euler_products(chi, s, cells)):
             exact = oracle.euler_product_exact(chi, s, n)
-            assert within(value, exact, product_bound(n), kernel_bits(ctx))
+            assert within(value, exact, product_bound(n, s), W)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=BALL_CELLS)
+    @example(k=1, pick=0, s=1, cells=[(6, 64)])
+    @example(k=5, pick=1, s=60, cells=[(2, 64)])
+    @example(k=13, pick=5, s=30, cells=[(6, 64), (1, 1400), (4, 300), (1, 200), (6, 900)])
+    @example(k=70, pick=MOD70_GAUSSIAN["pick"], s=100, cells=list(zip(range(1, 7), PREC70)))
+    def test_ball_contains_exact_residual(self, k, pick, s, cells):
+        chi = gaussian_character(k, pick)
+        ns = [n for n, _ in cells]
+        balls = recursion._residuals(ns, s, chi, [PrecisionContext(p) for _, p in cells])
+        for (n, prec), (re, im, W, radius) in zip(cells, balls):
+            J = 2 * first_n_primes(n)[-1] - 1
+            assert W == kernel_bits(prec)
+            assert radius == math.ceil(sum_bound(chi, J)) + product_bound(n, s)
+            exact = oracle.residual_exact(n, s, chi)
+            assert abs(re - exact.re * 2**W) <= radius and abs(im - exact.im * 2**W) <= radius
 
     def test_estimate_many_takes_any_iterable(self):
         chi = G5.by_label(2)
@@ -310,13 +312,12 @@ class TestSharedPass:
                         digits = [format_decimal(getattr(r, field), 17) for r in (got, want)]
                         assert digits[0] == digits[1]
                     if s >= 2:
-                        # both residuals are within the kernels' bounds of the
-                        # exact one, before their conversion to P + 96 bits:
-                        # four roundings of |sum|, |product| < 2 (2**16 units
-                        # each) and two of the residual
+                        # both residuals are within the radius of the exact
+                        # one before their components are rounded once to
+                        # P + 96 bits (|residual| < 2: 2**17 units each)
                         J = 2 * first_n_primes(n)[-1] - 1
-                        units = 2 * (sum_bound(chi, J) + product_bound(n)) + 2**19
-                        W = kernel_bits(PrecisionContext(got.prec_bits))
+                        units = 2 * (sum_bound(chi, J) + product_bound(n, s)) + 2**18
+                        W = kernel_bits(got.prec_bits)
                         slack = Fraction(math.ceil(units), 1 << W)
                         a, b = got.residual, want.residual
                         assert abs(a.re.to_fraction() - b.re.to_fraction()) <= slack
@@ -342,7 +343,7 @@ class TestSharedPass:
         recursion._residuals(ns, s, chi, ctxs)
         angles = {(p, q) for p, q, _ in calls if p}
         assert angles and len(calls) == len({(p, q) for p, q, _ in calls})
-        assert {wp2 for _, _, wp2 in calls} == {max(kernel_bits(ctx) for ctx in ctxs) + 32}
+        assert {wp2 for _, _, wp2 in calls} == {max(kernel_bits(ctx.prec_bits) for ctx in ctxs) + 32}
 
 
 class TestEulerProduct:
@@ -526,9 +527,25 @@ class TestEstimate:
             recursion.estimate(2, 50, K1, prec_bits=200)  # below the required 226
 
     def test_precision_loss_guard(self, monkeypatch):
-        monkeypatch.setattr(recursion, "_residuals", lambda ns, *a: [BigComplex(ZERO, ZERO)] * len(ns))
+        monkeypatch.setattr(recursion, "_residuals", zero_balls)
         with pytest.raises(PrecisionLossError):
             recursion.estimate(2, 50, K1)
+
+    def test_precision_loss_inside_radius(self, monkeypatch):
+        # a nonzero midpoint whose ball still contains 0 is refused; one
+        # component beyond the radius resolves the residual from 0
+        def balls(mid):
+            return lambda ns, s, chi, ctxs: [mid + (kernel_bits(c.prec_bits), 5) for c in ctxs]
+
+        for mid in ((3, -2), (-5, 5), (0, 1)):
+            monkeypatch.setattr(recursion, "_residuals", balls(mid))
+            with pytest.raises(PrecisionLossError, match=r"prec_bits \(--precision\)"):
+                recursion.estimate(2, 50, K1)
+        ctx = PrecisionContext(226)  # required_precision(2, 50)
+        for mid in ((6, 0), (-1, -6)):
+            monkeypatch.setattr(recursion, "_residuals", balls(mid))
+            want = BigComplex(*(ctx.from_fixed(v, kernel_bits(226)) for v in mid))
+            assert recursion.estimate(2, 50, K1).residual == want
 
     def test_precision_loss_remedy(self, monkeypatch):
         # chi(5) = 0 mod 10: the residual is near 9**-600 (9 and 27 are the
@@ -540,9 +557,14 @@ class TestEstimate:
         assert res.rounded == 9 and res.warning
         res = recursion.estimate(2, 600, chi, prec_bits=3200)
         assert res.rounded == 9 and res.warning
-        monkeypatch.setattr(recursion, "_residuals", lambda ns, *a: [BigComplex(ZERO, ZERO)] * len(ns))
+        monkeypatch.setattr(recursion, "_residuals", zero_balls)
         with pytest.raises(PrecisionLossError, match=r"prec_bits \(--precision\)"):
             recursion.estimate(2, 600, chi)
+
+
+def zero_balls(ns, s, chi, ctxs) -> list:
+    """``recursion._residuals`` of residuals that vanished: midpoint 0, radius 1."""
+    return [(0, 0, kernel_bits(ctx.prec_bits), 1) for ctx in ctxs]
 
 
 def exact_estimate(n: int, s: int, chi, digits: int) -> Fraction:
@@ -589,9 +611,9 @@ class TestDownstreamWidth:
         used = []
         chain = recursion._chain
 
-        def recording(sq, m1, s, bits):
+        def recording(sq, exp, m1, s, bits):
             used.append(bits)
-            return chain(sq, m1, s, bits)
+            return chain(sq, exp, m1, s, bits)
 
         monkeypatch.setattr(recursion, "_chain", recording)
         chi = enumerate_characters(modulus).by_label(label)
@@ -692,21 +714,21 @@ class TestChain:
         chain = recursion._chain
         monkeypatch.setattr(recursion, "_chain", lambda *a: calls.append(a) or chain(*a))
         recursion.estimate(n, s, enumerate_characters(modulus).by_label(label))
-        (sq, m1, _, bits), = calls
-        self.check(sq.to_fraction(), m1, s, bits)
+        (sq, exp, m1, _, bits), = calls
+        self.check(sq, exp, m1, s, bits)
 
     @pytest.mark.parametrize("bits", [64, 256, 1000, 5000])
     @pytest.mark.parametrize(
         "u,m1,s", [(Fraction(3, 2**300), 3, 5), (Fraction(1, 5), 7, 1), (Fraction(9, 4), 127, 20)]
     )
     def test_far_from_one(self, u, m1, s, bits):
-        self.check(u / m1 ** (2 * s), m1, s, bits)
+        x = PrecisionContext(bits + 600).from_fraction(u / m1 ** (2 * s))
+        self.check(x.man, x.exp, m1, s, bits)
 
     @staticmethod
-    def check(sq: Fraction, m1: int, s: int, bits: int):
-        x = PrecisionContext(bits + 600).from_fraction(sq)
-        got = recursion._chain(x, m1, s, bits)
-        sq = x.to_fraction()
+    def check(sq: int, exp: int, m1: int, s: int, bits: int):
+        got = recursion._chain(sq, exp, m1, s, bits)
+        sq = Fraction(sq) * Fraction(2) ** exp
         u = sq * m1 ** (2 * s)
         e = mpnum._ln_split(u.numerator, 0)[0] - mpnum._ln_split(u.denominator, 0)[0]
         digits = bits * 30103 // 100000 + 60
@@ -734,14 +756,14 @@ class TestPrecisionSizing:
     """Precision sized from the character's own tail terms (ROADMAP S1)."""
 
     def test_tail_terms_found_once_per_character(self, monkeypatch):
-        recursion._first_tail_terms.cache_clear()
+        recursion._cell_facts.cache_clear()
         found = []
         tail_terms = recursion._tail_terms
         monkeypatch.setattr(recursion, "_tail_terms", lambda n, chi: found.append(n) or tail_terms(n, chi))
         for s in (20, 21, 22):
             recursion.estimate_many(range(2, 31), s, K1)
         assert sorted(found) == list(range(2, 31))
-        assert recursion._first_tail_terms.cache_info().maxsize == recursion._CACHED_TAILS
+        assert recursion._cell_facts.cache_info().maxsize == recursion._CACHED_CELLS
 
     def test_tail_terms_set_the_base(self):
         G10 = enumerate_characters(10)
