@@ -49,10 +49,10 @@ Algorithms
    half turns exact; the cache is keyed by the folded angle, so a value and
    its conjugate share one series.
 
-The fixed-point kernels (``_fp_ln``, ``_fp_exp`` and the truncated power
-``_fp_pow``) take and return integers scaled by ``2**bits``; the context
-methods and ``recursion``'s estimate chain both run on them, so each series
-exists once.
+The fixed-point kernels take and return integers scaled by ``2**bits``:
+``_fp_ln`` and ``_fp_exp`` serve only the context's ``ln`` and ``exp``, and
+the truncated power ``_fp_pow`` serves ``recursion``'s estimate chain, which
+needs no ln or exp.
 
 Constants (pi, ln 2) and first-octant roots of unity are memoised per
 precision in bounded ``functools.lru_cache``s, safe for concurrent readers

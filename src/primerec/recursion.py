@@ -28,32 +28,41 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    surviving bits plus 64, clamped to ``[64, P]``.  The estimate is
    ``m1 * u**(-1/(2s))`` with ``u = |residual|**2 * m1**(2s)``, so no
    square root is needed, and ``_chain`` computes it in one pass over
-   fixed-point integers at ``F = width + 160`` fractional bits:
-   ``m1**(2s)`` by binary powering, each square truncated to ``F + g``
-   bits (g the bit length of 2s); u as its product with ``|residual|**2``,
-   both truncated to ``F + g`` bits; ``ln(u)`` by ``mpnum._fp_ln``;
-   ``t = -ln(u) / (2s)`` truncated toward zero; ``exp(t)`` by
-   ``mpnum._fp_exp``; then ``m1 * exp(t)`` rounded once to the width's
-   context, ``width + 96`` bits.  Since ``u = 1 + O((m1/m2)**s)``, ln's
-   atanh series gains about ``2 s log2(m2/m1)`` bits a term with no
-   ``ln 2`` term, and t is as small, so exp skips most of its squarings:
-   the argument reduction of Brent & Zimmermann, *Modern Computer
-   Arithmetic*, ch. 4, by a factor the tail terms give.
+   fixed-point integers at ``F = width + 160`` fractional bits, with one
+   binomial series and no ln or exp: ``m1**(2s)`` by binary powering
+   (``mpnum._fp_pow``), each square truncated to ``G = F + g`` bits (g the
+   bit length of 2s); u as its product with ``|residual|**2``, both
+   truncated to G bits; a 53-bit dyadic seed ``c = cm * 2**q`` near
+   ``u**(-1/(2s))`` from the double of u's leading bits and its binary
+   exponent, which doubles cannot overflow (``_seed``); ``c**(2s)`` powered
+   like ``m1**(2s)`` and ``d = u * c**(2s) - 1`` truncated to
+   ``H = G + log2(G)`` bits; then ``(1 + d)**(-1/(2s))`` by its binomial
+   series (``_binomial``), each term one product, one small-integer
+   multiply and one truncating division, and ``m1 * c`` times the sum
+   truncated to F bits.  With a libm within an ulp the seed leaves ``|d|``
+   about ``2s * 2**-53``, so each term gains about ``53 - log2(2s)`` bits;
+   when c rounds to 1 (u within about ``2**-53`` of 1) the seed is skipped
+   and ``d = u - 1``, about ``(m1/m2)**s``.  This is the argument reduction
+   of Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 4, by a cheap
+   seed.  The error and margin are the exact integer differences
+   ``|target - estimate|`` and ``|estimate - rounded|`` at the scale of
+   the rounded estimate's mantissa, each rounded once.
    The chain cannot lose a bit the residual determines.  The residual
    resolves only about ``W + log2|residual| - log2(radius)`` bits relative
    (its radius below, at least 35 units of ``2**-W``), under
    ``width + 43`` where the width is not clamped to P.  In units of
-   ``2**-F`` relative: the power's
-   ``g - 1`` truncations, each doubled by the squarings after it, leave
-   ``m1**(2s)`` within 2 units and the two truncations of u add 1;
-   ``_fp_ln`` is within ``(|e| + 1) F`` units, e the binary exponent it
-   takes out of u (0 for u in ``[sqrt(1/2), sqrt(2))``, a few units when
-   many tail terms lie near m2); dividing by 2s divides those and
-   truncates once more; ``_fp_exp`` adds 2 units, plus
-   ``exp(-t) = u**(1/(2s))`` from its final division when t < 0.  So
-   ``m1 * exp(t)`` is within ``(|e| + 1) F + 8 + u**(1/(2s))`` units,
-   below ``2**64`` while F is below ``2**40`` and u within
-   ``2**(+-2**20)``, and after the rounding the estimate is within
+   ``2**-F`` relative: the power's ``g - 1`` truncations, each doubled by
+   the squarings after it, leave ``m1**(2s)`` within 2 units, the two
+   truncations of u add 1, ``c**(2s)`` adds 2 and d's truncation under
+   ``2**-7``; the root divides those by 2s, to at most 2.51 units.  Each
+   series term is within 2 units of ``2**-H`` plus ``|d|`` times the
+   previous term's error, and for any ``|d| <= 1/2`` there are at most
+   ``H + 1`` terms, under 1.5 units of ``2**-F`` relative in all; and the
+   final truncation adds one unit absolute, ``u**(1/(2s)) / m1`` relative.
+   So ``m1 * c`` times the sum is within ``4 + u**(1/(2s)) / m1`` units
+   for any seed that leaves ``|d| <= 1/2`` (a poorer libm only runs more
+   terms), and below 5 where the estimate is at least 1 (whenever
+   ``|residual| <= 1``).  After the rounding the estimate is then within
    ``2**-(width + 95)`` relative: more than 50 bits below the last bit the
    residual resolves.  Running the chain at ``P`` could only re-derive
    bits the residual does not determine.
@@ -138,8 +147,6 @@ from .mpnum import (
     ZERO,
     PrecisionContext,
     _first_octant,
-    _fp_exp,
-    _fp_ln,
     _fp_pow,
     fixed_root,
     nearest_int,
@@ -172,20 +179,22 @@ MAX_KERNEL_COST = 10**14
 # residual of n = 2, s = 300000 (J = 5, W = 776k) 6.4 s where J * W**2
 # projected 2.4 s: about 7 units per division, 14 for both (9.1 s there).
 _INVERSION_WEIGHT = 14
-# The chain after the cancellation (``_chain``: ln and exp of
-# u = |residual|**2 * m1**(2s) in fixed point, see ``_finish``) runs at about
-# w = s * log2(base / m1) + 160 bits, known from the tail terms before any
-# arithmetic.  u - 1 is about (m1/m2)**s, so ln's atanh series gains about
-# g = 2 s log2(m2 / m1) bits a term (at least 5: its argument is below 0.172)
-# and exp's argument is as small: about w / g products of w-bit integers in
-# CPython's Karatsuba time.  On the same machine, with ``prec_bits``
-# overrides at n = 2 and trivial chi, the chain took 0.49 s at w = 30k bits
-# and g = 25, 4.0 s at 50k and g = 9, 1.28 s at 98k and g = 420, and 0.043 s
-# at 43k and g = 1578: at most 230 * w**2.5 / g in the kernel's units of c.
-# At the automatic precision g is about w, and the chain of n = 2 took
-# 0.0005-0.016 s at w = 8k, 26k, 53k and 79k bits, far below one unit of
+# The chain after the cancellation (``_chain``: two binary powers and a
+# binomial series of u = |residual|**2 * m1**(2s) in fixed point, see
+# ``_finish``) runs at about w = s * log2(base / m1) + 160 bits, known from
+# the tail terms before any arithmetic.  Each series term gains about
+# g = log2(1/|d|) bits: s * log2(m2 / m1) when u - 1, about (m1/m2)**s, is
+# below 2**-53 and the seed is skipped, and about 53 - log2(2s) after the
+# seed otherwise; so the chain takes about w / g products of w-bit integers
+# in CPython's Karatsuba time.  On the same machine, with ``prec_bits``
+# overrides at n = 2 and trivial chi, it took 0.28 s at w = 30k bits and
+# g = 46, 0.56-0.84 s at 50k and g = 47, 0.83-1.27 s at 98k and g = 210, and
+# 0.024-0.042 s at 43k and g = 789: at most 110 * w**2.5 / g in the kernel's
+# units of c, and the weight leaves room for a shared machine's swings.  At
+# the automatic precision g is about w, and the chain of n = 2 took
+# 0.0005-0.011 s at w = 8k, 26k, 53k and 79k bits, far below one unit of
 # c * W**2, which the kernels' (J + 14) * W**2 cover.
-_CHAIN_WEIGHT = 230
+_CHAIN_WEIGHT = 130
 # ``fixed_root`` computes a root of unity of order m not dividing 4 by the
 # sine's Taylor series at W bits, once per W for each first-octant angle the
 # values of chi on 1..J fold to (the L-sum and the product share it, and so
@@ -308,7 +317,8 @@ def _check_cost(
     angle of the values whose order does not divide 4.  With two
     tail terms m1 < m2 an estimate also runs the chain at about
     ``P - s * log2(m1) + 64`` bits (``estimate`` clamps it to ``[64, P]``),
-    which adds ``_CHAIN_WEIGHT * w**2.5 / g`` with g the series' gain.
+    which adds ``_CHAIN_WEIGHT * w**2.5 / g`` with g the series' gain, the
+    larger of ``s * log2(m2 / m1)`` and ``53 - log2(2s)``.
     """
     J = 2 * primes.nth_prime(n) - 1
     W = _kernel_bits(ctx)
@@ -319,7 +329,7 @@ def _check_cost(
     if len(terms) == 2:
         m1, m2 = terms
         w = min(max(ctx.prec_bits - math.floor(s * math.log2(m1)) + 64, 64), ctx.prec_bits)
-        gain = max(5, math.floor(2 * s * math.log2(m2 / m1)))
+        gain = max(math.floor(s * math.log2(m2 / m1)), 53 - (2 * s).bit_length())
         chain = _CHAIN_WEIGHT * w * w * math.isqrt(w) // gain
     if kernel + root_cost + chain > MAX_KERNEL_COST:
         raise UnsupportedSizeError(
@@ -626,21 +636,72 @@ def _working_precision(n: int, s: int, chi: DirichletCharacter, prec_bits: Optio
     return ctx, terms
 
 
+def _seed(um: int, ue: int, k: int) -> tuple:
+    """``(cm, ce)`` with the dyadic ``c = cm * 2**ce`` near ``u**(-1/k)`` for
+    ``u = um * 2**ue`` (um > 0), cm in ``[2**52, 2**53]``.
+
+    Only ``u``'s binary exponent divided by k leaves the integers, as the
+    fraction in ``(0, 1]``: doubles cannot overflow, whatever u is.  With a
+    libm within an ulp, ``c**k`` is within about ``k * 2**-51`` of ``1 / u``
+    relative.
+    """
+    b = um.bit_length()
+    top = um >> (b - 53) if b > 53 else um << (53 - b)
+    # u = 2**(b + ue) * top / 2**53, and -(b + ue) = q k + r
+    q, r = divmod(-(b + ue), k)
+    frac = (r - math.log2(top / 2**53)) / k
+    return int(math.ldexp(2.0**frac, 52)), q - 52
+
+
+def _binomial(D: int, k: int, H: int) -> int:
+    """``(1 + d)**(-1/k) * 2**H`` for ``d = D * 2**-H``, ``|d| <= 1/2``.
+
+    The binomial series on ``|d|``: the j-th term is the previous one times
+    ``|d| (1 + (j - 1) k) / (j k)``, truncated twice, and its sign is that
+    of ``(-d)**j``.  Each term is within 2 units of ``2**-H`` of its exact
+    value plus ``|d|`` times the previous term's error, and there are at
+    most ``H / log2(1/|d|) + 1`` of them.
+    """
+    a = abs(D)
+    term = acc = 1 << H
+    j = 1
+    while term:
+        term = ((term * a) >> H) * (1 + (j - 1) * k) // (j * k)
+        acc += term if D < 0 or not j & 1 else -term
+        j += 1
+    return acc
+
+
 def _chain(sq: int, exp: int, m1: int, s: int, bits: int) -> int:
     """``m1 * u**(-1/(2s))`` with ``u = sq * 2**exp * m1**(2s)``, scaled by ``2**bits``.
 
     One pass over fixed-point integers (see the module docstring for the
     bound): u from ``sq`` and ``m1**(2s)``, both factors and their product
-    truncated to ``bits + g`` bits with ``g`` the bit length of 2s, then
-    ``t = -ln(u) / (2s)`` truncated toward zero and ``m1 * exp(t)``.
+    truncated to ``G = bits + g`` bits with ``g`` the bit length of 2s; a
+    dyadic seed ``c`` near ``u**(-1/(2s))`` (``_seed``, skipped when it is
+    1) and ``d = u * c**(2s) - 1`` as ``D = d * 2**H``, ``H = G + log2(G)``;
+    then ``m1 * c * (1 + d)**(-1/(2s))`` by the binomial series
+    (``_binomial``).
     """
     k = 2 * s
-    g = k.bit_length()
-    pm, pe = _fp_pow(m1, k, bits + g)
-    drop = max(0, sq.bit_length() - bits - g)
+    G = bits + k.bit_length()
+    pm, pe = _fp_pow(m1, k, G)
+    drop = max(0, sq.bit_length() - G)
     um, ue = (sq >> drop) * pm, exp + drop + pe
-    drop = max(0, um.bit_length() - bits - g)
-    return m1 * _fp_exp(_trunc(-_fp_ln(um >> drop, ue + drop, bits), k), bits)
+    drop = max(0, um.bit_length() - G)
+    um, ue = um >> drop, ue + drop
+    cm, ce = _seed(um, ue, k)
+    if ce < 0 and cm == 1 << -ce:
+        # c = 1: u is within about 2**-53 of 1 already
+        cm, ce = 1, 0
+    else:
+        pm, pe = _fp_pow(cm, k, G)
+        um, ue = um * pm, ue + pe + k * ce
+    H = G + G.bit_length()
+    shift = ue + H
+    D = (um << shift if shift >= 0 else um >> -shift) - (1 << H)
+    v, shift = m1 * cm * _binomial(D, k, H), H - bits - ce
+    return v >> shift if shift >= 0 else v << -shift
 
 
 def _finish(
@@ -673,8 +734,12 @@ def _finish(
         bits = width + 160
         est = chain.from_fixed(_chain(sq, -2 * W, terms[0], s, bits), bits)
         rounded = nearest_int(est)
-        error = chain.abs(chain.sub(chain.from_int(target), est))
-        margin = chain.abs(chain.sub(est, chain.from_int(rounded)))
+        # est = man * 2**-f exactly, so the differences are exact integers,
+        # each rounded once (f = 0 when est is an integer: 6 = 3 * 2**1)
+        f = max(0, -est.exp)
+        man = est.man << (est.exp + f)
+        error = chain.from_fixed(abs((target << f) - man), f)
+        margin = chain.from_fixed(abs(man - (rounded << f)), f)
     return EstimateResult(
         n=n,
         s=s,

@@ -151,6 +151,18 @@ class TestSweep:
             assert str(jrow["neg_log_error"]) == crow["neg_log_error"]
             assert str(jrow["s"]) == crow["s"]
 
+    def test_exactly_dyadic_estimates(self, capsys):
+        # |residual| is 1/6 at s = 1 and 1/36 at s = 2, so the estimate is
+        # exactly 6 = 3 * 2**1 and the error 3
+        code, out, _ = invoke(capsys, "sweep", "--n", "1", "--s-min", "1", "--s-max", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "n,s,modulus,label,neg_log_error",
+            "1,1,1,1,-1.0986122886681097e+00",
+            "1,2,1,1,-1.0986122886681097e+00",
+            "1,3,1,1,3.0678547963360432e-01",
+        ]
+
     def test_zero_residual_exit_1(self, capsys):
         code, out, err = invoke(
             capsys, "sweep", "--n", "1", "--s-min", "50", "--s-max", "52", "--modulus", "6", "--label", "1"

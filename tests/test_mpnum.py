@@ -234,7 +234,7 @@ def inv_root(x: BigFloat, s: int, bits: int) -> Fraction:
 
 
 class TestInvRoot:
-    """The estimate chain's root, at the 160 extra bits it runs with."""
+    """A root by the ln and exp kernels, 160 bits past the context."""
 
     BITS = CTX.prec_bits + 160
 

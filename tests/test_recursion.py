@@ -506,6 +506,14 @@ class TestEstimate:
             with pytest.raises(DomainError, match="is empty"):
                 neg_log_series(n, 50, 52, chi)
 
+    def test_exactly_dyadic_estimate(self):
+        # |residual| = 1 + 1/2 + 1/3 - 2 = 1/6 at n = 1, s = 1: the estimate
+        # is exactly 6 = 3 * 2**1, a mantissa with a nonnegative exponent
+        res = recursion.estimate(1, 1, K1)
+        assert res.estimate.exp >= 0
+        got = (res.estimate, res.error, res.margin)
+        assert [x.to_fraction() for x in got] == [6, 3, 0] and res.rounded == 6
+
     def test_zero_residual_is_a_domain_error(self):
         # chi vanishes at 2 and 3 mod 6, so no tail term survives at n = 1
         # and the residual is exactly zero; no precision can help
@@ -673,10 +681,13 @@ def kernel_cases(args: dict, wide: str) -> list:
 class TestChain:
     """The fixed-point chain after the cancellation (``recursion._chain``).
 
-    Its kernels are compared with ``decimal``: ``_fp_ln`` within
-    ``(|e| + 1) * bits`` units of ``2**-bits``, e the binary exponent it
-    extracts, ``_fp_exp`` within ``2 + exp(-x)`` units relative, and the
-    chain within the module docstring's bound.
+    The chain is compared with ``decimal`` within the module docstring's
+    bound, ``4 + u**(1/(2s)) / m1`` units of ``2**-bits`` relative, and its
+    seed must leave ``|d| < 2**-30`` for the binomial series.  The ln and
+    exp kernels that ``PrecisionContext.ln`` and ``exp`` run on are
+    compared with ``decimal`` too: ``_fp_ln`` within ``(|e| + 1) * bits``
+    units of ``2**-bits``, e the binary exponent it extracts, and
+    ``_fp_exp`` within ``2 + exp(-x)`` units relative.
     """
 
     @pytest.mark.parametrize("bits,u", kernel_cases(LN_ARGS, "1+2^-500"))
@@ -715,28 +726,39 @@ class TestChain:
         monkeypatch.setattr(recursion, "_chain", lambda *a: calls.append(a) or chain(*a))
         recursion.estimate(n, s, enumerate_characters(modulus).by_label(label))
         (sq, exp, m1, _, bits), = calls
-        self.check(sq, exp, m1, s, bits)
+        self.check(monkeypatch, sq, exp, m1, s, bits)
 
     @pytest.mark.parametrize("bits", [64, 256, 1000, 5000])
     @pytest.mark.parametrize(
-        "u,m1,s", [(Fraction(3, 2**300), 3, 5), (Fraction(1, 5), 7, 1), (Fraction(9, 4), 127, 20)]
+        "u,m1,s",
+        [
+            (Fraction(3, 2**300), 3, 5),
+            (Fraction(1, 5), 7, 1),
+            (Fraction(9, 4), 127, 20),
+            # u below and above the range of a double
+            (Fraction(1, 2**3000), 3, 1),
+            (Fraction(1, 2**3000), 7, 5),
+            (Fraction(2**3000), 5, 1000),
+        ],
     )
-    def test_far_from_one(self, u, m1, s, bits):
+    def test_far_from_one(self, monkeypatch, u, m1, s, bits):
         x = PrecisionContext(bits + 600).from_fraction(u / m1 ** (2 * s))
-        self.check(x.man, x.exp, m1, s, bits)
+        self.check(monkeypatch, x.man, x.exp, m1, s, bits)
 
     @staticmethod
-    def check(sq: int, exp: int, m1: int, s: int, bits: int):
+    def check(monkeypatch, sq: int, exp: int, m1: int, s: int, bits: int):
+        series = []
+        binomial = recursion._binomial
+        monkeypatch.setattr(recursion, "_binomial", lambda D, k, H: series.append((D, H)) or binomial(D, k, H))
         got = recursion._chain(sq, exp, m1, s, bits)
-        sq = Fraction(sq) * Fraction(2) ** exp
-        u = sq * m1 ** (2 * s)
-        e = mpnum._ln_split(u.numerator, 0)[0] - mpnum._ln_split(u.denominator, 0)[0]
+        (D, H), = series
+        assert abs(D) < 1 << (H - 30)
         digits = bits * 30103 // 100000 + 60
-        want = decimal_chain(sq, m1, s, digits)
-        bound = (abs(e) + 1) * bits + 8 + float(u) ** (1 / (2 * s))
+        want = decimal_chain(Fraction(sq) * Fraction(2) ** exp, m1, s, digits)
         with localcontext() as c:
             c.prec = digits
-            assert abs(Decimal(got) - want * Decimal(2) ** bits) / want <= bound
+            # u**(1/(2s)) / m1 is 1 / want
+            assert abs(Decimal(got) - want * Decimal(2) ** bits) / want <= 4 + 1 / want
 
     @pytest.mark.parametrize("modulus", [5, 7, 13])
     def test_conjugates_give_identical_estimates(self, modulus):
@@ -903,9 +925,10 @@ class TestCostGuard:
         with pytest.raises(UnsupportedSizeError, match="n=2, s=50"):
             recursion.estimate(2, 50, K1, prec_bits=1 << 23)
         # 10**6 bits pass the kernel cap, but the chain would run at about
-        # 10**6 bits, gaining only 2 * 50 * log2(6/5) = 26 bits a series term
-        # (10.4 s at 10**5 bits on a 2-vCPU x86 machine, growing as w**2.5)
-        with pytest.raises(UnsupportedSizeError, match=r"n=2, s=50 at 1000000 bits .* chain cost of 8\.84e\+15"):
+        # 10**6 bits, gaining only 53 - log2(100) = 46 bits a series term
+        # after its seed (0.3 s at 3 * 10**4 bits on a 2-vCPU x86 machine,
+        # growing as w**2.5)
+        with pytest.raises(UnsupportedSizeError, match=r"n=2, s=50 at 1000000 bits .* chain cost of 2\.82e\+15"):
             recursion.estimate(2, 50, K1, prec_bits=10**6)
 
     def test_computed_roots(self):
