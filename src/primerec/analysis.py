@@ -11,11 +11,16 @@ working precision, error at the width that survives the cancellation).  y
 is a ``BigFloat`` computed in a 64-bit context: its 17 printed digits need
 about 57 bits, and fits convert it to machine doubles, which is ample
 because y is O(100) while fit tolerances live at the third digit.  Points
-where the error vanishes are excluded from a series and tallied.  Each
-command evaluates every distinct ``(n, s, character)`` estimate once, in
-one fan-out over worker processes (the trivial character's errors, for
-instance, are shared by every row of a table); results are collected by
-grid index, so output is bit-identical to a sequential run.  A series task
+where the error vanishes are excluded from a series and tallied.  Fits
+sum with ``math.fsum`` in a fixed order, so a slope prints the same digits
+on every supported Python.  Each command evaluates every distinct
+``(n, s, character)`` estimate once, in one fan-out (the trivial
+character's errors, for instance, are shared by every row of a table):
+with w workers, capped at the task count and the CPU count, the process
+forks w - 1 children, child i computes tasks i, i + w, ... while the
+parent computes tasks 0, w, ..., and results are collected by grid index,
+so output is bit-identical to a sequential run.  Where ``os.fork`` is
+missing the tasks run in-process.  A series task
 holds every n of one s (``recursion.estimate_many``), so they share one
 running pass of each kernel; a table keeps one task per cell.  The CLI
 renders the results (``primerec.cli`` holds the row format).
@@ -23,8 +28,8 @@ renders the results (``primerec.cli`` holds the row format).
 
 from __future__ import annotations
 
-import statistics
-from concurrent.futures import ProcessPoolExecutor
+import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,15 +102,99 @@ class DTable:
     rows: tuple
 
 
+def __getattr__(name: str):
+    # bench/tracer.py's pool counter still reads and rebinds this name; the
+    # fan-out forks and never calls it.  Delete once the benchmark counts forks.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _char(modulus: int, label: int) -> DirichletCharacter:
     return enumerate_characters(modulus).by_label(label)
 
 
 def _map_tasks(func, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
+    """``[func(t) for t in tasks]``, spread over up to ``workers`` processes.
+
+    More workers than tasks or CPUs cannot change a byte of the output, so
+    the fan-out is capped at both.
+    """
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1 or not hasattr(os, "fork"):
         return [func(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    return _fork_map(func, tasks, workers)
+
+
+def _share(func, tasks):
+    """``(None, results)``, or ``(position, exception)`` of the first task
+    that raises."""
+    results = []
+    try:
+        for t in tasks:
+            results.append(func(t))
+    except Exception as exc:
+        return len(results), exc
+    return None, results
+
+
+def _fork_map(func, tasks, workers: int):
+    """Child i (1 <= i < workers) computes ``tasks[i::workers]`` and pickles
+    its ``_share`` into a pipe; the parent computes ``tasks[0::workers]``,
+    then reads every pipe and reaps every child.  The exception of the
+    lowest failing task index is raised, as the serial loop raises it.  If
+    the parent itself is interrupted, the children are killed and reaped.
+    """
+    # only a fan-out needs these, so a command at one worker never loads them
+    import pickle
+    import signal
+
+    children = {}  # pid -> read end of the child's result pipe
+    try:
+        for i in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                # os._exit: no exit handlers and no flush of buffers the
+                # parent still owns; the exit code says the pipe is complete
+                code = 1
+                try:
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(_share(func, tasks[i::workers]), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[pid] = os.fdopen(r, "rb")
+        shares = [_share(func, tasks[0::workers])]
+        for pid, fh in list(children.items()):
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if os.waitstatus_to_exitcode(status) != 0:
+                raise RuntimeError(f"fan-out worker {pid} ended (wait status {status}) without its results")
+            shares.append(pickle.loads(data))
+    except BaseException:
+        for pid, fh in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    failures = [(at * workers + i, exc) for i, (at, exc) in enumerate(shares) if at is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    out = [None] * len(tasks)
+    for i, (_, results) in enumerate(shares):
+        out[i::workers] = results
+    return out
 
 
 def _d_error_task(task):
@@ -156,13 +245,22 @@ def linear_fit(points: Sequence[SeriesPoint], n_excluded: int = 0) -> FitResult:
     """Ordinary least squares y = a*s + b with Pearson correlation."""
     if len(points) < 2:
         raise DomainError(f"a fit needs at least 2 points, got {len(points)}")
+    # the formulas of CPython 3.10/3.11 statistics.linear_regression and
+    # correlation, whose float arithmetic changed in 3.12
     xs = [float(p.s) for p in points]
     ys = [to_float(p.y) for p in points]
-    try:
-        a, b = statistics.linear_regression(xs, ys)
-        r = statistics.correlation(xs, ys)
-    except statistics.StatisticsError as exc:
-        raise DomainError(f"degenerate fit input: {exc}") from exc
+    xbar = math.fsum(xs) / len(xs)
+    ybar = math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = math.fsum((d := x - xbar) * d for x in xs)
+    syy = math.fsum((d := y - ybar) * d for y in ys)
+    if sxx == 0:
+        raise DomainError("degenerate fit input: x is constant")
+    if sxx * syy == 0:
+        raise DomainError("degenerate fit input: y is constant")
+    a = sxy / sxx
+    b = ybar - a * xbar
+    r = sxy / math.sqrt(sxx * syy)
     return FitResult(
         a=a,
         b=b,

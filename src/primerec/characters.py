@@ -39,10 +39,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, UnsupportedSizeError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CharValue",
@@ -101,6 +104,8 @@ class CharValue:
         return self.kind == "zero" or self.m <= 2
 
     def exponent(self) -> Fraction:
+        from fractions import Fraction
+
         if self.is_zero:
             raise DomainError("the zero value has no root-of-unity exponent")
         return Fraction(self.a, self.m)

@@ -15,7 +15,12 @@ Data goes to stdout (or ``--output FILE``) as CSV by default or JSON with
 stderr.  Exit codes: 0 success, 1 domain error, 2 argument error, 3 the
 output file cannot be written.  All numeric output is plain decimal, never
 locale-dependent.  ``--workers`` (default from the PRIMEREC_WORKERS
-environment variable) parallelises sweeps without changing their output.
+environment variable) parallelises sweeps without changing their output:
+the analysis fan-out forks up to N - 1 children, capped at the CPU count,
+and runs in-process where ``os.fork`` is missing.  Modules that only some
+commands use (``json``, the selftest suites and their exact oracle) are
+imported by those commands, so start-up loads only what every command
+needs.
 
 Row format
 ----------
@@ -38,13 +43,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from itertools import islice
 from typing import Optional, Sequence
 
-from . import analysis, recursion, selftest
+from . import analysis, recursion
 from .characters import enumerate_characters
 from .errors import PrimerecError
 from .mpnum import BigFloat, format_decimal
@@ -127,6 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _render(fmt: str, header, rows, out) -> None:
     if fmt == "json":
+        import json
+
         # the text of json.dumps({"schema": ..., "rows": [...]}, indent=2),
         # with the rows encoded a chunk at a time, each chunk re-indented
         # one level under "rows"
@@ -238,6 +244,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
 
     if args.command == "selftest":
+        from . import selftest
+
         failures = selftest.run_selftest()
         return 0 if failures == 0 else 1
 

@@ -64,10 +64,13 @@ functions of (inputs, context).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, RangeError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BigFloat",
@@ -98,6 +101,8 @@ class BigFloat:
 
     def to_fraction(self) -> Fraction:
         """Exact rational value of this float."""
+        from fractions import Fraction
+
         if self.sign == 0:
             return Fraction(0)
         if self.exp >= 0:
@@ -562,10 +567,11 @@ class PrecisionContext:
 
 def to_float(x: BigFloat) -> float:
     """Round a BigFloat to the nearest IEEE double."""
-    if x.sign == 0:
-        return 0.0
+    # int / int and float(int) round correctly, as Fraction.__float__ does
     try:
-        return float(x.to_fraction())
+        if x.exp >= 0:
+            return float(x.sign * (x.man << x.exp))
+        return x.sign * x.man / (1 << -x.exp)
     except OverflowError as exc:
         raise RangeError("value exceeds double range") from exc
 

@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,18 @@ class TestLinearFit:
     def test_degenerate_abscissae(self):
         with pytest.raises(DomainError):
             linear_fit([pt(5, 1.0), pt(5, 2.0)])
+        with pytest.raises(DomainError):
+            linear_fit([pt(5, 1.0), pt(6, 1.0)])
+
+    def test_same_floats_on_every_python(self):
+        # the floats CPython 3.10 and 3.11 statistics give for this series;
+        # 3.12's linear_regression and correlation differ in the last bits
+        ss = range(20, 81)
+        ys = [0.2127 * s - 0.1846 + ((s * 7922) % 101 - 50) * 1e-5 for s in ss]
+        fit = linear_fit([SeriesPoint(s, CTX.from_fraction(Fraction(y))) for s, y in zip(ss, ys)])
+        assert fit.a == float.fromhex("0x1.b39c8fec882a1p-3")
+        assert fit.b == float.fromhex("-0x1.7a24535af5ac0p-3")
+        assert fit.r == float.fromhex("0x1.ffffffe5dae43p-1")
 
     def test_excluded_count_carried(self):
         fit = linear_fit([pt(1, 1.0), pt(2, 2.0)], n_excluded=3)
@@ -100,18 +114,21 @@ class TestSlopeSeries:
         # the n=2 slope sits near the decay rate set by the 6^-s subleading term
         assert 0.18 <= fits[0][1].a <= 0.22
 
-    def test_one_pool_per_command(self, monkeypatch):
-        pools = []
-        real = analysis.ProcessPoolExecutor
+    def test_one_pool_per_command(self, monkeypatch, forks):
+        # one fan-out per command, forking w - 1 children
+        fanouts = []
+        real = analysis._map_tasks
 
-        def counting(*args, **kwargs):
-            pools.append(kwargs)
-            return real(*args, **kwargs)
+        def counting(*args):
+            fanouts.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", counting)
-        par = slope_series(2, 4, 20, 30, workers=2)
-        assert len(pools) == 1
+        monkeypatch.setattr(analysis, "_map_tasks", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        par = slope_series(2, 4, 20, 30, workers=3)
+        assert len(fanouts) == 1 and len(forks) == 2
         assert par == slope_series(2, 4, 20, 30, workers=1)
+        assert len(fanouts) == 2 and len(forks) == 2
 
     def test_n_range_validation(self):
         with pytest.raises(DomainError):
@@ -173,6 +190,96 @@ class TestDTable:
         seq = d_table([3, 4], 50, [4, 9], workers=1)
         par = d_table([3, 4], 50, [4, 9], workers=2)
         assert seq == par
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of ``os.fork`` calls made while the test runs."""
+    calls = []
+    real = os.fork
+
+    def counting():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+def _square(t):
+    return t * t
+
+
+def _fail_at(bad):
+    def task(t):
+        if t in bad:
+            raise DomainError(f"task {t} failed")
+        return t
+
+    return task
+
+
+def _die_at_one(t):
+    if t == 1:
+        os._exit(3)  # only ever in a child: task 1 is not the parent's
+    return t
+
+
+def _interrupt_parent(t):
+    if t == 0:
+        raise KeyboardInterrupt
+    time.sleep(30)
+    return t
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFanOut:
+    @pytest.mark.parametrize(
+        "cpus, workers, n_tasks, want_forks",
+        [(3, 100000, 10, 2), (None, 4, 10, 0), (8, 5, 2, 1), (2, 1, 10, 0)],
+    )
+    def test_capped_at_tasks_and_cpus(self, monkeypatch, forks, cpus, workers, n_tasks, want_forks):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert analysis._map_tasks(_square, list(range(n_tasks)), workers) == [
+            t * t for t in range(n_tasks)
+        ]
+        assert len(forks) == want_forks
+        assert_no_child_left()
+
+    def test_uneven_strides(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert analysis._map_tasks(_square, list(range(11)), 3) == [t * t for t in range(11)]
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [({3, 5}, 3), ({2, 3}, 2), ({1, 2}, 1), ({4, 5}, 4)],
+        ids=["child", "parent-before-child", "child-before-parent", "parent"],
+    )
+    def test_lowest_failing_task_raises(self, monkeypatch, bad, first):
+        # two workers: the parent runs tasks 0, 2, 4, the child 1, 3, 5
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(DomainError, match=f"^task {first} failed$"):
+            analysis._map_tasks(_fail_at(bad), list(range(6)), 2)
+        assert_no_child_left()
+
+    def test_child_dying_without_result_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="without its results"):
+            analysis._map_tasks(_die_at_one, list(range(4)), 2)
+        assert_no_child_left()
+
+    def test_interrupted_parent_kills_children(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            analysis._map_tasks(_interrupt_parent, list(range(6)), 3)
+        assert time.monotonic() - t0 < 20  # the children's 30 s sleeps were cut
+        assert_no_child_left()
 
 
 def cli_csv(capsys, *argv):

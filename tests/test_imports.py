@@ -9,10 +9,16 @@ covers the package's re-exports in ``__init__.py``).  A top-level ``_name``
 (not a dunder) must be referenced by some module of the package, so a
 helper left behind when its last caller goes fails here.  A stale
 ``__all__`` entry would otherwise fail only at ``from primerec.x import *``.
+
+A fresh interpreter that imports the package and builds the CLI parser
+loads none of the modules that only some commands use.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -116,3 +122,31 @@ def test_catches_a_stale_export():
     mod.__all__ = ["kept", "removed"]
     mod.kept = 1
     assert missing_exports(mod) == ["removed"]
+
+
+# Loaded only by the commands that use them: the fan-out's old pool, the
+# statistics fits, exact rationals, JSON output and the selftest suites.
+NOT_AT_START_UP = (
+    "concurrent.futures",
+    "multiprocessing",
+    "statistics",
+    "fractions",
+    "json",
+    "primerec.selftest",
+    "primerec.oracle",
+)
+
+
+def test_start_up_imports():
+    code = (
+        "import sys, primerec, primerec.cli\n"
+        "primerec.cli.build_parser()\n"
+        "print(' '.join(m for m in sys.argv[1:] if m in sys.modules))\n"
+    )
+    path = [str(SRC.parent)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *NOT_AT_START_UP],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.split() == []

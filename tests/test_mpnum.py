@@ -363,3 +363,21 @@ class TestRendering:
         assert to_float(ZERO) == 0.0
         with pytest.raises(RangeError):
             to_float(BigFloat(1, 1, 40000))
+
+    @given(
+        st.sampled_from([-1, 1]),
+        st.integers(min_value=1, max_value=2**120),
+        st.integers(min_value=-1250, max_value=1100),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_to_float_matches_fraction(self, sign, man, exp):
+        # exponents past both ends of the double range: overflow, subnormals, 0
+        x = BigFloat(sign, man, exp)
+        try:
+            want = float(x.to_fraction())
+        except OverflowError:
+            with pytest.raises(RangeError):
+                to_float(x)
+            return
+        got = to_float(x)
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
