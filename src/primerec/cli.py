@@ -14,13 +14,14 @@ Data goes to stdout (or ``--output FILE``) as CSV by default or JSON with
 ``--format json`` carrying identical values; diagnostics and warnings go to
 stderr.  Exit codes: 0 success, 1 domain error, 2 argument error, 3 the
 output file cannot be written.  All numeric output is plain decimal, never
-locale-dependent.  ``--workers`` (default from the PRIMEREC_WORKERS
-environment variable) parallelises sweeps without changing their output:
-the analysis fan-out forks up to N - 1 children, capped at the CPU count,
-and runs in-process where ``os.fork`` is missing.  Modules that only some
-commands use (``json``, the selftest suites and their exact oracle) are
-imported by those commands, so start-up loads only what every command
-needs.
+locale-dependent.  ``--workers`` parallelises sweeps without changing
+their output: the analysis fan-out forks up to N - 1 children, capped at
+the CPU count, and runs in-process where ``os.fork`` is missing.  A count
+below 1 on the command line is an argument error; the default comes from
+the PRIMEREC_WORKERS environment variable, read leniently (1 for anything
+but a positive integer).  Modules that only some commands use (``json``,
+the selftest suites and their exact oracle) are imported by those
+commands, so start-up loads only what every command needs.
 
 Row format
 ----------
@@ -68,6 +69,16 @@ def _default_workers() -> int:
         return 1
 
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive worker count, got {text!r}")
+    return count
+
+
 def _int_list(text: str):
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -104,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--modulus", type=int, default=1)
     p.add_argument("--label", type=int, default=1)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_worker_count, default=_default_workers())
     add_io(p)
 
     p = sub.add_parser("slopes", help="best-fit slope per n over a common s range")
@@ -114,14 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--modulus", type=int, default=1)
     p.add_argument("--label", type=int, default=1)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_worker_count, default=_default_workers())
     add_io(p)
 
     p = sub.add_parser("dtable", help="signed error-difference table at fixed s")
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--moduli", type=_int_list, required=True)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_worker_count, default=_default_workers())
     add_io(p)
 
     sub.add_parser("selftest", help="run the built-in verification suites")

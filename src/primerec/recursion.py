@@ -77,11 +77,18 @@ The sum and the product run in fixed point, on integers scaled by
 ``mpnum.fixed_root`` at the same scale, each component truncated and
 within 2 units of ``2**-W`` (1 is exact).  The sum adds ``2**W // j**s``
 into one integer per character value and multiplies each total by its
-root once; the product multiplies the factors
-``1 - chi(p) * (2**W // p**s)`` and inverts the result once.  Every
-rounding truncates toward zero, so conjugate characters give bit-conjugate
-results; a truncation by ``2**W`` is a signed shift, and only the
-product's final inversion divides.  Each component of the sum is within
+root once; for ``j = 2**a`` the quotient is the shift ``2**(W - a s)``, or
+0.  The product multiplies the factors ``1 - chi(p) * (2**W // p**s)`` and
+inverts the result once.  Where both kernels run (``_residuals``, at the
+same widest W) the sum's indices include every prime of the product, so
+each ``2**W // p**s`` is divided once and shared.  Every rounding
+truncates toward zero, so conjugate characters give bit-conjugate results;
+a truncation by ``2**W`` is a signed shift.  Besides the quotients only
+the product's final inversion divides: a real product (imaginary part 0,
+as with every real character) once, ``2**(2W)`` by its W-bit real part
+``a``, since ``a 2**(2W) / a**2`` is exactly ``2**(2W) / a``; a complex
+one twice, a 3W-bit by a 2W-bit integer per component.  None of these
+savings changes a bit.  Each component of the sum is within
 ``J + c + 2 + 2 ln J`` units of ``2**-W``: J from the terms, one
 truncation for each of the ``c`` values of chi other than 1 on 1..J, and
 2 units of root error per unit of class total, the totals summing to at
@@ -172,12 +179,15 @@ __all__ = [
 # this cap (about 80 s there); the precision sizing (``required_precision``,
 # ``estimate``) refuses that plus the chain cost below.
 MAX_KERNEL_COST = 10**14
-# The Euler product ends in one inversion, whatever n is: a 3W-bit by 2W-bit
-# division per nonzero component.  On the same machine, at W = 400k bits,
-# ``euler_product`` took 7.9 units of c * W**2 at n = 1 with the trivial
-# character (one division) and 14.5 with chi(2) = i mod 5 (two), and the
-# residual of n = 2, s = 300000 (J = 5, W = 776k) 6.4 s where J * W**2
-# projected 2.4 s: about 7 units per division, 14 for both (9.1 s there).
+# The Euler product ends in one inversion, whatever n is: for a complex
+# product a 3W-bit by 2W-bit division per component.  On the same machine, at
+# W = 400k bits, ``euler_product`` took 14.5 units of c * W**2 at n = 1 with
+# chi(2) = i mod 5 (two divisions): about 7 units each, 14 for both.  A real
+# product divides once, 2W bits by W, and the prime quotients come from the
+# L-sum, so the weight over-counts real characters: the residual of n = 2,
+# s = 300000 with the trivial character (J = 5, W = 776k) took 1.9 s, 4.0
+# units (4.9 s, 10.2 units, when it divided like a complex product), where
+# (J + 14) * W**2 projects 19.
 _INVERSION_WEIGHT = 14
 # The chain after the cancellation (``_chain``: two binary powers and a
 # binomial series of u = |residual|**2 * m1**(2s) in fixed point, see
@@ -426,14 +436,18 @@ def l_partial_sum(
     return _to_complex(ctx, _l_partial_sums(chi, s, [(J, W)])[0], W)
 
 
-def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
+def _l_partial_sums(
+    chi: DirichletCharacter, s: int, cells: list, quotients: Optional[dict] = None
+) -> list:
     """The L-sum to J as a fixed-point ``(re, im)`` at scale ``2**W`` for every
     ``(J, W)`` in ``cells``, in one pass over j.
 
     One total per character value runs at the widest W among the cells, and
-    each ``2**W // j**s`` is added once.  A cell rotates the totals where its
-    band (``_bands``) ends and truncates the result to its own W (see the
-    module docstring).
+    each ``2**W // j**s`` is added once; for ``j = 2**a`` it is the shift
+    ``2**(W - a s)``, or 0.  A cell rotates the totals where its band
+    (``_bands``) ends and truncates the result to its own W (see the module
+    docstring).  Each j that is a key of ``quotients`` and that chi does not
+    vanish at gets its quotient stored there, for ``_euler_products``.
     """
     k = chi.modulus
     # class of chi(r) for every residue r a term reaches; -1 where chi vanishes
@@ -442,13 +456,17 @@ def _l_partial_sums(chi: DirichletCharacter, s: int, cells: list) -> list:
         cls.append(-1 if v.is_zero else roots.setdefault((v.a, v.m), len(roots)))
     wide = max(W for _, W in cells)
     one = 1 << wide
+    quotients = {} if quotients is None else quotients
     out = [None] * len(cells)
     totals = [0] * len(roots)
     for lo, hi, ending in _bands([J for J, _ in cells]):
         for j in range(lo + 1, hi + 1):
             c = cls[j % k]
             if c >= 0:
-                totals[c] += one // j**s
+                x = one // j**s if j & (j - 1) else one >> (j.bit_length() - 1) * s
+                totals[c] += x
+                if j in quotients:
+                    quotients[j] = x
         re = im = 0
         for (a, m), total in zip(roots, totals):
             if a == 0:
@@ -475,18 +493,26 @@ def euler_product(
     return _to_complex(ctx, _euler_products(chi, s, [(n, W)])[0], W)
 
 
-def _euler_products(chi: DirichletCharacter, s: int, cells: list) -> list:
+def _euler_products(
+    chi: DirichletCharacter, s: int, cells: list, quotients: Optional[dict] = None
+) -> list:
     """The Euler product over n primes as a fixed-point ``(re, im)`` at scale
     ``2**W`` for every ``(n, W)`` in ``cells``, in one pass over p.
 
     One complex product runs at the widest W among the cells, each factor
-    multiplied once with its root taken at that width.  A cell truncates the
-    product to its own W where its band ends and inverts it there.
+    multiplied once with its root taken at that width.  ``quotients`` maps
+    each prime p that chi does not vanish at to ``2**W // p**s`` at that
+    width; without it the pass divides for itself.  A cell truncates the
+    product to its own W where its band ends and inverts it there: a real
+    one with one 2W-by-W division, ``a * 2**(2W) / a**2`` being exactly
+    ``2**(2W) / a``.
     """
     wide = max(W for _, W in cells)
     one = 1 << wide
     ns = [n for n, _ in cells]
     ps = primes.first_n_primes(max(ns))
+    if quotients is None:
+        quotients = {p: one // p**s for p in ps if not chi(p).is_zero}
     out = [None] * len(cells)
     re, im = one, 0
     for lo, hi, ending in _bands(ns):
@@ -494,7 +520,7 @@ def _euler_products(chi: DirichletCharacter, s: int, cells: list) -> list:
             v = chi(p)
             if v.is_zero:
                 continue
-            x = one // p**s
+            x = quotients[p]
             if v.a == 0:
                 fr, fi = one - x, 0
             else:
@@ -504,8 +530,12 @@ def _euler_products(chi: DirichletCharacter, s: int, cells: list) -> list:
         for i in ending:
             W = cells[i][1]
             a, b = _shr(re, wide - W), _shr(im, wide - W)
-            den = a * a + b * b
-            out[i] = _trunc(a << 2 * W, den), _trunc(-b << 2 * W, den)
+            if b:
+                den = a * a + b * b
+                out[i] = _trunc(a << 2 * W, den), _trunc(-b << 2 * W, den)
+            else:
+                inverse = (1 << 2 * W) // abs(a)
+                out[i] = (inverse if a > 0 else -inverse), 0
     return out
 
 
@@ -535,10 +565,13 @@ def residual(
 def _residuals(ns, s: int, chi: DirichletCharacter, ctxs: list) -> list:
     """The residual of each n in ``ns`` at its context in ``ctxs`` as a ball
     ``(re, im, W, radius)`` (see the module docstring), the L-sums in one
-    pass and the products in another; the costs are checked by the caller."""
+    pass and the products in another on the L-sum's quotients of their
+    primes; the costs are checked by the caller."""
     cells = list(zip(ns, [_kernel_bits(ctx) for ctx in ctxs]))
-    sums = _l_partial_sums(chi, s, [(2 * primes.nth_prime(n) - 1, W) for n, W in cells])
-    products = _euler_products(chi, s, cells)
+    # the L-sum's indices include every prime of the product, at the same widest W
+    quotients = dict.fromkeys(primes.first_n_primes(max(ns)))
+    sums = _l_partial_sums(chi, s, [(2 * primes.nth_prime(n) - 1, W) for n, W in cells], quotients)
+    products = _euler_products(chi, s, cells, quotients)
     out = []
     for (n, W), (a, b), (c, d) in zip(cells, sums, products):
         scale = primes.nth_prime(n) ** 3 if s == 1 else 1

@@ -275,6 +275,21 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--n", "2", "--s-min", "20", "--s-max", "21"],
+            ["slopes", "--n-min", "2", "--n-max", "3", "--s-min", "20", "--s-max", "22"],
+            ["dtable", "--n-list", "3", "--s", "50", "--moduli", "4"],
+        ],
+        ids=["sweep", "slopes", "dtable"],
+    )
+    def test_workers_below_one(self, capsys, command, workers):
+        code, out, err = invoke(capsys, *command, "--workers", workers)
+        assert code == 2 and out == ""
+        assert "positive worker count" in err
+
 
 class TestWorkerEnv:
     def test_env_var_sets_default(self, monkeypatch):

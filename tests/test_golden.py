@@ -1,8 +1,11 @@
 """CLI data output and the estimate scan are identical to committed references.
 
 The CLI files in ``tests/golden`` were written by the BigFloat residual loop
-that the fixed-point kernel replaced; any change to the evaluation route
-must keep every printed digit.  Each CLI file name is its command line.
+that the fixed-point kernel replaced, and ``sweep_n2_s1850-1950.csv`` (the
+trivial character at the bench's sweep widths, about 5k bits) by the
+fixed-point kernel before its real products were inverted by one division;
+any change to the evaluation route must keep every printed digit.  Each CLI
+file name is its command line.
 
 ``scan_mod1-24.txt`` holds one ``estimate`` per line for every character
 mod 1..24, n in SCAN_N and s in SCAN_S: ``k label n s prec_bits rounded``
@@ -31,6 +34,7 @@ CASES = {
     "sweep_n5_s20-120_mod7_label3.csv": [
         "sweep", "--n", "5", "--s-min", "20", "--s-max", "120", "--modulus", "7", "--label", "3",
     ],
+    "sweep_n2_s1850-1950.csv": ["sweep", "--n", "2", "--s-min", "1850", "--s-max", "1950"],
     "dtable_n3-5_s50_mod5-8-13.csv": ["dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13"],
     "dtable_n3-5_s50_mod5-8-13.json": [
         "dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13", "--format", "json",

@@ -116,6 +116,16 @@ class TestPipelineAgainstMpmath:
         _, err_ref = estimate_mp(2, 2000, keller_one())
         assert abs(bf_mp(res.error) - err_ref) <= err_ref * mp.mpf(2) ** -64
 
+    @pytest.mark.parametrize("n,s", [(2, 20000), (30, 3000)])
+    def test_error_at_large_s(self, n, s):
+        # the kernels at about 52k bits with J = 5, and at about 24k bits
+        # with J = 225: real products inverted by one division, the prime
+        # quotients shared by the L-sum and the product, powers of two shifted
+        res = recursion.estimate(n, s, keller_one())
+        est_ref, err_ref = estimate_mp(n, s, keller_one())
+        assert abs(bf_mp(res.estimate) - est_ref) <= est_ref * mp.mpf(2) ** -80
+        assert abs(bf_mp(res.error) - err_ref) <= err_ref * mp.mpf(2) ** -64
+
     def test_chain_far_from_one(self):
         # n = 30, s = 25: the chain's argument |residual|**2 * 127**50 is
         # about 3, not near 1, since (127/131)**25 ~ 0.46 and many tail terms

@@ -198,6 +198,13 @@ MOD70_SUMS = [(2 * p - 1, prec) for p, prec in zip(first_n_primes(30), PREC70)]
 MOD70_PRODUCTS = list(zip(range(1, 31), PREC70))
 MOD70_ANY = dict(k=70, pick=enumerate_characters(70).characters.index(CHI70), s=100)
 MOD70_GAUSSIAN = dict(k=70, pick=gaussian_characters(70).index(CHI70), s=100)
+# sweep width: n = 2, s = 1900, for the trivial character and the quadratic
+# character mod 5, both real, so each product is inverted by one division
+# and its quotient of 2 is a shift
+G5_REAL = G5.characters.index(G5.by_label(3))
+SWEEP_S = 1900
+SWEEP_PREC = recursion.required_precision(2, SWEEP_S).prec_bits
+SWEEP_PREC_MOD5 = recursion.required_precision(2, SWEEP_S, G5.by_label(3)).prec_bits
 PICK = st.integers(0, 10**6)
 SUM_CELLS = st.lists(st.tuples(st.integers(1, 120), st.integers(64, 1500)), min_size=1, max_size=5)
 PRODUCT_CELLS = st.lists(
@@ -222,6 +229,8 @@ class TestSharedPass:
         n=st.integers(1, 30),
         prec=st.integers(64, 1500),
     )
+    @example(k=1, pick=0, s=SWEEP_S, J=5, n=2, prec=SWEEP_PREC)
+    @example(k=5, pick=G5_REAL, s=SWEEP_S, J=5, n=2, prec=SWEEP_PREC_MOD5)
     def test_single_cell_matches_per_cell_loop(self, k, pick, s, J, n, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
@@ -245,12 +254,32 @@ class TestSharedPass:
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS)
     @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
     @example(**MOD70_ANY, cells=MOD70_PRODUCTS)
+    @example(k=1, pick=0, s=SWEEP_S, cells=[(2, SWEEP_PREC), (1, 1500)])
+    @example(k=5, pick=G5_REAL, s=SWEEP_S, cells=[(2, SWEEP_PREC_MOD5), (1, SWEEP_PREC)])
     def test_products_match_running_pass(self, k, pick, s, cells):
         chi = any_character(k, pick)
         cells = [(n, kernel_bits(p)) for n, p in cells]
         wide = max(W for _, W in cells)
         got = recursion._euler_products(chi, s, cells)
         assert got == [per_cell_euler_product(chi, s, n, W, wide) for n, W in cells]
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS)
+    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
+    @example(**MOD70_ANY, cells=MOD70_PRODUCTS)
+    @example(k=1, pick=0, s=SWEEP_S, cells=[(2, SWEEP_PREC)])
+    @example(k=5, pick=G5_REAL, s=SWEEP_S, cells=[(2, SWEEP_PREC_MOD5), (1, SWEEP_PREC)])
+    def test_residuals_match_per_cell_loops(self, k, pick, s, cells):
+        # the product takes the L-sum's quotients of its primes
+        chi = any_character(k, pick)
+        ns = [n for n, _ in cells]
+        balls = recursion._residuals(ns, s, chi, [PrecisionContext(p) for _, p in cells])
+        wide = max(kernel_bits(p) for _, p in cells)
+        for (n, prec), (re, im, W, _) in zip(cells, balls):
+            J = 2 * first_n_primes(n)[-1] - 1
+            a, b = per_cell_partial_sum(chi, s, J, W, wide)
+            c, d = per_cell_euler_product(chi, s, n, W, wide)
+            assert (re, im, W) == (a - c, b - d, kernel_bits(prec))
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
