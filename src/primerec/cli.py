@@ -26,7 +26,8 @@ commands, so start-up loads only what every command needs.
 Row format
 ----------
 Each data subcommand yields a header and its rows; ``run`` renders them
-once, as CSV or as JSON ``{"schema": header, "rows": [{column: value}]}``.
+once, straight into stdout or the ``--output`` file, as CSV or as JSON
+``{"schema": header, "rows": [{column: value}]}``.
 Floats print with 17 significant digits (``FLOAT_DIGITS``).  The schemas:
 
  * chars:    ``label, n, kind, a, m`` (``kind`` is ``zero`` or ``root``;
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 from itertools import islice
@@ -268,22 +268,22 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         "dtable": _cmd_dtable,
     }[args.command]
 
-    buf = io.StringIO()
     try:
         header, rows = handler(args)
-        _render(args.format, header, rows, buf)
-    except PrimerecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.output:
+        if not args.output:
+            _render(args.format, header, rows, sys.stdout)
+            return 0
+        # the file opens only once the handler has returned, so a domain
+        # error leaves no file behind
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(buf.getvalue())
+                _render(args.format, header, rows, fh)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
             return 3
-    else:
-        sys.stdout.write(buf.getvalue())
+    except PrimerecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

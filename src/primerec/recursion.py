@@ -73,26 +73,25 @@ the next prime divides the modulus the limit degenerates; the result is
 flagged, not rejected).
 
 The sum and the product run in fixed point, on integers scaled by
-``2**W`` with ``W = P + 96 + 16``.  Roots of unity come from
+``2**W`` with ``W = P + 96 + 16``, in one pass over j (``_kernels``).  The
+product's primes are among the sum's indices, so each ``2**W // j**s`` is
+divided once (for ``j = 2**a`` it is the shift ``2**(W - a s)``, or 0):
+it is added into one total per character value and, when j is a prime
+``p <= p_n``, multiplied into the running product as the factor
+``1 - chi(p) * (2**W // p**s)``.  The sum multiplies each total by its
+root once and the product is inverted once.  Roots of unity come from
 ``mpnum.fixed_root`` at the same scale, each component truncated and
-within 2 units of ``2**-W`` (1 is exact).  The sum adds ``2**W // j**s``
-into one integer per character value and multiplies each total by its
-root once; for ``j = 2**a`` the quotient is the shift ``2**(W - a s)``, or
-0.  The product multiplies the factors ``1 - chi(p) * (2**W // p**s)`` and
-inverts the result once.  Where both kernels run (``_residuals``, at the
-same widest W) the sum's indices include every prime of the product, so
-each ``2**W // p**s`` is divided once and shared.  Every rounding
-truncates toward zero, so conjugate characters give bit-conjugate results;
-a truncation by ``2**W`` is a signed shift.  Besides the quotients only
-the product's final inversion divides: a real product (imaginary part 0,
-as with every real character) once, ``2**(2W)`` by its W-bit real part
+within 2 units of ``2**-W`` (1 is exact).  Every rounding truncates
+toward zero, so conjugate characters give bit-conjugate results; a
+truncation by ``2**W`` is a signed shift.  Besides the quotients only the
+product's final inversion divides: a real product (imaginary part 0, as
+with every real character) once, ``2**(2W)`` by its W-bit real part
 ``a``, since ``a 2**(2W) / a**2`` is exactly ``2**(2W) / a``; a complex
-one twice, a 3W-bit by a 2W-bit integer per component.  None of these
-savings changes a bit.  Each component of the sum is within
-``J + c + 2 + 2 ln J`` units of ``2**-W``: J from the terms, one
-truncation for each of the ``c`` values of chi other than 1 on 1..J, and
-2 units of root error per unit of class total, the totals summing to at
-most ``1 + ln J``.  For the product, when ``s >= 2``, it is within
+one twice, a 3W-bit by a 2W-bit integer per component.  Each component
+of the sum is within ``J + c + 2 + 2 ln J`` units of ``2**-W``: J from
+the terms, one truncation for each of the ``c`` values of chi other than
+1 on 1..J, and 2 units of root error per unit of class total, the totals
+summing to at most ``1 + ln J``.  For the product, when ``s >= 2``, it is within
 ``20 n + 2``: each factor is within 3.2 units (1 from ``2**W // p**s``,
 ``2 sqrt 2 / p**s`` from the root, ``sqrt 2`` from truncation), the
 partial products stay below ``zeta(2) / zeta(4) < 1.52`` in magnitude,
@@ -103,20 +102,18 @@ factor is within 3.9 units, and the partial products stay below
 p_n``, whose square bounds the inversion's scale: within
 ``(20 n + 2) p_n**3``.
 
-The estimates of several n at one s (``estimate_many``) share one pass of
-each kernel, at the widest W among them.  The sum keeps one running total
-per character value and the product one running product, so each
-``2**W // j**s`` is added once and each factor multiplied once, with its
-root taken at that one width.  A cell reads the pass where its indices end
-(J for the sum, n for the product): the sum rotates the totals, and the
-cell truncates the value to its own W (the product is then inverted
-there).  Each cell's result is thus, bit for bit, the one-cell loop run at
-the pass's width and truncated once, within the bounds above plus one unit
-per component (a truncated product moves by under ``sqrt 2``, which the
-inversion scales by at most 2.71, or ``p_n**2`` at s = 1).  A cell
-narrower than the widest runs its indices at the wider W, so the pass as a
-whole is checked against the cost cap too: the longest cell at the widest
-cell's precision.
+The estimates of several n at one s (``estimate_many``) share that one
+pass, at the widest W among them, with its roots taken at that one width.
+Each cell closes where its indices end: a sum cell at its J, where the
+totals are rotated, and a product cell at its n-th prime, where the
+running product is truncated to the cell's own W and inverted; a sum is
+truncated to its own W too.  Each cell's result is thus, bit for bit, the
+one-cell loop run at the pass's width and truncated once, within the
+bounds above plus one unit per component (a truncated product moves by
+under ``sqrt 2``, which the inversion scales by at most 2.71, or
+``p_n**2`` at s = 1).  A cell narrower than the widest runs its indices at
+the wider W, so the pass as a whole is checked against the cost cap too:
+the longest cell at the widest cell's precision.
 
 So every residual, of one cell or of a shared pass, is a ball
 (midpoint-radius arithmetic: van der Hoeven, *Ball arithmetic*, 2009;
@@ -141,11 +138,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from . import primes
-from .characters import DirichletCharacter, enumerate_characters
+from .characters import DirichletCharacter, enumerate_characters, keller_one
 from .errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
 from .mpnum import (
     GUARD_BITS,
@@ -308,16 +305,8 @@ def _cell_facts(n: int, modulus: int, label: int) -> _Facts:
     return _Facts(terms, num, den, roots, math.ceil(J + c + 3 + 2 * math.log(J)))
 
 
-def _facts(n: int, chi: Optional[DirichletCharacter]) -> _Facts:
-    """``_cell_facts`` of (n, chi).  Without chi, those of the trivial
-    character without its tail terms: base 2 p_n, as m2 <= 2 p_n, and no roots."""
-    if chi is None:
-        return _cell_facts(n, 1, 1)._replace(terms=())
-    return _cell_facts(n, chi.modulus, chi.label)
-
-
 def _check_cost(
-    n: int, s: int, chi: Optional[DirichletCharacter], ctx: PrecisionContext, terms: tuple
+    n: int, s: int, chi: DirichletCharacter, ctx: PrecisionContext, terms: tuple
 ) -> None:
     """Refuse (n, s) at ``ctx`` when the projected cost exceeds the cap.
 
@@ -333,7 +322,7 @@ def _check_cost(
     J = 2 * primes.nth_prime(n) - 1
     W = _kernel_bits(ctx)
     kernel = (J + _INVERSION_WEIGHT) * W**2
-    roots = _facts(n, chi).roots
+    roots = _cell_facts(n, chi.modulus, chi.label).roots
     root_cost = roots * _ROOT_WEIGHT * W**2 * math.isqrt(W)
     chain = 0
     if len(terms) == 2:
@@ -350,7 +339,7 @@ def _check_cost(
         )
 
 
-def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
+def _sizing(n: int, s: int, chi: DirichletCharacter):
     """(``required_precision(n, s, chi)``, chi's first two tail terms).
 
     The cost guard runs on ``ceil(s * log2(base)) - 1`` in floating point, a
@@ -365,7 +354,7 @@ def _sizing(n: int, s: int, chi: Optional[DirichletCharacter]):
             f"n={n}, s={s} projects a kernel cost above 12*s**2 bit**2, "
             f"far above the cap of {MAX_KERNEL_COST:.0e}"
         )
-    facts = _facts(n, chi)
+    facts = _cell_facts(n, chi.modulus, chi.label)
     num, den = facts.num, facts.den
     lower = PrecisionContext(max(64, math.ceil(s * math.log2(num / den)) - 1 + 96))
     _check_cost(n, s, chi, lower, facts.terms)
@@ -381,15 +370,15 @@ def required_precision(
 
     The sum and product are O(1) but agree to about p_{n+1}**-s, which is
     larger than (2 p_n)**-s; the allowance keeps >= 96 significant bits of
-    the residual.  Given ``chi``, the base is set by its first two tail
-    terms m1 < m2 with chi(m) != 0: ``max(2 p_n, m2)``, or
-    ``max(2 p_n, m2**2 / m1)`` when chi(m2)/chi(m1) = +-i (see the module
-    docstring).  Without ``chi``, or with fewer than two such terms, the
-    base is 2 p_n.  Never below the 64-bit context floor.  Raises
+    the residual.  The base is set by chi's first two tail terms m1 < m2
+    with chi(m) != 0: ``max(2 p_n, m2)``, or ``max(2 p_n, m2**2 / m1)`` when
+    chi(m2)/chi(m1) = +-i (see the module docstring); 2 p_n with fewer than
+    two such terms.  ``chi`` defaults to the trivial character, whose m2 is
+    at most 2 p_n.  Never below the 64-bit context floor.  Raises
     ``UnsupportedSizeError`` when the estimate's projected cost exceeds
     ``MAX_KERNEL_COST`` (see ``estimate``).
     """
-    return _sizing(n, s, chi)[0]
+    return _sizing(n, s, keller_one() if chi is None else chi)[0]
 
 
 def _trunc(v: int, d: int) -> int:
@@ -407,18 +396,6 @@ def _kernel_bits(ctx: PrecisionContext) -> int:
     return ctx.prec_bits + GUARD_BITS + 16
 
 
-def _bands(limits: list):
-    """Split ``(0, max(limits)]`` at the distinct limits of the cells.
-
-    For each band ``(lo, hi]``, in ascending order, yields ``lo``, ``hi`` and
-    the indices of the cells whose limit is ``hi``, in ascending order.
-    """
-    lo = 0
-    for hi, ending in groupby(sorted(range(len(limits)), key=limits.__getitem__), limits.__getitem__):
-        yield lo, hi, list(ending)
-        lo = hi
-
-
 def _to_complex(ctx: PrecisionContext, value: tuple, W: int) -> BigComplex:
     """The fixed-point pair ``value`` scaled by ``2**-W``, each component rounded to ``ctx``."""
     return BigComplex(ctx.from_fixed(value[0], W), ctx.from_fixed(value[1], W))
@@ -433,52 +410,7 @@ def l_partial_sum(
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"s must be a positive integer, got {s!r}")
     W = _kernel_bits(ctx)
-    return _to_complex(ctx, _l_partial_sums(chi, s, [(J, W)])[0], W)
-
-
-def _l_partial_sums(
-    chi: DirichletCharacter, s: int, cells: list, quotients: Optional[dict] = None
-) -> list:
-    """The L-sum to J as a fixed-point ``(re, im)`` at scale ``2**W`` for every
-    ``(J, W)`` in ``cells``, in one pass over j.
-
-    One total per character value runs at the widest W among the cells, and
-    each ``2**W // j**s`` is added once; for ``j = 2**a`` it is the shift
-    ``2**(W - a s)``, or 0.  A cell rotates the totals where its band
-    (``_bands``) ends and truncates the result to its own W (see the module
-    docstring).  Each j that is a key of ``quotients`` and that chi does not
-    vanish at gets its quotient stored there, for ``_euler_products``.
-    """
-    k = chi.modulus
-    # class of chi(r) for every residue r a term reaches; -1 where chi vanishes
-    roots, cls = {}, []
-    for v in chi.table[: max(J for J, _ in cells) + 1]:
-        cls.append(-1 if v.is_zero else roots.setdefault((v.a, v.m), len(roots)))
-    wide = max(W for _, W in cells)
-    one = 1 << wide
-    quotients = {} if quotients is None else quotients
-    out = [None] * len(cells)
-    totals = [0] * len(roots)
-    for lo, hi, ending in _bands([J for J, _ in cells]):
-        for j in range(lo + 1, hi + 1):
-            c = cls[j % k]
-            if c >= 0:
-                x = one // j**s if j & (j - 1) else one >> (j.bit_length() - 1) * s
-                totals[c] += x
-                if j in quotients:
-                    quotients[j] = x
-        re = im = 0
-        for (a, m), total in zip(roots, totals):
-            if a == 0:
-                re += total
-            elif total:
-                cos, sin = fixed_root(a, m, wide)
-                re += _shr(total * cos, wide)
-                im += _shr(total * sin, wide)
-        for i in ending:
-            shift = wide - cells[i][1]
-            out[i] = _shr(re, shift), _shr(im, shift)
-    return out
+    return _to_complex(ctx, _kernels(chi, s, [(J, W)], [])[0][0], W)
 
 
 def euler_product(
@@ -490,53 +422,88 @@ def euler_product(
     """
     _check_n_s(n, s)
     W = _kernel_bits(ctx)
-    return _to_complex(ctx, _euler_products(chi, s, [(n, W)])[0], W)
+    return _to_complex(ctx, _kernels(chi, s, [], [(n, W)])[1][0], W)
 
 
-def _euler_products(
-    chi: DirichletCharacter, s: int, cells: list, quotients: Optional[dict] = None
-) -> list:
-    """The Euler product over n primes as a fixed-point ``(re, im)`` at scale
-    ``2**W`` for every ``(n, W)`` in ``cells``, in one pass over p.
+def _kernels(chi: DirichletCharacter, s: int, sums: list, products: list) -> tuple:
+    """The L-sum to J for every ``(J, W)`` in ``sums`` and the Euler product
+    over n primes for every ``(n, W)`` in ``products``, each a fixed-point
+    ``(re, im)`` at scale ``2**W``, in one pass over j.
 
-    One complex product runs at the widest W among the cells, each factor
-    multiplied once with its root taken at that width.  ``quotients`` maps
-    each prime p that chi does not vanish at to ``2**W // p**s`` at that
-    width; without it the pass divides for itself.  A cell truncates the
-    product to its own W where its band ends and inverts it there: a real
-    one with one 2W-by-W division, ``a * 2**(2W) / a**2`` being exactly
-    ``2**(2W) / a``.
+    The pass runs at the widest W among all the cells and divides each
+    ``2**W // j**s`` once (for ``j = 2**a`` the shift ``2**(W - a s)``, or
+    0): it adds the quotient to the total of chi(j) and, where j is one of
+    the products' primes, multiplies its factor into the running product.
+    It walks every j up to the longest sum, then only the primes past it.  A
+    sum cell rotates the totals at its J, a product cell inverts the product
+    at its n-th prime, and each truncates to its own W (see the module
+    docstring): a real product with one 2W-by-W division, ``a * 2**(2W) /
+    a**2`` being exactly ``2**(2W) / a``.
     """
-    wide = max(W for _, W in cells)
+    wide = max(W for _, W in sums + products)
     one = 1 << wide
-    ns = [n for n, _ in cells]
-    ps = primes.first_n_primes(max(ns))
-    if quotients is None:
-        quotients = {p: one // p**s for p in ps if not chi(p).is_zero}
-    out = [None] * len(cells)
-    re, im = one, 0
-    for lo, hi, ending in _bands(ns):
-        for p in ps[lo:hi]:
-            v = chi(p)
-            if v.is_zero:
-                continue
-            x = quotients[p]
-            if v.a == 0:
-                fr, fi = one - x, 0
-            else:
-                cos, sin = fixed_root(v.a, v.m, wide)
-                fr, fi = one - _shr(x * cos, wide), -_shr(x * sin, wide)
-            re, im = _shr(re * fr - im * fi, wide), _shr(re * fi + im * fr, wide)
-        for i in ending:
-            W = cells[i][1]
-            a, b = _shr(re, wide - W), _shr(im, wide - W)
+    ps = primes.first_n_primes(max(n for n, _ in products)) if products else []
+    last_sum = max((J for J, _ in sums), default=0)
+    # every j up to the longest sum, then only the products' primes past it
+    walk = range(1, last_sum + 1)
+    if ps and ps[-1] > last_sum:
+        walk = [*walk, *(p for p in ps if p > last_sum)]
+    k = chi.modulus
+    # class of chi(r) for every residue r the pass reaches; -1 where chi vanishes
+    roots, cls = {}, []
+    for v in chi.table[: walk[-1] + 1]:
+        cls.append(-1 if v.is_zero else roots.setdefault((v.a, v.m), len(roots)))
+    values = list(roots)
+    is_factor = bytearray(walk[-1] + 1)
+    for p in ps:
+        is_factor[p] = 1
+    # the sum and product cells closing at each j
+    ends = {}
+    for i, (J, _) in enumerate(sums):
+        ends.setdefault(J, ([], []))[0].append(i)
+    for i, (n, _) in enumerate(products):
+        ends.setdefault(ps[n - 1], ([], []))[1].append(i)
+    sum_out, product_out = [None] * len(sums), [None] * len(products)
+    totals = [0] * len(roots)
+    pr, pi = one, 0
+    for j in walk:
+        c = cls[j % k]
+        if c >= 0:
+            x = one // j**s if j & (j - 1) else one >> (j.bit_length() - 1) * s
+            totals[c] += x
+            if is_factor[j]:
+                a, m = values[c]
+                if a == 0:
+                    fr, fi = one - x, 0
+                else:
+                    cos, sin = fixed_root(a, m, wide)
+                    fr, fi = one - _shr(x * cos, wide), -_shr(x * sin, wide)
+                pr, pi = _shr(pr * fr - pi * fi, wide), _shr(pr * fi + pi * fr, wide)
+        if j not in ends:
+            continue
+        ending_sums, ending_products = ends[j]
+        if ending_sums:
+            re = im = 0
+            for (a, m), total in zip(values, totals):
+                if a == 0:
+                    re += total
+                elif total:
+                    cos, sin = fixed_root(a, m, wide)
+                    re += _shr(total * cos, wide)
+                    im += _shr(total * sin, wide)
+            for i in ending_sums:
+                shift = wide - sums[i][1]
+                sum_out[i] = _shr(re, shift), _shr(im, shift)
+        for i in ending_products:
+            W = products[i][1]
+            a, b = _shr(pr, wide - W), _shr(pi, wide - W)
             if b:
                 den = a * a + b * b
-                out[i] = _trunc(a << 2 * W, den), _trunc(-b << 2 * W, den)
+                product_out[i] = _trunc(a << 2 * W, den), _trunc(-b << 2 * W, den)
             else:
                 inverse = (1 << 2 * W) // abs(a)
-                out[i] = (inverse if a > 0 else -inverse), 0
-    return out
+                product_out[i] = (inverse if a > 0 else -inverse), 0
+    return sum_out, product_out
 
 
 def residual(
@@ -564,18 +531,14 @@ def residual(
 
 def _residuals(ns, s: int, chi: DirichletCharacter, ctxs: list) -> list:
     """The residual of each n in ``ns`` at its context in ``ctxs`` as a ball
-    ``(re, im, W, radius)`` (see the module docstring), the L-sums in one
-    pass and the products in another on the L-sum's quotients of their
-    primes; the costs are checked by the caller."""
+    ``(re, im, W, radius)`` (see the module docstring), all the L-sums and
+    products in one ``_kernels`` pass; the costs are checked by the caller."""
     cells = list(zip(ns, [_kernel_bits(ctx) for ctx in ctxs]))
-    # the L-sum's indices include every prime of the product, at the same widest W
-    quotients = dict.fromkeys(primes.first_n_primes(max(ns)))
-    sums = _l_partial_sums(chi, s, [(2 * primes.nth_prime(n) - 1, W) for n, W in cells], quotients)
-    products = _euler_products(chi, s, cells, quotients)
+    sums, products = _kernels(chi, s, [(2 * primes.nth_prime(n) - 1, W) for n, W in cells], cells)
     out = []
     for (n, W), (a, b), (c, d) in zip(cells, sums, products):
         scale = primes.nth_prime(n) ** 3 if s == 1 else 1
-        radius = _facts(n, chi).sum_units + (20 * n + 6) * scale
+        radius = _cell_facts(n, chi.modulus, chi.label).sum_units + (20 * n + 6) * scale
         out.append((a - c, b - d, W, radius))
     return out
 

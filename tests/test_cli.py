@@ -22,6 +22,24 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chars", "--modulus", "12"],
+        ["sweep", "--n", "2", "--s-min", "20", "--s-max", "22"],
+        ["dtable", "--n-list", "1,2,3", "--s", "50", "--moduli", "5,6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_file_has_the_stdout_bytes(capsys, tmp_path, argv, fmt):
+    target = tmp_path / "out"
+    code, out, _ = invoke(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert invoke(capsys, *argv, "--format", fmt, "--output", str(target))[:2] == (0, "")
+    assert target.read_bytes() == out.encode()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -62,6 +80,13 @@ class TestChars:
         code, _, err = invoke(capsys, "chars", "--modulus", "0")
         assert code == 1
         assert "error:" in err
+
+    def test_domain_error_writes_no_file(self, capsys, tmp_path):
+        target = tmp_path / "x.csv"
+        code, out, err = invoke(capsys, "chars", "--modulus", "0", "-o", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+        assert not target.exists()
 
     def test_unwritable_output_exit_3(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"

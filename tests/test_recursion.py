@@ -61,6 +61,13 @@ class TestRequiredPrecision:
         assert recursion.required_precision(8, 500).prec_bits == 2720
         assert recursion.required_precision(2, 1).prec_bits == 99
 
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_default_is_the_trivial_character(self, n):
+        for s in (1, 2, 50, 500, 2000):
+            assert recursion.required_precision(n, s).prec_bits == (
+                recursion.required_precision(n, s, K1).prec_bits
+            )
+
     def test_floor(self):
         # tiny parameters still respect the 64-bit context floor
         assert recursion.required_precision(1, 1).prec_bits >= 64
@@ -234,8 +241,8 @@ class TestSharedPass:
     def test_single_cell_matches_per_cell_loop(self, k, pick, s, J, n, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
-        assert recursion._l_partial_sums(chi, s, [(J, W)]) == [per_cell_partial_sum(chi, s, J, W)]
-        assert recursion._euler_products(chi, s, [(n, W)]) == [per_cell_euler_product(chi, s, n, W)]
+        assert recursion._kernels(chi, s, [(J, W)], [])[0] == [per_cell_partial_sum(chi, s, J, W)]
+        assert recursion._kernels(chi, s, [], [(n, W)])[1] == [per_cell_euler_product(chi, s, n, W)]
 
     @settings(max_examples=150, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
@@ -247,7 +254,7 @@ class TestSharedPass:
         chi = any_character(k, pick)
         cells = [(J, kernel_bits(p)) for J, p in cells]
         wide = max(W for _, W in cells)
-        got = recursion._l_partial_sums(chi, s, cells)
+        got = recursion._kernels(chi, s, cells, [])[0]
         assert got == [per_cell_partial_sum(chi, s, J, W, wide) for J, W in cells]
 
     @settings(max_examples=150, deadline=None)
@@ -260,7 +267,7 @@ class TestSharedPass:
         chi = any_character(k, pick)
         cells = [(n, kernel_bits(p)) for n, p in cells]
         wide = max(W for _, W in cells)
-        got = recursion._euler_products(chi, s, cells)
+        got = recursion._kernels(chi, s, [], cells)[1]
         assert got == [per_cell_euler_product(chi, s, n, W, wide) for n, W in cells]
 
     @settings(max_examples=100, deadline=None)
@@ -270,7 +277,7 @@ class TestSharedPass:
     @example(k=1, pick=0, s=SWEEP_S, cells=[(2, SWEEP_PREC)])
     @example(k=5, pick=G5_REAL, s=SWEEP_S, cells=[(2, SWEEP_PREC_MOD5), (1, SWEEP_PREC)])
     def test_residuals_match_per_cell_loops(self, k, pick, s, cells):
-        # the product takes the L-sum's quotients of its primes
+        # the product's factors share the L-sum's quotients of their primes
         chi = any_character(k, pick)
         ns = [n for n, _ in cells]
         balls = recursion._residuals(ns, s, chi, [PrecisionContext(p) for _, p in cells])
@@ -281,6 +288,26 @@ class TestSharedPass:
             c, d = per_cell_euler_product(chi, s, n, W, wide)
             assert (re, im, W) == (a - c, b - d, kernel_bits(prec))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), sums=SUM_CELLS, products=PRODUCT_CELLS
+    )
+    # a sum ending at J = 1, before the first prime, and a product ending at
+    # p_30 = 113, past the last J
+    @example(k=13, pick=5, s=30, sums=[(1, 1400), (50, 64)], products=[(30, 300), (1, 64)])
+    # a sum and a product closing at the same j = p_3 = 5
+    @example(k=13, pick=5, s=2, sums=[(5, 300), (9, 64)], products=[(3, 900)])
+    @example(**MOD70_ANY, sums=MOD70_SUMS, products=MOD70_PRODUCTS)
+    def test_mixed_pass_matches_per_cell_loops(self, k, pick, s, sums, products):
+        chi = any_character(k, pick)
+        sums = [(J, kernel_bits(p)) for J, p in sums]
+        products = [(n, kernel_bits(p)) for n, p in products]
+        wide = max(W for _, W in sums + products)
+        assert recursion._kernels(chi, s, sums, products) == (
+            [per_cell_partial_sum(chi, s, J, W, wide) for J, W in sums],
+            [per_cell_euler_product(chi, s, n, W, wide) for n, W in products],
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
     @example(k=13, pick=5, s=30, cells=WIDE_SHORT_SUMS)
@@ -288,7 +315,7 @@ class TestSharedPass:
     def test_sums_within_bound(self, k, pick, s, cells):
         chi = gaussian_character(k, pick)
         cells = [(J, kernel_bits(p)) for J, p in cells]
-        for (J, W), value in zip(cells, recursion._l_partial_sums(chi, s, cells)):
+        for (J, W), value in zip(cells, recursion._kernels(chi, s, cells, [])[0]):
             exact = oracle.l_partial_sum_exact(chi, s, J)
             assert within(value, exact, sum_bound(chi, J), W)
 
@@ -300,7 +327,7 @@ class TestSharedPass:
     def test_products_within_bound(self, k, pick, s, cells):
         chi = gaussian_character(k, pick)
         cells = [(n, kernel_bits(p)) for n, p in cells]
-        for (n, W), value in zip(cells, recursion._euler_products(chi, s, cells)):
+        for (n, W), value in zip(cells, recursion._kernels(chi, s, [], cells)[1]):
             exact = oracle.euler_product_exact(chi, s, n)
             assert within(value, exact, product_bound(n, s), W)
 
@@ -929,9 +956,8 @@ class TestCostGuard:
             raise AssertionError("the kernel ran")
 
         monkeypatch.setattr(recursion, "l_partial_sum", kernel)
-        monkeypatch.setattr(recursion, "_l_partial_sums", kernel)
         monkeypatch.setattr(recursion, "euler_product", kernel)
-        monkeypatch.setattr(recursion, "_euler_products", kernel)
+        monkeypatch.setattr(recursion, "_kernels", kernel)
 
     def test_estimate(self):
         with pytest.raises(UnsupportedSizeError, match=r"n=100000, s=100000 .* above the cap of 1e\+14"):
