@@ -8,9 +8,10 @@ trivial one at a fixed s.
 
 Error values come from ``recursion.estimate`` (residual at the automatic
 working precision, error at the width that survives the cancellation).  y
-is a ``BigFloat`` computed in a 64-bit context: its 17 printed digits need
-about 57 bits, and fits convert it to machine doubles, which is ample
-because y is O(100) while fit tolerances live at the third digit.  Points
+and a table's error differences are ``BigFloat`` values computed in the
+64-bit context ``_Y_CTX``: their 17 printed digits need about 57 bits.
+Fits convert y to machine doubles, which is ample because y is O(100)
+while fit tolerances live at the third digit.  Points
 where the error vanishes are excluded from a series and tallied.  Fits
 sum with ``math.fsum`` in a fixed order, so a slope prints the same digits
 on every supported Python.  Each command evaluates every distinct
@@ -308,9 +309,10 @@ def _status(chi: DirichletCharacter, n: int, zero_residual: bool) -> str:
 def d_table(n_list: Sequence[int], s: int, moduli: Sequence[int], workers: int = 1) -> DTable:
     """Signed error differences, one row per (modulus, label), columns n_list.
 
-    A cell is the trivial character's error minus the row character's, at
-    ``required_precision(n, s)``.  When the row character's residual is
-    exactly zero the cell has no value and the ``zero-residual`` flag.
+    A cell is the trivial character's error minus the row character's,
+    rounded to the 64-bit ``_Y_CTX``, ample for its 17 printed digits.  When
+    the row character's residual is exactly zero the cell has no value and
+    the ``zero-residual`` flag.
     """
     if not isinstance(s, int) or s < 2:
         raise DomainError(f"the table exponent s must be an integer >= 2, got {s!r}")
@@ -326,7 +328,7 @@ def d_table(n_list: Sequence[int], s: int, moduli: Sequence[int], workers: int =
         for n in n_list:
             # the trivial character's residual is never zero (Bertrand)
             e_trivial, e_chi = error[n, s, 1, 1], error[n, s, ch.modulus, ch.label]
-            d = None if e_chi is None else recursion.required_precision(n, s).sub(e_trivial, e_chi)
+            d = None if e_chi is None else _Y_CTX.sub(e_trivial, e_chi)
             cells.append(DCell(n, d, _status(ch, n, d is None)))
         rows.append(DRow(ch.modulus, ch.label, tuple(cells)))
     return DTable(s, tuple(rows))

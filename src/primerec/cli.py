@@ -25,9 +25,9 @@ commands, so start-up loads only what every command needs.
 
 Row format
 ----------
-Each data subcommand yields a header and its rows; ``run`` renders them
-once, straight into stdout or the ``--output`` file, as CSV or as JSON
-``{"schema": header, "rows": [{column: value}]}``.
+Each data subcommand yields a header and its rows; ``run`` writes them a
+row at a time into stdout or the ``--output`` file, as CSV or as the bytes
+of ``json.dumps({"schema": header, "rows": [{column: value}]}, indent=2)``.
 Floats print with 17 significant digits (``FLOAT_DIGITS``).  The schemas:
 
  * chars:    ``label, n, kind, a, m`` (``kind`` is ``zero`` or ``root``;
@@ -46,7 +46,6 @@ import argparse
 import csv
 import os
 import sys
-from itertools import islice
 from typing import Optional, Sequence
 
 from . import analysis, recursion
@@ -57,8 +56,6 @@ from .primes import is_prime
 
 WORKERS_ENV = "PRIMEREC_WORKERS"
 FLOAT_DIGITS = 17
-# Rows per JSON encoding call: one chunk's dicts are all the row dicts alive
-_JSON_CHUNK = 4096
 
 
 def _default_workers() -> int:
@@ -142,18 +139,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _render(fmt: str, header, rows, out) -> None:
     if fmt == "json":
-        import json
+        from json import dumps, encoder
 
-        # the text of json.dumps({"schema": ..., "rows": [...]}, indent=2),
-        # with the rows encoded a chunk at a time, each chunk re-indented
-        # one level under "rows"
-        encoder = json.JSONEncoder(indent=2)
-        schema = encoder.encode(list(header)).replace("\n", "\n  ")
-        out.write(f'{{\n  "schema": {schema},\n  "rows": [')
-        rows, sep = iter(rows), ""
-        while chunk := [dict(zip(header, row)) for row in islice(rows, _JSON_CHUNK)]:
-            # strip the chunk's own "[" and "\n]"
-            out.write(sep + encoder.encode(chunk)[1:-2].replace("\n", "\n  "))
+        # json.dumps's indent=2 layout for a non-empty header, written out a
+        # row at a time: an int cell through str, a str cell through the
+        # function json.dumps quotes strings with, any other through dumps
+        to_text = {int: str, str: encoder.encode_basestring_ascii}.get
+        keys = [f"\n      {dumps(key)}: " for key in header]
+        out.write('{\n  "schema": [%s\n  ],\n  "rows": [' % ",".join("\n    " + dumps(k) for k in header))
+        sep = ""
+        for row in rows:
+            cells = ",".join([key + to_text(type(v), dumps)(v) for key, v in zip(keys, row)])
+            out.write(f"{sep}\n    {{{cells}\n    }}")
             sep = ","
         out.write("\n  ]\n}\n" if sep else "]\n}\n")
     else:

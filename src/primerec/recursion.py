@@ -298,41 +298,54 @@ def _cell_facts(n: int, modulus: int, label: int) -> _Facts:
         other = (m2 * m2, m1) if quarter_turn else (m2, 1)
         if other[0] * den > num * other[1]:
             num, den = other
-    values = {(v.a, v.m) for v in chi.table[: J + 1] if not v.is_zero}
-    # one series per folded angle; the values of order dividing 4 (p = 0) are exact
-    roots = len({_first_octant(a, m)[:2] for a, m in values if 4 % m})
+    values, roots = _values(chi, J)
     c = len(values) - 1
     return _Facts(terms, num, den, roots, math.ceil(J + c + 3 + 2 * math.log(J)))
 
 
-def _check_cost(
+def _values(chi: DirichletCharacter, J: int) -> tuple:
+    """(chi's distinct nonzero values on 1..J as ``(a, m)``, how many roots
+    of unity the kernels compute for them): one per folded angle, none for
+    the values of order dividing 4, which are exact."""
+    values = {(v.a, v.m) for v in chi.table[: J + 1] if not v.is_zero}
+    return values, len({_first_octant(a, m)[:2] for a, m in values if 4 % m})
+
+
+def _check_cell(
     n: int, s: int, chi: DirichletCharacter, ctx: PrecisionContext, terms: tuple
 ) -> None:
-    """Refuse (n, s) at ``ctx`` when the projected cost exceeds the cap.
+    """``_check_cost`` of the (n, s) residual at ``ctx``: J = 2 p_n - 1.
 
-    The kernels cost (J + _INVERSION_WEIGHT) * W**2, plus
-    ``_ROOT_WEIGHT * W**2.5`` for each root of unity they compute: one per
-    first-octant angle (``mpnum._first_octant``) other than 0, that is per
-    angle of the values whose order does not divide 4.  With two
-    tail terms m1 < m2 an estimate also runs the chain at about
+    With two tail terms m1 < m2 an estimate also runs the chain at about
     ``P - s * log2(m1) + 64`` bits (``estimate`` clamps it to ``[64, P]``),
     which adds ``_CHAIN_WEIGHT * w**2.5 / g`` with g the series' gain, the
     larger of ``s * log2(m2 / m1)`` and ``53 - log2(2s)``.
     """
-    J = 2 * primes.nth_prime(n) - 1
-    W = _kernel_bits(ctx)
-    kernel = (J + _INVERSION_WEIGHT) * W**2
-    roots = _cell_facts(n, chi.modulus, chi.label).roots
-    root_cost = roots * _ROOT_WEIGHT * W**2 * math.isqrt(W)
     chain = 0
     if len(terms) == 2:
         m1, m2 = terms
         w = min(max(ctx.prec_bits - math.floor(s * math.log2(m1)) + 64, 64), ctx.prec_bits)
         gain = max(math.floor(s * math.log2(m2 / m1)), 53 - (2 * s).bit_length())
         chain = _CHAIN_WEIGHT * w * w * math.isqrt(w) // gain
+    roots = _cell_facts(n, chi.modulus, chi.label).roots
+    _check_cost(f"n={n}, s={s}", 2 * primes.nth_prime(n) - 1, ctx, roots, chain)
+
+
+def _check_cost(what: str, J: int, ctx: PrecisionContext, roots: int, chain: int = 0) -> None:
+    """Refuse ``what`` at ``ctx`` when the projected cost exceeds the cap.
+
+    Kernels that walk j up to J cost (J + _INVERSION_WEIGHT) * W**2, plus
+    ``_ROOT_WEIGHT * W**2.5`` for each of the ``roots`` roots of unity they
+    compute: one per first-octant angle (``mpnum._first_octant``) other
+    than 0, that is per angle of the values whose order does not divide 4.
+    ``chain`` is what runs after them, in the same units.
+    """
+    W = _kernel_bits(ctx)
+    kernel = (J + _INVERSION_WEIGHT) * W**2
+    root_cost = roots * _ROOT_WEIGHT * W**2 * math.isqrt(W)
     if kernel + root_cost + chain > MAX_KERNEL_COST:
         raise UnsupportedSizeError(
-            f"n={n}, s={s} at {ctx.prec_bits} bits projects a kernel cost "
+            f"{what} at {ctx.prec_bits} bits projects a kernel cost "
             f"(J + {_INVERSION_WEIGHT})*W**2 = {kernel:.2e} plus {roots} computed roots of unity "
             f"at {_ROOT_WEIGHT}*W**2.5 = {root_cost:.2e} plus a chain cost of {chain:.2e} bit**2, "
             f"above the cap of {MAX_KERNEL_COST:.0e}"
@@ -357,7 +370,7 @@ def _sizing(n: int, s: int, chi: DirichletCharacter):
     facts = _cell_facts(n, chi.modulus, chi.label)
     num, den = facts.num, facts.den
     lower = PrecisionContext(max(64, math.ceil(s * math.log2(num / den)) - 1 + 96))
-    _check_cost(n, s, chi, lower, facts.terms)
+    _check_cell(n, s, chi, lower, facts.terms)
     # ceil(base**s) - 1 in integers
     top = num**s - 1 if den == 1 else -(-(num**s) // den**s) - 1
     return PrecisionContext(max(64, top.bit_length() + 96)), facts.terms
@@ -404,11 +417,16 @@ def _to_complex(ctx: PrecisionContext, value: tuple, W: int) -> BigComplex:
 def l_partial_sum(
     chi: DirichletCharacter, s: int, J: int, ctx: PrecisionContext
 ) -> BigComplex:
-    """sum_{j=1}^{J} chi(j) / j**s in fixed point (see the module docstring)."""
+    """sum_{j=1}^{J} chi(j) / j**s in fixed point (see the module docstring).
+
+    Refused with ``UnsupportedSizeError`` before any arithmetic where a
+    residual with this J would be (see ``residual``).
+    """
     if not isinstance(J, int) or J < 1:
         raise DomainError(f"J must be a positive integer, got {J!r}")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"s must be a positive integer, got {s!r}")
+    _check_cost(f"J={J}, s={s}", J, ctx, _values(chi, J)[1])
     W = _kernel_bits(ctx)
     return _to_complex(ctx, _kernels(chi, s, [(J, W)], [])[0][0], W)
 
@@ -419,8 +437,11 @@ def euler_product(
     """prod over the first n primes of (1 - chi(p)/p**s)**-1, in fixed point.
 
     A vanishing chi(p) contributes a factor of exactly 1 and is skipped.
+    Refused with ``UnsupportedSizeError`` before any arithmetic where
+    ``residual(n, s, chi, ctx)`` would be.
     """
     _check_n_s(n, s)
+    _check_cell(n, s, chi, ctx, ())
     W = _kernel_bits(ctx)
     return _to_complex(ctx, _kernels(chi, s, [], [(n, W)])[1][0], W)
 
@@ -524,7 +545,7 @@ def residual(
     _check_n_s(n, s)
     if ctx is None:
         ctx = required_precision(n, s, chi)
-    _check_cost(n, s, chi, ctx, ())
+    _check_cell(n, s, chi, ctx, ())
     re, im, W, _ = _residuals([n], s, chi, [ctx])[0]
     return _to_complex(ctx, (re, im), W)
 
@@ -602,7 +623,7 @@ def _estimates(ns, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = N
         # the pass runs the longest cell's indices at the widest cell's W
         widest = max(zip(ns, ctxs), key=lambda cell: cell[1].prec_bits)
         try:
-            _check_cost(max(ns), s, chi, widest[1], ())
+            _check_cell(max(ns), s, chi, widest[1], ())
         except UnsupportedSizeError as exc:
             raise UnsupportedSizeError(
                 f"the kernel pass shared by n={', '.join(map(str, ns))} is refused: it runs "
@@ -628,7 +649,7 @@ def _working_precision(n: int, s: int, chi: DirichletCharacter, prec_bits: Optio
             f"{req.prec_bits} bits required for n={n}, s={s}"
         )
     ctx = PrecisionContext(prec_bits)
-    _check_cost(n, s, chi, ctx, terms)
+    _check_cell(n, s, chi, ctx, terms)
     return ctx, terms
 
 

@@ -6,10 +6,12 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primerec.analysis import slope_series
 from primerec.characters import enumerate_characters
-from primerec.cli import _JSON_CHUNK, _render, run
+from primerec.cli import _render, run
 
 
 def invoke(capsys, *argv):
@@ -237,13 +239,34 @@ class TestSlopes:
     [
         (("a", "b"), []),
         (("a",), [(1,)]),
-        (("k", "x"), [(i, f"v{i}") for i in range(2 * _JSON_CHUNK + 3)]),
+        (("k", "x"), [(i, f"v{i}") for i in range(10_000)]),
     ],
-    ids=["empty", "one", "three-chunks"],
+    ids=["empty", "one", "ten-thousand-rows"],
 )
 def test_json_rows_stream_as_one_document(header, rows):
     out = io.StringIO()
     _render("json", header, iter(rows), out)
+    payload = {"schema": list(header), "rows": [dict(zip(header, row)) for row in rows]}
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+CELLS = st.one_of(st.integers(), st.text(), st.floats(), st.booleans(), st.none())
+
+
+@given(
+    st.lists(st.text(), min_size=1, max_size=5, unique=True).flatmap(
+        lambda header: st.tuples(
+            st.just(tuple(header)), st.lists(st.tuples(*[CELLS] * len(header)), max_size=5)
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_json_matches_json_dumps(document):
+    # quotes, backslashes, control and non-ASCII characters in headers and
+    # cells, ints of any size, floats including nan and inf, bools and None
+    header, rows = document
+    out = io.StringIO()
+    _render("json", header, rows, out)
     payload = {"schema": list(header), "rows": [dict(zip(header, row)) for row in rows]}
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 

@@ -4,7 +4,10 @@ The CLI files in ``tests/golden`` were written by the BigFloat residual loop
 that the fixed-point kernel replaced, and ``sweep_n2_s1850-1950.csv`` (the
 trivial character at the bench's sweep widths, about 5k bits) by the
 fixed-point kernel before its real products were inverted by one division;
-any change to the evaluation route must keep every printed digit.  Each CLI
+any change to the evaluation route must keep every printed digit.
+``dtable_n3-8_s50_mod4-5-8-9-101.csv``, the bench's ``tables`` table at one
+of its moduli, was written while each cell was still subtracted at the
+residual's working precision, before the 64-bit subtraction.  Each CLI
 file name is its command line.
 
 ``scan_mod1-24.txt`` holds one ``estimate`` per line for every character
@@ -38,6 +41,9 @@ CASES = {
     "dtable_n3-5_s50_mod5-8-13.csv": ["dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13"],
     "dtable_n3-5_s50_mod5-8-13.json": [
         "dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13", "--format", "json",
+    ],
+    "dtable_n3-8_s50_mod4-5-8-9-101.csv": [
+        "dtable", "--n-list", "3,4,5,6,7,8", "--s", "50", "--moduli", "4,5,8,9,101",
     ],
 }
 

@@ -887,11 +887,14 @@ class TestErrorFunctionals:
         assert errors == sorted(errors, reverse=True)
 
     def test_d_is_consistent_difference(self):
+        # the cell is the difference rounded to 64 bits, and prints the
+        # 17 digits of the difference at the residual's precision
         ctx = recursion.required_precision(3, 50)
         ek = recursion.estimate(3, 50, K1).error
         e5 = recursion.estimate(3, 50, G5.by_label(1)).error
         d = d_cell(3, 50, G5.by_label(1))
-        assert ctx.sub(ek, e5) == d
+        assert PrecisionContext(64).sub(ek, e5) == d
+        assert format_decimal(ctx.sub(ek, e5), 17) == format_decimal(d, 17)
 
     def test_trivial_difference_is_exact_zero(self):
         assert d_cell(3, 50, K1).is_zero
@@ -947,16 +950,14 @@ class TestRounding:
 
 class TestCostGuard:
     """Inputs whose projected cost (the kernels' (J + 14) * W**2 and computed roots,
-    plus the chain's for an estimate) exceeds the cap are refused before either
-    kernel runs."""
+    plus the chain's for an estimate) exceeds the cap are refused before the
+    kernel pass runs."""
 
     @pytest.fixture(autouse=True)
     def no_kernel(self, monkeypatch):
         def kernel(*args):
             raise AssertionError("the kernel ran")
 
-        monkeypatch.setattr(recursion, "l_partial_sum", kernel)
-        monkeypatch.setattr(recursion, "euler_product", kernel)
         monkeypatch.setattr(recursion, "_kernels", kernel)
 
     def test_estimate(self):
@@ -1014,7 +1015,7 @@ class TestCostGuard:
             if n != 30:
                 return sizing(n, s, chi)
             ctx, terms = PrecisionContext(200), list(islice(recursion._tail_terms(n, chi), 2))
-            recursion._check_cost(n, s, chi, ctx, terms)
+            recursion._check_cell(n, s, chi, ctx, terms)
             return ctx, terms
 
         monkeypatch.setattr(recursion, "_sizing", narrow_30)
@@ -1045,6 +1046,49 @@ class TestCostGuard:
         monkeypatch.setattr(recursion, "MAX_KERNEL_COST", (5 + 14) * 412**2)
         with pytest.raises(AssertionError, match="the kernel ran"):
             recursion.residual(2, 50, K1, ctx)
+
+    def test_public_kernels(self):
+        # at 4 * 10**6 bits the residual of n = 2, s = 300000 projects
+        # (5 + 14) * W**2 = 3.04e14; unguarded, the L-sum alone took 8.1 s
+        # and the Euler product 36.7 s on a 2-vCPU x86 machine
+        ctx = PrecisionContext(4_000_000)
+        cost = r"at 4000000 bits projects a kernel cost \(J \+ 14\)\*W\*\*2 = 3\.04e\+14"
+        with pytest.raises(UnsupportedSizeError, match=rf"^n=2, s=300000 {cost}"):
+            recursion.residual(2, 300000, K1, ctx)
+        with pytest.raises(UnsupportedSizeError, match=rf"^J=5, s=300000 {cost}"):
+            recursion.l_partial_sum(K1, 300000, 5, ctx)
+        with pytest.raises(UnsupportedSizeError, match=rf"^n=2, s=300000 {cost}"):
+            recursion.euler_product(K1, 300000, 2, ctx)
+
+    @pytest.mark.parametrize(
+        "modulus, label, n", [(1, 1, 2), (5, 2, 3), (7, 2, 3), (7, 3, 5), (10, 2, 3), (13, 2, 6)]
+    )
+    def test_public_kernels_refused_where_the_residual_is(self, monkeypatch, modulus, label, n):
+        # the least cap at which the residual runs, found by bisection, is the
+        # least at which the L-sum to 2 p_n - 1 and the n-prime product run;
+        # mod 7 and 13 compute roots of unity, mod 10 vanishes at 2 and 5
+        chi = enumerate_characters(modulus).by_label(label)
+        ctx, s, J = PrecisionContext(50000), 2000, 2 * first_n_primes(n)[-1] - 1
+
+        def refused(call, cap):
+            monkeypatch.setattr(recursion, "MAX_KERNEL_COST", cap)
+            with pytest.raises((UnsupportedSizeError, AssertionError)) as info:
+                call()
+            assert info.match("above the cap|the kernel ran")
+            return info.type is UnsupportedSizeError
+
+        calls = (
+            lambda: recursion.residual(n, s, chi, ctx),
+            lambda: recursion.l_partial_sum(chi, s, J, ctx),
+            lambda: recursion.euler_product(chi, s, n, ctx),
+        )
+        lo, hi = 0, recursion.MAX_KERNEL_COST
+        assert refused(calls[0], lo) and not refused(calls[0], hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if refused(calls[0], mid) else (lo, mid)
+        for call in calls:
+            assert refused(call, lo) and not refused(call, hi)
 
     def test_projection_counts_the_inversion(self, monkeypatch):
         # n = 2, s = 300000, trivial chi: the kernels took 6.4-6.6 s on a
