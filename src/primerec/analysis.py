@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import primes, recursion
 from .characters import DirichletCharacter, enumerate_characters
@@ -57,14 +56,12 @@ N_RANGE = (2, 30)
 _Y_CTX = PrecisionContext(64)
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     s: int
     y: BigFloat  # -ln(error), in the 64-bit context _Y_CTX
 
 
-@dataclass(frozen=True)
-class NegLogSeries:
+class NegLogSeries(NamedTuple):
     n: int
     modulus: int
     label: int
@@ -72,8 +69,7 @@ class NegLogSeries:
     n_excluded: int
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     a: float  # slope
     b: float  # intercept
     r: float  # Pearson correlation
@@ -83,22 +79,19 @@ class FitResult:
     n_excluded: int
 
 
-@dataclass(frozen=True)
-class DCell:
+class DCell(NamedTuple):
     n: int
     value: Optional[BigFloat]  # signed; None when the residual is exactly zero
     status: str  # "" or "+"-joined flags
 
 
-@dataclass(frozen=True)
-class DRow:
+class DRow(NamedTuple):
     modulus: int
     label: int
     cells: tuple
 
 
-@dataclass(frozen=True)
-class DTable:
+class DTable(NamedTuple):
     s: int
     rows: tuple
 

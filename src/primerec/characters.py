@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, UnsupportedSizeError
 
@@ -68,8 +67,7 @@ MODULUS_CAP = 10**4
 _CACHED_GROUPS = 8
 
 
-@dataclass(frozen=True)
-class CharValue:
+class CharValue(NamedTuple):
     """Exact character value: zero, or the root of unity e**(2 pi i a/m)."""
 
     kind: str  # "zero" or "root"
@@ -136,14 +134,12 @@ CHAR_ZERO = CharValue("zero")
 CHAR_ONE = CharValue("root", 0, 1)
 
 
-@dataclass(frozen=True)
-class UnitGroupComponent:
+class UnitGroupComponent(NamedTuple):
     prime_power: int
     generators: tuple  # of (residue, order) pairs
 
 
-@dataclass(frozen=True)
-class UnitGroupStructure:
+class UnitGroupStructure(NamedTuple):
     modulus: int
     components: tuple  # of UnitGroupComponent
 
@@ -154,8 +150,7 @@ class UnitGroupStructure:
         return math.prod(self.generator_orders())
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(NamedTuple):
     """One character mod k: label, generator exponents and the dense table."""
 
     modulus: int
@@ -182,11 +177,15 @@ class DirichletCharacter:
         return f"DirichletCharacter(modulus={self.modulus}, label={self.label})"
 
 
-@dataclass(frozen=True)
 class CharacterGroup:
-    modulus: int
-    structure: UnitGroupStructure
-    characters: tuple  # of DirichletCharacter, in label order
+    """The characters mod k in label order; ``len(group)`` counts them."""
+
+    __slots__ = ("modulus", "structure", "characters")
+
+    def __init__(self, modulus: int, structure: UnitGroupStructure, characters: tuple):
+        self.modulus = modulus
+        self.structure = structure
+        self.characters = characters  # of DirichletCharacter, in label order
 
     def __len__(self):
         return len(self.characters)

@@ -169,11 +169,12 @@ def _decimal(x: BigFloat) -> str:
 
 def _cmd_chars(args):
     header = ("label", "n", "kind", "a", "m")
-    # a generator, so CSV never holds the row tuples of a 10**6-cell table at once
+    # a generator, so CSV never holds the row tuples of a 10**6-cell table at once;
+    # unpacking each CharValue costs less than reading its fields by name
     rows = (
-        (ch.label, n, "zero", "", "") if v.is_zero else (ch.label, n, "root", v.a, v.m)
+        (ch.label, n, kind, a, m) if kind == "root" else (ch.label, n, kind, "", "")
         for ch in enumerate_characters(args.modulus).characters
-        for n, v in enumerate(ch.table)
+        for n, (kind, a, m) in enumerate(ch.table)
     )
     return header, rows
 

@@ -12,7 +12,6 @@ only converts finished values to exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import primes
@@ -33,10 +32,22 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    re: Fraction = _ZERO
-    im: Fraction = _ZERO
+    """Immutable exact complex number re + im*i with ``Fraction`` parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = _ZERO, im: Fraction = _ZERO):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)

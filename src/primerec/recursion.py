@@ -136,7 +136,6 @@ no limit to track).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple, Optional
@@ -214,8 +213,7 @@ _ROOT_WEIGHT = 5
 _CACHED_CELLS = 256
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     """One finite-s evaluation of the recursion against its target prime."""
 
     n: int

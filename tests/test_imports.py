@@ -126,7 +126,10 @@ def test_catches_a_stale_export():
 
 # Loaded only by the commands that use them: the fan-out's old pool, the
 # statistics fits, exact rationals, JSON output and the selftest suites.
+# dataclasses, and the inspect it imports, by none: the records are named tuples.
 NOT_AT_START_UP = (
+    "dataclasses",
+    "inspect",
     "concurrent.futures",
     "multiprocessing",
     "statistics",

@@ -1,11 +1,10 @@
 """Exact-oracle arithmetic tests and the built-in verification suites."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from primerec.characters import CharValue, enumerate_characters
+from primerec.characters import CharacterGroup, CharValue, enumerate_characters
 from primerec.errors import DomainError
 from primerec.oracle import (
     G_ONE,
@@ -88,9 +87,9 @@ class TestSuites:
         ch = group.by_label(label)
         table = list(ch.table)
         table[cell] = table[cell].mul(CharValue.root(1, 3))
-        bad = dataclasses.replace(ch, table=tuple(table))
+        bad = ch._replace(table=tuple(table))
         chars = tuple(bad if c.label == label else c for c in group.characters)
-        corrupt = dataclasses.replace(group, characters=chars)
+        corrupt = CharacterGroup(group.modulus, group.structure, chars)
         real = selftest.enumerate_characters
         monkeypatch.setattr(selftest, "enumerate_characters", lambda m: corrupt if m == k else real(m))
         # the first (m, n), m-major, with chi(m n) != chi(m) chi(n), by CharValue algebra
