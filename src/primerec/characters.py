@@ -41,7 +41,7 @@ import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError, UnsupportedSizeError
+from .errors import DomainError, UnsupportedSizeError, refuse_mutation
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -181,14 +181,18 @@ class CharacterGroup:
     """The characters mod k in label order; ``len(group)`` counts them."""
 
     __slots__ = ("modulus", "structure", "characters")
+    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, modulus: int, structure: UnitGroupStructure, characters: tuple):
-        self.modulus = modulus
-        self.structure = structure
-        self.characters = characters  # of DirichletCharacter, in label order
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "characters", characters)  # of DirichletCharacter, in label order
 
     def __len__(self):
         return len(self.characters)
+
+    def __reduce__(self):
+        return (CharacterGroup, (self.modulus, self.structure, self.characters))
 
     def by_label(self, label: int) -> DirichletCharacter:
         if not 1 <= label <= len(self.characters):

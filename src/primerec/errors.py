@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types, and the refusal to mutate a value, shared across the package.
 
 Every contract violation is an explicit exception; there are no NaN-like
 sentinel values anywhere in the numeric stack.
 """
+
+
+def refuse_mutation(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a class that sets its slots once, in ``__init__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
 
 class PrimerecError(Exception):

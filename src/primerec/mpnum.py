@@ -67,7 +67,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, refuse_mutation
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -86,7 +86,7 @@ __all__ = [
 
 
 class BigFloat:
-    """Immutable sign/mantissa/exponent triple; construct via a context."""
+    """Sign/mantissa/exponent triple; construct via a context.  Immutability is not enforced."""
 
     __slots__ = ("sign", "man", "exp")
 
@@ -136,10 +136,11 @@ class BigComplex:
     """Immutable pair of BigFloat components."""
 
     __slots__ = ("re", "im")
+    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, re: BigFloat, im: BigFloat):
-        self.re = re
-        self.im = im
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @property
     def is_zero(self) -> bool:
@@ -468,7 +469,7 @@ class PrecisionContext:
 
     ``prec_bits`` is the contracted precision (>= 64); ``GUARD_BITS`` extra
     bits are carried by every intermediate so composite operations remain
-    faithful at the contract.  Contexts are immutable and shareable.
+    faithful at the contract.  Contexts are shareable; immutability is not enforced.
     """
 
     __slots__ = ("prec_bits", "_wp")

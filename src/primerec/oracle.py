@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import primes
 from .characters import CharValue, DirichletCharacter
-from .errors import DomainError
+from .errors import DomainError, refuse_mutation
 from .mpnum import BigComplex
 
 __all__ = [
@@ -36,10 +36,11 @@ class GaussianRational:
     """Immutable exact complex number re + im*i with ``Fraction`` parts."""
 
     __slots__ = ("re", "im")
+    __setattr__ = __delattr__ = refuse_mutation
 
     def __init__(self, re: Fraction = _ZERO, im: Fraction = _ZERO):
-        self.re = re
-        self.im = im
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
@@ -48,6 +49,9 @@ class GaussianRational:
 
     def __hash__(self):
         return hash((self.re, self.im))
+
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)

@@ -170,10 +170,10 @@ __all__ = [
 # A residual's kernel divides 2**W by j**s for J = 2 p_n - 1 values of j,
 # at W = P + 112 bits, in CPython's schoolbook time: about c * J * W**2 with
 # c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine (the Euler product's
-# per-prime work included).  ``residual`` refuses a projected
-# (J + _INVERSION_WEIGHT) * W**2, plus the computed roots' cost below, above
-# this cap (about 80 s there); the precision sizing (``required_precision``,
-# ``estimate``) refuses that plus the chain cost below.
+# per-prime work included).  A kernel pass (``_residuals``) refuses a
+# projected (J + _INVERSION_WEIGHT) * W**2, plus the computed roots' cost
+# below, above this cap (about 80 s there); an estimate's sizing
+# (``_sizing``) refuses that plus the chain cost below.
 MAX_KERNEL_COST = 10**14
 # The Euler product ends in one inversion, whatever n is: for a complex
 # product a 3W-bit by 2W-bit division per component.  On the same machine, at
@@ -182,8 +182,7 @@ MAX_KERNEL_COST = 10**14
 # product divides once, 2W bits by W, and the prime quotients come from the
 # L-sum, so the weight over-counts real characters: the residual of n = 2,
 # s = 300000 with the trivial character (J = 5, W = 776k) took 1.9 s, 4.0
-# units (4.9 s, 10.2 units, when it divided like a complex product), where
-# (J + 14) * W**2 projects 19.
+# units, where (J + 14) * W**2 projects 19.
 _INVERSION_WEIGHT = 14
 # The chain after the cancellation (``_chain``: two binary powers and a
 # binomial series of u = |residual|**2 * m1**(2s) in fixed point, see
@@ -309,28 +308,9 @@ def _values(chi: DirichletCharacter, J: int) -> tuple:
     return values, len({_first_octant(a, m)[:2] for a, m in values if 4 % m})
 
 
-def _check_cell(
-    n: int, s: int, chi: DirichletCharacter, ctx: PrecisionContext, terms: tuple
-) -> None:
-    """``_check_cost`` of the (n, s) residual at ``ctx``: J = 2 p_n - 1.
-
-    With two tail terms m1 < m2 an estimate also runs the chain at about
-    ``P - s * log2(m1) + 64`` bits (``estimate`` clamps it to ``[64, P]``),
-    which adds ``_CHAIN_WEIGHT * w**2.5 / g`` with g the series' gain, the
-    larger of ``s * log2(m2 / m1)`` and ``53 - log2(2s)``.
-    """
-    chain = 0
-    if len(terms) == 2:
-        m1, m2 = terms
-        w = min(max(ctx.prec_bits - math.floor(s * math.log2(m1)) + 64, 64), ctx.prec_bits)
-        gain = max(math.floor(s * math.log2(m2 / m1)), 53 - (2 * s).bit_length())
-        chain = _CHAIN_WEIGHT * w * w * math.isqrt(w) // gain
-    roots = _cell_facts(n, chi.modulus, chi.label).roots
-    _check_cost(f"n={n}, s={s}", 2 * primes.nth_prime(n) - 1, ctx, roots, chain)
-
-
-def _check_cost(what: str, J: int, ctx: PrecisionContext, roots: int, chain: int = 0) -> None:
-    """Refuse ``what`` at ``ctx`` when the projected cost exceeds the cap.
+def _check_cost(what: str, J: int, bits: int, roots: int, chain: int = 0) -> None:
+    """Refuse ``what`` at ``bits`` of precision when the projected cost
+    exceeds the cap.
 
     Kernels that walk j up to J cost (J + _INVERSION_WEIGHT) * W**2, plus
     ``_ROOT_WEIGHT * W**2.5`` for each of the ``roots`` roots of unity they
@@ -338,24 +318,31 @@ def _check_cost(what: str, J: int, ctx: PrecisionContext, roots: int, chain: int
     than 0, that is per angle of the values whose order does not divide 4.
     ``chain`` is what runs after them, in the same units.
     """
-    W = _kernel_bits(ctx)
+    W = _kernel_bits(bits)
     kernel = (J + _INVERSION_WEIGHT) * W**2
     root_cost = roots * _ROOT_WEIGHT * W**2 * math.isqrt(W)
     if kernel + root_cost + chain > MAX_KERNEL_COST:
         raise UnsupportedSizeError(
-            f"{what} at {ctx.prec_bits} bits projects a kernel cost "
+            f"{what} at {bits} bits projects a kernel cost "
             f"(J + {_INVERSION_WEIGHT})*W**2 = {kernel:.2e} plus {roots} computed roots of unity "
             f"at {_ROOT_WEIGHT}*W**2.5 = {root_cost:.2e} plus a chain cost of {chain:.2e} bit**2, "
             f"above the cap of {MAX_KERNEL_COST:.0e}"
         )
 
 
-def _sizing(n: int, s: int, chi: DirichletCharacter):
-    """(``required_precision(n, s, chi)``, chi's first two tail terms).
+def _sizing(n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None):
+    """(the (n, s) estimate's working precision, chi's first two tail terms).
 
-    The cost guard runs on ``ceil(s * log2(base)) - 1`` in floating point, a
-    lower bound on that bit count, before the base is raised to the s-th
-    power.
+    The precision is ``required_precision(n, s, chi)``, or ``prec_bits``,
+    which may only raise it.  The override is ignored where chi has no tail
+    term, so that ``estimate`` raises ``ZeroResidualError`` whatever it is.
+    The estimate's cost is checked once, at the larger of the override and
+    ``ceil(s * log2(base)) - 1`` in floating point (a lower bound on the
+    required bits), before the base is raised to the s-th power: its
+    kernels and roots at J = 2 p_n - 1, and with two tail terms m1 < m2 the
+    chain at about ``P - s * log2(m1) + 64`` bits, clamped to ``[64, P]``,
+    which adds ``_CHAIN_WEIGHT * w**2.5 / g`` with g the series' gain, the
+    larger of ``s * log2(m2 / m1)`` and ``53 - log2(2s)``.
     """
     _check_n_s(n, s)
     if s > MAX_KERNEL_COST:
@@ -366,12 +353,28 @@ def _sizing(n: int, s: int, chi: DirichletCharacter):
             f"far above the cap of {MAX_KERNEL_COST:.0e}"
         )
     facts = _cell_facts(n, chi.modulus, chi.label)
-    num, den = facts.num, facts.den
-    lower = PrecisionContext(max(64, math.ceil(s * math.log2(num / den)) - 1 + 96))
-    _check_cell(n, s, chi, lower, facts.terms)
+    num, den, terms = facts.num, facts.den, facts.terms
+    if not terms:
+        prec_bits = None
+    elif prec_bits is not None and not isinstance(prec_bits, int):
+        raise DomainError(f"prec_bits must be an integer, got {prec_bits!r}")
+    bits = max(64, math.ceil(s * math.log2(num / den)) - 1 + 96, prec_bits or 0)
+    chain = 0
+    if len(terms) == 2:
+        m1, m2 = terms
+        w = min(max(bits - math.floor(s * math.log2(m1)) + 64, 64), bits)
+        gain = max(math.floor(s * math.log2(m2 / m1)), 53 - (2 * s).bit_length())
+        chain = _CHAIN_WEIGHT * w * w * math.isqrt(w) // gain
+    _check_cost(f"n={n}, s={s}", 2 * primes.nth_prime(n) - 1, bits, facts.roots, chain)
     # ceil(base**s) - 1 in integers
     top = num**s - 1 if den == 1 else -(-(num**s) // den**s) - 1
-    return PrecisionContext(max(64, top.bit_length() + 96)), facts.terms
+    required = max(64, top.bit_length() + 96)
+    if prec_bits is not None and prec_bits < required:
+        raise DomainError(
+            f"precision override of {prec_bits} bits is below the "
+            f"{required} bits required for n={n}, s={s}"
+        )
+    return PrecisionContext(prec_bits or required), terms
 
 
 def required_precision(
@@ -402,9 +405,9 @@ def _shr(v: int, bits: int) -> int:
     return v >> bits if v >= 0 else -(-v >> bits)
 
 
-def _kernel_bits(ctx: PrecisionContext) -> int:
-    """W, the kernels' fixed-point scale: 16 guard bits past the context's."""
-    return ctx.prec_bits + GUARD_BITS + 16
+def _kernel_bits(bits: int) -> int:
+    """W, the kernels' fixed-point scale: 16 guard bits past a context's of ``bits``."""
+    return bits + GUARD_BITS + 16
 
 
 def _to_complex(ctx: PrecisionContext, value: tuple, W: int) -> BigComplex:
@@ -424,8 +427,8 @@ def l_partial_sum(
         raise DomainError(f"J must be a positive integer, got {J!r}")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"s must be a positive integer, got {s!r}")
-    _check_cost(f"J={J}, s={s}", J, ctx, _values(chi, J)[1])
-    W = _kernel_bits(ctx)
+    _check_cost(f"J={J}, s={s}", J, ctx.prec_bits, _values(chi, J)[1])
+    W = _kernel_bits(ctx.prec_bits)
     return _to_complex(ctx, _kernels(chi, s, [(J, W)], [])[0][0], W)
 
 
@@ -439,8 +442,9 @@ def euler_product(
     ``residual(n, s, chi, ctx)`` would be.
     """
     _check_n_s(n, s)
-    _check_cell(n, s, chi, ctx, ())
-    W = _kernel_bits(ctx)
+    roots = _cell_facts(n, chi.modulus, chi.label).roots
+    _check_cost(f"n={n}, s={s}", 2 * primes.nth_prime(n) - 1, ctx.prec_bits, roots)
+    W = _kernel_bits(ctx.prec_bits)
     return _to_complex(ctx, _kernels(chi, s, [], [(n, W)])[1][0], W)
 
 
@@ -535,15 +539,12 @@ def residual(
 
     Computed under ``required_precision(n, s, chi)`` unless an explicit
     context is supplied (a larger one is useful for precision-stability
-    checks).  An input whose projected kernel cost
-    ``(J + _INVERSION_WEIGHT) * W**2``, plus ``_ROOT_WEIGHT * W**2.5`` for
-    each root of unity the kernels compute, exceeds ``MAX_KERNEL_COST``
-    raises ``UnsupportedSizeError`` before either kernel runs.
+    checks).  ``_residuals`` refuses the pass at the precision it runs at
+    (see there) with ``UnsupportedSizeError`` before either kernel runs.
     """
     _check_n_s(n, s)
     if ctx is None:
         ctx = required_precision(n, s, chi)
-    _check_cell(n, s, chi, ctx, ())
     re, im, W, _ = _residuals([n], s, chi, [ctx])[0]
     return _to_complex(ctx, (re, im), W)
 
@@ -551,8 +552,14 @@ def residual(
 def _residuals(ns, s: int, chi: DirichletCharacter, ctxs: list) -> list:
     """The residual of each n in ``ns`` at its context in ``ctxs`` as a ball
     ``(re, im, W, radius)`` (see the module docstring), all the L-sums and
-    products in one ``_kernels`` pass; the costs are checked by the caller."""
-    cells = list(zip(ns, [_kernel_bits(ctx) for ctx in ctxs]))
+    products in one ``_kernels`` pass.  The pass runs the longest n's
+    indices and roots at the widest n's W, and that is what it checks."""
+    longest = max(ns)
+    roots = _cell_facts(longest, chi.modulus, chi.label).roots
+    bits = max(ctx.prec_bits for ctx in ctxs)
+    what = f"n={', '.join(map(str, ns))}, s={s}"
+    _check_cost(what, 2 * primes.nth_prime(longest) - 1, bits, roots)
+    cells = [(n, _kernel_bits(ctx.prec_bits)) for n, ctx in zip(ns, ctxs)]
     sums, products = _kernels(chi, s, [(2 * primes.nth_prime(n) - 1, W) for n, W in cells], cells)
     out = []
     for (n, W), (a, b), (c, d) in zip(cells, sums, products):
@@ -564,7 +571,6 @@ def _residuals(ns, s: int, chi: DirichletCharacter, ctxs: list) -> list:
 
 def scaled_residual(n: int, s: int, chi: DirichletCharacter) -> BigComplex:
     """residual * p_{n+1}**s; converges to chi(p_{n+1}) as s grows."""
-    _check_n_s(n, s)
     ctx = required_precision(n, s, chi)
     target = primes.nth_prime(n + 1)
     r = residual(n, s, chi, ctx=ctx)
@@ -586,11 +592,12 @@ def estimate(
     result rather than an exception, so sweeps keep their rows.  The
     residual is computed at the working precision (reported as
     ``prec_bits``); the rest at the width that survives the cancellation,
-    as the module docstring describes.  An input whose projected kernel
-    plus chain cost exceeds ``MAX_KERNEL_COST`` raises
-    ``UnsupportedSizeError`` before the precision is sized in full and
-    before any kernel runs.  A residual whose ball contains 0 raises
-    ``PrecisionLossError``.
+    as the module docstring describes.  The estimate's kernel plus chain
+    cost is checked before the precision is sized in full (``_sizing``),
+    and its kernel pass before it runs (``_residuals``): either raises
+    ``UnsupportedSizeError`` above ``MAX_KERNEL_COST``.  A residual whose
+    ball contains 0 raises ``PrecisionLossError``, and one that is exactly
+    0 ``ZeroResidualError``, whatever the override.
     """
     return _estimates([n], s, chi, prec_bits)[0]
 
@@ -598,9 +605,10 @@ def estimate(
 def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
     """``[estimate(n, s, chi) for n in ns]``, with each kernel in one pass.
 
-    ``ns`` may be any iterable.  Every n is sized, and checked against the
-    cost cap, before any kernel runs; the first failing n raises, and so
-    does a pass whose longest n at the widest n's precision exceeds the cap.
+    ``ns`` may be any iterable.  Every n is sized, its estimate checked
+    against the cost cap (``_sizing``), before any kernel runs, and the
+    first failing n raises; then the shared pass is checked, its longest n
+    at the widest n's precision (``_residuals``).
     Each residual is within the shared pass's bound (see the module
     docstring), so it can differ from ``estimate``'s by a few units of
     ``2**-W``, far below the 96 significant bits the sizing keeps: the
@@ -615,40 +623,17 @@ def _estimates(ns, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = N
     ns = list(ns)
     if not ns:
         return []
-    sized = [_working_precision(n, s, chi, prec_bits) for n in ns]
-    ctxs = [ctx for ctx, _ in sized]
-    if len(ns) > 1:
-        # the pass runs the longest cell's indices at the widest cell's W
-        widest = max(zip(ns, ctxs), key=lambda cell: cell[1].prec_bits)
-        try:
-            _check_cell(max(ns), s, chi, widest[1], ())
-        except UnsupportedSizeError as exc:
-            raise UnsupportedSizeError(
-                f"the kernel pass shared by n={', '.join(map(str, ns))} is refused: it runs "
-                f"the longest, n={max(ns)}, at the precision of the widest, n={widest[0]}: {exc}"
-            ) from None
-    balls = _residuals(ns, s, chi, ctxs)
+    sized = []
+    for n in ns:
+        ctx, terms = _sizing(n, s, chi, prec_bits)
+        if not terms:
+            raise ZeroResidualError(
+                f"the residual is exactly zero for modulus {chi.modulus}, label {chi.label} at "
+                f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
+            )
+        sized.append((ctx, terms))
+    balls = _residuals(ns, s, chi, [ctx for ctx, _ in sized])
     return [_finish(n, s, chi, ctx, terms, ball) for n, (ctx, terms), ball in zip(ns, sized, balls)]
-
-
-def _working_precision(n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int]):
-    """(context, chi's first two tail terms) for an estimate at (n, s)."""
-    req, terms = _sizing(n, s, chi)
-    if not terms:
-        raise ZeroResidualError(
-            f"the residual is exactly zero for modulus {chi.modulus}, label {chi.label} at "
-            f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
-        )
-    if prec_bits is None:
-        return req, terms
-    if prec_bits < req.prec_bits:
-        raise DomainError(
-            f"precision override of {prec_bits} bits is below the "
-            f"{req.prec_bits} bits required for n={n}, s={s}"
-        )
-    ctx = PrecisionContext(prec_bits)
-    _check_cell(n, s, chi, ctx, terms)
-    return ctx, terms
 
 
 def _seed(um: int, ue: int, k: int) -> tuple:

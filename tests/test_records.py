@@ -1,4 +1,5 @@
-"""The result records are immutable, comparable, readable and picklable."""
+"""The result records are immutable, comparable, readable and picklable, and
+so are the shared values that are not records."""
 
 import copy
 import pickle
@@ -13,6 +14,7 @@ from primerec.characters import (
     keller_one,
     unit_group,
 )
+from primerec.oracle import G_ONE
 from primerec.recursion import estimate
 
 
@@ -57,3 +59,26 @@ def test_record(build):
 
     back = pickle.loads(pickle.dumps(rec))
     assert type(back) is cls and back == rec
+
+
+# Values the library hands to more than one caller (a cached character
+# group, a residual, an oracle constant), with one of their fields.
+SHARED = {
+    "CharacterGroup": (lambda: enumerate_characters(5), "characters"),
+    "BigComplex": (lambda: estimate(3, 20, enumerate_characters(4).by_label(2)).residual, "re"),
+    "GaussianRational": (lambda: G_ONE, "re"),
+}
+
+
+@pytest.mark.parametrize("build, field", SHARED.values(), ids=SHARED.keys())
+def test_shared_value(build, field):
+    value = build()
+    kept = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, kept)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(build(), field) == kept
+
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and getattr(back, field) == kept

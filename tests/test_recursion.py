@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primerec import mpnum, oracle, recursion
-from primerec.analysis import d_table, neg_log_series
+from primerec.analysis import d_table, neg_log_series, slope_series
 from primerec.characters import enumerate_characters, keller_one
 from primerec.errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
 from primerec.mpnum import (
@@ -579,6 +579,14 @@ class TestEstimate:
                 recursion.estimate(1, 50, chi, prec_bits=prec_bits)
         assert issubclass(ZeroResidualError, DomainError)
 
+    @pytest.mark.parametrize("prec_bits", [64, 10**7])
+    def test_override_never_hides_zero_residual(self, prec_bits):
+        # the cell would need 196 bits, and 10**7 bits project far above the
+        # cost cap: neither the low nor the costly override is what is wrong
+        chi = enumerate_characters(6).by_label(1)
+        with pytest.raises(ZeroResidualError, match="exactly zero for modulus 6, label 1 at n=1"):
+            recursion.estimate(1, 50, chi, prec_bits=prec_bits)
+
     def test_warning_when_character_vanishes_at_target(self):
         res = recursion.estimate(2, 50, G5.by_label(2))
         assert res.warning is not None
@@ -1011,23 +1019,40 @@ class TestCostGuard:
         # at n = 2's W = 775697, (225 + 14) * W**2 = 1.44e14
         sizing = recursion._sizing
 
-        def narrow_30(n, s, chi):
+        def narrow_30(n, s, chi, prec_bits=None):
             if n != 30:
-                return sizing(n, s, chi)
-            ctx, terms = PrecisionContext(200), list(islice(recursion._tail_terms(n, chi), 2))
-            recursion._check_cell(n, s, chi, ctx, terms)
-            return ctx, terms
+                return sizing(n, s, chi, prec_bits)
+            return PrecisionContext(200), tuple(islice(recursion._tail_terms(n, chi), 2))
 
         monkeypatch.setattr(recursion, "_sizing", narrow_30)
         for ns in ([2], [30]):
             with pytest.raises(AssertionError, match="the kernel ran"):
                 recursion.estimate_many(ns, 300000, K1)
-        with pytest.raises(UnsupportedSizeError, match=r"n=30, s=300000 at 775585 bits .* = 1\.44e\+14") as info:
+        with pytest.raises(UnsupportedSizeError, match=r"^n=2, 30, s=300000 at 775585 bits .* = 1\.44e\+14"):
             recursion.estimate_many([2, 30], 300000, K1)
-        assert str(info.value).startswith(
-            "the kernel pass shared by n=2, 30 is refused: it runs the longest, n=30, "
-            "at the precision of the widest, n=2: n=30, s=300000 at 775585 bits"
-        )
+
+    # every public route to the kernels, at n = 2, s = 50 (J = 5)
+    ENTRIES = {
+        "estimate": lambda: recursion.estimate(2, 50, K1),
+        "estimate_many": lambda: recursion.estimate_many([2, 3], 50, K1),
+        "required_precision": lambda: recursion.required_precision(2, 50),
+        "residual": lambda: recursion.residual(2, 50, K1),
+        "residual-ctx": lambda: recursion.residual(2, 50, K1, PrecisionContext(226)),
+        "scaled_residual": lambda: recursion.scaled_residual(2, 50, K1),
+        "l_partial_sum": lambda: recursion.l_partial_sum(K1, 50, 5, PrecisionContext(226)),
+        "euler_product": lambda: recursion.euler_product(K1, 50, 2, PrecisionContext(226)),
+        "neg_log_series": lambda: neg_log_series(2, 50, 51, K1),
+        "slope_series": lambda: slope_series(2, 3, 50, 51),
+        "d_table": lambda: d_table([2], 50, [4]),
+    }
+
+    @pytest.mark.parametrize("call", ENTRIES.values(), ids=ENTRIES.keys())
+    def test_every_entry_is_guarded(self, monkeypatch, call):
+        # n = 2, s = 50 runs at about 226 bits, W = 338: (5 + 14) * W**2 is
+        # 2.2e6, so a cap of 1e6 refuses every route to the kernels
+        monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 10**6)
+        with pytest.raises(UnsupportedSizeError, match=r"s=50 at \d+ bits .* above the cap of 1e\+06"):
+            call()
 
     def test_scaled_residual_and_dtable(self):
         with pytest.raises(UnsupportedSizeError):
