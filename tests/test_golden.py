@@ -7,8 +7,11 @@ fixed-point kernel before its real products were inverted by one division;
 any change to the evaluation route must keep every printed digit.
 ``dtable_n3-8_s50_mod4-5-8-9-101.csv``, the bench's ``tables`` table at one
 of its moduli, was written while each cell was still subtracted at the
-residual's working precision, before the 64-bit subtraction.  Each CLI
-file name is its command line.
+residual's working precision, before the 64-bit subtraction.
+``slopes_n2-12_s20-80_mod13_label2.csv`` runs shared kernel passes for a
+character of 12 values, with computed roots of unity of order 3, 6 and
+12; it was written while each cell of a pass was still truncated from the
+widest cell's width to its own.  Each CLI file name is its command line.
 
 ``scan_mod1-24.txt`` holds one ``estimate`` per line for every character
 mod 1..24, n in SCAN_N and s in SCAN_S: ``k label n s prec_bits rounded``
@@ -34,6 +37,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {
     "slopes_n2-12_s20-80.csv": ["slopes", "--n-min", "2", "--n-max", "12", "--s-min", "20", "--s-max", "80"],
+    "slopes_n2-12_s20-80_mod13_label2.csv": [
+        "slopes", "--n-min", "2", "--n-max", "12", "--s-min", "20", "--s-max", "80",
+        "--modulus", "13", "--label", "2",
+    ],
     "sweep_n5_s20-120_mod7_label3.csv": [
         "sweep", "--n", "5", "--s-min", "20", "--s-max", "120", "--modulus", "7", "--label", "3",
     ],
