@@ -23,7 +23,7 @@ parent computes tasks 0, w, ..., and results are collected by grid index,
 so output is bit-identical to a sequential run.  Where ``os.fork`` is
 missing the tasks run in-process.  A series task
 holds every n of one s (``recursion.estimate_many``), so they share one
-running pass of each kernel; a table keeps one task per cell.  The CLI
+kernel pass at one precision; a table keeps one task per cell.  The CLI
 renders the results (``primerec.cli`` holds the row format).
 """
 

@@ -47,10 +47,10 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    seed.  The error and margin are the exact integer differences
    ``|target - estimate|`` and ``|estimate - rounded|`` at the scale of
    the rounded estimate's mantissa, each rounded once.
-   The chain cannot lose a bit the residual determines.  The residual
+   The chain cannot lose a bit the residual determines at P.  The residual
    resolves only about ``W + log2|residual| - log2(radius)`` bits relative
-   (its radius below, at least 35 units of ``2**-W``), under
-   ``width + 43`` where the width is not clamped to P.  In units of
+   (its radius below, at least 30 units of ``2**-W``), under
+   ``width + 44`` where the width is not clamped to P.  In units of
    ``2**-F`` relative: the power's ``g - 1`` truncations, each doubled by
    the squarings after it, leave ``m1**(2s)`` within 2 units, the two
    truncations of u add 1, ``c**(2s)`` adds 2 and d's truncation under
@@ -103,25 +103,21 @@ p_n``, whose square bounds the inversion's scale: within
 ``(20 n + 2) p_n**3``.
 
 The estimates of several n at one s (``estimate_many``) share that one
-pass, at the widest W among them, with its roots taken at that one width.
-Each cell closes where its indices end: a sum cell at its J, where the
-totals are rotated, and a product cell at its n-th prime, where the
-running product is truncated to the cell's own W and inverted; a sum is
-truncated to its own W too.  Each cell's result is thus, bit for bit, the
-one-cell loop run at the pass's width and truncated once, within the
-bounds above plus one unit per component (a truncated product moves by
-under ``sqrt 2``, which the inversion scales by at most 2.71, or
-``p_n**2`` at s = 1).  A cell narrower than the widest runs its indices at
-the wider W, so the pass as a whole is checked against the cost cap too:
-the longest cell at the widest cell's precision.
+pass, run at one W: the widest of their precisions.  Each cell closes
+where its indices end, a sum cell at its J (the totals rotated) and a
+product cell at its n-th prime (the running product inverted), so each
+cell is, bit for bit, the one-cell loop at the pass's W, within the
+bounds above.  A narrower n thus gets low bits past those ``estimate``
+computes for it alone, and its chain, run at the width its own P leaves,
+does not use them.  The pass is checked against the cost cap as a whole:
+the longest cell at the pass's precision.
 
 So every residual, of one cell or of a shared pass, is a ball
 (midpoint-radius arithmetic: van der Hoeven, *Ball arithmetic*, 2009;
 Johansson, *Arb*, IEEE Trans. Comput. 66(8), 2017): the exact difference
 ``(re, im)`` of the kernels' integers at scale ``2**W``, each component
-within ``radius = ceil(J + c + 3 + 2 ln J) + 20 n + 6`` units of ``2**-W``
+within ``radius = ceil(J + c + 2 + 2 ln J) + 20 n + 2`` units of ``2**-W``
 of the exact residual's (the product's part times ``p_n**3`` at s = 1).
-With several cells it may move by a few units from the single-cell one.
 ``estimate`` raises ``PrecisionLossError`` when the ball contains 0, that
 is when both components lie within the radius.  BigFloats appear only
 where a value leaves the library: ``EstimateResult``'s fields and what
@@ -269,11 +265,12 @@ def _tail_terms(n: int, chi: DirichletCharacter):
 class _Facts(NamedTuple):
     """What the sizing, the cost guard and the radius know of (n, chi) before s."""
 
+    J: int  # 2 p_n - 1, the L-sum's last index
     terms: tuple  # the first two of ``_tail_terms(n, chi)``
     num: int  # the base of ``required_precision`` is num / den
     den: int
     roots: int  # first-octant angles the kernels compute a root of unity for
-    sum_units: int  # ceil(J + c + 3 + 2 ln J), the L-sum's part of the radius
+    sum_units: int  # ceil(J + c + 2 + 2 ln J), the L-sum's part of the radius
 
 
 @lru_cache(maxsize=_CACHED_CELLS)
@@ -297,7 +294,7 @@ def _cell_facts(n: int, modulus: int, label: int) -> _Facts:
             num, den = other
     values, roots = _values(chi, J)
     c = len(values) - 1
-    return _Facts(terms, num, den, roots, math.ceil(J + c + 3 + 2 * math.log(J)))
+    return _Facts(J, terms, num, den, roots, math.ceil(J + c + 2 + 2 * math.log(J)))
 
 
 def _values(chi: DirichletCharacter, J: int) -> tuple:
@@ -330,15 +327,16 @@ def _check_cost(what: str, J: int, bits: int, roots: int, chain: int = 0) -> Non
         )
 
 
-def _sizing(n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None):
-    """(the (n, s) estimate's working precision, chi's first two tail terms).
+def _sizing(
+    n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None
+) -> PrecisionContext:
+    """The (n, s) estimate's working precision.
 
     The precision is ``required_precision(n, s, chi)``, or ``prec_bits``,
-    which may only raise it.  The override is ignored where chi has no tail
-    term, so that ``estimate`` raises ``ZeroResidualError`` whatever it is.
-    The estimate's cost is checked once, at the larger of the override and
-    ``ceil(s * log2(base)) - 1`` in floating point (a lower bound on the
-    required bits), before the base is raised to the s-th power: its
+    which may only raise it.  The estimate's cost is checked once, at the
+    larger of the override and ``ceil(s * log2(base)) - 1`` in floating
+    point (a lower bound on the required bits), before the base is raised
+    to the s-th power: its
     kernels and roots at J = 2 p_n - 1, and with two tail terms m1 < m2 the
     chain at about ``P - s * log2(m1) + 64`` bits, clamped to ``[64, P]``,
     which adds ``_CHAIN_WEIGHT * w**2.5 / g`` with g the series' gain, the
@@ -354,9 +352,7 @@ def _sizing(n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = 
         )
     facts = _cell_facts(n, chi.modulus, chi.label)
     num, den, terms = facts.num, facts.den, facts.terms
-    if not terms:
-        prec_bits = None
-    elif prec_bits is not None and not isinstance(prec_bits, int):
+    if prec_bits is not None and not isinstance(prec_bits, int):
         raise DomainError(f"prec_bits must be an integer, got {prec_bits!r}")
     bits = max(64, math.ceil(s * math.log2(num / den)) - 1 + 96, prec_bits or 0)
     chain = 0
@@ -365,7 +361,7 @@ def _sizing(n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = 
         w = min(max(bits - math.floor(s * math.log2(m1)) + 64, 64), bits)
         gain = max(math.floor(s * math.log2(m2 / m1)), 53 - (2 * s).bit_length())
         chain = _CHAIN_WEIGHT * w * w * math.isqrt(w) // gain
-    _check_cost(f"n={n}, s={s}", 2 * primes.nth_prime(n) - 1, bits, facts.roots, chain)
+    _check_cost(f"n={n}, s={s}", facts.J, bits, facts.roots, chain)
     # ceil(base**s) - 1 in integers
     top = num**s - 1 if den == 1 else -(-(num**s) // den**s) - 1
     required = max(64, top.bit_length() + 96)
@@ -374,7 +370,7 @@ def _sizing(n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = 
             f"precision override of {prec_bits} bits is below the "
             f"{required} bits required for n={n}, s={s}"
         )
-    return PrecisionContext(prec_bits or required), terms
+    return PrecisionContext(prec_bits or required)
 
 
 def required_precision(
@@ -392,7 +388,7 @@ def required_precision(
     ``UnsupportedSizeError`` when the estimate's projected cost exceeds
     ``MAX_KERNEL_COST`` (see ``estimate``).
     """
-    return _sizing(n, s, keller_one() if chi is None else chi)[0]
+    return _sizing(n, s, keller_one() if chi is None else chi)
 
 
 def _trunc(v: int, d: int) -> int:
@@ -429,7 +425,7 @@ def l_partial_sum(
         raise DomainError(f"s must be a positive integer, got {s!r}")
     _check_cost(f"J={J}, s={s}", J, ctx.prec_bits, _values(chi, J)[1])
     W = _kernel_bits(ctx.prec_bits)
-    return _to_complex(ctx, _kernels(chi, s, [(J, W)], [])[0][0], W)
+    return _to_complex(ctx, _kernels(chi, s, W, [J], [])[0][0], W)
 
 
 def euler_product(
@@ -442,31 +438,29 @@ def euler_product(
     ``residual(n, s, chi, ctx)`` would be.
     """
     _check_n_s(n, s)
-    roots = _cell_facts(n, chi.modulus, chi.label).roots
-    _check_cost(f"n={n}, s={s}", 2 * primes.nth_prime(n) - 1, ctx.prec_bits, roots)
+    facts = _cell_facts(n, chi.modulus, chi.label)
+    _check_cost(f"n={n}, s={s}", facts.J, ctx.prec_bits, facts.roots)
     W = _kernel_bits(ctx.prec_bits)
-    return _to_complex(ctx, _kernels(chi, s, [], [(n, W)])[1][0], W)
+    return _to_complex(ctx, _kernels(chi, s, W, [], [n])[1][0], W)
 
 
-def _kernels(chi: DirichletCharacter, s: int, sums: list, products: list) -> tuple:
-    """The L-sum to J for every ``(J, W)`` in ``sums`` and the Euler product
-    over n primes for every ``(n, W)`` in ``products``, each a fixed-point
-    ``(re, im)`` at scale ``2**W``, in one pass over j.
+def _kernels(chi: DirichletCharacter, s: int, W: int, sums: list, products: list) -> tuple:
+    """The L-sum to J for every J in ``sums`` and the Euler product over n
+    primes for every n in ``products``, each a fixed-point ``(re, im)`` at
+    scale ``2**W``, in one pass over j.
 
-    The pass runs at the widest W among all the cells and divides each
-    ``2**W // j**s`` once (for ``j = 2**a`` the shift ``2**(W - a s)``, or
-    0): it adds the quotient to the total of chi(j) and, where j is one of
-    the products' primes, multiplies its factor into the running product.
-    It walks every j up to the longest sum, then only the primes past it.  A
-    sum cell rotates the totals at its J, a product cell inverts the product
-    at its n-th prime, and each truncates to its own W (see the module
-    docstring): a real product with one 2W-by-W division, ``a * 2**(2W) /
-    a**2`` being exactly ``2**(2W) / a``.
+    The pass divides each ``2**W // j**s`` once (for ``j = 2**a`` the shift
+    ``2**(W - a s)``, or 0): it adds the quotient to the total of chi(j)
+    and, where j is one of the products' primes, multiplies its factor into
+    the running product.  It walks every j up to the longest sum, then only
+    the primes past it.  The totals are rotated at each sum's J and the
+    product inverted at each product's n-th prime, so every cell is its
+    one-cell loop bit for bit: a real product with one 2W-by-W division,
+    ``a * 2**(2W) / a**2`` being exactly ``2**(2W) / a``.
     """
-    wide = max(W for _, W in sums + products)
-    one = 1 << wide
-    ps = primes.first_n_primes(max(n for n, _ in products)) if products else []
-    last_sum = max((J for J, _ in sums), default=0)
+    one = 1 << W
+    ps = primes.first_n_primes(max(products)) if products else []
+    last_sum = max(sums, default=0)
     # every j up to the longest sum, then only the products' primes past it
     walk = range(1, last_sum + 1)
     if ps and ps[-1] > last_sum:
@@ -480,13 +474,8 @@ def _kernels(chi: DirichletCharacter, s: int, sums: list, products: list) -> tup
     is_factor = bytearray(walk[-1] + 1)
     for p in ps:
         is_factor[p] = 1
-    # the sum and product cells closing at each j
-    ends = {}
-    for i, (J, _) in enumerate(sums):
-        ends.setdefault(J, ([], []))[0].append(i)
-    for i, (n, _) in enumerate(products):
-        ends.setdefault(ps[n - 1], ([], []))[1].append(i)
-    sum_out, product_out = [None] * len(sums), [None] * len(products)
+    # each cell's value, keyed by the j it closes at
+    sum_at, product_at = dict.fromkeys(sums), dict.fromkeys(ps[n - 1] for n in products)
     totals = [0] * len(roots)
     pr, pi = one, 0
     for j in walk:
@@ -499,34 +488,27 @@ def _kernels(chi: DirichletCharacter, s: int, sums: list, products: list) -> tup
                 if a == 0:
                     fr, fi = one - x, 0
                 else:
-                    cos, sin = fixed_root(a, m, wide)
-                    fr, fi = one - _shr(x * cos, wide), -_shr(x * sin, wide)
-                pr, pi = _shr(pr * fr - pi * fi, wide), _shr(pr * fi + pi * fr, wide)
-        if j not in ends:
-            continue
-        ending_sums, ending_products = ends[j]
-        if ending_sums:
+                    cos, sin = fixed_root(a, m, W)
+                    fr, fi = one - _shr(x * cos, W), -_shr(x * sin, W)
+                pr, pi = _shr(pr * fr - pi * fi, W), _shr(pr * fi + pi * fr, W)
+        if j in sum_at:
             re = im = 0
             for (a, m), total in zip(values, totals):
                 if a == 0:
                     re += total
                 elif total:
-                    cos, sin = fixed_root(a, m, wide)
-                    re += _shr(total * cos, wide)
-                    im += _shr(total * sin, wide)
-            for i in ending_sums:
-                shift = wide - sums[i][1]
-                sum_out[i] = _shr(re, shift), _shr(im, shift)
-        for i in ending_products:
-            W = products[i][1]
-            a, b = _shr(pr, wide - W), _shr(pi, wide - W)
-            if b:
-                den = a * a + b * b
-                product_out[i] = _trunc(a << 2 * W, den), _trunc(-b << 2 * W, den)
+                    cos, sin = fixed_root(a, m, W)
+                    re += _shr(total * cos, W)
+                    im += _shr(total * sin, W)
+            sum_at[j] = re, im
+        if j in product_at:
+            if pi:
+                den = pr * pr + pi * pi
+                product_at[j] = _trunc(pr << 2 * W, den), _trunc(-pi << 2 * W, den)
             else:
-                inverse = (1 << 2 * W) // abs(a)
-                product_out[i] = (inverse if a > 0 else -inverse), 0
-    return sum_out, product_out
+                inverse = (1 << 2 * W) // abs(pr)
+                product_at[j] = (inverse if pr > 0 else -inverse), 0
+    return [sum_at[J] for J in sums], [product_at[ps[n - 1]] for n in products]
 
 
 def residual(
@@ -539,33 +521,30 @@ def residual(
 
     Computed under ``required_precision(n, s, chi)`` unless an explicit
     context is supplied (a larger one is useful for precision-stability
-    checks).  ``_residuals`` refuses the pass at the precision it runs at
-    (see there) with ``UnsupportedSizeError`` before either kernel runs.
+    checks).  ``_residuals`` refuses the pass at the context's precision
+    (see there) with ``UnsupportedSizeError`` before the kernels run.
     """
     _check_n_s(n, s)
     if ctx is None:
         ctx = required_precision(n, s, chi)
-    re, im, W, _ = _residuals([n], s, chi, [ctx])[0]
+    re, im, W, _ = _residuals([n], s, chi, ctx.prec_bits)[0]
     return _to_complex(ctx, (re, im), W)
 
 
-def _residuals(ns, s: int, chi: DirichletCharacter, ctxs: list) -> list:
-    """The residual of each n in ``ns`` at its context in ``ctxs`` as a ball
+def _residuals(ns, s: int, chi: DirichletCharacter, bits: int) -> list:
+    """The residual of each n in ``ns`` at ``bits`` of precision as a ball
     ``(re, im, W, radius)`` (see the module docstring), all the L-sums and
-    products in one ``_kernels`` pass.  The pass runs the longest n's
-    indices and roots at the widest n's W, and that is what it checks."""
-    longest = max(ns)
-    roots = _cell_facts(longest, chi.modulus, chi.label).roots
-    bits = max(ctx.prec_bits for ctx in ctxs)
-    what = f"n={', '.join(map(str, ns))}, s={s}"
-    _check_cost(what, 2 * primes.nth_prime(longest) - 1, bits, roots)
-    cells = [(n, _kernel_bits(ctx.prec_bits)) for n, ctx in zip(ns, ctxs)]
-    sums, products = _kernels(chi, s, [(2 * primes.nth_prime(n) - 1, W) for n, W in cells], cells)
+    products in one ``_kernels`` pass at ``W = _kernel_bits(bits)``.  The
+    pass is checked first: the longest n's indices and roots at that W."""
+    facts = [_cell_facts(n, chi.modulus, chi.label) for n in ns]
+    longest = _cell_facts(max(ns), chi.modulus, chi.label)
+    _check_cost(f"n={', '.join(map(str, ns))}, s={s}", longest.J, bits, longest.roots)
+    W = _kernel_bits(bits)
+    sums, products = _kernels(chi, s, W, [f.J for f in facts], ns)
     out = []
-    for (n, W), (a, b), (c, d) in zip(cells, sums, products):
+    for n, f, (a, b), (c, d) in zip(ns, facts, sums, products):
         scale = primes.nth_prime(n) ** 3 if s == 1 else 1
-        radius = _cell_facts(n, chi.modulus, chi.label).sum_units + (20 * n + 6) * scale
-        out.append((a - c, b - d, W, radius))
+        out.append((a - c, b - d, W, f.sum_units + (20 * n + 2) * scale))
     return out
 
 
@@ -603,36 +582,40 @@ def estimate(
 
 
 def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
-    """``[estimate(n, s, chi) for n in ns]``, with each kernel in one pass.
+    """``[estimate(n, s, chi) for n in ns]``, with every residual in one
+    kernel pass at the widest n's precision.
 
     ``ns`` may be any iterable.  Every n is sized, its estimate checked
     against the cost cap (``_sizing``), before any kernel runs, and the
     first failing n raises; then the shared pass is checked, its longest n
     at the widest n's precision (``_residuals``).
-    Each residual is within the shared pass's bound (see the module
-    docstring), so it can differ from ``estimate``'s by a few units of
-    ``2**-W``, far below the 96 significant bits the sizing keeps: the
-    estimate, error and margin, printed to 17 digits, can change only where
-    such a move crosses a rounding boundary of the 17th digit.
+    Each residual is the ball ``estimate`` would compute for its n alone at
+    that precision (see the module docstring), so a narrower n's can differ
+    from ``estimate``'s by a few units of its own ``2**-W``, far below the
+    96 significant bits the sizing keeps: the estimate, error and margin,
+    printed to 17 digits, can change only where such a move crosses a
+    rounding boundary of the 17th digit.
     """
     return _estimates(ns, s, chi)
 
 
 def _estimates(ns, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None) -> list:
-    """Size every n, run the kernels of all of them, then each chain."""
+    """Size every n, run the kernels of all of them at the widest n's
+    precision, then each chain at its own."""
     ns = list(ns)
     if not ns:
         return []
     sized = []
     for n in ns:
-        ctx, terms = _sizing(n, s, chi, prec_bits)
+        _check_n_s(n, s)
+        terms = _cell_facts(n, chi.modulus, chi.label).terms
         if not terms:
             raise ZeroResidualError(
                 f"the residual is exactly zero for modulus {chi.modulus}, label {chi.label} at "
                 f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
             )
-        sized.append((ctx, terms))
-    balls = _residuals(ns, s, chi, [ctx for ctx, _ in sized])
+        sized.append((_sizing(n, s, chi, prec_bits), terms))
+    balls = _residuals(ns, s, chi, max(ctx.prec_bits for ctx, _ in sized))
     return [_finish(n, s, chi, ctx, terms, ball) for n, (ctx, terms), ball in zip(ns, sized, balls)]
 
 

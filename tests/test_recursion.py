@@ -9,7 +9,6 @@ import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -114,12 +113,10 @@ def kernel_bits(prec_bits: int) -> int:
     return prec_bits + GUARD_BITS + 16
 
 
-def per_cell_partial_sum(chi, s: int, J: int, W: int, wide=None) -> tuple:
-    """The one-cell L-sum loop: divide ``2**wide // j**s`` (``wide`` defaults
-    to the cell's own W), group the terms by character value, rotate each
-    total at that width and truncate the result to W."""
-    wide = wide or W
-    one = 1 << wide
+def per_cell_partial_sum(chi, s: int, J: int, W: int) -> tuple:
+    """The one-cell L-sum loop: divide ``2**W // j**s``, group the terms by
+    character value and rotate each total at W."""
+    one = 1 << W
     classes = {}
     for j in range(1, J + 1):
         v = chi(j)
@@ -130,18 +127,16 @@ def per_cell_partial_sum(chi, s: int, J: int, W: int, wide=None) -> tuple:
         if v.a == 0:
             real += total
         else:
-            cos, sin = fixed_root(v.a, v.m, wide)
+            cos, sin = fixed_root(v.a, v.m, W)
             real += trunc(total * cos, one)
             imag += trunc(total * sin, one)
-    return trunc(real, 1 << (wide - W)), trunc(imag, 1 << (wide - W))
+    return real, imag
 
 
-def per_cell_euler_product(chi, s: int, n: int, W: int, wide=None) -> tuple:
-    """The one-cell product loop: divide ``2**wide // p**s`` (``wide``
-    defaults to the cell's own W), truncate each product by dividing by
-    ``2**wide``, truncate the result to W and invert it there."""
-    wide = wide or W
-    one = 1 << wide
+def per_cell_euler_product(chi, s: int, n: int, W: int) -> tuple:
+    """The one-cell product loop: divide ``2**W // p**s``, truncate each
+    product by dividing by ``2**W`` and invert the result."""
+    one = 1 << W
     re, im = one, 0
     for p in first_n_primes(n):
         v = chi(p)
@@ -151,25 +146,22 @@ def per_cell_euler_product(chi, s: int, n: int, W: int, wide=None) -> tuple:
         if v.a == 0:
             fr, fi = one - x, 0
         else:
-            cos, sin = fixed_root(v.a, v.m, wide)
+            cos, sin = fixed_root(v.a, v.m, W)
             fr, fi = one - trunc(x * cos, one), -trunc(x * sin, one)
         re, im = trunc(re * fr - im * fi, one), trunc(re * fi + im * fr, one)
-    re, im = trunc(re, 1 << (wide - W)), trunc(im, 1 << (wide - W))
     den = re * re + im * im
     return trunc(re << 2 * W, den), trunc(-im << 2 * W, den)
 
 
 def sum_bound(chi, J: int) -> float:
-    """The L-sum's bound in units of 2**-W (module docstring of ``recursion``),
-    one truncation to W included."""
+    """The L-sum's bound in units of 2**-W (module docstring of ``recursion``)."""
     c = len({chi(j) for j in range(1, J + 1) if not chi(j).is_zero}) - 1
-    return J + c + 3 + 2 * math.log(J)
+    return J + c + 2 + 2 * math.log(J)
 
 
 def product_bound(n: int, s: int) -> int:
-    """The Euler product's bound in units of 2**-W, one truncation to W
-    included: times p_n**3 at s = 1."""
-    return (20 * n + 6) * (first_n_primes(n)[-1] ** 3 if s == 1 else 1)
+    """The Euler product's bound in units of 2**-W: times p_n**3 at s = 1."""
+    return (20 * n + 2) * (first_n_primes(n)[-1] ** 3 if s == 1 else 1)
 
 
 def within(value: tuple, exact, bound: float, W: int) -> bool:
@@ -193,18 +185,17 @@ def gaussian_character(k: int, pick: int):
     return chars[pick % len(chars)]
 
 
-# J order and W order disagree: the shortest cell is the widest, so a
-# longer cell's later indices run wider than its own W
-WIDE_SHORT_SUMS = [(100, 64), (7, 1400), (50, 300), (7, 200), (100, 900)]
-WIDE_SHORT_PRODUCTS = [(30, 64), (3, 1400), (12, 300), (3, 200), (30, 900)]
-# the same at the automatic precisions of mod 70 label 7 (a character of
-# order 4), s = 100, n = 1..30: n = 3 is the widest
+# cells out of order and repeated
+UNSORTED_SUMS = [100, 7, 50, 7, 100]
+UNSORTED_PRODUCTS = [30, 3, 12, 3, 30]
+# the cells of mod 70 label 7 (a character of order 4), s = 100, n = 1..30,
+# at the widest of their automatic precisions (n = 3's)
 CHI70 = enumerate_characters(70).by_label(7)
-PREC70 = [recursion.required_precision(n, 100, CHI70).prec_bits for n in range(1, 31)]
-MOD70_SUMS = [(2 * p - 1, prec) for p, prec in zip(first_n_primes(30), PREC70)]
-MOD70_PRODUCTS = list(zip(range(1, 31), PREC70))
-MOD70_ANY = dict(k=70, pick=enumerate_characters(70).characters.index(CHI70), s=100)
-MOD70_GAUSSIAN = dict(k=70, pick=gaussian_characters(70).index(CHI70), s=100)
+PREC70 = max(recursion.required_precision(n, 100, CHI70).prec_bits for n in range(1, 31))
+MOD70_SUMS = [2 * p - 1 for p in first_n_primes(30)]
+MOD70_PRODUCTS = list(range(1, 31))
+MOD70_ANY = dict(k=70, pick=enumerate_characters(70).characters.index(CHI70), s=100, prec=PREC70)
+MOD70_GAUSSIAN = dict(k=70, pick=gaussian_characters(70).index(CHI70), s=100, prec=PREC70)
 # sweep width: n = 2, s = 1900, for the trivial character and the quadratic
 # character mod 5, both real, so each product is inverted by one division
 # and its quotient of 2 is a shift
@@ -213,19 +204,18 @@ SWEEP_S = 1900
 SWEEP_PREC = recursion.required_precision(2, SWEEP_S).prec_bits
 SWEEP_PREC_MOD5 = recursion.required_precision(2, SWEEP_S, G5.by_label(3)).prec_bits
 PICK = st.integers(0, 10**6)
-SUM_CELLS = st.lists(st.tuples(st.integers(1, 120), st.integers(64, 1500)), min_size=1, max_size=5)
-PRODUCT_CELLS = st.lists(
-    st.tuples(st.integers(1, 30), st.integers(64, 1500)), min_size=1, max_size=5
-)
-BALL_CELLS = st.lists(st.tuples(st.integers(1, 6), st.integers(64, 1500)), min_size=1, max_size=5)
+PREC = st.integers(64, 1500)
+SUM_CELLS = st.lists(st.integers(1, 120), min_size=1, max_size=5)
+PRODUCT_CELLS = st.lists(st.integers(1, 30), min_size=1, max_size=5)
+BALL_CELLS = st.lists(st.integers(1, 6), min_size=1, max_size=5)
 
 
 class TestSharedPass:
-    """The passes shared by several cells (an L-sum's (J, W), a product's
-    (n, W)) keep one running value at the widest cell's W.  Every cell gets
-    the fixed-point integers of its one-cell loop run at that width and
-    truncated to its own W, within the restated bounds of the exact values,
-    and every residual's ball contains the exact residual."""
+    """A kernel pass shared by several cells (an L-sum's J, a product's n)
+    runs at one W.  Every cell gets the fixed-point integers of its one-cell
+    loop at that W, within the bounds of the exact values, every residual is
+    the one-n residual at the pass's precision, and its ball contains the
+    exact residual."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -234,114 +224,122 @@ class TestSharedPass:
         s=st.integers(1, 60),
         J=st.integers(1, 120),
         n=st.integers(1, 30),
-        prec=st.integers(64, 1500),
+        prec=PREC,
     )
     @example(k=1, pick=0, s=SWEEP_S, J=5, n=2, prec=SWEEP_PREC)
     @example(k=5, pick=G5_REAL, s=SWEEP_S, J=5, n=2, prec=SWEEP_PREC_MOD5)
     def test_single_cell_matches_per_cell_loop(self, k, pick, s, J, n, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
-        assert recursion._kernels(chi, s, [(J, W)], [])[0] == [per_cell_partial_sum(chi, s, J, W)]
-        assert recursion._kernels(chi, s, [], [(n, W)])[1] == [per_cell_euler_product(chi, s, n, W)]
+        assert recursion._kernels(chi, s, W, [J], [])[0] == [per_cell_partial_sum(chi, s, J, W)]
+        assert recursion._kernels(chi, s, W, [], [n])[1] == [per_cell_euler_product(chi, s, n, W)]
 
     @settings(max_examples=150, deadline=None)
-    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
-    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_SUMS)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS, prec=PREC)
+    @example(k=13, pick=5, s=30, cells=UNSORTED_SUMS, prec=1400)
     # at a small s the rotated totals are large enough to show a root's last bits
-    @example(k=13, pick=5, s=2, cells=WIDE_SHORT_SUMS)
+    @example(k=13, pick=5, s=2, cells=UNSORTED_SUMS, prec=1400)
     @example(**MOD70_ANY, cells=MOD70_SUMS)
-    def test_sums_match_running_pass(self, k, pick, s, cells):
+    def test_sums_match_running_pass(self, k, pick, s, cells, prec):
         chi = any_character(k, pick)
-        cells = [(J, kernel_bits(p)) for J, p in cells]
-        wide = max(W for _, W in cells)
-        got = recursion._kernels(chi, s, cells, [])[0]
-        assert got == [per_cell_partial_sum(chi, s, J, W, wide) for J, W in cells]
+        W = kernel_bits(prec)
+        got = recursion._kernels(chi, s, W, cells, [])[0]
+        assert got == [per_cell_partial_sum(chi, s, J, W) for J in cells]
 
     @settings(max_examples=150, deadline=None)
-    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS)
-    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS, prec=PREC)
+    @example(k=13, pick=5, s=30, cells=UNSORTED_PRODUCTS, prec=1400)
     @example(**MOD70_ANY, cells=MOD70_PRODUCTS)
-    @example(k=1, pick=0, s=SWEEP_S, cells=[(2, SWEEP_PREC), (1, 1500)])
-    @example(k=5, pick=G5_REAL, s=SWEEP_S, cells=[(2, SWEEP_PREC_MOD5), (1, SWEEP_PREC)])
-    def test_products_match_running_pass(self, k, pick, s, cells):
+    @example(k=1, pick=0, s=SWEEP_S, cells=[2, 1], prec=SWEEP_PREC)
+    @example(k=5, pick=G5_REAL, s=SWEEP_S, cells=[2, 1], prec=SWEEP_PREC_MOD5)
+    def test_products_match_running_pass(self, k, pick, s, cells, prec):
         chi = any_character(k, pick)
-        cells = [(n, kernel_bits(p)) for n, p in cells]
-        wide = max(W for _, W in cells)
-        got = recursion._kernels(chi, s, [], cells)[1]
-        assert got == [per_cell_euler_product(chi, s, n, W, wide) for n, W in cells]
+        W = kernel_bits(prec)
+        got = recursion._kernels(chi, s, W, [], cells)[1]
+        assert got == [per_cell_euler_product(chi, s, n, W) for n in cells]
 
     @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS)
-    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS, prec=PREC)
+    @example(k=13, pick=5, s=30, cells=UNSORTED_PRODUCTS, prec=1400)
     @example(**MOD70_ANY, cells=MOD70_PRODUCTS)
-    @example(k=1, pick=0, s=SWEEP_S, cells=[(2, SWEEP_PREC)])
-    @example(k=5, pick=G5_REAL, s=SWEEP_S, cells=[(2, SWEEP_PREC_MOD5), (1, SWEEP_PREC)])
-    def test_residuals_match_per_cell_loops(self, k, pick, s, cells):
+    @example(k=1, pick=0, s=SWEEP_S, cells=[2], prec=SWEEP_PREC)
+    @example(k=5, pick=G5_REAL, s=SWEEP_S, cells=[2, 1], prec=SWEEP_PREC_MOD5)
+    def test_residuals_match_per_cell_loops(self, k, pick, s, cells, prec):
         # the product's factors share the L-sum's quotients of their primes
         chi = any_character(k, pick)
-        ns = [n for n, _ in cells]
-        balls = recursion._residuals(ns, s, chi, [PrecisionContext(p) for _, p in cells])
-        wide = max(kernel_bits(p) for _, p in cells)
-        for (n, prec), (re, im, W, _) in zip(cells, balls):
+        W = kernel_bits(prec)
+        for n, (re, im, W_ball, _) in zip(cells, recursion._residuals(cells, s, chi, prec)):
             J = 2 * first_n_primes(n)[-1] - 1
-            a, b = per_cell_partial_sum(chi, s, J, W, wide)
-            c, d = per_cell_euler_product(chi, s, n, W, wide)
-            assert (re, im, W) == (a - c, b - d, kernel_bits(prec))
+            a, b = per_cell_partial_sum(chi, s, J, W)
+            c, d = per_cell_euler_product(chi, s, n, W)
+            assert (re, im, W_ball) == (a - c, b - d, W)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS, prec=PREC)
+    @example(k=13, pick=5, s=30, cells=UNSORTED_PRODUCTS, prec=1400)
+    @example(**MOD70_ANY, cells=MOD70_PRODUCTS)
+    @example(k=13, pick=2, s=41, cells=[12, 2, 7, 2], prec=700)
+    def test_pass_matches_single_cells(self, k, pick, s, cells, prec):
+        # an n's ball does not depend on the other n of its pass
+        chi = any_character(k, pick)
+        balls = recursion._residuals(cells, s, chi, prec)
+        assert balls == [recursion._residuals([n], s, chi, prec)[0] for n in cells]
 
     @settings(max_examples=150, deadline=None)
     @given(
-        k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), sums=SUM_CELLS, products=PRODUCT_CELLS
+        k=st.integers(1, 24),
+        pick=PICK,
+        s=st.integers(1, 60),
+        sums=SUM_CELLS,
+        products=PRODUCT_CELLS,
+        prec=PREC,
     )
     # a sum ending at J = 1, before the first prime, and a product ending at
     # p_30 = 113, past the last J
-    @example(k=13, pick=5, s=30, sums=[(1, 1400), (50, 64)], products=[(30, 300), (1, 64)])
+    @example(k=13, pick=5, s=30, sums=[1, 50], products=[30, 1], prec=1400)
     # a sum and a product closing at the same j = p_3 = 5
-    @example(k=13, pick=5, s=2, sums=[(5, 300), (9, 64)], products=[(3, 900)])
+    @example(k=13, pick=5, s=2, sums=[5, 9], products=[3], prec=900)
     @example(**MOD70_ANY, sums=MOD70_SUMS, products=MOD70_PRODUCTS)
-    def test_mixed_pass_matches_per_cell_loops(self, k, pick, s, sums, products):
+    def test_mixed_pass_matches_per_cell_loops(self, k, pick, s, sums, products, prec):
         chi = any_character(k, pick)
-        sums = [(J, kernel_bits(p)) for J, p in sums]
-        products = [(n, kernel_bits(p)) for n, p in products]
-        wide = max(W for _, W in sums + products)
-        assert recursion._kernels(chi, s, sums, products) == (
-            [per_cell_partial_sum(chi, s, J, W, wide) for J, W in sums],
-            [per_cell_euler_product(chi, s, n, W, wide) for n, W in products],
+        W = kernel_bits(prec)
+        assert recursion._kernels(chi, s, W, sums, products) == (
+            [per_cell_partial_sum(chi, s, J, W) for J in sums],
+            [per_cell_euler_product(chi, s, n, W) for n in products],
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS)
-    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_SUMS)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS, prec=PREC)
+    @example(k=13, pick=5, s=30, cells=UNSORTED_SUMS, prec=64)
     @example(**MOD70_GAUSSIAN, cells=MOD70_SUMS)
-    def test_sums_within_bound(self, k, pick, s, cells):
+    def test_sums_within_bound(self, k, pick, s, cells, prec):
         chi = gaussian_character(k, pick)
-        cells = [(J, kernel_bits(p)) for J, p in cells]
-        for (J, W), value in zip(cells, recursion._kernels(chi, s, cells, [])[0]):
+        W = kernel_bits(prec)
+        for J, value in zip(cells, recursion._kernels(chi, s, W, cells, [])[0]):
             exact = oracle.l_partial_sum_exact(chi, s, J)
             assert within(value, exact, sum_bound(chi, J), W)
 
     @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS)
-    @example(k=13, pick=5, s=30, cells=WIDE_SHORT_PRODUCTS)
-    @example(k=1, pick=0, s=1, cells=WIDE_SHORT_PRODUCTS)
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=PRODUCT_CELLS, prec=PREC)
+    @example(k=13, pick=5, s=30, cells=UNSORTED_PRODUCTS, prec=64)
+    @example(k=1, pick=0, s=1, cells=UNSORTED_PRODUCTS, prec=64)
     @example(**MOD70_GAUSSIAN, cells=MOD70_PRODUCTS)
-    def test_products_within_bound(self, k, pick, s, cells):
+    def test_products_within_bound(self, k, pick, s, cells, prec):
         chi = gaussian_character(k, pick)
-        cells = [(n, kernel_bits(p)) for n, p in cells]
-        for (n, W), value in zip(cells, recursion._kernels(chi, s, [], cells)[1]):
+        W = kernel_bits(prec)
+        for n, value in zip(cells, recursion._kernels(chi, s, W, [], cells)[1]):
             exact = oracle.euler_product_exact(chi, s, n)
             assert within(value, exact, product_bound(n, s), W)
 
     @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=BALL_CELLS)
-    @example(k=1, pick=0, s=1, cells=[(6, 64)])
-    @example(k=5, pick=1, s=60, cells=[(2, 64)])
-    @example(k=13, pick=5, s=30, cells=[(6, 64), (1, 1400), (4, 300), (1, 200), (6, 900)])
-    @example(k=70, pick=MOD70_GAUSSIAN["pick"], s=100, cells=list(zip(range(1, 7), PREC70)))
-    def test_ball_contains_exact_residual(self, k, pick, s, cells):
+    @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=BALL_CELLS, prec=PREC)
+    @example(k=1, pick=0, s=1, cells=[6], prec=64)
+    @example(k=5, pick=1, s=60, cells=[2], prec=64)
+    @example(k=13, pick=5, s=30, cells=[6, 1, 4, 1, 6], prec=64)
+    @example(k=70, pick=MOD70_GAUSSIAN["pick"], s=100, cells=list(range(1, 7)), prec=PREC70)
+    def test_ball_contains_exact_residual(self, k, pick, s, cells, prec):
         chi = gaussian_character(k, pick)
-        ns = [n for n, _ in cells]
-        balls = recursion._residuals(ns, s, chi, [PrecisionContext(p) for _, p in cells])
-        for (n, prec), (re, im, W, radius) in zip(cells, balls):
+        for n, (re, im, W, radius) in zip(cells, recursion._residuals(cells, s, chi, prec)):
             J = 2 * first_n_primes(n)[-1] - 1
             assert W == kernel_bits(prec)
             assert radius == math.ceil(sum_bound(chi, J)) + product_bound(n, s)
@@ -355,6 +353,26 @@ class TestSharedPass:
         got = recursion.estimate_many((n for n in (4, 2, 4)), 20, chi)
         assert got == recursion.estimate_many([4, 2, 4], 20, chi)
         assert [r.n for r in got] == [4, 2, 4]
+
+    @pytest.mark.parametrize(
+        "modulus, label, ns, s", [(1, 1, range(2, 31), 20), (13, 2, [12, 2, 7, 2], 41)]
+    )
+    def test_estimate_many_runs_at_the_widest_precision(self, monkeypatch, modulus, label, ns, s):
+        # every cell finishes from its one-n ball at the widest n's precision
+        # and reports its own
+        chi, ns = enumerate_characters(modulus).by_label(label), list(ns)
+        finish, balls = recursion._finish, []
+
+        def spy(n, s, chi, ctx, terms, ball):
+            balls.append(ball)
+            return finish(n, s, chi, ctx, terms, ball)
+
+        monkeypatch.setattr(recursion, "_finish", spy)
+        precs = [recursion.required_precision(n, s, chi).prec_bits for n in ns]
+        assert len(set(precs)) > 1
+        got = recursion.estimate_many(ns, s, chi)
+        assert [r.prec_bits for r in got] == precs
+        assert balls == [recursion._residuals([n], s, chi, max(precs))[0] for n in ns]
 
     def test_estimate_many_matches_estimate(self):
         for chi, ns in ((K1, range(2, 31)), (G5.by_label(2), [6, 2, 4, 2]), (G9.by_label(3), [1, 7])):
@@ -384,22 +402,20 @@ class TestSharedPass:
     )
     def test_roots_at_one_width(self, monkeypatch, ns, precs):
         # each folded angle's series runs once, at the pass's width (32 bits
-        # past the widest cell's W), for the L-sum and the product together
+        # past its W), for the L-sum and the product together
         from primerec import mpnum
 
         chi, s, ns = enumerate_characters(7).by_label(3), 41, list(ns)
         if precs is None:
-            ctxs = [recursion.required_precision(n, s, chi) for n in ns]
-        else:
-            ctxs = [PrecisionContext(p) for p in precs]
+            precs = [recursion.required_precision(n, s, chi).prec_bits for n in ns]
         calls = []
         series = mpnum._fp_sin_cos
         mpnum._octant_root.cache_clear()
         monkeypatch.setattr(mpnum, "_fp_sin_cos", lambda *args: calls.append(args) or series(*args))
-        recursion._residuals(ns, s, chi, ctxs)
+        recursion._residuals(ns, s, chi, max(precs))
         angles = {(p, q) for p, q, _ in calls if p}
         assert angles and len(calls) == len({(p, q) for p, q, _ in calls})
-        assert {wp2 for _, _, wp2 in calls} == {max(kernel_bits(ctx.prec_bits) for ctx in ctxs) + 32}
+        assert {wp2 for _, _, wp2 in calls} == {kernel_bits(max(precs)) + 32}
 
 
 class TestEulerProduct:
@@ -579,13 +595,23 @@ class TestEstimate:
                 recursion.estimate(1, 50, chi, prec_bits=prec_bits)
         assert issubclass(ZeroResidualError, DomainError)
 
-    @pytest.mark.parametrize("prec_bits", [64, 10**7])
-    def test_override_never_hides_zero_residual(self, prec_bits):
-        # the cell would need 196 bits, and 10**7 bits project far above the
-        # cost cap: neither the low nor the costly override is what is wrong
+    @pytest.mark.parametrize(
+        "s, prec_bits",
+        [
+            pytest.param(50, 64, id="64"),
+            pytest.param(50, 10**7, id="10000000"),
+            pytest.param(10**7, None, id="s=10000000"),
+            pytest.param(10**15, None, id="s=1000000000000000"),
+        ],
+    )
+    def test_override_never_hides_zero_residual(self, s, prec_bits):
+        # at s = 50 the cell would need 196 bits, and 10**7 bits project far
+        # above the cost cap; s = 10**7 projects about 6.8e15 and 10**15 is
+        # past the cap itself: neither a low override nor a costly input is
+        # what is wrong, since nothing needs computing
         chi = enumerate_characters(6).by_label(1)
         with pytest.raises(ZeroResidualError, match="exactly zero for modulus 6, label 1 at n=1"):
-            recursion.estimate(1, 50, chi, prec_bits=prec_bits)
+            recursion.estimate(1, s, chi, prec_bits=prec_bits)
 
     def test_warning_when_character_vanishes_at_target(self):
         res = recursion.estimate(2, 50, G5.by_label(2))
@@ -607,7 +633,7 @@ class TestEstimate:
         # a nonzero midpoint whose ball still contains 0 is refused; one
         # component beyond the radius resolves the residual from 0
         def balls(mid):
-            return lambda ns, s, chi, ctxs: [mid + (kernel_bits(c.prec_bits), 5) for c in ctxs]
+            return lambda ns, s, chi, bits: [mid + (kernel_bits(bits), 5) for _ in ns]
 
         for mid in ((3, -2), (-5, 5), (0, 1)):
             monkeypatch.setattr(recursion, "_residuals", balls(mid))
@@ -634,9 +660,9 @@ class TestEstimate:
             recursion.estimate(2, 600, chi)
 
 
-def zero_balls(ns, s, chi, ctxs) -> list:
+def zero_balls(ns, s, chi, bits) -> list:
     """``recursion._residuals`` of residuals that vanished: midpoint 0, radius 1."""
-    return [(0, 0, kernel_bits(ctx.prec_bits), 1) for ctx in ctxs]
+    return [(0, 0, kernel_bits(bits), 1) for _ in ns]
 
 
 def exact_estimate(n: int, s: int, chi, digits: int) -> Fraction:
@@ -1022,7 +1048,7 @@ class TestCostGuard:
         def narrow_30(n, s, chi, prec_bits=None):
             if n != 30:
                 return sizing(n, s, chi, prec_bits)
-            return PrecisionContext(200), tuple(islice(recursion._tail_terms(n, chi), 2))
+            return PrecisionContext(200)
 
         monkeypatch.setattr(recursion, "_sizing", narrow_30)
         for ns in ([2], [30]):
