@@ -50,9 +50,8 @@ Algorithms
    its conjugate share one series.
 
 The fixed-point kernels take and return integers scaled by ``2**bits``:
-``_fp_ln`` and ``_fp_exp`` serve only the context's ``ln`` and ``exp``, and
-the truncated power ``_fp_pow`` serves ``recursion``'s estimate chain, which
-needs no ln or exp.
+``_fp_ln`` and ``_fp_exp`` serve only the context's ``ln`` and ``exp``;
+``recursion``'s estimate chain needs neither and keeps its own arithmetic.
 
 Constants (pi, ln 2) and first-octant roots of unity are memoised per
 precision in bounded ``functools.lru_cache``s, safe for concurrent readers
@@ -369,27 +368,6 @@ def _fp_exp(v: int, bits: int) -> int:
     for _ in range(k):
         acc = (acc * acc) >> wp2
     return acc >> (k + 16)
-
-
-def _fp_pow(m: int, k: int, bits: int) -> tuple[int, int]:
-    """``(v, e)`` with ``v * 2**e`` within ``2**(k.bit_length() + 1 - bits)``
-    relative of ``m**k`` (m, k >= 1), v at most ``bits`` bits long.
-
-    Left-to-right binary powering, each square truncated to ``bits`` bits:
-    ``k.bit_length() - 1`` truncations, the i-th doubled by each squaring
-    after it.
-    """
-    v, e = m, 0
-    for bit in bin(k)[3:]:
-        v *= v
-        e *= 2
-        if bit == "1":
-            v *= m
-        drop = v.bit_length() - bits
-        if drop > 0:
-            v >>= drop
-            e += drop
-    return v, e
 
 
 def _fp_sin_cos(p: int, q: int, wp2: int) -> tuple[int, int]:

@@ -30,7 +30,7 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    square root is needed, and ``_chain`` computes it in one pass over
    fixed-point integers at ``F = width + 160`` fractional bits, with one
    binomial series and no ln or exp: ``m1**(2s)`` by binary powering
-   (``mpnum._fp_pow``), each square truncated to ``G = F + g`` bits (g the
+   (``_fp_pow``), each square truncated to ``G = F + g`` bits (g the
    bit length of 2s); u as its product with ``|residual|**2``, both
    truncated to G bits; a 53-bit dyadic seed ``c = cm * 2**q`` near
    ``u**(-1/(2s))`` from the double of u's leading bits and its binary
@@ -42,11 +42,16 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    truncated to F bits.  With a libm within an ulp the seed leaves ``|d|``
    about ``2s * 2**-53``, so each term gains about ``53 - log2(2s)`` bits;
    when c rounds to 1 (u within about ``2**-53`` of 1) the seed is skipped
-   and ``d = u - 1``, about ``(m1/m2)**s``.  This is the argument reduction
-   of Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 4, by a cheap
-   seed.  The error and margin are the exact integer differences
-   ``|target - estimate|`` and ``|estimate - rounded|`` at the scale of
-   the rounded estimate's mantissa, each rounded once.
+   and ``d = u - 1``, about ``(m1/m2)**s``.  Where that leaves more series
+   terms than a power takes squarings, the chain refines its seed by
+   precision doubling: c becomes the chain's own root of u, scaled by a
+   power of 2 into about ``[1, 2)``, at ``F / 2 + 32`` bits (itself
+   refined the same way), which leaves ``|d|`` under about
+   ``12 s * 2**-(F/2 + 32)``, and the series ends in a few terms.  This is
+   the argument reduction of Brent & Zimmermann, *Modern Computer
+   Arithmetic*, ch. 4.  The error and margin are the exact integer
+   differences ``|target - estimate|`` and ``|estimate - rounded|`` at the
+   scale of the rounded estimate's mantissa, each rounded once.
    The chain cannot lose a bit the residual determines at P.  The residual
    resolves only about ``W + log2|residual| - log2(radius)`` bits relative
    (its radius below, at least 30 units of ``2**-W``), under
@@ -60,8 +65,9 @@ roughly ``p_{n+1}**-s``, so the subtraction cancels about
    ``H + 1`` terms, under 1.5 units of ``2**-F`` relative in all; and the
    final truncation adds one unit absolute, ``u**(1/(2s)) / m1`` relative.
    So ``m1 * c`` times the sum is within ``4 + u**(1/(2s)) / m1`` units
-   for any seed that leaves ``|d| <= 1/2`` (a poorer libm only runs more
-   terms), and below 5 where the estimate is at least 1 (whenever
+   for any seed that leaves ``|d| <= 1/2``, the double's or the refined
+   one (a poorer libm only runs more terms or refines more often), and
+   below 5 where the estimate is at least 1 (whenever
    ``|residual| <= 1``).  After the rounding the estimate is then within
    ``2**-(width + 95)`` relative: more than 50 bits below the last bit the
    residual resolves.  Running the chain at ``P`` could only re-derive
@@ -146,7 +152,6 @@ from .mpnum import (
     ZERO,
     PrecisionContext,
     _first_octant,
-    _fp_pow,
     fixed_root,
     nearest_int,
 )
@@ -168,8 +173,9 @@ __all__ = [
 # c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine (the Euler product's
 # per-prime work included).  A kernel pass (``_residuals``) refuses a
 # projected (J + _INVERSION_WEIGHT) * W**2, plus the computed roots' cost
-# below, above this cap (about 80 s there); an estimate's sizing
-# (``_sizing``) refuses that plus the chain cost below.
+# below, above this cap (about 80 s there), and so does an estimate's
+# sizing (``_sizing``): the chain after the kernels costs a few W-bit
+# products at any width (see ``_chain``).
 MAX_KERNEL_COST = 10**14
 # The Euler product ends in one inversion, whatever n is: for a complex
 # product a 3W-bit by 2W-bit division per component.  On the same machine, at
@@ -180,22 +186,6 @@ MAX_KERNEL_COST = 10**14
 # s = 300000 with the trivial character (J = 5, W = 776k) took 1.9 s, 4.0
 # units, where (J + 14) * W**2 projects 19.
 _INVERSION_WEIGHT = 14
-# The chain after the cancellation (``_chain``: two binary powers and a
-# binomial series of u = |residual|**2 * m1**(2s) in fixed point, see
-# ``_finish``) runs at about w = s * log2(base / m1) + 160 bits, known from
-# the tail terms before any arithmetic.  Each series term gains about
-# g = log2(1/|d|) bits: s * log2(m2 / m1) when u - 1, about (m1/m2)**s, is
-# below 2**-53 and the seed is skipped, and about 53 - log2(2s) after the
-# seed otherwise; so the chain takes about w / g products of w-bit integers
-# in CPython's Karatsuba time.  On the same machine, with ``prec_bits``
-# overrides at n = 2 and trivial chi, it took 0.28 s at w = 30k bits and
-# g = 46, 0.56-0.84 s at 50k and g = 47, 0.83-1.27 s at 98k and g = 210, and
-# 0.024-0.042 s at 43k and g = 789: at most 110 * w**2.5 / g in the kernel's
-# units of c, and the weight leaves room for a shared machine's swings.  At
-# the automatic precision g is about w, and the chain of n = 2 took
-# 0.0005-0.011 s at w = 8k, 26k, 53k and 79k bits, far below one unit of
-# c * W**2, which the kernels' (J + 14) * W**2 cover.
-_CHAIN_WEIGHT = 130
 # ``fixed_root`` computes a root of unity of order m not dividing 4 by the
 # sine's Taylor series at W bits, once per W for each first-octant angle the
 # values of chi on 1..J fold to (the L-sum and the product share it, and so
@@ -232,32 +222,36 @@ def _check_n_s(n: int, s: int) -> None:
         raise DomainError(f"s must be a positive integer, got {s!r}")
 
 
-def _is_smooth(m: int, ps: list) -> bool:
-    """Whether every prime factor of m lies in ``ps`` (ascending primes)."""
+def _cofactor(m: int, ps: list) -> int:
+    """What is left of m after dividing out the primes of ``ps`` (ascending)
+    up to the square root of what is left: m itself when none divides it."""
     for p in ps:
         if p * p > m:
             break
         while m % p == 0:
             m //= p
-    return m <= ps[-1]
+    return m
 
 
 def _tail_terms(n: int, chi: DirichletCharacter):
     """Ascending residual tail terms m with chi(m) != 0.
 
     The primes in (p_n, 2 p_n), then the p_n-smooth m >= 2 p_n; the second
-    part is empty when chi vanishes at every prime up to p_n.
+    part is empty when chi vanishes at every prime up to p_n.  Both are
+    found with the first n primes alone: a composite below ``2 p_n <=
+    p_n**2`` has a factor up to p_n, so a q there is prime when none
+    divides it, and an m is smooth when its cofactor is at most p_n.
     """
     ps = primes.first_n_primes(n)
     p = ps[-1]
     for q in range(p + 1, 2 * p):
-        if not chi(q).is_zero and primes.is_prime(q):
+        if not chi(q).is_zero and _cofactor(q, ps) == q:
             yield q
     if all(chi(q).is_zero for q in ps):
         return
     m = 2 * p
     while True:
-        if not chi(m).is_zero and _is_smooth(m, ps):
+        if not chi(m).is_zero and _cofactor(m, ps) <= p:
             yield m
         m += 1
 
@@ -305,7 +299,7 @@ def _values(chi: DirichletCharacter, J: int) -> tuple:
     return values, len({_first_octant(a, m)[:2] for a, m in values if 4 % m})
 
 
-def _check_cost(what: str, J: int, bits: int, roots: int, chain: int = 0) -> None:
+def _check_cost(what: str, J: int, bits: int, roots: int) -> None:
     """Refuse ``what`` at ``bits`` of precision when the projected cost
     exceeds the cap.
 
@@ -313,16 +307,15 @@ def _check_cost(what: str, J: int, bits: int, roots: int, chain: int = 0) -> Non
     ``_ROOT_WEIGHT * W**2.5`` for each of the ``roots`` roots of unity they
     compute: one per first-octant angle (``mpnum._first_octant``) other
     than 0, that is per angle of the values whose order does not divide 4.
-    ``chain`` is what runs after them, in the same units.
     """
     W = _kernel_bits(bits)
     kernel = (J + _INVERSION_WEIGHT) * W**2
     root_cost = roots * _ROOT_WEIGHT * W**2 * math.isqrt(W)
-    if kernel + root_cost + chain > MAX_KERNEL_COST:
+    if kernel + root_cost > MAX_KERNEL_COST:
         raise UnsupportedSizeError(
             f"{what} at {bits} bits projects a kernel cost "
             f"(J + {_INVERSION_WEIGHT})*W**2 = {kernel:.2e} plus {roots} computed roots of unity "
-            f"at {_ROOT_WEIGHT}*W**2.5 = {root_cost:.2e} plus a chain cost of {chain:.2e} bit**2, "
+            f"at {_ROOT_WEIGHT}*W**2.5 = {root_cost:.2e} bit**2, "
             f"above the cap of {MAX_KERNEL_COST:.0e}"
         )
 
@@ -336,11 +329,7 @@ def _sizing(
     which may only raise it.  The estimate's cost is checked once, at the
     larger of the override and ``ceil(s * log2(base)) - 1`` in floating
     point (a lower bound on the required bits), before the base is raised
-    to the s-th power: its
-    kernels and roots at J = 2 p_n - 1, and with two tail terms m1 < m2 the
-    chain at about ``P - s * log2(m1) + 64`` bits, clamped to ``[64, P]``,
-    which adds ``_CHAIN_WEIGHT * w**2.5 / g`` with g the series' gain, the
-    larger of ``s * log2(m2 / m1)`` and ``53 - log2(2s)``.
+    to the s-th power: its kernels and roots at J = 2 p_n - 1.
     """
     _check_n_s(n, s)
     if s > MAX_KERNEL_COST:
@@ -351,17 +340,11 @@ def _sizing(
             f"far above the cap of {MAX_KERNEL_COST:.0e}"
         )
     facts = _cell_facts(n, chi.modulus, chi.label)
-    num, den, terms = facts.num, facts.den, facts.terms
+    num, den = facts.num, facts.den
     if prec_bits is not None and not isinstance(prec_bits, int):
         raise DomainError(f"prec_bits must be an integer, got {prec_bits!r}")
     bits = max(64, math.ceil(s * math.log2(num / den)) - 1 + 96, prec_bits or 0)
-    chain = 0
-    if len(terms) == 2:
-        m1, m2 = terms
-        w = min(max(bits - math.floor(s * math.log2(m1)) + 64, 64), bits)
-        gain = max(math.floor(s * math.log2(m2 / m1)), 53 - (2 * s).bit_length())
-        chain = _CHAIN_WEIGHT * w * w * math.isqrt(w) // gain
-    _check_cost(f"n={n}, s={s}", facts.J, bits, facts.roots, chain)
+    _check_cost(f"n={n}, s={s}", facts.J, bits, facts.roots)
     # ceil(base**s) - 1 in integers
     top = num**s - 1 if den == 1 else -(-(num**s) // den**s) - 1
     required = max(64, top.bit_length() + 96)
@@ -571,8 +554,8 @@ def estimate(
     result rather than an exception, so sweeps keep their rows.  The
     residual is computed at the working precision (reported as
     ``prec_bits``); the rest at the width that survives the cancellation,
-    as the module docstring describes.  The estimate's kernel plus chain
-    cost is checked before the precision is sized in full (``_sizing``),
+    as the module docstring describes.  The estimate's kernel cost is
+    checked before the precision is sized in full (``_sizing``),
     and its kernel pass before it runs (``_residuals``): either raises
     ``UnsupportedSizeError`` above ``MAX_KERNEL_COST``.  A residual whose
     ball contains 0 raises ``PrecisionLossError``, and one that is exactly
@@ -619,6 +602,27 @@ def _estimates(ns, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = N
     return [_finish(n, s, chi, ctx, terms, ball) for n, (ctx, terms), ball in zip(ns, sized, balls)]
 
 
+def _fp_pow(m: int, k: int, bits: int) -> tuple:
+    """``(v, e)`` with ``v * 2**e`` within ``2**(k.bit_length() + 1 - bits)``
+    relative of ``m**k`` (m, k >= 1), v at most ``bits`` bits long.
+
+    Left-to-right binary powering, each square truncated to ``bits`` bits:
+    ``k.bit_length() - 1`` truncations, the i-th doubled by each squaring
+    after it.
+    """
+    v, e = m, 0
+    for bit in bin(k)[3:]:
+        v *= v
+        e *= 2
+        if bit == "1":
+            v *= m
+        drop = v.bit_length() - bits
+        if drop > 0:
+            v >>= drop
+            e += drop
+    return v, e
+
+
 def _seed(um: int, ue: int, k: int) -> tuple:
     """``(cm, ce)`` with the dyadic ``c = cm * 2**ce`` near ``u**(-1/k)`` for
     ``u = um * 2**ue`` (um > 0), cm in ``[2**52, 2**53]``.
@@ -655,19 +659,34 @@ def _binomial(D: int, k: int, H: int) -> int:
     return acc
 
 
+def _distance(um: int, ue: int, cm: int, ce: int, k: int, G: int, H: int) -> int:
+    """``d = u * c**k - 1`` as ``D = d * 2**H``, truncated, for
+    ``u = um * 2**ue`` and ``c = cm * 2**ce``, with ``c**k`` powered to G bits."""
+    pm, pe = _fp_pow(cm, k, G)
+    shift = ue + pe + k * ce + H
+    v = um * pm
+    return (v << shift if shift >= 0 else v >> -shift) - (1 << H)
+
+
 def _chain(sq: int, exp: int, m1: int, s: int, bits: int) -> int:
     """``m1 * u**(-1/(2s))`` with ``u = sq * 2**exp * m1**(2s)``, scaled by ``2**bits``.
 
     One pass over fixed-point integers (see the module docstring for the
     bound): u from ``sq`` and ``m1**(2s)``, both factors and their product
     truncated to ``G = bits + g`` bits with ``g`` the bit length of 2s; a
-    dyadic seed ``c`` near ``u**(-1/(2s))`` (``_seed``, skipped when it is
-    1) and ``d = u * c**(2s) - 1`` as ``D = d * 2**H``, ``H = G + log2(G)``;
+    dyadic seed ``c`` near ``u**(-1/(2s))`` (``_seed``, 1 when it rounds
+    there) and ``d = u * c**(2s) - 1`` (``_distance``), ``H = G + log2(G)``;
     then ``m1 * c * (1 + d)**(-1/(2s))`` by the binomial series
-    (``_binomial``).
+    (``_binomial``).  Where the series would take more than ``g + 2``
+    terms of ``H - log2|D|`` bits each, about what a power takes
+    squarings, c is refined first: the chain's own root of u at
+    ``bits // 2 + 32`` bits (m1 = 1, u scaled by ``2**(2s q)`` with
+    ``2**q`` the seed's leading power of 2, so the root lies near ``[1, 2)``
+    and keeps its relative precision).
     """
     k = 2 * s
     G = bits + k.bit_length()
+    H = G + G.bit_length()
     pm, pe = _fp_pow(m1, k, G)
     drop = max(0, sq.bit_length() - G)
     um, ue = (sq >> drop) * pm, exp + drop + pe
@@ -677,12 +696,12 @@ def _chain(sq: int, exp: int, m1: int, s: int, bits: int) -> int:
     if ce < 0 and cm == 1 << -ce:
         # c = 1: u is within about 2**-53 of 1 already
         cm, ce = 1, 0
-    else:
-        pm, pe = _fp_pow(cm, k, G)
-        um, ue = um * pm, ue + pe + k * ce
-    H = G + G.bit_length()
-    shift = ue + H
-    D = (um << shift if shift >= 0 else um >> -shift) - (1 << H)
+    D = _distance(um, ue, cm, ce, k, G, H)
+    half = bits // 2 + 32
+    if half < bits and (H - abs(D).bit_length()) * (k.bit_length() + 2) < H:
+        q = ce + cm.bit_length() - 1
+        cm, ce = _chain(um, ue + k * q, 1, s, half), q - half
+        D = _distance(um, ue, cm, ce, k, G, H)
     v, shift = m1 * cm * _binomial(D, k, H), H - bits - ce
     return v >> shift if shift >= 0 else v << -shift
 

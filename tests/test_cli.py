@@ -141,7 +141,7 @@ class TestEstimate:
         assert err.startswith("error: n=100000, s=100000") and "above the cap of 1e+14" in err
 
     @pytest.mark.parametrize("s", ["1000000", "10000000"])
-    def test_chain_cost_refused_at_once(self, capsys, s):
+    def test_kernel_cost_refused_at_once(self, capsys, s):
         t0 = time.perf_counter()
         code, out, err = invoke(capsys, "estimate", "--n", "2", "--s", s)
         assert time.perf_counter() - t0 < 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primerec import mpnum, oracle, recursion
+from primerec import mpnum, oracle, primes, recursion
 from primerec.analysis import d_table, neg_log_series, slope_series
 from primerec.characters import enumerate_characters, keller_one
 from primerec.errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
@@ -28,6 +28,8 @@ from primerec.mpnum import (
     to_float,
 )
 from primerec.primes import first_n_primes, is_prime
+
+from tail_decomposition import tail_terms
 
 K1 = keller_one()
 G4 = enumerate_characters(4)
@@ -772,8 +774,9 @@ class TestChain:
     """The fixed-point chain after the cancellation (``recursion._chain``).
 
     The chain is compared with ``decimal`` within the module docstring's
-    bound, ``4 + u**(1/(2s)) / m1`` units of ``2**-bits`` relative, and its
-    seed must leave ``|d| < 2**-30`` for the binomial series.  The ln and
+    bound, ``4 + u**(1/(2s)) / m1`` units of ``2**-bits`` relative, and
+    every seed, the double's or a refined one, must leave ``|d| < 2**-30``
+    for its binomial series.  The ln and
     exp kernels that ``PrecisionContext.ln`` and ``exp`` run on are
     compared with ``decimal`` too: ``_fp_ln`` within ``(|e| + 1) * bits``
     units of ``2**-bits``, e the binary exponent it extracts, and
@@ -815,7 +818,8 @@ class TestChain:
         chain = recursion._chain
         monkeypatch.setattr(recursion, "_chain", lambda *a: calls.append(a) or chain(*a))
         recursion.estimate(n, s, enumerate_characters(modulus).by_label(label))
-        (sq, exp, m1, _, bits), = calls
+        # the first call is the outer chain; any after it refine its seed
+        sq, exp, m1, _, bits = calls[0]
         self.check(monkeypatch, sq, exp, m1, s, bits)
 
     @pytest.mark.parametrize("bits", [64, 256, 1000, 5000])
@@ -829,26 +833,53 @@ class TestChain:
             (Fraction(1, 2**3000), 3, 1),
             (Fraction(1, 2**3000), 7, 5),
             (Fraction(2**3000), 5, 1000),
+            # c = u**(-1/2) near 2**-1500: a refined seed must be scaled
+            # to keep its relative precision at 160 and 532 bits
+            (Fraction(3 * 2**3000), 7, 1),
         ],
     )
     def test_far_from_one(self, monkeypatch, u, m1, s, bits):
         x = PrecisionContext(bits + 600).from_fraction(u / m1 ** (2 * s))
         self.check(monkeypatch, x.man, x.exp, m1, s, bits)
 
+    def test_refined_seed(self, monkeypatch):
+        # the double's seed leaves |d| near 2s * 2**-53, so at 20000 bits its
+        # series would run about 450 terms where a power of 2s = 100 takes 6
+        # squarings: the chain seeds from its own root at 10032 bits, and
+        # that one from its own at 5048, down to 375 bits, where the double
+        # serves
+        u, m1, s, bits = Fraction(6, 5) ** 3, 5, 50, 20000
+        x = PrecisionContext(bits + 600).from_fraction(u / m1 ** (2 * s))
+        widths = []
+        chain = recursion._chain
+        monkeypatch.setattr(recursion, "_chain", lambda *a: widths.append(a[4]) or chain(*a))
+        series = self.check(monkeypatch, x.man, x.exp, m1, s, bits)
+        assert widths[:4] == [20000, 10032, 5048, 2556] and len(series) == len(widths)
+        # the innermost series runs first, from the double; every later one
+        # gains more than half its width a term
+        assert all(H - abs(D).bit_length() > H // 2 for D, H in series[1:])
+
     @staticmethod
-    def check(monkeypatch, sq: int, exp: int, m1: int, s: int, bits: int):
+    def check(monkeypatch, sq: int, exp: int, m1: int, s: int, bits: int) -> list:
         series = []
         binomial = recursion._binomial
-        monkeypatch.setattr(recursion, "_binomial", lambda D, k, H: series.append((D, H)) or binomial(D, k, H))
+
+        def checked(D, k, H):
+            # before the series runs, which does not end at |d| = 1
+            assert abs(D) < 1 << (H - 30)
+            series.append((D, H))
+            return binomial(D, k, H)
+
+        monkeypatch.setattr(recursion, "_binomial", checked)
         got = recursion._chain(sq, exp, m1, s, bits)
-        (D, H), = series
-        assert abs(D) < 1 << (H - 30)
+        assert series
         digits = bits * 30103 // 100000 + 60
         want = decimal_chain(Fraction(sq) * Fraction(2) ** exp, m1, s, digits)
         with localcontext() as c:
             c.prec = digits
             # u**(1/(2s)) / m1 is 1 / want
             assert abs(Decimal(got) - want * Decimal(2) ** bits) / want <= 4 + 1 / want
+        return series
 
     @pytest.mark.parametrize("modulus", [5, 7, 13])
     def test_conjugates_give_identical_estimates(self, modulus):
@@ -876,6 +907,22 @@ class TestPrecisionSizing:
             recursion.estimate_many(range(2, 31), s, K1)
         assert sorted(found) == list(range(2, 31))
         assert recursion._cell_facts.cache_info().maxsize == recursion._CACHED_CELLS
+
+    def test_tail_terms_from_the_first_n_primes(self, monkeypatch):
+        # the decomposition's terms, found with is_prime, up to the program's
+        # second: the program finds the same ones with the first n primes
+        monkeypatch.setattr(primes, "is_prime", lambda m: pytest.fail("is_prime ran"))
+        recursion._cell_facts.cache_clear()
+        for modulus in range(1, 13):
+            for chi in enumerate_characters(modulus).characters:
+                for n in range(1, 31):
+                    terms = recursion._cell_facts(n, modulus, chi.label).terms
+                    X = max((*terms, 2 * first_n_primes(n)[-1]))
+                    want = [x for x, _, _ in tail_terms(n, chi, X)][:2]
+                    assert want == list(terms), (modulus, chi.label, n)
+        recursion.estimate(2, 50, K1)
+        recursion.estimate_many(range(2, 8), 40, G5.by_label(2))
+        recursion.required_precision(5, 60, G9.by_label(2))
 
     def test_tail_terms_set_the_base(self):
         G10 = enumerate_characters(10)
@@ -983,9 +1030,8 @@ class TestRounding:
 
 
 class TestCostGuard:
-    """Inputs whose projected cost (the kernels' (J + 14) * W**2 and computed roots,
-    plus the chain's for an estimate) exceeds the cap are refused before the
-    kernel pass runs."""
+    """Inputs whose projected cost (the kernels' (J + 14) * W**2 and computed
+    roots) exceeds the cap are refused before the kernel pass runs."""
 
     @pytest.fixture(autouse=True)
     def no_kernel(self, monkeypatch):
@@ -1001,32 +1047,38 @@ class TestCostGuard:
     @pytest.mark.parametrize("s", [10**6, 10**7])
     def test_refused_before_sizing(self, monkeypatch, s):
         # n = 2: at s = 10**6 the kernels project about 1.3e14; at 10**7
-        # the base's s-th power alone takes seconds
-        def fail(*args):
-            raise AssertionError("sized in full or ran ln")
+        # the base's s-th power alone takes seconds, so the sizing's base
+        # refuses to be raised to any power
+        class Base(int):
+            def __pow__(self, *args):
+                raise AssertionError("the base was raised to the s-th power")
 
-        monkeypatch.setattr(Fraction, "__pow__", fail)
-        monkeypatch.setattr(PrecisionContext, "ln", fail)
+        cell_facts = recursion._cell_facts
+
+        def facts(*key):
+            f = cell_facts(*key)
+            return f._replace(num=Base(f.num))
+
+        monkeypatch.setattr(recursion, "_cell_facts", facts)
+        with pytest.raises(AssertionError, match="raised to the s-th power"):
+            recursion.required_precision(2, 50)
         with pytest.raises(UnsupportedSizeError, match=rf"n=2, s={s} .* above the cap of 1e\+14"):
             recursion.estimate(2, s, K1)
 
     def test_precision_override(self):
         # n = 2, s = 50 needs 226 bits; 2**23 bits projects (5 + 14) * (2**23 + 112)**2
-        with pytest.raises(UnsupportedSizeError, match="n=2, s=50"):
+        with pytest.raises(UnsupportedSizeError, match=r"n=2, s=50 at 8388608 bits .* = 1\.34e\+15"):
             recursion.estimate(2, 50, K1, prec_bits=1 << 23)
-        # 10**6 bits pass the kernel cap, but the chain would run at about
-        # 10**6 bits, gaining only 53 - log2(100) = 46 bits a series term
-        # after its seed (0.3 s at 3 * 10**4 bits on a 2-vCPU x86 machine,
-        # growing as w**2.5)
-        with pytest.raises(UnsupportedSizeError, match=r"n=2, s=50 at 1000000 bits .* chain cost of 2\.82e\+15"):
+        # 10**6 bits project 1.9e13 and run: the chain after the kernels,
+        # seeded from its own root at half its width, costs a few products
+        with pytest.raises(AssertionError, match="the kernel ran"):
             recursion.estimate(2, 50, K1, prec_bits=10**6)
 
     def test_computed_roots(self):
         # mod 7 label 2 takes four values of order 3 or 6 on 1..9 (n = 3), which
         # fold to one first-octant angle, so fixed_root runs one sine series at
         # W bits: at W = 240112 it projects 5 * W**2.5 = 1.41e14, where the
-        # kernels' (9 + 14) * W**2 = 1.3e12 and the chain (s = 2000, m1 = 10,
-        # m2 = 12) stay below the cap
+        # kernels' (9 + 14) * W**2 = 1.3e12 stay below the cap
         chi = enumerate_characters(7).by_label(2)
         roots = r"1 computed roots of unity at 5\*W\*\*2\.5 = 1\.41e\+14"
         with pytest.raises(UnsupportedSizeError, match=rf"n=3, s=2000 .* {roots}"):
@@ -1142,10 +1194,14 @@ class TestCostGuard:
             assert refused(call, lo) and not refused(call, hi)
 
     def test_projection_counts_the_inversion(self, monkeypatch):
-        # n = 2, s = 300000, trivial chi: the kernels took 6.4-6.6 s on a
-        # 2-vCPU x86 machine, most of it in the Euler product's final
-        # inversion, where J * W**2 alone projected 2.4 s at the documented
-        # 0.8e-12 s per unit; the projection must land within 2x of that
+        # n = 2, s = 300000, trivial chi: the weight of 14 was fitted when
+        # the kernels took 6.4-6.6 s on a 2-vCPU x86 machine, most of it in
+        # the Euler product's final inversion, where J * W**2 alone projected
+        # 2.4 s at the documented 0.8e-12 s per unit, and the projection is
+        # pinned within 2x of that.  A real product now inverts with one
+        # 2W-by-W division, and the kernels take 1.9 s, 4.0 units of W**2
+        # against the 19 projected: the projection over-counts real
+        # products (ROADMAP F12)
         ctx = recursion.required_precision(2, 300000)
         monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 0)
         with pytest.raises(UnsupportedSizeError) as info:
