@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import Counter
 
 from . import oracle, recursion
 from .characters import CHAR_ZERO, CharValue, enumerate_characters
@@ -25,41 +26,103 @@ ORACLE_S = (5, 10, 20, 40)
 ORACLE_REL_BITS = 64
 
 
-def _phi(k: int) -> int:
-    return sum(1 for n in range(k) if math.gcd(n, k) == 1) or 1
+def _generators(k: int, units: list) -> list:
+    """Ascending units mod k, each outside the subgroup the earlier ones generate.
+
+    The subgroup is grown by closure alone: every element reached is
+    multiplied by every generator kept so far until nothing new appears.
+    Together the returned units generate ``units``; ``[]`` for k = 1 and 2.
+    """
+    gens, subgroup = [], {1 % k}
+    for u in units:
+        if u in subgroup:
+            continue
+        gens.append(u)
+        subgroup.add(u)
+        frontier = [u]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = x * g % k
+                if y not in subgroup:
+                    subgroup.add(y)
+                    frontier.append(y)
+    return gens
+
+
+def _first_nonmultiplicative_pair(e: list, k: int, lcm: int):
+    """The first (m, n), m-major, with chi(m n) != chi(m) chi(n), or None."""
+    for m in range(k):
+        em = e[m]
+        row = [e[m * n % k] for n in range(k)]
+        want = [None] * k if em is None else [None if x is None else (em + x) % lcm for x in e]
+        if row != want:
+            return m, next(n for n in range(k) if row[n] != want[n])
+    return None
 
 
 def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
-    """Count, multiplicativity, orthogonality and zero pattern for k <= k_max."""
+    """Count, multiplicativity, orthogonality and zero pattern for k <= k_max.
+
+    Each value e(a/m) is held as the exponent ``a * (lcm / m)`` mod ``lcm``
+    (None for zero), and complete multiplicativity is proved from a
+    generating set of the units rather than by comparing every pair:
+
+    * The zero pattern is checked first: chi(n) = 0 exactly when
+      gcd(n, k) > 1.  Then a pair with a non-unit factor has a non-unit
+      product, and both sides of chi(m n) = chi(m) chi(n) are zero.
+    * Let H be the set of units n with chi(m n) = chi(m) chi(n) for every
+      unit m.  H is closed under products: for n1, n2 in H,
+      chi(m n1 n2) = chi(m n1) chi(n2) = chi(m) chi(n1) chi(n2)
+      = chi(m) chi(n1 n2), the last step being n2's property at m = n1.
+    * In a finite group a nonempty subset closed under products is a
+      subgroup.  Checking chi(m g) = chi(m) chi(g) for every unit m and
+      every generator g (found by ``_generators``, which does not consult
+      ``characters``) puts the generators in H, so H holds every unit.
+    * chi(1) = 1 puts 1 in H, which settles the trivial unit groups of
+      k = 1 and 2, where there is no generator.
+
+    That is O(k * r) work per character for r generators.  Only when the
+    proof or the zero pattern fails is every pair scanned, m-major, to name
+    the first failing (m, n).  Orthogonality sums each distinct value's
+    root once, times its count.
+    """
     failures = []
     for k in range(1, k_max + 1):
         group = enumerate_characters(k)
-        if len(group) != _phi(k):
-            failures.append(f"modulus {k}: expected {_phi(k)} characters, got {len(group)}")
+        zeros = [math.gcd(n, k) != 1 for n in range(k)]
+        units = [n for n in range(k) if not zeros[n]]
+        # each generator g with the residues m * g of the units m
+        images = [(g, [m * g % k for m in units]) for g in _generators(k, units)]
+        if len(group) != len(units):
+            failures.append(f"modulus {k}: expected {len(units)} characters, got {len(group)}")
         for ch in group.characters:
-            # each value e(a/m) as the exponent a * (lcm / m) mod lcm; None for zero
-            lcm = math.lcm(*(v.m for v in ch.table))
-            e = [None if v.is_zero else v.a * (lcm // v.m) for v in ch.table]
-            for m in range(k):
-                em = e[m]
-                row = [e[m * n % k] for n in range(k)]
-                want = [None] * k if em is None else [None if x is None else (em + x) % lcm for x in e]
-                if row != want:
-                    n = next(n for n in range(k) if row[n] != want[n])
+            counts = Counter(ch.table)
+            lcm = math.lcm(*(v.m for v in counts))
+            exponent = {v: None if v.is_zero else v.a * (lcm // v.m) for v in counts}
+            e = [exponent[v] for v in ch.table]
+            zeros_hold = [x is None for x in e] == zeros
+            proved = zeros_hold and e[1 % k] == 0 and all(
+                [e[i] for i in mg] == [(e[m] + e[g]) % lcm for m in units] for g, mg in images
+            )
+            if not proved:
+                pair = _first_nonmultiplicative_pair(e, k, lcm)
+                if pair is not None:
+                    m, n = pair
                     failures.append(
                         f"modulus {k} label {ch.label}: multiplicativity fails at ({m},{n})"
                     )
-                    break
-            for n in range(k):
-                if ch(n).is_zero != (k > 1 and math.gcd(n, k) > 1):
-                    failures.append(
-                        f"modulus {k} label {ch.label}: zero pattern fails at n={n}"
-                    )
-                    break
+            if not zeros_hold:
+                n = next(n for n in range(k) if (e[n] is None) != zeros[n])
+                failures.append(f"modulus {k} label {ch.label}: zero pattern fails at n={n}")
             if not ch.is_principal:
                 # the sum of the values, scaled by 2**256, must be below 2**-200
-                roots = [fixed_root(v.a, v.m, 256) for v in map(ch, range(k)) if not v.is_zero]
-                re, im = sum(r[0] for r in roots), sum(r[1] for r in roots)
+                re = im = 0
+                for v, count in counts.items():
+                    if not v.is_zero:
+                        cos, sin = fixed_root(v.a, v.m, 256)
+                        re += count * cos
+                        im += count * sin
                 if re * re + im * im > 1 << 112:
                     failures.append(
                         f"modulus {k} label {ch.label}: orthogonality sum is "
