@@ -62,11 +62,12 @@ def _first_nonmultiplicative_pair(e: list, k: int, lcm: int):
 
 
 def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
-    """Count, multiplicativity, orthogonality and zero pattern for k <= k_max.
+    """Count, distinct tables, multiplicativity, orthogonality, zeros; k <= k_max.
 
-    Each value e(a/m) is held as the exponent ``a * (lcm / m)`` mod ``lcm``
-    (None for zero), and complete multiplicativity is proved from a
-    generating set of the units rather than by comparing every pair:
+    Each value e(a/m) of the group mod k is held as the exponent
+    ``a * (lam / m)`` of e(1/lam), for lam the lcm of the group's value
+    denominators (None for zero), and complete multiplicativity is proved
+    from a generating set of the units rather than by comparing every pair:
 
     * The zero pattern is checked first: chi(n) = 0 exactly when
       gcd(n, k) > 1.  Then a pair with a non-unit factor has a non-unit
@@ -84,8 +85,9 @@ def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
 
     That is O(k * r) work per character for r generators.  Only when the
     proof or the zero pattern fails is every pair scanned, m-major, to name
-    the first failing (m, n).  Orthogonality sums each distinct value's
-    root once, times its count.
+    the first failing (m, n).  Label 1 must be 1 on every unit; every other
+    label's values must sum to zero, with each root e(a/lam) taken once per
+    modulus.  No table may repeat an earlier label's.
     """
     failures = []
     for k in range(1, k_max + 1):
@@ -96,17 +98,19 @@ def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
         images = [(g, [m * g % k for m in units]) for g in _generators(k, units)]
         if len(group) != len(units):
             failures.append(f"modulus {k}: expected {len(units)} characters, got {len(group)}")
+        values = set().union(*(ch.table for ch in group.characters))
+        lam = math.lcm(*(v.m for v in values))
+        exponent = {v: None if v.is_zero else v.a * (lam // v.m) for v in values}
+        roots = {x: fixed_root(x, lam, 256) for x in exponent.values() if x is not None}
+        labels = {}
         for ch in group.characters:
-            counts = Counter(ch.table)
-            lcm = math.lcm(*(v.m for v in counts))
-            exponent = {v: None if v.is_zero else v.a * (lcm // v.m) for v in counts}
             e = [exponent[v] for v in ch.table]
             zeros_hold = [x is None for x in e] == zeros
             proved = zeros_hold and e[1 % k] == 0 and all(
-                [e[i] for i in mg] == [(e[m] + e[g]) % lcm for m in units] for g, mg in images
+                [e[i] for i in mg] == [(e[m] + e[g]) % lam for m in units] for g, mg in images
             )
             if not proved:
-                pair = _first_nonmultiplicative_pair(e, k, lcm)
+                pair = _first_nonmultiplicative_pair(e, k, lam)
                 if pair is not None:
                     m, n = pair
                     failures.append(
@@ -115,12 +119,16 @@ def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
             if not zeros_hold:
                 n = next(n for n in range(k) if (e[n] is None) != zeros[n])
                 failures.append(f"modulus {k} label {ch.label}: zero pattern fails at n={n}")
-            if not ch.is_principal:
+            if ch.label == 1:
+                n = next((n for n in units if e[n] != 0), None)
+                if n is not None:
+                    failures.append(f"modulus {k} label 1: value at unit n={n} is not 1")
+            else:
                 # the sum of the values, scaled by 2**256, must be below 2**-200
                 re = im = 0
-                for v, count in counts.items():
-                    if not v.is_zero:
-                        cos, sin = fixed_root(v.a, v.m, 256)
+                for x, count in Counter(e).items():
+                    if x is not None:
+                        cos, sin = roots[x]
                         re += count * cos
                         im += count * sin
                 if re * re + im * im > 1 << 112:
@@ -128,6 +136,9 @@ def character_property_failures(k_max: int = CHARACTER_K_MAX) -> list:
                         f"modulus {k} label {ch.label}: orthogonality sum is "
                         f"({re} + {im}i) * 2**-256"
                     )
+            first = labels.setdefault(ch.table, ch.label)
+            if first != ch.label:
+                failures.append(f"modulus {k} label {ch.label}: table repeats label {first}")
     return failures
 
 
