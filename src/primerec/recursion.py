@@ -133,6 +133,10 @@ component rounded once from its integer.
 Exponent s is restricted to positive integers; s = 1 is accepted but of
 dubious value for the trivial character (the harmonic-like partial sum has
 no limit to track).
+
+Below the public entries every function takes the known primes, a tuple
+``ps`` with ``ps[:n] = p_1..p_n``, and reads no prime table; each entry reads
+it once, at entry, up to ``p_{n+1}`` where it compares with the target.
 """
 
 from __future__ import annotations
@@ -193,8 +197,8 @@ _INVERSION_WEIGHT = 14
 # units of c * W**2 at W = 50k bits and 1343-1460 at 100k, and 504-695 at
 # 25k: under 5 * W**2.5.
 _ROOT_WEIGHT = 5
-# (n, modulus, label) whose sizing facts (``_cell_facts``) are kept: a
-# ``slopes`` run visits 29 n for one character, a ``dtable`` one n per cell.
+# (primes, modulus, label) whose sizing facts (``_cell_facts``) are kept: a
+# ``slopes`` run visits 29 prime lists for one character, a ``dtable`` one per cell.
 _CACHED_CELLS = 256
 
 
@@ -215,14 +219,13 @@ class EstimateResult(NamedTuple):
     warning: Optional[str] = None
 
 
-def _check_n_s(n: int, s: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(s, int) or s < 1:
-        raise DomainError(f"s must be a positive integer, got {s!r}")
+def _check_n_s(n: int, s: int, name: str = "n") -> None:
+    for what, v in ((name, n), ("s", s)):
+        if not isinstance(v, int) or v < 1:
+            raise DomainError(f"{what} must be a positive integer, got {v!r}")
 
 
-def _cofactor(m: int, ps: list) -> int:
+def _cofactor(m: int, ps: tuple) -> int:
     """What is left of m after dividing out the primes of ``ps`` (ascending)
     up to the square root of what is left: m itself when none divides it."""
     for p in ps:
@@ -233,8 +236,8 @@ def _cofactor(m: int, ps: list) -> int:
     return m
 
 
-def _tail_terms(n: int, chi: DirichletCharacter):
-    """Ascending residual tail terms m with chi(m) != 0.
+def _tail_terms(ps: tuple, chi: DirichletCharacter):
+    """Ascending residual tail terms m with chi(m) != 0, for ``ps`` = p_1..p_n.
 
     The primes in (p_n, 2 p_n), then the p_n-smooth m >= 2 p_n; the second
     part is empty when chi vanishes at every prime up to p_n.  Both are
@@ -242,7 +245,6 @@ def _tail_terms(n: int, chi: DirichletCharacter):
     p_n**2`` has a factor up to p_n, so a q there is prime when none
     divides it, and an m is smooth when its cofactor is at most p_n.
     """
-    ps = primes.first_n_primes(n)
     p = ps[-1]
     for q in range(p + 1, 2 * p):
         if not chi(q).is_zero and _cofactor(q, ps) == q:
@@ -260,7 +262,7 @@ class _Facts(NamedTuple):
     """What the sizing, the cost guard and the radius know of (n, chi) before s."""
 
     J: int  # 2 p_n - 1, the L-sum's last index
-    terms: tuple  # the first two of ``_tail_terms(n, chi)``
+    terms: tuple  # the first two of ``_tail_terms(ps, chi)``
     num: int  # the base of ``required_precision`` is num / den
     den: int
     roots: int  # first-octant angles the kernels compute a root of unity for
@@ -268,16 +270,16 @@ class _Facts(NamedTuple):
 
 
 @lru_cache(maxsize=_CACHED_CELLS)
-def _cell_facts(n: int, modulus: int, label: int) -> _Facts:
-    """``_Facts`` of n and chi = (modulus, label).
+def _cell_facts(ps: tuple, modulus: int, label: int) -> _Facts:
+    """``_Facts`` of ``ps`` = p_1..p_n and chi = (modulus, label).
 
     None of them depends on s, so a series over s finds them once.  Keyed on
     the label, not the character, whose hash covers its whole table.
     """
-    p = primes.nth_prime(n)
+    p = ps[-1]
     J = 2 * p - 1
     chi = enumerate_characters(modulus).by_label(label)
-    terms = tuple(islice(_tail_terms(n, chi), 2))
+    terms = tuple(islice(_tail_terms(ps, chi), 2))
     # the base as num / den, den = 1 unless it is m2**2 / m1
     num, den = 2 * p, 1
     if len(terms) == 2:
@@ -320,10 +322,8 @@ def _check_cost(what: str, J: int, bits: int, roots: int) -> None:
         )
 
 
-def _sizing(
-    n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None
-) -> PrecisionContext:
-    """The (n, s) estimate's working precision.
+def _sizing(n: int, s: int, facts: _Facts, prec_bits: Optional[int] = None) -> PrecisionContext:
+    """The (n, s) estimate's working precision, from its ``_Facts``.
 
     The precision is ``required_precision(n, s, chi)``, or ``prec_bits``,
     which may only raise it.  The estimate's cost is checked once, at the
@@ -331,7 +331,6 @@ def _sizing(
     point (a lower bound on the required bits), before the base is raised
     to the s-th power: its kernels and roots at J = 2 p_n - 1.
     """
-    _check_n_s(n, s)
     if s > MAX_KERNEL_COST:
         # J >= 3 and W > 2 s, so the kernels alone cost more than 12 s**2;
         # refused before s meets floating point, which it may overflow
@@ -339,7 +338,6 @@ def _sizing(
             f"n={n}, s={s} projects a kernel cost above 12*s**2 bit**2, "
             f"far above the cap of {MAX_KERNEL_COST:.0e}"
         )
-    facts = _cell_facts(n, chi.modulus, chi.label)
     num, den = facts.num, facts.den
     if prec_bits is not None and not isinstance(prec_bits, int):
         raise DomainError(f"prec_bits must be an integer, got {prec_bits!r}")
@@ -371,7 +369,9 @@ def required_precision(
     ``UnsupportedSizeError`` when the estimate's projected cost exceeds
     ``MAX_KERNEL_COST`` (see ``estimate``).
     """
-    return _sizing(n, s, keller_one() if chi is None else chi)
+    _check_n_s(n, s)
+    chi = keller_one() if chi is None else chi
+    return _sizing(n, s, _cell_facts(tuple(primes.first_n_primes(n)), chi.modulus, chi.label))
 
 
 def _trunc(v: int, d: int) -> int:
@@ -402,13 +402,10 @@ def l_partial_sum(
     Refused with ``UnsupportedSizeError`` before any arithmetic where a
     residual with this J would be (see ``residual``).
     """
-    if not isinstance(J, int) or J < 1:
-        raise DomainError(f"J must be a positive integer, got {J!r}")
-    if not isinstance(s, int) or s < 1:
-        raise DomainError(f"s must be a positive integer, got {s!r}")
+    _check_n_s(J, s, "J")
     _check_cost(f"J={J}, s={s}", J, ctx.prec_bits, _values(chi, J)[1])
     W = _kernel_bits(ctx.prec_bits)
-    return _to_complex(ctx, _kernels(chi, s, W, [J], [])[0][0], W)
+    return _to_complex(ctx, _kernels(chi, s, W, (), [J], [])[0][0], W)
 
 
 def euler_product(
@@ -421,16 +418,17 @@ def euler_product(
     ``residual(n, s, chi, ctx)`` would be.
     """
     _check_n_s(n, s)
-    facts = _cell_facts(n, chi.modulus, chi.label)
+    ps = tuple(primes.first_n_primes(n))
+    facts = _cell_facts(ps, chi.modulus, chi.label)
     _check_cost(f"n={n}, s={s}", facts.J, ctx.prec_bits, facts.roots)
     W = _kernel_bits(ctx.prec_bits)
-    return _to_complex(ctx, _kernels(chi, s, W, [], [n])[1][0], W)
+    return _to_complex(ctx, _kernels(chi, s, W, ps, [], [n])[1][0], W)
 
 
-def _kernels(chi: DirichletCharacter, s: int, W: int, sums: list, products: list) -> tuple:
-    """The L-sum to J for every J in ``sums`` and the Euler product over n
-    primes for every n in ``products``, each a fixed-point ``(re, im)`` at
-    scale ``2**W``, in one pass over j.
+def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, products: list) -> tuple:
+    """The L-sum to J for every J in ``sums`` and the Euler product over
+    ``ps[:n]`` for every n in ``products``, each a fixed-point ``(re, im)``
+    at scale ``2**W``, in one pass over j.
 
     The pass divides each ``2**W // j**s`` once (for ``j = 2**a`` the shift
     ``2**(W - a s)``, or 0): it adds the quotient to the total of chi(j)
@@ -442,7 +440,7 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, sums: list, products: list
     ``a * 2**(2W) / a**2`` being exactly ``2**(2W) / a``.
     """
     one = 1 << W
-    ps = primes.first_n_primes(max(products)) if products else []
+    ps = ps[: max(products, default=0)]
     last_sum = max(sums, default=0)
     # every j up to the longest sum, then only the products' primes past it
     walk = range(1, last_sum + 1)
@@ -495,10 +493,7 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, sums: list, products: list
 
 
 def residual(
-    n: int,
-    s: int,
-    chi: DirichletCharacter,
-    ctx: Optional[PrecisionContext] = None,
+    n: int, s: int, chi: DirichletCharacter, ctx: Optional[PrecisionContext] = None
 ) -> BigComplex:
     """Partial sum up to 2 p_n - 1 minus the n-prime Euler product.
 
@@ -508,43 +503,45 @@ def residual(
     (see there) with ``UnsupportedSizeError`` before the kernels run.
     """
     _check_n_s(n, s)
-    if ctx is None:
-        ctx = required_precision(n, s, chi)
-    re, im, W, _ = _residuals([n], s, chi, ctx.prec_bits)[0]
-    return _to_complex(ctx, (re, im), W)
+    return _residual(tuple(primes.first_n_primes(n)), n, s, chi, ctx)[1]
 
 
-def _residuals(ns, s: int, chi: DirichletCharacter, bits: int) -> list:
-    """The residual of each n in ``ns`` at ``bits`` of precision as a ball
-    ``(re, im, W, radius)`` (see the module docstring), all the L-sums and
-    products in one ``_kernels`` pass at ``W = _kernel_bits(bits)``.  The
-    pass is checked first: the longest n's indices and roots at that W."""
-    facts = [_cell_facts(n, chi.modulus, chi.label) for n in ns]
-    longest = _cell_facts(max(ns), chi.modulus, chi.label)
+def _residual(ps: tuple, n: int, s: int, chi: DirichletCharacter, ctx: Optional[PrecisionContext]) -> tuple:
+    """``(ctx, residual)`` of the first n primes of ``ps``, at ``ctx`` or, when it
+    is None, at ``required_precision``."""
+    facts = _cell_facts(ps[:n], chi.modulus, chi.label)
+    ctx = _sizing(n, s, facts) if ctx is None else ctx
+    re, im, W, _ = _residuals(ps, [n], s, chi, ctx.prec_bits, [facts])[0]
+    return ctx, _to_complex(ctx, (re, im), W)
+
+
+def _residuals(ps: tuple, ns: list, s: int, chi: DirichletCharacter, bits: int, facts: list) -> list:
+    """The residual of each n in ``ns`` (its ``_Facts`` in ``facts``) at
+    ``bits`` of precision as a ball ``(re, im, W, radius)`` (see the module
+    docstring), all the L-sums and products over ``ps`` in one ``_kernels``
+    pass at ``W = _kernel_bits(bits)``.  The pass is checked first: the
+    longest n's indices and roots at that W."""
+    longest = facts[ns.index(max(ns))]
     _check_cost(f"n={', '.join(map(str, ns))}, s={s}", longest.J, bits, longest.roots)
     W = _kernel_bits(bits)
-    sums, products = _kernels(chi, s, W, [f.J for f in facts], ns)
-    out = []
-    for n, f, (a, b), (c, d) in zip(ns, facts, sums, products):
-        scale = primes.nth_prime(n) ** 3 if s == 1 else 1
-        out.append((a - c, b - d, W, f.sum_units + (20 * n + 2) * scale))
-    return out
+    sums, products = _kernels(chi, s, W, ps, [f.J for f in facts], ns)
+    return [
+        (a - c, b - d, W, f.sum_units + (20 * n + 2) * (ps[n - 1] ** 3 if s == 1 else 1))
+        for n, f, (a, b), (c, d) in zip(ns, facts, sums, products)
+    ]
 
 
 def scaled_residual(n: int, s: int, chi: DirichletCharacter) -> BigComplex:
     """residual * p_{n+1}**s; converges to chi(p_{n+1}) as s grows."""
-    ctx = required_precision(n, s, chi)
-    target = primes.nth_prime(n + 1)
-    r = residual(n, s, chi, ctx=ctx)
-    scale = ctx.from_int(target**s)
+    _check_n_s(n, s)
+    ps = tuple(primes.first_n_primes(n + 1))
+    ctx, r = _residual(ps, n, s, chi, None)
+    scale = ctx.from_int(ps[n] ** s)
     return BigComplex(ctx.mul(r.re, scale), ctx.mul(r.im, scale))
 
 
 def estimate(
-    n: int,
-    s: int,
-    chi: DirichletCharacter,
-    prec_bits: Optional[int] = None,
+    n: int, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None
 ) -> EstimateResult:
     """|residual|**(-1/s) with rounding, target comparison and diagnostics.
 
@@ -561,7 +558,8 @@ def estimate(
     ball contains 0 raises ``PrecisionLossError``, and one that is exactly
     0 ``ZeroResidualError``, whatever the override.
     """
-    return _estimates([n], s, chi, prec_bits)[0]
+    _check_n_s(n, s)
+    return _estimates(tuple(primes.first_n_primes(n + 1)), [n], s, chi, prec_bits)[0]
 
 
 def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
@@ -579,27 +577,27 @@ def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
     printed to 17 digits, can change only where such a move crosses a
     rounding boundary of the 17th digit.
     """
-    return _estimates(ns, s, chi)
-
-
-def _estimates(ns, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None) -> list:
-    """Size every n, run the kernels of all of them at the widest n's
-    precision, then each chain at its own."""
     ns = list(ns)
-    if not ns:
-        return []
-    sized = []
     for n in ns:
         _check_n_s(n, s)
-        terms = _cell_facts(n, chi.modulus, chi.label).terms
-        if not terms:
+    return _estimates(tuple(primes.first_n_primes(max(ns) + 1)), ns, s, chi) if ns else []
+
+
+def _estimates(ps: tuple, ns: list, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None) -> list:
+    """Size every n, run the kernels of all of them at the widest n's
+    precision, then each chain at its own, against its target ``ps[n]``."""
+    facts = [_cell_facts(ps[:n], chi.modulus, chi.label) for n in ns]
+    sized = []
+    for n, f in zip(ns, facts):
+        if not f.terms:
             raise ZeroResidualError(
                 f"the residual is exactly zero for modulus {chi.modulus}, label {chi.label} at "
                 f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
             )
-        sized.append((_sizing(n, s, chi, prec_bits), terms))
-    balls = _residuals(ns, s, chi, max(ctx.prec_bits for ctx, _ in sized))
-    return [_finish(n, s, chi, ctx, terms, ball) for n, (ctx, terms), ball in zip(ns, sized, balls)]
+        sized.append(_sizing(n, s, f, prec_bits))
+    balls = _residuals(ps, ns, s, chi, max(ctx.prec_bits for ctx in sized), facts)
+    cells = zip(ns, facts, sized, balls)
+    return [_finish(n, s, chi, ctx, f.terms, ball, ps[n]) for n, f, ctx, ball in cells]
 
 
 def _fp_pow(m: int, k: int, bits: int) -> tuple:
@@ -707,16 +705,15 @@ def _chain(sq: int, exp: int, m1: int, s: int, bits: int) -> int:
 
 
 def _finish(
-    n: int, s: int, chi: DirichletCharacter, ctx: PrecisionContext, terms: tuple, ball: tuple
+    n: int, s: int, chi: DirichletCharacter, ctx: PrecisionContext, terms: tuple, ball: tuple, target: int
 ) -> EstimateResult:
-    """The estimate, error and margin from the residual's ball at ``ctx``."""
+    """The estimate, error and margin against ``target`` from the residual's ball at ``ctx``."""
     re, im, W, radius = ball
     if abs(re) <= radius and abs(im) <= radius:
         raise PrecisionLossError(
             f"the residual is not resolved from zero at working precision ({ctx.prec_bits} bits) "
             f"for n={n}, s={s}; retry with a larger prec_bits (--precision)"
         )
-    target = primes.nth_prime(n + 1)
     warning = None
     if chi(target).is_zero:
         warning = (

@@ -11,7 +11,10 @@ residual's working precision, before the 64-bit subtraction.
 ``slopes_n2-12_s20-80_mod13_label2.csv`` runs shared kernel passes for a
 character of 12 values, with computed roots of unity of order 3, 6 and
 12; it was written while each cell of a pass was still truncated from the
-widest cell's width to its own.  Each CLI file name is its command line.
+widest cell's width to its own.  ``slopes_n2-30_s20-150.csv``, the CI
+worker-loop grid, pins n = 13..30 and was written while the recursion's
+internals still read the prime table themselves.  Each CLI file name is its
+command line.
 
 ``scan_mod1-24.txt`` holds one ``estimate`` per line for every character
 mod 1..24, n in SCAN_N and s in SCAN_S: ``k label n s prec_bits rounded``
@@ -36,6 +39,7 @@ from primerec.recursion import estimate
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {
+    "slopes_n2-30_s20-150.csv": ["slopes", "--n-min", "2", "--n-max", "30", "--s-min", "20", "--s-max", "150"],
     "slopes_n2-12_s20-80.csv": ["slopes", "--n-min", "2", "--n-max", "12", "--s-min", "20", "--s-max", "80"],
     "slopes_n2-12_s20-80_mod13_label2.csv": [
         "slopes", "--n-min", "2", "--n-max", "12", "--s-min", "20", "--s-max", "80",

@@ -12,6 +12,9 @@ helper left behind when its last caller goes fails here.  A stale
 
 A fresh interpreter that imports the package and builds the CLI parser
 loads none of the modules that only some commands use.
+
+``recursion`` reads the prime table only in its public entries, once in
+each: everything below them takes the primes it is given.
 """
 
 import ast
@@ -104,6 +107,44 @@ def test_catches_an_unreferenced_private_name(tmp_path):
     a.write_text('"""Doc."""\n\n_LIMIT = 3\n_cache = {}\n\n\ndef _left_behind(x):\n    return x\n')
     b.write_text('"""Doc."""\n\nfrom .a import _LIMIT\nfrom . import a\n\ny = a._cache\n')
     assert unreferenced_private_names([a, b]) == ["a.py:7 _left_behind"]
+
+
+# The public entries of ``recursion`` that read the prime table.
+PRIME_READERS = {
+    "required_precision", "euler_product", "residual", "scaled_residual", "estimate", "estimate_many",
+}
+
+
+def prime_table_reads(path: Path, readers: set) -> list:
+    """``file:line`` for each reference to the ``primes`` module, or import
+    from it, outside the functions ``readers`` and past the first in each."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in tree.body:
+        reads = sorted(
+            n.lineno
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and n.id == "primes"
+            or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == "primes"
+        )
+        if isinstance(node, ast.FunctionDef) and node.name in readers:
+            reads = reads[1:]
+        found += [f"{path.name}:{line}" for line in reads]
+    return found
+
+
+def test_recursion_reads_primes_only_at_entry():
+    assert prime_table_reads(SRC / "recursion.py", PRIME_READERS) == []
+
+
+def test_catches_a_prime_table_read(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        '"""Doc."""\n\nfrom . import primes\nfrom .primes import nth_prime\n\n\n'
+        "def entry(n):\n    ps = primes.first_n_primes(n)\n    return ps, primes.nth_prime(n)\n\n\n"
+        "def _inner(n):\n    return primes.nth_prime(n)\n"
+    )
+    assert prime_table_reads(mod, {"entry"}) == ["mod.py:4", "mod.py:9", "mod.py:13"]
 
 
 def missing_exports(module) -> list:

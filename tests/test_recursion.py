@@ -205,11 +205,19 @@ G5_REAL = G5.characters.index(G5.by_label(3))
 SWEEP_S = 1900
 SWEEP_PREC = recursion.required_precision(2, SWEEP_S).prec_bits
 SWEEP_PREC_MOD5 = recursion.required_precision(2, SWEEP_S, G5.by_label(3)).prec_bits
+# the primes every pass below takes its cells' primes from
+PS = tuple(first_n_primes(30))
 PICK = st.integers(0, 10**6)
 PREC = st.integers(64, 1500)
 SUM_CELLS = st.lists(st.integers(1, 120), min_size=1, max_size=5)
 PRODUCT_CELLS = st.lists(st.integers(1, 30), min_size=1, max_size=5)
 BALL_CELLS = st.lists(st.integers(1, 6), min_size=1, max_size=5)
+
+
+def residuals(ns, s: int, chi, bits: int) -> list:
+    """``recursion._residuals`` of ``ns`` from ``PS``, with the facts of each n."""
+    facts = [recursion._cell_facts(PS[:n], chi.modulus, chi.label) for n in ns]
+    return recursion._residuals(PS, ns, s, chi, bits, facts)
 
 
 class TestSharedPass:
@@ -233,8 +241,8 @@ class TestSharedPass:
     def test_single_cell_matches_per_cell_loop(self, k, pick, s, J, n, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
-        assert recursion._kernels(chi, s, W, [J], [])[0] == [per_cell_partial_sum(chi, s, J, W)]
-        assert recursion._kernels(chi, s, W, [], [n])[1] == [per_cell_euler_product(chi, s, n, W)]
+        assert recursion._kernels(chi, s, W, PS, [J], [])[0] == [per_cell_partial_sum(chi, s, J, W)]
+        assert recursion._kernels(chi, s, W, PS, [], [n])[1] == [per_cell_euler_product(chi, s, n, W)]
 
     @settings(max_examples=150, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS, prec=PREC)
@@ -245,7 +253,7 @@ class TestSharedPass:
     def test_sums_match_running_pass(self, k, pick, s, cells, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
-        got = recursion._kernels(chi, s, W, cells, [])[0]
+        got = recursion._kernels(chi, s, W, PS, cells, [])[0]
         assert got == [per_cell_partial_sum(chi, s, J, W) for J in cells]
 
     @settings(max_examples=150, deadline=None)
@@ -257,7 +265,7 @@ class TestSharedPass:
     def test_products_match_running_pass(self, k, pick, s, cells, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
-        got = recursion._kernels(chi, s, W, [], cells)[1]
+        got = recursion._kernels(chi, s, W, PS, [], cells)[1]
         assert got == [per_cell_euler_product(chi, s, n, W) for n in cells]
 
     @settings(max_examples=100, deadline=None)
@@ -270,7 +278,7 @@ class TestSharedPass:
         # the product's factors share the L-sum's quotients of their primes
         chi = any_character(k, pick)
         W = kernel_bits(prec)
-        for n, (re, im, W_ball, _) in zip(cells, recursion._residuals(cells, s, chi, prec)):
+        for n, (re, im, W_ball, _) in zip(cells, residuals(cells, s, chi, prec)):
             J = 2 * first_n_primes(n)[-1] - 1
             a, b = per_cell_partial_sum(chi, s, J, W)
             c, d = per_cell_euler_product(chi, s, n, W)
@@ -284,8 +292,8 @@ class TestSharedPass:
     def test_pass_matches_single_cells(self, k, pick, s, cells, prec):
         # an n's ball does not depend on the other n of its pass
         chi = any_character(k, pick)
-        balls = recursion._residuals(cells, s, chi, prec)
-        assert balls == [recursion._residuals([n], s, chi, prec)[0] for n in cells]
+        balls = residuals(cells, s, chi, prec)
+        assert balls == [residuals([n], s, chi, prec)[0] for n in cells]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -305,7 +313,7 @@ class TestSharedPass:
     def test_mixed_pass_matches_per_cell_loops(self, k, pick, s, sums, products, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
-        assert recursion._kernels(chi, s, W, sums, products) == (
+        assert recursion._kernels(chi, s, W, PS, sums, products) == (
             [per_cell_partial_sum(chi, s, J, W) for J in sums],
             [per_cell_euler_product(chi, s, n, W) for n in products],
         )
@@ -317,7 +325,7 @@ class TestSharedPass:
     def test_sums_within_bound(self, k, pick, s, cells, prec):
         chi = gaussian_character(k, pick)
         W = kernel_bits(prec)
-        for J, value in zip(cells, recursion._kernels(chi, s, W, cells, [])[0]):
+        for J, value in zip(cells, recursion._kernels(chi, s, W, PS, cells, [])[0]):
             exact = oracle.l_partial_sum_exact(chi, s, J)
             assert within(value, exact, sum_bound(chi, J), W)
 
@@ -329,7 +337,7 @@ class TestSharedPass:
     def test_products_within_bound(self, k, pick, s, cells, prec):
         chi = gaussian_character(k, pick)
         W = kernel_bits(prec)
-        for n, value in zip(cells, recursion._kernels(chi, s, W, [], cells)[1]):
+        for n, value in zip(cells, recursion._kernels(chi, s, W, PS, [], cells)[1]):
             exact = oracle.euler_product_exact(chi, s, n)
             assert within(value, exact, product_bound(n, s), W)
 
@@ -341,7 +349,7 @@ class TestSharedPass:
     @example(k=70, pick=MOD70_GAUSSIAN["pick"], s=100, cells=list(range(1, 7)), prec=PREC70)
     def test_ball_contains_exact_residual(self, k, pick, s, cells, prec):
         chi = gaussian_character(k, pick)
-        for n, (re, im, W, radius) in zip(cells, recursion._residuals(cells, s, chi, prec)):
+        for n, (re, im, W, radius) in zip(cells, residuals(cells, s, chi, prec)):
             J = 2 * first_n_primes(n)[-1] - 1
             assert W == kernel_bits(prec)
             assert radius == math.ceil(sum_bound(chi, J)) + product_bound(n, s)
@@ -365,16 +373,16 @@ class TestSharedPass:
         chi, ns = enumerate_characters(modulus).by_label(label), list(ns)
         finish, balls = recursion._finish, []
 
-        def spy(n, s, chi, ctx, terms, ball):
+        def spy(n, s, chi, ctx, terms, ball, target):
             balls.append(ball)
-            return finish(n, s, chi, ctx, terms, ball)
+            return finish(n, s, chi, ctx, terms, ball, target)
 
         monkeypatch.setattr(recursion, "_finish", spy)
         precs = [recursion.required_precision(n, s, chi).prec_bits for n in ns]
         assert len(set(precs)) > 1
         got = recursion.estimate_many(ns, s, chi)
         assert [r.prec_bits for r in got] == precs
-        assert balls == [recursion._residuals([n], s, chi, max(precs))[0] for n in ns]
+        assert balls == [residuals([n], s, chi, max(precs))[0] for n in ns]
 
     def test_estimate_many_matches_estimate(self):
         for chi, ns in ((K1, range(2, 31)), (G5.by_label(2), [6, 2, 4, 2]), (G9.by_label(3), [1, 7])):
@@ -414,7 +422,7 @@ class TestSharedPass:
         series = mpnum._fp_sin_cos
         mpnum._octant_root.cache_clear()
         monkeypatch.setattr(mpnum, "_fp_sin_cos", lambda *args: calls.append(args) or series(*args))
-        recursion._residuals(ns, s, chi, max(precs))
+        residuals(ns, s, chi, max(precs))
         angles = {(p, q) for p, q, _ in calls if p}
         assert angles and len(calls) == len({(p, q) for p, q, _ in calls})
         assert {wp2 for _, _, wp2 in calls} == {kernel_bits(max(precs)) + 32}
@@ -635,7 +643,7 @@ class TestEstimate:
         # a nonzero midpoint whose ball still contains 0 is refused; one
         # component beyond the radius resolves the residual from 0
         def balls(mid):
-            return lambda ns, s, chi, bits: [mid + (kernel_bits(bits), 5) for _ in ns]
+            return lambda ps, ns, s, chi, bits, facts: [mid + (kernel_bits(bits), 5) for _ in ns]
 
         for mid in ((3, -2), (-5, 5), (0, 1)):
             monkeypatch.setattr(recursion, "_residuals", balls(mid))
@@ -662,7 +670,7 @@ class TestEstimate:
             recursion.estimate(2, 600, chi)
 
 
-def zero_balls(ns, s, chi, bits) -> list:
+def zero_balls(ps, ns, s, chi, bits, facts) -> list:
     """``recursion._residuals`` of residuals that vanished: midpoint 0, radius 1."""
     return [(0, 0, kernel_bits(bits), 1) for _ in ns]
 
@@ -902,7 +910,7 @@ class TestPrecisionSizing:
         recursion._cell_facts.cache_clear()
         found = []
         tail_terms = recursion._tail_terms
-        monkeypatch.setattr(recursion, "_tail_terms", lambda n, chi: found.append(n) or tail_terms(n, chi))
+        monkeypatch.setattr(recursion, "_tail_terms", lambda ps, chi: found.append(len(ps)) or tail_terms(ps, chi))
         for s in (20, 21, 22):
             recursion.estimate_many(range(2, 31), s, K1)
         assert sorted(found) == list(range(2, 31))
@@ -916,7 +924,7 @@ class TestPrecisionSizing:
         for modulus in range(1, 13):
             for chi in enumerate_characters(modulus).characters:
                 for n in range(1, 31):
-                    terms = recursion._cell_facts(n, modulus, chi.label).terms
+                    terms = recursion._cell_facts(PS[:n], modulus, chi.label).terms
                     X = max((*terms, 2 * first_n_primes(n)[-1]))
                     want = [x for x, _, _ in tail_terms(n, chi, X)][:2]
                     assert want == list(terms), (modulus, chi.label, n)
@@ -960,6 +968,34 @@ class TestPrecisionSizing:
         for got, want in ((res.estimate, est), (res.error, error), (res.margin, margin)):
             got = got.to_fraction()
             assert abs(got - want) <= want / (1 << 64), (float(got), float(want))
+
+
+class TestGivenPrimes:
+    """Below the public entries the recursion reads no prime table: from
+    primes it is given it finds the facts, balls and estimates the entries
+    find with the table."""
+
+    @pytest.mark.parametrize("modulus, label", [(1, 1), (7, 3), (13, 2)])
+    @pytest.mark.parametrize("s", [1, 41])
+    def test_patched_primes(self, monkeypatch, modulus, label, s):
+        chi, ns, ps = enumerate_characters(modulus).by_label(label), list(range(1, 31)), PS + (127,)
+        want = recursion.estimate_many(ns, s, chi)
+        ctx = PrecisionContext(max(r.prec_bits for r in want))
+        residuals = [recursion.residual(n, s, chi, ctx) for n in ns]
+        recursion._cell_facts.cache_clear()
+        for name in ("first_n_primes", "nth_prime", "is_prime"):
+            monkeypatch.setattr(primes, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        with pytest.raises(pytest.fail.Exception, match="first_n_primes ran"):
+            recursion.estimate(2, s, chi)
+        facts = [recursion._cell_facts(ps[:n], modulus, label) for n in ns]
+        balls = recursion._residuals(ps, ns, s, chi, ctx.prec_bits, facts)
+        assert [recursion._to_complex(ctx, ball[:2], ball[2]) for ball in balls] == residuals
+        # the chain, through _finish, from each n's own precision
+        got = [
+            recursion._finish(n, s, chi, recursion._sizing(n, s, f), f.terms, ball, ps[n])
+            for n, f, ball in zip(ns, facts, balls)
+        ]
+        assert got == want
 
 
 class TestErrorFunctionals:
@@ -1097,9 +1133,9 @@ class TestCostGuard:
         # at n = 2's W = 775697, (225 + 14) * W**2 = 1.44e14
         sizing = recursion._sizing
 
-        def narrow_30(n, s, chi, prec_bits=None):
+        def narrow_30(n, s, facts, prec_bits=None):
             if n != 30:
-                return sizing(n, s, chi, prec_bits)
+                return sizing(n, s, facts, prec_bits)
             return PrecisionContext(200)
 
         monkeypatch.setattr(recursion, "_sizing", narrow_30)
@@ -1131,6 +1167,18 @@ class TestCostGuard:
         monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 10**6)
         with pytest.raises(UnsupportedSizeError, match=r"s=50 at \d+ bits .* above the cap of 1e\+06"):
             call()
+
+    def test_past_the_prime_table(self):
+        # n = 10**6, s = 2 projects (J + 14) * W**2 of about 1e12, under the
+        # cap, but its target p_{n+1} is past the prime table's cap of 10**6
+        # primes: read at entry, it is refused before J ~ 3.1e7 indices run
+        for call in (
+            lambda: recursion.estimate(10**6, 2, K1),
+            lambda: recursion.estimate_many([2, 10**6], 2, K1),
+            lambda: recursion.scaled_residual(10**6, 2, K1),
+        ):
+            with pytest.raises(DomainError, match="prime count 1000001 exceeds the supported cap"):
+                call()
 
     def test_scaled_residual_and_dtable(self):
         with pytest.raises(UnsupportedSizeError):
