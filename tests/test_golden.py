@@ -13,8 +13,13 @@ character of 12 values, with computed roots of unity of order 3, 6 and
 12; it was written while each cell of a pass was still truncated from the
 widest cell's width to its own.  ``slopes_n2-30_s20-150.csv``, the CI
 worker-loop grid, pins n = 13..30 and was written while the recursion's
-internals still read the prime table themselves.  Each CLI file name is its
-command line.
+internals still read the prime table themselves.
+``sweep_n3_s1900-1950_mod5_label2.csv`` (a complex Euler product at the
+exponents of the bench's sweep) and ``estimate_n2_s100000.csv`` (about 258k
+bits) were written while each product was still inverted in full, 2**(2W)
+divided by the product at W bits, before the residual's subtraction.  Each CLI file
+name is its command line; every command but ``estimate``, which has no
+``--workers``, runs at one worker.
 
 ``scan_mod1-24.txt`` holds one ``estimate`` per line for every character
 mod 1..24, n in SCAN_N and s in SCAN_S: ``k label n s prec_bits rounded``
@@ -49,6 +54,10 @@ CASES = {
         "sweep", "--n", "5", "--s-min", "20", "--s-max", "120", "--modulus", "7", "--label", "3",
     ],
     "sweep_n2_s1850-1950.csv": ["sweep", "--n", "2", "--s-min", "1850", "--s-max", "1950"],
+    "sweep_n3_s1900-1950_mod5_label2.csv": [
+        "sweep", "--n", "3", "--s-min", "1900", "--s-max", "1950", "--modulus", "5", "--label", "2",
+    ],
+    "estimate_n2_s100000.csv": ["estimate", "--n", "2", "--s", "100000"],
     "dtable_n3-5_s50_mod5-8-13.csv": ["dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13"],
     "dtable_n3-5_s50_mod5-8-13.json": [
         "dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13", "--format", "json",
@@ -66,7 +75,8 @@ SCAN_S = (50, 200, 600)
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(capsys, name):
-    assert run(CASES[name] + ["--workers", "1"]) == 0
+    args = CASES[name]
+    assert run(args if args[0] == "estimate" else args + ["--workers", "1"]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
