@@ -84,17 +84,30 @@ product's primes are among the sum's indices, so each ``2**W // j**s`` is
 divided once (for ``j = 2**a`` it is the shift ``2**(W - a s)``, or 0):
 it is added into one total per character value and, when j is a prime
 ``p <= p_n``, multiplied into the running product as the factor
-``1 - chi(p) * (2**W // p**s)``.  The sum multiplies each total by its
-root once and the product is inverted once.  Roots of unity come from
-``mpnum.fixed_root`` at the same scale, each component truncated and
-within 2 units of ``2**-W`` (1 is exact).  Every rounding truncates
-toward zero, so conjugate characters give bit-conjugate results; a
-truncation by ``2**W`` is a signed shift.  Besides the quotients only the
-product's final inversion divides: a real product (imaginary part 0, as
-with every real character) once, ``2**(2W)`` by its W-bit real part
-``a``, since ``a 2**(2W) / a**2`` is exactly ``2**(2W) / a``; a complex
-one twice, a 3W-bit by a 2W-bit integer per component.  Each component
-of the sum is within ``J + c + 2 + 2 ln J`` units of ``2**-W``: J from
+``1 - x`` with ``x = chi(p) * (2**W // p**s)``.  The sum multiplies each
+total by its root once.  Roots of unity come from ``mpnum.fixed_root`` at
+the same scale, each component truncated and within 2 units of ``2**-W``
+(1 is exact; for chi(p) = +-1, x is plus or minus the quotient itself).
+Every rounding truncates toward zero, so conjugate characters give
+bit-conjugate results; a truncation by ``2**W`` is a signed shift.  x has
+only the quotient's ``W - s log2 p`` bits, so the product ``y`` takes each
+factor as ``y 2**W - y x`` truncated by ``2**W``: the integer of
+``y (2**W - x)`` truncated, at products of W bits by the quotient's
+instead of W by W; it starts at its first factor.  Besides the quotients
+only the residual divides, once per component.  The product's inverse is
+``trunc(N / den)`` with ``N = +-2**(2W)`` and ``den = |a|`` for a real
+product ``a`` (imaginary part 0, as with every real character), since
+``a 2**(2W) / a**2`` is exactly ``2**(2W) / a``, or with
+``N = a 2**(2W)`` (real part) and ``N = -b 2**(2W)`` (imaginary) and
+``den = a**2 + b**2`` for a complex one ``a + i b``.  The sum's component
+S minus it is ``-((N - S den) // den)`` when ``N >= 0`` and
+``(S den - N) // den`` otherwise, exactly, since S is an integer.  The
+sum and the product agree to about ``s log2 m1`` bits, so that quotient
+has about ``W - s log2 m1``: one W-by-W product (W by 2W for a complex
+product) and a short division replace a 2W-by-W (3W-by-2W) division
+(Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1.4).
+``euler_product`` takes the same route with S = 0.  Each component of
+the sum is within ``J + c + 2 + 2 ln J`` units of ``2**-W``: J from
 the terms, one truncation for each of the ``c`` values of chi other than
 1 on 1..J, and 2 units of root error per unit of class total, the totals
 summing to at most ``1 + ln J``.  For the product, when ``s >= 2``, it is within
@@ -111,12 +124,13 @@ p_n``, whose square bounds the inversion's scale: within
 The estimates of several n at one s (``estimate_many``) share that one
 pass, run at one W: the widest of their precisions.  Each cell closes
 where its indices end, a sum cell at its J (the totals rotated) and a
-product cell at its n-th prime (the running product inverted), so each
-cell is, bit for bit, the one-cell loop at the pass's W, within the
-bounds above.  A narrower n thus gets low bits past those ``estimate``
-computes for it alone, and its chain, run at the width its own P leaves,
-does not use them.  The pass is checked against the cost cap as a whole:
-the longest cell at the pass's precision.
+product cell at its n-th prime (the running product, which the
+residual's division inverts), so each cell is, bit for bit, the one-cell
+loop at the pass's W, within the bounds above.  A narrower n thus gets
+low bits past those ``estimate`` computes for it alone, and its chain, run
+at the width its own P leaves, does not use them.  The pass is checked
+against the cost cap as a whole: the longest cell at the pass's
+precision.
 
 So every residual, of one cell or of a shared pass, is a ball
 (midpoint-radius arithmetic: van der Hoeven, *Ball arithmetic*, 2009;
@@ -181,14 +195,16 @@ __all__ = [
 # sizing (``_sizing``): the chain after the kernels costs a few W-bit
 # products at any width (see ``_chain``).
 MAX_KERNEL_COST = 10**14
-# The Euler product ends in one inversion, whatever n is: for a complex
-# product a 3W-bit by 2W-bit division per component.  On the same machine, at
-# W = 400k bits, ``euler_product`` took 14.5 units of c * W**2 at n = 1 with
-# chi(2) = i mod 5 (two divisions): about 7 units each, 14 for both.  A real
-# product divides once, 2W bits by W, and the prime quotients come from the
-# L-sum, so the weight over-counts real characters: the residual of n = 2,
-# s = 300000 with the trivial character (J = 5, W = 776k) took 1.9 s, 4.0
-# units, where (J + 14) * W**2 projects 19.
+# The weight is that of inverting the Euler product in full, whatever n is:
+# for a complex product a 3W-bit by 2W-bit division per component.  On the
+# same machine, at W = 400k bits, ``euler_product`` (which still inverts in
+# full) took 14.5 units of c * W**2 at n = 1 with chi(2) = i mod 5 (two
+# divisions): about 7 units each, 14 for both.  A residual divides once per
+# component, a short quotient after one W-by-W product (W by 2W for a
+# complex product), and the prime quotients come from the L-sum, so the
+# weight over-counts: the residual of n = 2, s = 300000 with the trivial
+# character (J = 5, W = 776k) took 0.54-0.67 s, 1.1-1.4 units, where
+# (J + 14) * W**2 projects 19.
 _INVERSION_WEIGHT = 14
 # ``fixed_root`` computes a root of unity of order m not dividing 4 by the
 # sine's Taylor series at W bits, once per W for each first-octant angle the
@@ -374,14 +390,32 @@ def required_precision(
     return _sizing(n, s, _cell_facts(tuple(primes.first_n_primes(n)), chi.modulus, chi.label))
 
 
-def _trunc(v: int, d: int) -> int:
-    """v / d rounded toward zero (d > 0), so that negating v negates the result."""
-    return v // d if v >= 0 else -(-v // d)
-
-
 def _shr(v: int, bits: int) -> int:
-    """v / 2**bits rounded toward zero: ``_trunc(v, 2**bits)`` as a shift."""
+    """v / 2**bits rounded toward zero, so that negating v negates the result."""
     return v >> bits if v >= 0 else -(-v >> bits)
+
+
+def _less_quotient(a: int, N: int, den: int) -> int:
+    """``a - trunc(N / den)`` (den > 0), the quotient rounded toward zero, by
+    one floor division of ``N - a den``, whose quotient is as short as
+    ``N / den - a``: exact because a is an integer."""
+    return -((N - a * den) // den) if N >= 0 else (a * den - N) // den
+
+
+def _minus_inverse(a: int, b: int, product: tuple, W: int) -> tuple:
+    """``(a, b)`` minus the inverse of the fixed-point ``product`` at scale
+    ``2**W``, each component of the inverse truncated toward zero.
+
+    For ``product = (pr, pi)`` the inverse is ``(pr, -pi) 2**(2W) / den``
+    with ``den = pr**2 + pi**2``, or ``+-2**(2W) / |pr|`` when pi = 0, and
+    each component takes one ``_less_quotient``.
+    """
+    pr, pi = product
+    if pi:
+        den = pr * pr + pi * pi
+        return _less_quotient(a, pr << 2 * W, den), _less_quotient(b, -pi << 2 * W, den)
+    N = 1 << 2 * W
+    return _less_quotient(a, N if pr > 0 else -N, abs(pr)), b
 
 
 def _kernel_bits(bits: int) -> int:
@@ -422,22 +456,24 @@ def euler_product(
     facts = _cell_facts(ps, chi.modulus, chi.label)
     _check_cost(f"n={n}, s={s}", facts.J, ctx.prec_bits, facts.roots)
     W = _kernel_bits(ctx.prec_bits)
-    return _to_complex(ctx, _kernels(chi, s, W, ps, [], [n])[1][0], W)
+    re, im = _minus_inverse(0, 0, _kernels(chi, s, W, ps, [], [n])[1][0], W)
+    return _to_complex(ctx, (-re, -im), W)
 
 
 def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, products: list) -> tuple:
-    """The L-sum to J for every J in ``sums`` and the Euler product over
-    ``ps[:n]`` for every n in ``products``, each a fixed-point ``(re, im)``
-    at scale ``2**W``, in one pass over j.
+    """The L-sum to J for every J in ``sums`` and the running product
+    ``prod (1 - chi(p)/p**s)`` over ``ps[:n]`` for every n in ``products``,
+    not inverted (``_minus_inverse`` divides), each a fixed-point
+    ``(re, im)`` at scale ``2**W``, in one pass over j.
 
     The pass divides each ``2**W // j**s`` once (for ``j = 2**a`` the shift
     ``2**(W - a s)``, or 0): it adds the quotient to the total of chi(j)
-    and, where j is one of the products' primes, multiplies its factor into
-    the running product.  It walks every j up to the longest sum, then only
-    the primes past it.  The totals are rotated at each sum's J and the
-    product inverted at each product's n-th prime, so every cell is its
-    one-cell loop bit for bit: a real product with one 2W-by-W division,
-    ``a * 2**(2W) / a**2`` being exactly ``2**(2W) / a``.
+    and, where j is one of the products' primes, multiplies its factor
+    ``1 - x`` into the running product y as ``y 2**W - y x``, W bits by the
+    quotient's.  It walks every j up to the longest sum, then only the
+    primes past it.  The totals are rotated at each sum's J and the product
+    is taken at each product's n-th prime, so every cell is its one-cell
+    loop bit for bit.
     """
     one = 1 << W
     ps = ps[: max(products, default=0)]
@@ -458,20 +494,30 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
     # each cell's value, keyed by the j it closes at
     sum_at, product_at = dict.fromkeys(sums), dict.fromkeys(ps[n - 1] for n in products)
     totals = [0] * len(roots)
-    pr, pi = one, 0
+    # the running product, from its first factor on
+    pr = pi = None
     for j in walk:
         c = cls[j % k]
         if c >= 0:
             x = one // j**s if j & (j - 1) else one >> (j.bit_length() - 1) * s
             totals[c] += x
             if is_factor[j]:
+                # the factor is one - (xr + i xi), xr + i xi = chi(p) x
                 a, m = values[c]
-                if a == 0:
-                    fr, fi = one - x, 0
+                if m <= 2:
+                    xr, xi = (-x if a else x), 0
                 else:
                     cos, sin = fixed_root(a, m, W)
-                    fr, fi = one - _shr(x * cos, W), -_shr(x * sin, W)
-                pr, pi = _shr(pr * fr - pi * fi, W), _shr(pr * fi + pi * fr, W)
+                    xr, xi = _shr(x * cos, W), _shr(x * sin, W)
+                if pr is None:
+                    pr, pi = one - xr, -xi
+                elif pi or xi:
+                    pr, pi = (
+                        _shr((pr << W) - pr * xr + pi * xi, W),
+                        _shr((pi << W) - pr * xi - pi * xr, W),
+                    )
+                else:
+                    pr = _shr((pr << W) - pr * xr, W)
         if j in sum_at:
             re = im = 0
             for (a, m), total in zip(values, totals):
@@ -483,12 +529,7 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
                     im += _shr(total * sin, W)
             sum_at[j] = re, im
         if j in product_at:
-            if pi:
-                den = pr * pr + pi * pi
-                product_at[j] = _trunc(pr << 2 * W, den), _trunc(-pi << 2 * W, den)
-            else:
-                inverse = (1 << 2 * W) // abs(pr)
-                product_at[j] = (inverse if pr > 0 else -inverse), 0
+            product_at[j] = (one, 0) if pr is None else (pr, pi)
     return [sum_at[J] for J in sums], [product_at[ps[n - 1]] for n in products]
 
 
@@ -526,8 +567,8 @@ def _residuals(ps: tuple, ns: list, s: int, chi: DirichletCharacter, bits: int, 
     W = _kernel_bits(bits)
     sums, products = _kernels(chi, s, W, ps, [f.J for f in facts], ns)
     return [
-        (a - c, b - d, W, f.sum_units + (20 * n + 2) * (ps[n - 1] ** 3 if s == 1 else 1))
-        for n, f, (a, b), (c, d) in zip(ns, facts, sums, products)
+        (*_minus_inverse(a, b, product, W), W, f.sum_units + (20 * n + 2) * (ps[n - 1] ** 3 if s == 1 else 1))
+        for n, f, (a, b), product in zip(ns, facts, sums, products)
     ]
 
 

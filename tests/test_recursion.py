@@ -155,6 +155,12 @@ def per_cell_euler_product(chi, s: int, n: int, W: int) -> tuple:
     return trunc(re << 2 * W, den), trunc(-im << 2 * W, den)
 
 
+def inverted(products: list, W: int) -> list:
+    """The running products of ``recursion._kernels`` inverted as
+    ``euler_product`` inverts them: 0 minus the inverse, negated."""
+    return [tuple(-v for v in recursion._minus_inverse(0, 0, p, W)) for p in products]
+
+
 def sum_bound(chi, J: int) -> float:
     """The L-sum's bound in units of 2**-W (module docstring of ``recursion``)."""
     c = len({chi(j) for j in range(1, J + 1) if not chi(j).is_zero}) - 1
@@ -199,12 +205,15 @@ MOD70_PRODUCTS = list(range(1, 31))
 MOD70_ANY = dict(k=70, pick=enumerate_characters(70).characters.index(CHI70), s=100, prec=PREC70)
 MOD70_GAUSSIAN = dict(k=70, pick=gaussian_characters(70).index(CHI70), s=100, prec=PREC70)
 # sweep width: n = 2, s = 1900, for the trivial character and the quadratic
-# character mod 5, both real, so each product is inverted by one division
-# and its quotient of 2 is a shift
+# character mod 5, both real, so each residual divides by the real product
+# alone and its quotient of 2 is a shift
 G5_REAL = G5.characters.index(G5.by_label(3))
+G5_COMPLEX = G5.characters.index(G5.by_label(2))
 SWEEP_S = 1900
 SWEEP_PREC = recursion.required_precision(2, SWEEP_S).prec_bits
 SWEEP_PREC_MOD5 = recursion.required_precision(2, SWEEP_S, G5.by_label(3)).prec_bits
+# a slopes pass: n = 2..30 at s = 20, at the widest n's precision
+SLOPES_PREC = max(recursion.required_precision(n, 20).prec_bits for n in range(2, 31))
 # the primes every pass below takes its cells' primes from
 PS = tuple(first_n_primes(30))
 PICK = st.integers(0, 10**6)
@@ -242,7 +251,8 @@ class TestSharedPass:
         chi = any_character(k, pick)
         W = kernel_bits(prec)
         assert recursion._kernels(chi, s, W, PS, [J], [])[0] == [per_cell_partial_sum(chi, s, J, W)]
-        assert recursion._kernels(chi, s, W, PS, [], [n])[1] == [per_cell_euler_product(chi, s, n, W)]
+        products = recursion._kernels(chi, s, W, PS, [], [n])[1]
+        assert inverted(products, W) == [per_cell_euler_product(chi, s, n, W)]
 
     @settings(max_examples=150, deadline=None)
     @given(k=st.integers(1, 24), pick=PICK, s=st.integers(1, 60), cells=SUM_CELLS, prec=PREC)
@@ -265,7 +275,7 @@ class TestSharedPass:
     def test_products_match_running_pass(self, k, pick, s, cells, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
-        got = recursion._kernels(chi, s, W, PS, [], cells)[1]
+        got = inverted(recursion._kernels(chi, s, W, PS, [], cells)[1], W)
         assert got == [per_cell_euler_product(chi, s, n, W) for n in cells]
 
     @settings(max_examples=100, deadline=None)
@@ -274,8 +284,14 @@ class TestSharedPass:
     @example(**MOD70_ANY, cells=MOD70_PRODUCTS)
     @example(k=1, pick=0, s=SWEEP_S, cells=[2], prec=SWEEP_PREC)
     @example(k=5, pick=G5_REAL, s=SWEEP_S, cells=[2, 1], prec=SWEEP_PREC_MOD5)
+    @example(k=5, pick=G5_REAL, s=1, cells=[1, 2, 6, 30], prec=64)
+    @example(k=5, pick=G5_COMPLEX, s=1, cells=[1, 2, 6, 30], prec=64)
+    @example(k=1, pick=0, s=20, cells=list(range(2, 31)), prec=SLOPES_PREC)
     def test_residuals_match_per_cell_loops(self, k, pick, s, cells, prec):
-        # the product's factors share the L-sum's quotients of their primes
+        # the product's factors share the L-sum's quotients of their primes,
+        # and each component's one short division, the sum minus 2**(2W)
+        # over the running product, gives the integers of the full
+        # inversion subtracted from the sum
         chi = any_character(k, pick)
         W = kernel_bits(prec)
         for n, (re, im, W_ball, _) in zip(cells, residuals(cells, s, chi, prec)):
@@ -313,7 +329,8 @@ class TestSharedPass:
     def test_mixed_pass_matches_per_cell_loops(self, k, pick, s, sums, products, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
-        assert recursion._kernels(chi, s, W, PS, sums, products) == (
+        got_sums, got_products = recursion._kernels(chi, s, W, PS, sums, products)
+        assert (got_sums, inverted(got_products, W)) == (
             [per_cell_partial_sum(chi, s, J, W) for J in sums],
             [per_cell_euler_product(chi, s, n, W) for n in products],
         )
@@ -337,7 +354,7 @@ class TestSharedPass:
     def test_products_within_bound(self, k, pick, s, cells, prec):
         chi = gaussian_character(k, pick)
         W = kernel_bits(prec)
-        for n, value in zip(cells, recursion._kernels(chi, s, W, PS, [], cells)[1]):
+        for n, value in zip(cells, inverted(recursion._kernels(chi, s, W, PS, [], cells)[1], W)):
             exact = oracle.euler_product_exact(chi, s, n)
             assert within(value, exact, product_bound(n, s), W)
 
@@ -1246,10 +1263,10 @@ class TestCostGuard:
         # the kernels took 6.4-6.6 s on a 2-vCPU x86 machine, most of it in
         # the Euler product's final inversion, where J * W**2 alone projected
         # 2.4 s at the documented 0.8e-12 s per unit, and the projection is
-        # pinned within 2x of that.  A real product now inverts with one
-        # 2W-by-W division, and the kernels take 1.9 s, 4.0 units of W**2
-        # against the 19 projected: the projection over-counts real
-        # products (ROADMAP F12)
+        # pinned within 2x of that.  The residual now divides once per
+        # component, a short quotient after one W-by-W product, and the
+        # kernels take 0.54-0.67 s, 1.1-1.4 units of W**2 against the 19
+        # projected: the projection over-counts (ROADMAP F12)
         ctx = recursion.required_precision(2, 300000)
         monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 0)
         with pytest.raises(UnsupportedSizeError) as info:
