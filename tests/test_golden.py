@@ -17,7 +17,10 @@ internals still read the prime table themselves.
 ``sweep_n3_s1900-1950_mod5_label2.csv`` (a complex Euler product at the
 exponents of the bench's sweep) and ``estimate_n2_s100000.csv`` (about 258k
 bits) were written while each product was still inverted in full, 2**(2W)
-divided by the product at W bits, before the residual's subtraction.  Each CLI file
+divided by the product at W bits, before the residual's subtraction.
+``estimate_n100_s1719.csv`` (the step from 541 to 547 at about 17.5k bits,
+J = 1081) was written while every ``2**W // j**s`` was still divided in
+full.  Each CLI file
 name is its command line; every command but ``estimate``, which has no
 ``--workers``, runs at one worker.
 
@@ -58,6 +61,7 @@ CASES = {
         "sweep", "--n", "3", "--s-min", "1900", "--s-max", "1950", "--modulus", "5", "--label", "2",
     ],
     "estimate_n2_s100000.csv": ["estimate", "--n", "2", "--s", "100000"],
+    "estimate_n100_s1719.csv": ["estimate", "--n", "100", "--s", "1719"],
     "dtable_n3-5_s50_mod5-8-13.csv": ["dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13"],
     "dtable_n3-5_s50_mod5-8-13.json": [
         "dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13", "--format", "json",
