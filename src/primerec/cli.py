@@ -18,8 +18,9 @@ locale-dependent.  ``--workers`` parallelises sweeps without changing
 their output: the analysis fan-out forks up to N - 1 children, capped at
 the CPU count, and runs in-process where ``os.fork`` is missing.  A count
 below 1 on the command line is an argument error; the default comes from
-the PRIMEREC_WORKERS environment variable, read leniently (1 for anything
-but a positive integer).  Modules that only some commands use (``json``,
+the PRIMEREC_WORKERS environment variable, read leniently at each parse (1
+for anything but a positive integer).  The parser is built once per
+process (``build_parser``).  Modules that only some commands use (``json``,
 the selftest suites and their exact oracle) are imported by those
 commands, so start-up loads only what every command needs.
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -83,8 +85,21 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that fills in ``--workers``' default when it
+    parses, so one parser serves every call under any PRIMEREC_WORKERS."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if getattr(parsed, "workers", 0) is None:
+            parsed.workers = _default_workers()
+        return parsed, extras
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process; every caller shares it."""
+    parser = _Parser(
         prog="primerec",
         description="Prime recursion through Dirichlet L-series: estimates, sweeps and tables.",
     )
@@ -112,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--modulus", type=int, default=1)
     p.add_argument("--label", type=int, default=1)
-    p.add_argument("--workers", type=_worker_count, default=_default_workers())
+    p.add_argument("--workers", type=_worker_count)
     add_io(p)
 
     p = sub.add_parser("slopes", help="best-fit slope per n over a common s range")
@@ -122,14 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--modulus", type=int, default=1)
     p.add_argument("--label", type=int, default=1)
-    p.add_argument("--workers", type=_worker_count, default=_default_workers())
+    p.add_argument("--workers", type=_worker_count)
     add_io(p)
 
     p = sub.add_parser("dtable", help="signed error-difference table at fixed s")
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--moduli", type=_int_list, required=True)
-    p.add_argument("--workers", type=_worker_count, default=_default_workers())
+    p.add_argument("--workers", type=_worker_count)
     add_io(p)
 
     sub.add_parser("selftest", help="run the built-in verification suites")

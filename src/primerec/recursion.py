@@ -81,18 +81,32 @@ flagged, not rejected).
 The sum and the product run in fixed point, on integers scaled by
 ``2**W`` with ``W = P + 96 + 16``, in one pass over j (``_kernels``).  The
 product's primes are among the sum's indices, so each ``2**W // j**s`` is
-divided once (for ``j = 2**a`` it is the shift ``2**(W - a s)``, or 0):
-it is added into one total per character value and, when j is a prime
+taken once, exactly (for ``j = 2**a`` it is the shift ``2**(W - a s)``, or
+0): it is added into one total per character value and, when j is a prime
 ``p <= p_n``, multiplied into the running product as the factor
-``1 - x`` with ``x = chi(p) * (2**W // p**s)``.  The sum multiplies each
+``1 - x`` with ``x = chi(p) * (2**W // p**s)``.  For a divisor ``y = j**s``
+of d bits the quotient has about ``W - d``, and where that is short only
+y's top bits take part, as in floating-point division (Brent & Zimmermann,
+*Modern Computer Arithmetic*, ch. 1.4 and 3).  With ``sh = 2d - W - 40 > 0``
+and ``Y = y >> sh`` (``W + 40 - d`` bits), ``x, r = divmod(2**(W - sh), Y)``:
+since ``Y 2**sh <= y < (Y + 1) 2**sh``, ``2**(W - sh) / Y`` is at least
+``2**W / y`` and less than ``2**W / (y Y) <= 2**-38`` above it.  So x is
+the exact floor unless ``2**W / y`` lies under x, within ``2**-38``, which
+needs ``r / Y < 2**-38``: x is kept when ``r 2**38 >= Y``, and otherwise
+``2**W // y`` is divided in full (about once in ``2**38`` quotients at
+random, though such y can be constructed).  Where ``y > 2**W`` the
+quotient is 0; where ``sh <= 0`` it is long and divided in full, and so is
+every quotient below W = ``_SHORT_QUOTIENT_BITS``, where the full division
+costs less.  Every quotient is thus ``2**W // j**s`` exactly, and the
+bounds below are those of the full division.  The sum multiplies each
 total by its root once.  Roots of unity come from ``mpnum.fixed_root`` at
 the same scale, each component truncated and within 2 units of ``2**-W``
 (1 is exact; for chi(p) = +-1, x is plus or minus the quotient itself).
 Every rounding truncates toward zero, so conjugate characters give
 bit-conjugate results; a truncation by ``2**W`` is a signed shift.  x has
-only the quotient's ``W - s log2 p`` bits, so the product ``y`` takes each
-factor as ``y 2**W - y x`` truncated by ``2**W``: the integer of
-``y (2**W - x)`` truncated, at products of W bits by the quotient's
+only the quotient's ``W - s log2 p`` bits, so the product ``z`` takes each
+factor as ``z 2**W - z x`` truncated by ``2**W``: the integer of
+``z (2**W - x)`` truncated, at products of W bits by the quotient's
 instead of W by W; it starts at its first factor.  Besides the quotients
 only the residual divides, once per component.  The product's inverse is
 ``trunc(N / den)`` with ``N = +-2**(2W)`` and ``den = |a|`` for a real
@@ -186,10 +200,13 @@ __all__ = [
     "MAX_KERNEL_COST",
 ]
 
-# A residual's kernel divides 2**W by j**s for J = 2 p_n - 1 values of j,
-# at W = P + 112 bits, in CPython's schoolbook time: about c * J * W**2 with
-# c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine (the Euler product's
-# per-prime work included).  A kernel pass (``_residuals``) refuses a
+# A residual's kernel takes 2**W // j**s for J = 2 p_n - 1 values of j, at
+# W = P + 112 bits.  The projection charges each a W-by-W schoolbook
+# division, c * W**2 with c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine
+# (the Euler product's per-prime work included), c * J * W**2 in all.  That
+# over-counts: a quotient of q bits by a d-bit divisor (q + d = W) costs
+# about q * d, and one taken from the divisor's top q + 40 bits (``_kernels``)
+# about q**2.  A kernel pass (``_residuals``) refuses a
 # projected (J + _INVERSION_WEIGHT) * W**2, plus the computed roots' cost
 # below, above this cap (about 80 s there), and so does an estimate's
 # sizing (``_sizing``): the chain after the kernels costs a few W-bit
@@ -203,7 +220,8 @@ MAX_KERNEL_COST = 10**14
 # component, a short quotient after one W-by-W product (W by 2W for a
 # complex product), and the prime quotients come from the L-sum, so the
 # weight over-counts: the residual of n = 2, s = 300000 with the trivial
-# character (J = 5, W = 776k) took 0.54-0.67 s, 1.1-1.4 units, where
+# character (J = 5, W = 776k) took 0.31-0.41 s, 0.64-0.85 units, with its
+# quotients taken from the divisors' top bits (0.47-0.54 s before), where
 # (J + 14) * W**2 projects 19.
 _INVERSION_WEIGHT = 14
 # ``fixed_root`` computes a root of unity of order m not dividing 4 by the
@@ -213,6 +231,11 @@ _INVERSION_WEIGHT = 14
 # units of c * W**2 at W = 50k bits and 1343-1460 at 100k, and 504-695 at
 # 25k: under 5 * W**2.5.
 _ROOT_WEIGHT = 5
+# The least W at which ``_kernels`` takes a short quotient from the divisor's
+# top bits: per j of a slopes-like pass (j <= 225), the route cost +0% at
+# W = 1224 against the full division and -4% at 1420, and 12-29% more at
+# W = 600-900 (CPython 3.11, 2-vCPU x86).
+_SHORT_QUOTIENT_BITS = 1400
 # (primes, modulus, label) whose sizing facts (``_cell_facts``) are kept: a
 # ``slopes`` run visits 29 prime lists for one character, a ``dtable`` one per cell.
 _CACHED_CELLS = 256
@@ -466,16 +489,23 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
     not inverted (``_minus_inverse`` divides), each a fixed-point
     ``(re, im)`` at scale ``2**W``, in one pass over j.
 
-    The pass divides each ``2**W // j**s`` once (for ``j = 2**a`` the shift
-    ``2**(W - a s)``, or 0): it adds the quotient to the total of chi(j)
+    The pass takes each ``2**W // j**s`` once, exactly (for ``j = 2**a`` the
+    shift ``2**(W - a s)``, or 0): where the quotient is short and W is at
+    least ``_SHORT_QUOTIENT_BITS``, from the top ``W + 40 - d`` bits of the
+    d-bit ``j**s``, within ``2**-38`` above the exact quotient, kept where
+    its remainder shows it is the exact floor and divided in full where not
+    (see the module docstring).  It adds the quotient to the total of chi(j)
     and, where j is one of the products' primes, multiplies its factor
-    ``1 - x`` into the running product y as ``y 2**W - y x``, W bits by the
+    ``1 - x`` into the running product z as ``z 2**W - z x``, W bits by the
     quotient's.  It walks every j up to the longest sum, then only the
     primes past it.  The totals are rotated at each sum's J and the product
     is taken at each product's n-th prime, so every cell is its one-cell
     loop bit for bit.
     """
     one = 1 << W
+    # j**s from short up to one (sh > 0) take the short route; none does
+    # below _SHORT_QUOTIENT_BITS
+    short = 1 << (W + 40) // 2 if W >= _SHORT_QUOTIENT_BITS else one + 1
     ps = ps[: max(products, default=0)]
     last_sum = max(sums, default=0)
     # every j up to the longest sum, then only the products' primes past it
@@ -499,7 +529,21 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
     for j in walk:
         c = cls[j % k]
         if c >= 0:
-            x = one // j**s if j & (j - 1) else one >> (j.bit_length() - 1) * s
+            if not j & (j - 1):
+                x = one >> (j.bit_length() - 1) * s
+            else:
+                y = j**s
+                if y < short:
+                    x = one // y
+                elif y > one:
+                    x = 0
+                else:
+                    # from y's top W + 40 - d bits, checked exact, or in full
+                    sh = 2 * y.bit_length() - W - 40
+                    top = y >> sh
+                    x, r = divmod(one >> sh, top)
+                    if r << 38 < top:
+                        x = one // y
             totals[c] += x
             if is_factor[j]:
                 # the factor is one - (xr + i xi), xr + i xi = chi(p) x

@@ -353,3 +353,23 @@ class TestWorkerEnv:
         monkeypatch.setenv("PRIMEREC_WORKERS", "many")
         args = build_parser().parse_args(["sweep", "--n", "2", "--s-min", "20", "--s-max", "21"])
         assert args.workers == 1
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        # the parser is built once, yet each run reads PRIMEREC_WORKERS anew
+        from primerec import analysis, cli
+
+        fan_out, seen = analysis._map_tasks, []
+
+        def spy(func, tasks, workers):
+            seen.append(workers)
+            return fan_out(func, tasks, workers)
+
+        monkeypatch.setattr(analysis, "_map_tasks", spy)
+        monkeypatch.delenv("PRIMEREC_WORKERS", raising=False)
+        cli.build_parser.cache_clear()
+        argv = ["sweep", "--n", "2", "--s-min", "20", "--s-max", "23"]
+        first = invoke(capsys, *argv)
+        monkeypatch.setenv("PRIMEREC_WORKERS", "2")
+        assert first[0] == 0 and invoke(capsys, *argv) == first
+        assert cli.build_parser.cache_info().misses == 1
+        assert seen == [1, 2]

@@ -6,6 +6,7 @@ values appear only with their documented tolerances.
 """
 
 import math
+import random
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -443,6 +444,69 @@ class TestSharedPass:
         angles = {(p, q) for p, q, _ in calls if p}
         assert angles and len(calls) == len({(p, q) for p, q, _ in calls})
         assert {wp2 for _, _, wp2 in calls} == {kernel_bits(max(precs)) + 32}
+
+
+class Power(int):
+    """The index 3, whose power of any exponent is the divisor ``y``: an
+    index at which ``recursion._kernels`` divides ``2**W`` by any y."""
+
+    def __new__(cls, y: int):
+        j = super().__new__(cls, 3)
+        j.y = y
+        return j
+
+    def __pow__(self, s):
+        return self.y
+
+
+def kernel_quotient(y: int, W: int) -> int:
+    """``2**W // y`` as the kernels divide it, read back from the trivial
+    character's one-factor product ``2**W - 2**W // y`` over ``ps = (Power(y),)``."""
+    ((pr, _),) = recursion._kernels(K1, 1, W, (Power(y),), [], [1])[1]
+    return (1 << W) - pr
+
+
+@st.composite
+def quotient_cases(draw):
+    """(W, y) for W from 64 to 100k bits: y a power ``j**s`` (j <= 2000),
+    a random integer of up to W + 60 bits, or one past ``2**(W + 40)``."""
+    W = draw(st.integers(64, 100_000))
+    kind = draw(st.sampled_from(("power", "random", "past")))
+    if kind == "power":
+        j = draw(st.integers(2, 2000))
+        return W, j ** draw(st.integers(1, (W + 80) // (j.bit_length() - 1)))
+    bits = draw(st.integers(1, W + 60) if kind == "random" else st.integers(W + 41, W + 400))
+    return W, random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 << (bits - 1)
+
+
+class TestKernelQuotient:
+    """Each ``2**W // y`` of the kernels (y = j**s) is exact: from W =
+    ``_SHORT_QUOTIENT_BITS`` on, taken from y's top bits where the quotient
+    is short, checked by its remainder, and divided in full where the check
+    fails; below that width, divided in full."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=quotient_cases())
+    # y = 2**W // m + 1: the quotient from y's top bits is one too large
+    @example(case=(1400, (1 << 1400) // (10**9 + 7) + 1))
+    @example(case=(2048, (1 << 2048) // 5**150 + 1))
+    @example(case=(5120, (1 << 5120) // 3 + 1))
+    @example(case=(5120, (1 << 5120) // 3**100 + 1))
+    @example(case=(100_000, (1 << 100_000) // 3**1000 + 1))
+    # y = 2**W // m: the check fails, yet the quotient from the top bits is exact
+    @example(case=(1400, (1 << 1400) // 3**100))
+    @example(case=(5120, (1 << 5120) // 3))
+    @example(case=(5120, 1 << 3000))
+    # y just under, at and past 2**W, where the quotient is 1, 0 and 0
+    @example(case=(5120, (1 << 5120) - 1))
+    @example(case=(5120, (1 << 5120) + 1))
+    @example(case=(5120, 3**4000))
+    # below the crossover width, short quotients too are divided in full
+    @example(case=(200, (1 << 200) // (10**9 + 7) + 1))
+    @example(case=(1000, (1 << 1000) // 3**100 + 1))
+    def test_matches_full_division(self, case):
+        W, y = case
+        assert kernel_quotient(y, W) == (1 << W) // y
 
 
 class TestEulerProduct:
@@ -1264,8 +1328,9 @@ class TestCostGuard:
         # the Euler product's final inversion, where J * W**2 alone projected
         # 2.4 s at the documented 0.8e-12 s per unit, and the projection is
         # pinned within 2x of that.  The residual now divides once per
-        # component, a short quotient after one W-by-W product, and the
-        # kernels take 0.54-0.67 s, 1.1-1.4 units of W**2 against the 19
+        # component, a short quotient after one W-by-W product, each
+        # 2**W // j**s comes from the divisor's top bits, and the kernels
+        # take 0.31-0.41 s, 0.64-0.85 units of W**2 against the 19
         # projected: the projection over-counts (ROADMAP F12)
         ctx = recursion.required_precision(2, 300000)
         monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 0)
