@@ -311,6 +311,8 @@ def d_table(n_list: Sequence[int], s: int, moduli: Sequence[int], workers: int =
         raise DomainError(f"the table exponent s must be an integer >= 2, got {s!r}")
     if not n_list:
         raise DomainError("n_list must not be empty")
+    if not moduli:
+        raise DomainError("moduli must not be empty")
     chars = [ch for k in moduli for ch in enumerate_characters(k).characters]
     keys = [(1, 1)] + [(ch.modulus, ch.label) for ch in chars]
     tasks = list(dict.fromkeys((n, s, k, label) for k, label in keys for n in n_list))

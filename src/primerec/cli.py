@@ -12,13 +12,14 @@ Subcommands
 
 Data goes to stdout (or ``--output FILE``) as CSV by default or JSON with
 ``--format json`` carrying identical values; diagnostics and warnings go to
-stderr.  Exit codes: 0 success, 1 domain error, 2 argument error, 3 the
-output file cannot be written.  All numeric output is plain decimal, never
-locale-dependent.  ``--workers`` parallelises sweeps without changing
+stderr.  Exit codes, for every subcommand: 0 success, 1 domain error or a
+failed selftest suite, 2 argument error, 3 the output (stdout or the
+``--output`` file) cannot be written.  All numeric output is plain decimal,
+never locale-dependent.  ``--workers`` parallelises sweeps without changing
 their output: the analysis fan-out forks up to N - 1 children, capped at
 the CPU count, and runs in-process where ``os.fork`` is missing.  A count
 below 1 on the command line is an argument error; the default comes from
-the PRIMEREC_WORKERS environment variable, read leniently at each parse (1
+the PRIMEREC_WORKERS environment variable, read leniently at each run (1
 for anything but a positive integer).  The parser is built once per
 process (``build_parser``).  Modules that only some commands use (``json``,
 the selftest suites and their exact oracle) are imported by those
@@ -44,6 +45,7 @@ Floats print with 17 significant digits (``FLOAT_DIGITS``).  The schemas:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import os
@@ -85,21 +87,10 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that fills in ``--workers``' default when it
-    parses, so one parser serves every call under any PRIMEREC_WORKERS."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        parsed, extras = super().parse_known_args(args, namespace)
-        if getattr(parsed, "workers", 0) is None:
-            parsed.workers = _default_workers()
-        return parsed, extras
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; every caller shares it."""
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="primerec",
         description="Prime recursion through Dirichlet L-series: estimates, sweeps and tables.",
     )
@@ -261,47 +252,55 @@ def _cmd_dtable(args):
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "workers", 1) is None:
+        args.workers = _default_workers()
 
     if args.command == "selftest":
         from . import selftest
 
-        failures = selftest.run_selftest()
-        return 0 if failures == 0 else 1
-
-    handler = {
-        "chars": _cmd_chars,
-        "estimate": _cmd_estimate,
-        "sweep": _cmd_sweep,
-        "slopes": _cmd_slopes,
-        "dtable": _cmd_dtable,
-    }[args.command]
-
-    try:
-        header, rows = handler(args)
-        if not args.output:
-            _render(args.format, header, rows, sys.stdout)
-            return 0
-        # the file opens only once the handler has returned, so a domain
-        # error leaves no file behind
+        write = selftest.run_selftest
+    else:
+        handler = {
+            "chars": _cmd_chars,
+            "estimate": _cmd_estimate,
+            "sweep": _cmd_sweep,
+            "slopes": _cmd_slopes,
+            "dtable": _cmd_dtable,
+        }[args.command]
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                _render(args.format, header, rows, fh)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-            return 3
-    except PrimerecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+            header, rows = handler(args)
+        except PrimerecError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        write = functools.partial(_render, args.format, header, rows)
+
+    # the file opens only once the handler has returned, so a domain error
+    # leaves no file behind; a buffered write to stdout can fail as late as
+    # its flush
+    output = getattr(args, "output", None)
+    try:
+        with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as out:
+            failures = write(out)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write {output or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 3
+    return 1 if failures else 0
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # what failed to reach stdout is still buffered, and the interpreter
+        # would flush it again at exit and fail with a second report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

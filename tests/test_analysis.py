@@ -166,8 +166,10 @@ class TestDTable:
     def test_validation(self):
         with pytest.raises(DomainError):
             d_table([3], 1, [4])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^n_list must not be empty$"):
             d_table([], 50, [4])
+        with pytest.raises(DomainError, match="^moduli must not be empty$"):
+            d_table([3], 50, [])
 
     def test_each_estimate_once(self, monkeypatch):
         # 6 characters x 2 columns, plus the trivial character once per

@@ -1,14 +1,20 @@
 """Command-line interface tests: schemas, exit codes, streams, files."""
 
+import contextlib
 import csv
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primerec
 from primerec.analysis import slope_series
 from primerec.characters import enumerate_characters
 from primerec.cli import _render, run
@@ -62,6 +68,69 @@ def test_json_and_csv_carry_the_same_rows(capsys, argv):
     assert payload["schema"] == header
     assert [[str(v) for v in row.values()] for row in payload["rows"]] == rows
     assert rows and all(list(row) == header for row in payload["rows"])
+
+
+UNWRITABLE_STDOUT = [
+    ["chars", "--modulus", "997"],
+    ["estimate", "--n", "2", "--s", "5"],
+    ["sweep", "--n", "2", "--s-min", "20", "--s-max", "30", "--format", "json"],
+    ["selftest"],
+]
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT, ids=lambda argv: argv[0])
+def test_unwritable_stdout_exit_3(argv, sink):
+    # a pipe whose read end is closed before the child starts fails every
+    # write, where `| head` would fail one only if head exits first; the
+    # child keeps Python's default buffering, so a short output first fails
+    # when it is flushed
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primerec.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "primerec.cli", *argv],
+            stdout=fd, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [["chars", "--modulus", "5"], ["selftest"]], ids=lambda argv: argv[0])
+def test_unwritable_redirected_stdout_exit_3(capsys, argv):
+    # the route of a caller that redirects sys.stdout and calls run in-process
+    with contextlib.redirect_stdout(_FullStream()):
+        code = run(argv)
+    assert code == 3
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_oserror_while_computing_is_not_a_write_error(monkeypatch):
+    # only the writing is guarded: a fork refused by the process limit
+    # propagates instead of being reported as an unwritable stdout
+    from primerec import analysis
+
+    def refuse(func, tasks, workers):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(analysis, "_map_tasks", refuse)
+    with pytest.raises(OSError):
+        run(["sweep", "--n", "2", "--s-min", "20", "--s-max", "21"])
 
 
 class TestChars:
@@ -302,6 +371,11 @@ class TestDTable:
         assert code == 0
         assert [r["d_value"] for r in json.loads(out)["rows"] if r["n"] == 1] == ["", ""]
 
+    @pytest.mark.parametrize("n_list, moduli, name", [(",", "4", "n_list"), ("3", ",", "moduli")])
+    def test_empty_list_exit_1(self, capsys, n_list, moduli, name):
+        code, out, err = invoke(capsys, "dtable", "--n-list", n_list, "--s", "50", "--moduli", moduli)
+        assert (code, out, err) == (1, "", f"error: {name} must not be empty\n")
+
     def test_reference_anchor(self, capsys):
         code, out, _ = invoke(
             capsys, "dtable", "--n-list", "3", "--s", "50", "--moduli", "4"
@@ -340,23 +414,12 @@ class TestArgumentErrors:
 
 
 class TestWorkerEnv:
-    def test_env_var_sets_default(self, monkeypatch):
-        from primerec.cli import build_parser
+    SWEEP = ("sweep", "--n", "2", "--s-min", "20", "--s-max", "21")
 
-        monkeypatch.setenv("PRIMEREC_WORKERS", "3")
-        args = build_parser().parse_args(["sweep", "--n", "2", "--s-min", "20", "--s-max", "21"])
-        assert args.workers == 3
-
-    def test_env_var_garbage_falls_back(self, monkeypatch):
-        from primerec.cli import build_parser
-
-        monkeypatch.setenv("PRIMEREC_WORKERS", "many")
-        args = build_parser().parse_args(["sweep", "--n", "2", "--s-min", "20", "--s-max", "21"])
-        assert args.workers == 1
-
-    def test_one_parser_per_process(self, capsys, monkeypatch):
-        # the parser is built once, yet each run reads PRIMEREC_WORKERS anew
-        from primerec import analysis, cli
+    @pytest.fixture
+    def fan_outs(self, monkeypatch):
+        """The worker count of every analysis fan-out, in call order."""
+        from primerec import analysis
 
         fan_out, seen = analysis._map_tasks, []
 
@@ -365,6 +428,22 @@ class TestWorkerEnv:
             return fan_out(func, tasks, workers)
 
         monkeypatch.setattr(analysis, "_map_tasks", spy)
+        return seen
+
+    def test_env_var_sets_default(self, capsys, monkeypatch, fan_outs):
+        monkeypatch.setenv("PRIMEREC_WORKERS", "3")
+        assert invoke(capsys, *self.SWEEP)[0] == 0
+        assert fan_outs == [3]
+
+    def test_env_var_garbage_falls_back(self, capsys, monkeypatch, fan_outs):
+        monkeypatch.setenv("PRIMEREC_WORKERS", "many")
+        assert invoke(capsys, *self.SWEEP)[0] == 0
+        assert fan_outs == [1]
+
+    def test_one_parser_per_process(self, capsys, monkeypatch, fan_outs):
+        # the parser is built once, yet each run reads PRIMEREC_WORKERS anew
+        from primerec import cli
+
         monkeypatch.delenv("PRIMEREC_WORKERS", raising=False)
         cli.build_parser.cache_clear()
         argv = ["sweep", "--n", "2", "--s-min", "20", "--s-max", "23"]
@@ -372,4 +451,4 @@ class TestWorkerEnv:
         monkeypatch.setenv("PRIMEREC_WORKERS", "2")
         assert first[0] == 0 and invoke(capsys, *argv) == first
         assert cli.build_parser.cache_info().misses == 1
-        assert seen == [1, 2]
+        assert fan_outs == [1, 2]

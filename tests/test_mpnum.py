@@ -306,8 +306,10 @@ class TestConcurrency:
         # readers racing the first computation must all see the same value
         import threading
 
-        mpnum._fp_pi.cache_clear()
         ctx = PrecisionContext(1536)
+        mpnum._fp_pi.cache_clear()
+        serial = ctx.pi()
+        mpnum._fp_pi.cache_clear()
         results = [None] * 8
 
         def worker(i):
@@ -319,7 +321,7 @@ class TestConcurrency:
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        assert all(r == results[0] for r in results)
+        assert results == [serial] * 8
 
 
 class TestCaches:
