@@ -20,9 +20,11 @@ bits) were written while each product was still inverted in full, 2**(2W)
 divided by the product at W bits, before the residual's subtraction.
 ``estimate_n100_s1719.csv`` (the step from 541 to 547 at about 17.5k bits,
 J = 1081) was written while every ``2**W // j**s`` was still divided in
-full.  Each CLI file
-name is its command line; every command but ``estimate``, which has no
-``--workers``, runs at one worker.
+full.  ``estimate_n60_s1500_mod7_label3.csv`` (a complex character with
+zeros at the multiples of 7, J = 561, about 13.8k bits) was written while
+every composite j's quotient still came from its own power ``j**s``.
+Each CLI file name is its command line; every command but ``estimate``,
+which has no ``--workers``, runs at one worker.
 
 ``scan_mod1-24.txt`` holds one ``estimate`` per line for every character
 mod 1..24, n in SCAN_N and s in SCAN_S: ``k label n s prec_bits rounded``
@@ -62,6 +64,7 @@ CASES = {
     ],
     "estimate_n2_s100000.csv": ["estimate", "--n", "2", "--s", "100000"],
     "estimate_n100_s1719.csv": ["estimate", "--n", "100", "--s", "1719"],
+    "estimate_n60_s1500_mod7_label3.csv": ["estimate", "--n", "60", "--s", "1500", "--modulus", "7", "--label", "3"],
     "dtable_n3-5_s50_mod5-8-13.csv": ["dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13"],
     "dtable_n3-5_s50_mod5-8-13.json": [
         "dtable", "--n-list", "3,4,5", "--s", "50", "--moduli", "5,8,13", "--format", "json",
