@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import os
 import sys
@@ -280,12 +281,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     # the file opens only once the handler has returned, so a domain error
     # leaves no file behind; a buffered write to stdout can fail as late as
-    # its flush
+    # its flush, and with fd 1 closed at start-up sys.stdout is None
     output = getattr(args, "output", None)
     try:
+        if not output and sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as out:
             failures = write(out)
-        sys.stdout.flush()
+            out.flush()
     except OSError as exc:
         print(f"error: cannot write {output or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 3
@@ -295,7 +298,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 def main() -> None:
     code = run()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:
         # what failed to reach stdout is still buffered, and the interpreter
         # would flush it again at exit and fail with a second report

@@ -224,12 +224,6 @@ def _neg(x: BigFloat) -> BigFloat:
     return BigFloat(-x.sign, x.man, x.exp)
 
 
-def _abs(x: BigFloat) -> BigFloat:
-    if x.sign >= 0:
-        return x
-    return BigFloat(1, x.man, x.exp)
-
-
 def _mul(x: BigFloat, y: BigFloat, wp: int) -> BigFloat:
     if x.sign == 0 or y.sign == 0:
         return ZERO
@@ -492,14 +486,8 @@ class PrecisionContext:
     def neg(self, x: BigFloat) -> BigFloat:
         return _neg(x)
 
-    def abs(self, x: BigFloat) -> BigFloat:
-        return _abs(x)
-
     def mul(self, x: BigFloat, y: BigFloat) -> BigFloat:
         return _mul(x, y, self._wp)
-
-    def div(self, x: BigFloat, y: BigFloat) -> BigFloat:
-        return _div(x, y, self._wp)
 
     # -- algebraic / transcendental ----------------------------------------
 
@@ -533,10 +521,6 @@ class PrecisionContext:
         """pi from the independent Euler arctangent split (for cross-checks)."""
         wp2 = self._wp + 32
         return _norm(1, _fp_pi_euler(wp2), -wp2, self._wp)
-
-    def ln2(self) -> BigFloat:
-        wp2 = self._wp + 32
-        return _norm(1, _fp_ln2(wp2), -wp2, self._wp)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,18 @@ product's primes are among the sum's indices, so each ``2**W // j**s`` is
 taken once, exactly (for ``j = 2**a`` it is the shift ``2**(W - a s)``, or
 0): it is added into one total per character value and, when j is a prime
 ``p <= p_n``, multiplied into the running product as the factor
-``1 - x`` with ``x = chi(p) * (2**W // p**s)``.  For a divisor ``y = j**s``
+``1 - x`` with ``x = chi(p) * (2**W // p**s)``.  For integers ``a >= 0`` and
+``b, c >= 1``, ``(a // b) // c = a // (b c)`` (Brent & Zimmermann, *Modern
+Computer Arithmetic*, ch. 1.4), so a composite ``j = p m``, p its least
+prime factor, takes ``2**W // j**s`` exactly as ``(2**W // m**s) // p**s``,
+or ``(2**W // m**s) >> s`` for p = 2: no power, and one full division of
+the cofactor's ``W - s log2 m`` bits by the ``s log2 p`` of ``p**s``.  The
+pass keeps ``2**W // m**s`` for every ``m <= J / 2`` and ``p**s`` for every
+prime ``p <= sqrt(J)``, and sieves the least factors from the primes it is
+handed, so in a residual's pass, whose primes reach ``p_n >= sqrt(J)``,
+every composite takes this route.  The other j take ``j**s``: 1, the
+primes, and any j with no factor among the pass's primes, such as every j
+of ``l_partial_sum``, which is handed none.  For a divisor ``y = j**s``
 of d bits the quotient has about ``W - d``, and where that is short only
 y's top bits take part, as in floating-point division (Brent & Zimmermann,
 *Modern Computer Arithmetic*, ch. 1.4 and 3).  With ``sh = 2d - W - 40 > 0``
@@ -236,6 +247,9 @@ _ROOT_WEIGHT = 5
 # W = 1224 against the full division and -4% at 1420, and 12-29% more at
 # W = 600-900 (CPython 3.11, 2-vCPU x86).
 _SHORT_QUOTIENT_BITS = 1400
+# (primes, J) whose least-factor sieves (``_least_factors``) are kept: a
+# ``slopes`` run's passes share one, a ``dtable`` has one per n.
+_CACHED_SIEVES = 8
 # (primes, modulus, label) whose sizing facts (``_cell_facts``) are kept: a
 # ``slopes`` run visits 29 prime lists for one character, a ``dtable`` one per cell.
 _CACHED_CELLS = 256
@@ -483,18 +497,40 @@ def euler_product(
     return _to_complex(ctx, (-re, -im), W)
 
 
+@lru_cache(maxsize=_CACHED_SIEVES)
+def _least_factors(ps: tuple, J: int) -> tuple:
+    """The least of the ascending primes ``ps`` dividing each j <= J where j
+    is at least its square, 0 for every other j, or () when no square is at
+    most J: a sieve that marks each prime's multiples from its square on,
+    the largest prime first."""
+    small = [p for p in ps if p * p <= J]
+    if not small:
+        return ()
+    least = [0] * (J + 1)
+    for p in reversed(small):
+        least[p * p :: p] = [p] * len(range(p * p, J + 1, p))
+    return tuple(least)
+
+
 def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, products: list) -> tuple:
     """The L-sum to J for every J in ``sums`` and the running product
     ``prod (1 - chi(p)/p**s)`` over ``ps[:n]`` for every n in ``products``,
     not inverted (``_minus_inverse`` divides), each a fixed-point
     ``(re, im)`` at scale ``2**W``, in one pass over j.
 
-    The pass takes each ``2**W // j**s`` once, exactly (for ``j = 2**a`` the
-    shift ``2**(W - a s)``, or 0): where the quotient is short and W is at
-    least ``_SHORT_QUOTIENT_BITS``, from the top ``W + 40 - d`` bits of the
-    d-bit ``j**s``, within ``2**-38`` above the exact quotient, kept where
-    its remainder shows it is the exact floor and divided in full where not
-    (see the module docstring).  It adds the quotient to the total of chi(j)
+    The pass takes each ``2**W // j**s`` once, exactly.  A composite j with
+    a least prime factor p among ``ps`` divides its cofactor's quotient:
+    ``(2**W // (j/p)**s) // p**s``, or ``>> s`` for p = 2, which is the same
+    floor (see the module docstring); the pass keeps the quotients of
+    ``m <= J / 2`` and the powers of the primes up to ``sqrt(J)`` for it,
+    with J the longest sum, and the least factors come from a sieve over
+    ``ps`` shared by every pass of the same primes and J
+    (``_least_factors``).  Every other j divides ``2**W`` by ``j**s`` (for
+    ``j = 2**a`` the shift ``2**(W - a s)``, or 0): where the quotient is
+    short and W is at least ``_SHORT_QUOTIENT_BITS``, from the top
+    ``W + 40 - d`` bits of the d-bit ``j**s``, within ``2**-38`` above the
+    exact quotient, kept where its remainder shows it is the exact floor
+    and divided in full where not.  It adds the quotient to the total of chi(j)
     and, where j is one of the products' primes, multiplies its factor
     ``1 - x`` into the running product z as ``z 2**W - z x``, W bits by the
     quotient's.  It walks every j up to the longest sum, then only the
@@ -506,8 +542,15 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
     # j**s from short up to one (sh > 0) take the short route; none does
     # below _SHORT_QUOTIENT_BITS
     short = 1 << (W + 40) // 2 if W >= _SHORT_QUOTIENT_BITS else one + 1
-    ps = ps[: max(products, default=0)]
     last_sum = max(sums, default=0)
+    # the least factor in ps of each composite up to the longest sum
+    least = _least_factors(ps, last_sum)
+    sieved = len(least)
+    # 2**W // m**s for the m a composite's quotient is taken from, and p**s
+    # for the primes p it divides by
+    half = last_sum // 2
+    kept, powers = [0] * (half + 1), {}
+    ps = ps[: max(products, default=0)]
     # every j up to the longest sum, then only the products' primes past it
     walk = range(1, last_sum + 1)
     if ps and ps[-1] > last_sum:
@@ -529,10 +572,16 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
     for j in walk:
         c = cls[j % k]
         if c >= 0:
-            if not j & (j - 1):
+            p = least[j] if j < sieved else 0
+            if p:
+                # 2**W // (m**s p**s) = (2**W // m**s) // p**s, exactly
+                x = kept[j // p] >> s if p == 2 else kept[j // p] // powers[p]
+            elif not j & (j - 1):
                 x = one >> (j.bit_length() - 1) * s
             else:
                 y = j**s
+                if j * j <= last_sum:
+                    powers[j] = y
                 if y < short:
                     x = one // y
                 elif y > one:
@@ -544,6 +593,8 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
                     x, r = divmod(one >> sh, top)
                     if r << 38 < top:
                         x = one // y
+            if j <= half:
+                kept[j] = x
             totals[c] += x
             if is_factor[j]:
                 # the factor is one - (xr + i xi), xr + i xi = chi(p) x

@@ -106,6 +106,32 @@ def test_unwritable_stdout_exit_3(argv, sink):
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [["chars", "--modulus", "5"], ["estimate", "--n", "2", "--s", "5"], ["selftest"]], ids=lambda argv: argv[0]
+)
+def test_closed_stdout_exit_3(argv):
+    # with fd 1 closed before the interpreter starts, sys.stdout is None
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primerec.__file__)))
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "primerec.cli", *argv],
+        stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.parametrize("argv", [["chars", "--modulus", "5"], ["selftest"]], ids=lambda argv: argv[0])
+def test_stdout_none_exit_3(monkeypatch, capsys, tmp_path, argv):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run(argv) == 3
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+    # an --output file does not need stdout
+    if argv[0] == "chars":
+        path = tmp_path / "chars.csv"
+        assert run([*argv, "--output", str(path)]) == 0
+        assert path.read_text(encoding="utf-8").startswith("label,n,kind,a,m\n")
+
+
 class _FullStream(io.StringIO):
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

@@ -46,6 +46,11 @@ def d_cell(n: int, s: int, chi):
     return row.cells[0].value
 
 
+def bf_abs(x):
+    """|x| of a BigFloat, exactly."""
+    return mpnum.BigFloat(abs(x.sign), x.man, x.exp)
+
+
 def abs2(z) -> Fraction:
     """|z|**2 of a BigComplex, exactly."""
     return z.re.to_fraction() ** 2 + z.im.to_fraction() ** 2
@@ -205,6 +210,24 @@ MOD70_SUMS = [2 * p - 1 for p in first_n_primes(30)]
 MOD70_PRODUCTS = list(range(1, 31))
 MOD70_ANY = dict(k=70, pick=enumerate_characters(70).characters.index(CHI70), s=100, prec=PREC70)
 MOD70_GAUSSIAN = dict(k=70, pick=gaussian_characters(70).index(CHI70), s=100, prec=PREC70)
+# wide passes: s = 200 over n = 1..30 (J up to 225) at the widest n's
+# automatic precision, W above 1400 bits, so that the primes' quotients come
+# from their divisors' top bits and the composites' from their cofactors';
+# mod 7 label 3 takes complex values, and CHI70 vanishes on 2, 5 and 7
+WIDE_S = 200
+CHI7 = enumerate_characters(7).by_label(3)
+WIDE7 = dict(
+    k=7,
+    pick=enumerate_characters(7).characters.index(CHI7),
+    s=WIDE_S,
+    prec=max(recursion.required_precision(n, WIDE_S, CHI7).prec_bits for n in range(1, 31)),
+)
+WIDE70 = dict(
+    k=70,
+    pick=MOD70_ANY["pick"],
+    s=WIDE_S,
+    prec=max(recursion.required_precision(n, WIDE_S, CHI70).prec_bits for n in range(1, 31)),
+)
 # sweep width: n = 2, s = 1900, for the trivial character and the quadratic
 # character mod 5, both real, so each residual divides by the real product
 # alone and its quotient of 2 is a shift
@@ -261,6 +284,8 @@ class TestSharedPass:
     # at a small s the rotated totals are large enough to show a root's last bits
     @example(k=13, pick=5, s=2, cells=UNSORTED_SUMS, prec=1400)
     @example(**MOD70_ANY, cells=MOD70_SUMS)
+    @example(**WIDE7, cells=MOD70_SUMS)
+    @example(**WIDE70, cells=MOD70_SUMS)
     def test_sums_match_running_pass(self, k, pick, s, cells, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
@@ -288,6 +313,8 @@ class TestSharedPass:
     @example(k=5, pick=G5_REAL, s=1, cells=[1, 2, 6, 30], prec=64)
     @example(k=5, pick=G5_COMPLEX, s=1, cells=[1, 2, 6, 30], prec=64)
     @example(k=1, pick=0, s=20, cells=list(range(2, 31)), prec=SLOPES_PREC)
+    @example(**WIDE7, cells=MOD70_PRODUCTS)
+    @example(**WIDE70, cells=MOD70_PRODUCTS)
     def test_residuals_match_per_cell_loops(self, k, pick, s, cells, prec):
         # the product's factors share the L-sum's quotients of their primes,
         # and each component's one short division, the sum minus 2**(2W)
@@ -327,6 +354,8 @@ class TestSharedPass:
     # a sum and a product closing at the same j = p_3 = 5
     @example(k=13, pick=5, s=2, sums=[5, 9], products=[3], prec=900)
     @example(**MOD70_ANY, sums=MOD70_SUMS, products=MOD70_PRODUCTS)
+    @example(**WIDE7, sums=MOD70_SUMS, products=MOD70_PRODUCTS)
+    @example(**WIDE70, sums=MOD70_SUMS, products=MOD70_PRODUCTS)
     def test_mixed_pass_matches_per_cell_loops(self, k, pick, s, sums, products, prec):
         chi = any_character(k, pick)
         W = kernel_bits(prec)
@@ -479,6 +508,15 @@ def quotient_cases(draw):
     return W, random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 << (bits - 1)
 
 
+@st.composite
+def pass_cases(draw):
+    """(W, s, J) for W from 64 to 100k bits and J up to 120, with s from 1 to
+    where ``J**s`` passes ``2**W`` by about 80 bits."""
+    W = draw(st.integers(64, 100_000))
+    J = draw(st.integers(1, 120))
+    return W, draw(st.integers(1, (W + 80) // max(1, J.bit_length() - 1))), J
+
+
 class TestKernelQuotient:
     """Each ``2**W // y`` of the kernels (y = j**s) is exact: from W =
     ``_SHORT_QUOTIENT_BITS`` on, taken from y's top bits where the quotient
@@ -507,6 +545,32 @@ class TestKernelQuotient:
     def test_matches_full_division(self, case):
         W, y = case
         assert kernel_quotient(y, W) == (1 << W) // y
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=pass_cases())
+    # every route at once: primes short and long, composites from a
+    # cofactor's quotient, shifts for 2 and its multiples, zeros past 2**W
+    @example(case=(1773, WIDE_S, 120))
+    @example(case=(5120, 1900, 5))
+    @example(case=(100_000, 14_000, 120))
+    def test_pass_takes_every_quotient_exactly(self, case):
+        # a composite j = p m takes (2**W // m**s) // p**s, which is
+        # 2**W // j**s exactly: the trivial character's L-sum at each J
+        # less its sum at J - 1 reads every quotient of one pass
+        W, s, J = case
+        sums = [re for re, _ in recursion._kernels(K1, s, W, PS, list(range(1, J + 1)), [])[0]]
+        got = [b - a for a, b in zip([0, *sums], sums)]
+        assert got == [(1 << W) // j**s for j in range(1, J + 1)]
+
+    def test_composites_share_one_sieve(self):
+        # a series over s sieves the least factors of its indices once, from
+        # the primes it is handed; a sum handed no primes gets no sieve
+        recursion._least_factors.cache_clear()
+        for s in (20, 21, 22):
+            recursion.estimate_many(range(2, 31), s, K1)
+        info = recursion._least_factors.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert recursion._least_factors((), 225) == ()
 
 
 class TestEulerProduct:
@@ -644,7 +708,7 @@ class TestEstimate:
     def test_result_invariants(self):
         res = recursion.estimate(3, 40, G4.by_label(2))
         ctx = PrecisionContext(res.prec_bits)
-        recomputed = ctx.abs(ctx.sub(ctx.from_int(res.target), res.estimate))
+        recomputed = bf_abs(ctx.sub(ctx.from_int(res.target), res.estimate))
         assert recomputed == res.error
         assert res.estimate.sign > 0
         if res.rounded == res.target:
@@ -818,10 +882,10 @@ class TestDownstreamWidth:
         ctx, wide = PrecisionContext(P), PrecisionContext(P + 64)
         r = res.residual
         sq = ctx.add(ctx.mul(r.re, r.re), ctx.mul(r.im, r.im))
-        est = wide.exp(wide.div(wide.neg(wide.ln(sq)), wide.from_int(2 * s)))
+        est = wide.exp(mpnum._div(wide.neg(wide.ln(sq)), wide.from_int(2 * s), wide._wp))
         rounded = nearest_int(est)
-        error = ctx.abs(ctx.sub(ctx.from_int(res.target), est))
-        margin = ctx.abs(ctx.sub(est, ctx.from_int(rounded)))
+        error = bf_abs(ctx.sub(ctx.from_int(res.target), est))
+        margin = bf_abs(ctx.sub(est, ctx.from_int(rounded)))
         assert res.rounded == rounded
         for got, want in ((res.estimate, est), (res.error, error), (res.margin, margin)):
             assert format_decimal(got, 17) == format_decimal(want, 17)
