@@ -546,9 +546,9 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
     # the least factor in ps of each composite up to the longest sum
     least = _least_factors(ps, last_sum)
     sieved = len(least)
-    # 2**W // m**s for the m a composite's quotient is taken from, and p**s
-    # for the primes p it divides by
-    half = last_sum // 2
+    # 2**W // m**s for the m a composite's quotient is taken from (none
+    # without a sieve), and p**s for the primes p it divides by
+    half = last_sum // 2 if least else 0
     kept, powers = [0] * (half + 1), {}
     ps = ps[: max(products, default=0)]
     # every j up to the longest sum, then only the products' primes past it
