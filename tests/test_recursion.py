@@ -551,6 +551,7 @@ class TestKernelQuotient:
     # every route at once: primes short and long, composites from a
     # cofactor's quotient, shifts for 2 and its multiples, zeros past 2**W
     @example(case=(1773, WIDE_S, 120))
+    @example(case=(1400, 300, 120))
     @example(case=(5120, 1900, 5))
     @example(case=(100_000, 14_000, 120))
     def test_pass_takes_every_quotient_exactly(self, case):
