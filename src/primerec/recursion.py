@@ -90,19 +90,22 @@ Computer Arithmetic*, ch. 1.4), so a composite ``j = p m``, p its least
 prime factor, takes ``2**W // j**s`` exactly as ``(2**W // m**s) // p**s``,
 or ``(2**W // m**s) >> s`` for p = 2: no power, and one full division of
 the cofactor's ``W - s log2 m`` bits by the ``s log2 p`` of ``p**s``.  The
-pass keeps ``2**W // m**s`` for every ``m <= J / 2`` and ``p**s`` for every
-prime ``p <= sqrt(J)``, and sieves the least factors from the primes it is
-handed, so in a residual's pass, whose primes reach ``p_n >= sqrt(J)``,
-every composite takes this route.  The other j take ``j**s``: 1, the
-primes, and any j with no factor among the pass's primes, such as every j
-of ``l_partial_sum``, which is handed none.  For a divisor ``y = j**s``
-of d bits the quotient has about ``W - d``, and where that is short only
-y's top bits take part, as in floating-point division (Brent & Zimmermann,
-*Modern Computer Arithmetic*, ch. 1.4 and 3).  With ``sh = 2d - W - 40 > 0``
-and ``Y = y >> sh`` (``W + 40 - d`` bits), ``x, r = divmod(2**(W - sh), Y)``:
-since ``Y 2**sh <= y < (Y + 1) 2**sh``, ``2**(W - sh) / Y`` is at least
-``2**W / y`` and less than ``2**W / (y Y) <= 2**-38`` above it.  So x is
-the exact floor unless ``2**W / y`` lies under x, within ``2**-38``, which
+route runs up to an index L, the longest sum J or less where its state
+would pass ``_ROUTE_BYTES`` (16 MiB): the pass keeps ``2**W // m**s`` for
+every ``m <= L / 2`` and ``p**s`` for every prime ``p <= sqrt(L)``, and
+sieves the least factors of the j up to L from the primes it is handed, so
+in a residual's pass, whose primes reach ``p_n >= sqrt(J)``, every
+composite up to L takes this route.  The other j take ``j**s``: 1, the
+primes, the composites past L, and any j with no factor among the pass's
+primes, such as every j of ``l_partial_sum``, which is handed none.  For a
+divisor ``y = j**s`` of d bits the quotient has about ``W - d``, and where
+that is short only y's top bits take part, as in floating-point division
+(Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1.4 and 3).  With
+``sh = 2d - W - 40 > 0`` and ``Y = y >> sh`` (``W + 40 - d`` bits),
+``x, r = divmod(2**(W - sh), Y)``: since ``Y 2**sh <= y < (Y + 1) 2**sh``,
+``2**(W - sh) / Y`` is at least ``2**W / y`` and less than
+``2**W / (y Y) <= 2**-38`` above it.  So x is the exact floor unless
+``2**W / y`` lies under x, within ``2**-38``, which
 needs ``r / Y < 2**-38``: x is kept when ``r 2**38 >= Y``, and otherwise
 ``2**W // y`` is divided in full (about once in ``2**38`` quotients at
 random, though such y can be constructed).  Where ``y > 2**W`` the
@@ -181,6 +184,7 @@ it once, at entry, up to ``p_{n+1}`` where it compares with the target.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple, Optional
@@ -247,9 +251,16 @@ _ROOT_WEIGHT = 5
 # W = 1224 against the full division and -4% at 1420, and 12-29% more at
 # W = 600-900 (CPython 3.11, 2-vCPU x86).
 _SHORT_QUOTIENT_BITS = 1400
-# (primes, J) whose least-factor sieves (``_least_factors``) are kept: a
-# ``slopes`` run's passes share one, a ``dtable`` has one per n.
-_CACHED_SIEVES = 8
+# The bytes a kernel pass spends on its composite route (``_kernels``), up to
+# the last index that fits: per index 8 for its least factor, and per second
+# index a kept quotient of at most W + 1 bits, under 52 + 4 W / 30 bytes with
+# its list slot (30-bit digits, 16-byte allocations), so 34 + W / 15 in all.
+# The route reaches every j of the bench's passes (J up to 225) and of the
+# (n, s) = (150, 2765) estimate at 40000 bits (J = 1725, W = 40112, 6195
+# indices); past it the composites divide 2**W by j**s.  Unbounded, it held
+# 134 MiB at (n, s) = (100000, 2) (J = 2.6M) and would pass 1 GB near the
+# prime table's cap (J = 3.1e7).
+_ROUTE_BYTES = 1 << 24
 # (primes, modulus, label) whose sizing facts (``_cell_facts``) are kept: a
 # ``slopes`` run visits 29 prime lists for one character, a ``dtable`` one per cell.
 _CACHED_CELLS = 256
@@ -497,58 +508,50 @@ def euler_product(
     return _to_complex(ctx, (-re, -im), W)
 
 
-@lru_cache(maxsize=_CACHED_SIEVES)
-def _least_factors(ps: tuple, J: int) -> tuple:
-    """The least of the ascending primes ``ps`` dividing each j <= J where j
-    is at least its square, 0 for every other j, or () when no square is at
-    most J: a sieve that marks each prime's multiples from its square on,
-    the largest prime first."""
-    small = [p for p in ps if p * p <= J]
-    if not small:
-        return ()
-    least = [0] * (J + 1)
-    for p in reversed(small):
-        least[p * p :: p] = [p] * len(range(p * p, J + 1, p))
-    return tuple(least)
-
-
 def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, products: list) -> tuple:
     """The L-sum to J for every J in ``sums`` and the running product
     ``prod (1 - chi(p)/p**s)`` over ``ps[:n]`` for every n in ``products``,
     not inverted (``_minus_inverse`` divides), each a fixed-point
     ``(re, im)`` at scale ``2**W``, in one pass over j.
 
-    The pass takes each ``2**W // j**s`` once, exactly.  A composite j with
-    a least prime factor p among ``ps`` divides its cofactor's quotient:
-    ``(2**W // (j/p)**s) // p**s``, or ``>> s`` for p = 2, which is the same
-    floor (see the module docstring); the pass keeps the quotients of
-    ``m <= J / 2`` and the powers of the primes up to ``sqrt(J)`` for it,
-    with J the longest sum, and the least factors come from a sieve over
-    ``ps`` shared by every pass of the same primes and J
-    (``_least_factors``).  Every other j divides ``2**W`` by ``j**s`` (for
-    ``j = 2**a`` the shift ``2**(W - a s)``, or 0): where the quotient is
-    short and W is at least ``_SHORT_QUOTIENT_BITS``, from the top
-    ``W + 40 - d`` bits of the d-bit ``j**s``, within ``2**-38`` above the
-    exact quotient, kept where its remainder shows it is the exact floor
-    and divided in full where not.  It adds the quotient to the total of chi(j)
-    and, where j is one of the products' primes, multiplies its factor
-    ``1 - x`` into the running product z as ``z 2**W - z x``, W bits by the
-    quotient's.  It walks every j up to the longest sum, then only the
-    primes past it.  The totals are rotated at each sum's J and the product
-    is taken at each product's n-th prime, so every cell is its one-cell
-    loop bit for bit.
+    The pass takes each ``2**W // j**s`` once, exactly.  A composite j up
+    to the route's last index L with a least prime factor p among ``ps``
+    divides its cofactor's quotient: ``(2**W // (j/p)**s) // p**s``, or
+    ``>> s`` for p = 2, which is the same floor (see the module docstring).
+    L is the longest sum, or less where its state would pass
+    ``_ROUTE_BYTES``: the least factors of the j up to L, sieved in the pass
+    from the primes of ``ps`` up to ``sqrt(L)``, the quotients of
+    ``m <= L / 2`` and the powers of those primes.  Every other j divides
+    ``2**W`` by ``j**s`` (for ``j = 2**a`` the shift ``2**(W - a s)``, or
+    0): where the quotient is short and W is at least
+    ``_SHORT_QUOTIENT_BITS``, from the top ``W + 40 - d`` bits of the d-bit
+    ``j**s``, within ``2**-38`` above the exact quotient, kept where its
+    remainder shows it is the exact floor and divided in full where not.
+    It adds the quotient to the total of chi(j) and, where j is one of the
+    products' primes, multiplies its factor ``1 - x`` into the running
+    product z as ``z 2**W - z x``, W bits by the quotient's.  It walks
+    every j up to the longest sum, then only the primes past it.  The
+    totals are rotated at each sum's J and the product is taken at each
+    product's n-th prime, so every cell is its one-cell loop bit for bit.
     """
     one = 1 << W
     # j**s from short up to one (sh > 0) take the short route; none does
     # below _SHORT_QUOTIENT_BITS
     short = 1 << (W + 40) // 2 if W >= _SHORT_QUOTIENT_BITS else one + 1
     last_sum = max(sums, default=0)
-    # the least factor in ps of each composite up to the longest sum
-    least = _least_factors(ps, last_sum)
+    # the route's last index, within _ROUTE_BYTES, and the primes of ps it
+    # divides by
+    route = min(last_sum, _ROUTE_BYTES // (34 + W // 15))
+    small = ps[: bisect_right(ps, math.isqrt(route))]
+    # the least factor in small of each j <= route at least its square (0
+    # for the other j), marked from each prime's square, the largest first
+    least = [0] * (route + 1) if small else []
+    for p in reversed(small):
+        least[p * p :: p] = [p] * ((route - p * p) // p + 1)
     sieved = len(least)
     # 2**W // m**s for the m a composite's quotient is taken from (none
     # without a sieve), and p**s for the primes p it divides by
-    half = last_sum // 2 if least else 0
+    half = route // 2 if small else 0
     kept, powers = [0] * (half + 1), {}
     ps = ps[: max(products, default=0)]
     # every j up to the longest sum, then only the products' primes past it
@@ -580,7 +583,7 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
                 x = one >> (j.bit_length() - 1) * s
             else:
                 y = j**s
-                if j * j <= last_sum:
+                if j * j <= route:
                     powers[j] = y
                 if y < short:
                     x = one // y

@@ -8,8 +8,10 @@ values appear only with their documented tolerances.
 import math
 import random
 import re
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -563,15 +565,33 @@ class TestKernelQuotient:
         got = [b - a for a, b in zip([0, *sums], sums)]
         assert got == [(1 << W) // j**s for j in range(1, J + 1)]
 
-    def test_composites_share_one_sieve(self):
-        # a series over s sieves the least factors of its indices once, from
-        # the primes it is handed; a sum handed no primes gets no sieve
-        recursion._least_factors.cache_clear()
-        for s in (20, 21, 22):
-            recursion.estimate_many(range(2, 31), s, K1)
-        info = recursion._least_factors.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        assert recursion._least_factors((), 225) == ()
+    @settings(max_examples=40, deadline=None)
+    @given(case=pass_cases(), cut=st.floats(0, 1))
+    @example(case=(1773, WIDE_S, 120), cut=0.5)
+    @example(case=(5120, 40, 120), cut=0.05)
+    def test_route_limit_keeps_every_quotient(self, case, cut):
+        # with _ROUTE_BYTES room for L indices at W the composites past L
+        # divide 2**W by j**s, and every quotient is still exact
+        W, s, J = case
+        L = int(cut * J)
+        with mock.patch.object(recursion, "_ROUTE_BYTES", L * (34 + W // 15)):
+            sums = [re for re, _ in recursion._kernels(K1, s, W, PS, list(range(1, J + 1)), [])[0]]
+        got = [b - a for a, b in zip([0, *sums], sums)]
+        assert got == [(1 << W) // j**s for j in range(1, J + 1)]
+
+    def test_route_state_stays_within_its_bytes(self):
+        # at s = 2 each kept quotient holds nearly W bits: the route's state
+        # over J = 20000 would take about 39 MiB, and the pass stops it at
+        # _ROUTE_BYTES (16 MiB), its walk and totals taking little more
+        W, s, J = 30_000, 2, 20_000
+        tracemalloc.start()
+        try:
+            (got,), _ = recursion._kernels(K1, s, W, tuple(first_n_primes(40)), [J], [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < recursion._ROUTE_BYTES + (1 << 20)
+        assert got == (sum((1 << W) // j**s for j in range(1, J + 1)), 0)
 
 
 class TestEulerProduct:
