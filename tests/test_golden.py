@@ -23,6 +23,10 @@ J = 1081) was written while every ``2**W // j**s`` was still divided in
 full.  ``estimate_n60_s1500_mod7_label3.csv`` (a complex character with
 zeros at the multiples of 7, J = 561, about 13.8k bits) was written while
 every composite j's quotient still came from its own power ``j**s``.
+``sweep_n3_s1900-1950_mod4_label2.csv`` (a real character with chi(3) = -1,
+so the running product ``1 + 3**-s`` lies above 1, at the bench's sweep
+widths) was written while the residual still multiplied the product by the
+sum at full width and divided ``2**(2W)`` less that product by it in full.
 Each CLI file name is its command line; every command but ``estimate``,
 which has no ``--workers``, runs at one worker.
 
@@ -61,6 +65,9 @@ CASES = {
     "sweep_n2_s1850-1950.csv": ["sweep", "--n", "2", "--s-min", "1850", "--s-max", "1950"],
     "sweep_n3_s1900-1950_mod5_label2.csv": [
         "sweep", "--n", "3", "--s-min", "1900", "--s-max", "1950", "--modulus", "5", "--label", "2",
+    ],
+    "sweep_n3_s1900-1950_mod4_label2.csv": [
+        "sweep", "--n", "3", "--s-min", "1900", "--s-max", "1950", "--modulus", "4", "--label", "2",
     ],
     "estimate_n2_s100000.csv": ["estimate", "--n", "2", "--s", "100000"],
     "estimate_n100_s1719.csv": ["estimate", "--n", "100", "--s", "1719"],
