@@ -100,29 +100,37 @@ primes, the composites past L, and any j with no factor among the pass's
 primes, such as every j of ``l_partial_sum``, which is handed none.  For a
 divisor ``y = j**s`` of d bits the quotient has about ``W - d``, and where
 that is short only y's top bits take part, as in floating-point division
-(Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1.4 and 3).  With
-``sh = 2d - W - 40 > 0`` and ``Y = y >> sh`` (``W + 40 - d`` bits),
-``x, r = divmod(2**(W - sh), Y)``: since ``Y 2**sh <= y < (Y + 1) 2**sh``,
-``2**(W - sh) / Y`` is at least ``2**W / y`` and less than
-``2**W / (y Y) <= 2**-38`` above it.  So x is the exact floor unless
-``2**W / y`` lies under x, within ``2**-38``, which
-needs ``r / Y < 2**-38``: x is kept when ``r 2**38 >= Y``, and otherwise
-``2**W // y`` is divided in full (about once in ``2**38`` quotients at
-random, though such y can be constructed).  Where ``y > 2**W`` the
-quotient is 0; where ``sh <= 0`` it is long and divided in full, and so is
-every quotient below W = ``_SHORT_QUOTIENT_BITS``, where the full division
-costs less.  Every quotient is thus ``2**W // j**s`` exactly, and the
-bounds below are those of the full division.  The sum multiplies each
-total by its root once.  Roots of unity come from ``mpnum.fixed_root`` at
-the same scale, each component truncated and within 2 units of ``2**-W``
-(1 is exact; for chi(p) = +-1, x is plus or minus the quotient itself).
+(Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1.4 and 3).  Each
+such floor ``u // v`` (v > 0, u of either sign), here and in the residual
+below, is one ``_quotient``: with ``q = max(1, bits(u) - bits(v) + 1)``,
+at least the quotient's bit count, ``sh = bits(v) - q - 40``,
+``Y = v >> sh`` (v's top ``q + 40`` bits) and
+``t, r = divmod(|u| >> sh, Y)``, so ``0 <= r <= Y - 1``.  Since
+``Y 2**sh <= v < (Y + 1) 2**sh`` and ``|u| >> sh`` is ``|u| / 2**sh``
+floored, ``|u| / v`` is below ``(t Y + r + 1) / Y <= t + 1`` and, for
+u != 0, above ``(t Y + r) / (Y + 1)``, which is at least t where
+``t <= r``.  There the quotient lies strictly between t and t + 1, and the
+floor is t, or ``-t - 1`` for u < 0 (0 for u = 0).  Where ``t > r``,
+about once in ``2**40`` quotients at random (t has at most q bits, Y
+``q + 40``) though such u and v can be constructed, and where ``sh <= 0``
+(a long quotient), u is divided in full, and so is every quotient below
+W = ``_SHORT_QUOTIENT_BITS``, where the full division costs less.  Every
+quotient is thus exact, ``2**W // j**s`` for the kernels (0 where
+``j**s > 2**W``), and the bounds below are those of the full division.
+The sum multiplies each total by its root once.  Roots of unity come
+from ``mpnum.fixed_root`` at the same scale, each component truncated
+and within 2 units of ``2**-W`` (1 is exact; for chi(p) = +-1, x is plus
+or minus the quotient itself).
 Every rounding truncates toward zero, so conjugate characters give
 bit-conjugate results; a truncation by ``2**W`` is a signed shift.  x has
-only the quotient's ``W - s log2 p`` bits, so the product ``z`` takes each
-factor as ``z 2**W - z x`` truncated by ``2**W``: the integer of
-``z (2**W - x)`` truncated, at products of W bits by the quotient's
-instead of W by W; it starts at its first factor.  Besides the quotients
-only the residual divides, once per component.  The product's inverse is
+only the quotient's ``W - s log2 p`` bits, and the running product ``z``
+stays within about ``2**-s`` of 1, so its deficit ``2**W - z`` has about
+``W - s`` bits: each factor is taken as ``z 2**W - z x``, formed as
+``(z - x) 2**W + (2**W - z) x`` and truncated by ``2**W``, the integer of
+``z (2**W - x)`` truncated, at a product of the deficit's bits by the
+quotient's instead of W by the quotient's (component by component for a
+complex z); it starts at its first factor.  Besides the quotients only
+the residual divides, once per component.  The product's inverse is
 ``trunc(N / den)`` with ``N = +-2**(2W)`` and ``den = |a|`` for a real
 product ``a`` (imaginary part 0, as with every real character), since
 ``a 2**(2W) / a**2`` is exactly ``2**(2W) / a``, or with
@@ -131,23 +139,28 @@ product ``a`` (imaginary part 0, as with every real character), since
 S minus it is ``-((N - S den) // den)`` when ``N >= 0`` and
 ``(S den - N) // den`` otherwise, exactly, since S is an integer.  The
 sum and the product agree to about ``s log2 m1`` bits, so that quotient
-has about ``W - s log2 m1``: one W-by-W product (W by 2W for a complex
-product) and a short division replace a 2W-by-W (3W-by-2W) division
-(Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1.4).
-``euler_product`` takes the same route with S = 0.  Each component of
-the sum is within ``J + c + 2 + 2 ln J`` units of ``2**-W``: J from
-the terms, one truncation for each of the ``c`` values of chi other than
-1 on 1..J, and 2 units of root error per unit of class total, the totals
-summing to at most ``1 + ln J``.  For the product, when ``s >= 2``, it is within
-``20 n + 2``: each factor is within 3.2 units (1 from ``2**W // p**s``,
-``2 sqrt 2 / p**s`` from the root, ``sqrt 2`` from truncation), the
-partial products stay below ``zeta(2) / zeta(4) < 1.52`` in magnitude,
-each product truncates by ``sqrt 2``, and the inversion scales the error
-by at most ``zeta(2)**2 < 2.71`` and truncates once more.  At s = 1 each
-factor is within 3.9 units, and the partial products stay below
-``prod_{p <= p_n} p / (p - 1)``, at most ``prod_{k=2}^{p_n} k / (k - 1) =
-p_n``, whose square bounds the inversion's scale: within
-``(20 n + 2) p_n**3``.
+has about ``W - s log2 m1``, and ``_quotient`` takes it from den's top
+bits.  For a real product ``N - S den`` is ``+-(2**(2W) - S a)``, the
+sign that of a, and with the deficits ``e = S - 2**W`` and
+``d = 2**W - a`` from 2**W, each of about ``W - s`` bits,
+``2**(2W) - S a = 2**W (d - e) + e d``: one product of the deficits
+replaces a W-by-W product, and the short quotient a division by all of
+den's W bits.  A complex product forms ``N - S den`` in full, W bits by
+2W, then divides short (Brent & Zimmermann, *Modern Computer Arithmetic*,
+ch. 1.4 and 3.3).  ``euler_product`` takes the same route with S = 0.
+Each component of the sum is within ``J + c + 2 + 2 ln J`` units of
+``2**-W``: J from the terms, one truncation for each of the ``c`` values of
+chi other than 1 on 1..J, and 2 units of root error per unit of class
+total, the totals summing to at most ``1 + ln J``.  For the product, when
+``s >= 2``, it is within ``20 n + 2``: each factor is within 3.2 units (1
+from ``2**W // p**s``, ``2 sqrt 2 / p**s`` from the root, ``sqrt 2`` from
+truncation), the partial products stay below ``zeta(2) / zeta(4) < 1.52``
+in magnitude, each product truncates by ``sqrt 2``, and the inversion
+scales the error by at most ``zeta(2)**2 < 2.71`` and truncates once more.
+At s = 1 each factor is within 3.9 units, and the partial products stay
+below ``prod_{p <= p_n} p / (p - 1)``, at most ``prod_{k=2}^{p_n} k / (k -
+1) = p_n``, whose square bounds the inversion's scale: within ``(20 n + 2)
+p_n**3``.
 
 The estimates of several n at one s (``estimate_many``) share that one
 pass, run at one W: the widest of their precisions.  Each cell closes
@@ -220,8 +233,8 @@ __all__ = [
 # division, c * W**2 with c ~ 0.8e-12 s per bit**2 on a 2-vCPU x86 machine
 # (the Euler product's per-prime work included), c * J * W**2 in all.  That
 # over-counts: a quotient of q bits by a d-bit divisor (q + d = W) costs
-# about q * d, and one taken from the divisor's top q + 40 bits (``_kernels``)
-# about q**2.  A kernel pass (``_residuals``) refuses a
+# about q * d, and one taken from the divisor's top q + 40 bits
+# (``_quotient``) about q**2.  A kernel pass (``_residuals``) refuses a
 # projected (J + _INVERSION_WEIGHT) * W**2, plus the computed roots' cost
 # below, above this cap (about 80 s there), and so does an estimate's
 # sizing (``_sizing``): the chain after the kernels costs a few W-bit
@@ -232,12 +245,13 @@ MAX_KERNEL_COST = 10**14
 # same machine, at W = 400k bits, ``euler_product`` (which still inverts in
 # full) took 14.5 units of c * W**2 at n = 1 with chi(2) = i mod 5 (two
 # divisions): about 7 units each, 14 for both.  A residual divides once per
-# component, a short quotient after one W-by-W product (W by 2W for a
-# complex product), and the prime quotients come from the L-sum, so the
-# weight over-counts: the residual of n = 2, s = 300000 with the trivial
-# character (J = 5, W = 776k) took 0.31-0.41 s, 0.64-0.85 units, with its
-# quotients taken from the divisors' top bits (0.47-0.54 s before), where
-# (J + 14) * W**2 projects 19.
+# component, a short quotient from the divisor's top bits after one product
+# of the deficits from 2**W (W by 2W for a complex product), and the prime
+# quotients come from the L-sum, so the weight over-counts: the residual of
+# n = 2, s = 300000 with the trivial character (J = 5, W = 776k) took
+# 0.19-0.20 s, 0.40-0.41 units (0.31-0.32 s with a W-by-W product and a
+# division by all of the product's W bits), where (J + 14) * W**2 projects
+# 19.
 _INVERSION_WEIGHT = 14
 # ``fixed_root`` computes a root of unity of order m not dividing 4 by the
 # sine's Taylor series at W bits, once per W for each first-octant angle the
@@ -246,10 +260,11 @@ _INVERSION_WEIGHT = 14
 # units of c * W**2 at W = 50k bits and 1343-1460 at 100k, and 504-695 at
 # 25k: under 5 * W**2.5.
 _ROOT_WEIGHT = 5
-# The least W at which ``_kernels`` takes a short quotient from the divisor's
-# top bits: per j of a slopes-like pass (j <= 225), the route cost +0% at
-# W = 1224 against the full division and -4% at 1420, and 12-29% more at
-# W = 600-900 (CPython 3.11, 2-vCPU x86).
+# The least W at which ``_quotient`` takes a short quotient from the
+# divisor's top bits, in the kernels and the residual: per j of a
+# slopes-like pass (j <= 225), the route cost +0% at W = 1224 against the
+# full division and -4% at 1420, and 12-29% more at W = 600-900 (CPython
+# 3.11, 2-vCPU x86).
 _SHORT_QUOTIENT_BITS = 1400
 # The bytes a kernel pass spends on its composite route (``_kernels``), up to
 # the last index that fits: per index 8 for its least factor, and per second
@@ -405,11 +420,18 @@ def _sizing(n: int, s: int, facts: _Facts, prec_bits: Optional[int] = None) -> P
     num, den = facts.num, facts.den
     if prec_bits is not None and not isinstance(prec_bits, int):
         raise DomainError(f"prec_bits must be an integer, got {prec_bits!r}")
-    bits = max(64, math.ceil(s * math.log2(num / den)) - 1 + 96, prec_bits or 0)
+    t = s * math.log2(num / den)
+    bits = max(64, math.ceil(t) - 1 + 96, prec_bits or 0)
     _check_cost(f"n={n}, s={s}", facts.J, bits, facts.roots)
-    # ceil(base**s) - 1 in integers
-    top = num**s - 1 if den == 1 else -(-(num**s) // den**s) - 1
-    required = max(64, top.bit_length() + 96)
+    if abs(t - round(t)) > 2**-20:
+        # base**s lies strictly between 2**(ceil(t) - 1) and 2**ceil(t), so
+        # ceil(base**s) - 1 has ceil(t) bits: where the cost check passes t
+        # is under 2**22, within 2**-28 of s log2(base)
+        top = math.ceil(t)
+    else:
+        # ceil(base**s) - 1 in integers
+        top = (num**s - 1 if den == 1 else -(-(num**s) // den**s) - 1).bit_length()
+    required = max(64, top + 96)
     if prec_bits is not None and prec_bits < required:
         raise DomainError(
             f"precision override of {prec_bits} bits is below the "
@@ -443,11 +465,23 @@ def _shr(v: int, bits: int) -> int:
     return v >> bits if v >= 0 else -(-v >> bits)
 
 
-def _less_quotient(a: int, N: int, den: int) -> int:
-    """``a - trunc(N / den)`` (den > 0), the quotient rounded toward zero, by
-    one floor division of ``N - a den``, whose quotient is as short as
-    ``N / den - a``: exact because a is an integer."""
-    return -((N - a * den) // den) if N >= 0 else (a * den - N) // den
+def _quotient(u: int, v: int, W: int) -> int:
+    """``u // v`` (v > 0), exactly, in a pass at scale ``2**W``.
+
+    From W = ``_SHORT_QUOTIENT_BITS`` on, where the quotient is short, from
+    v's top ``q + 40`` bits Y, ``q = max(1, bits(u) - bits(v) + 1)``
+    bounding the quotient's bits: with ``t, r = divmod(|u| >> sh, Y)``,
+    where ``t <= r`` the exact ``|u| / v`` lies strictly between t and
+    t + 1, so the floor is t, or ``-t - 1`` for u < 0 (see the module
+    docstring).  Elsewhere, and below that width, u is divided in full.
+    """
+    m, d = abs(u), v.bit_length()
+    sh = d - max(1, m.bit_length() - d + 1) - 40
+    if sh > 0 and W >= _SHORT_QUOTIENT_BITS:
+        t, r = divmod(m >> sh, v >> sh)
+        if t <= r:
+            return t if u >= 0 else -t - 1
+    return u // v
 
 
 def _minus_inverse(a: int, b: int, product: tuple, W: int) -> tuple:
@@ -455,15 +489,23 @@ def _minus_inverse(a: int, b: int, product: tuple, W: int) -> tuple:
     ``2**W``, each component of the inverse truncated toward zero.
 
     For ``product = (pr, pi)`` the inverse is ``(pr, -pi) 2**(2W) / den``
-    with ``den = pr**2 + pi**2``, or ``+-2**(2W) / |pr|`` when pi = 0, and
-    each component takes one ``_less_quotient``.
+    with ``den = pr**2 + pi**2``, or ``+-2**(2W) / |pr|`` when pi = 0.  A
+    component c less ``trunc(N / den)`` is ``-((N - c den) // den)`` for
+    ``N >= 0`` and ``(c den - N) // den`` otherwise, each one ``_quotient``;
+    for a real product ``2**(2W) - a pr`` is formed from the deficits
+    ``e = a - 2**W`` and ``d = 2**W - pr`` as ``2**W (d - e) + e d``.
     """
     pr, pi = product
     if pi:
         den = pr * pr + pi * pi
-        return _less_quotient(a, pr << 2 * W, den), _less_quotient(b, -pi << 2 * W, den)
-    N = 1 << 2 * W
-    return _less_quotient(a, N if pr > 0 else -N, abs(pr)), b
+        re, im = (pr << 2 * W) - a * den, (-pi << 2 * W) - b * den
+        return (
+            -_quotient(re, den, W) if pr >= 0 else _quotient(-re, den, W),
+            -_quotient(im, den, W) if pi < 0 else _quotient(-im, den, W),
+        )
+    e, d = a - (1 << W), (1 << W) - pr
+    q = _quotient(((d - e) << W) + e * d, abs(pr), W)
+    return (-q if pr > 0 else q), b
 
 
 def _kernel_bits(bits: int) -> int:
@@ -523,21 +565,18 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
     from the primes of ``ps`` up to ``sqrt(L)``, the quotients of
     ``m <= L / 2`` and the powers of those primes.  Every other j divides
     ``2**W`` by ``j**s`` (for ``j = 2**a`` the shift ``2**(W - a s)``, or
-    0): where the quotient is short and W is at least
-    ``_SHORT_QUOTIENT_BITS``, from the top ``W + 40 - d`` bits of the d-bit
-    ``j**s``, within ``2**-38`` above the exact quotient, kept where its
-    remainder shows it is the exact floor and divided in full where not.
-    It adds the quotient to the total of chi(j) and, where j is one of the
-    products' primes, multiplies its factor ``1 - x`` into the running
-    product z as ``z 2**W - z x``, W bits by the quotient's.  It walks
+    0) in one ``_quotient``: where the quotient is short and W is at least
+    ``_SHORT_QUOTIENT_BITS``, from the top bits of ``j**s``, checked exact,
+    and in full where the check fails.  It adds the quotient to the total
+    of chi(j) and, where j is one of the products' primes, multiplies its
+    factor ``1 - x`` into the running product z as
+    ``(z - x) 2**W + (2**W - z) x``, z's deficit from ``2**W`` by the
+    quotient's bits, truncated by ``2**W``.  It walks
     every j up to the longest sum, then only the primes past it.  The
     totals are rotated at each sum's J and the product is taken at each
     product's n-th prime, so every cell is its one-cell loop bit for bit.
     """
     one = 1 << W
-    # j**s from short up to one (sh > 0) take the short route; none does
-    # below _SHORT_QUOTIENT_BITS
-    short = 1 << (W + 40) // 2 if W >= _SHORT_QUOTIENT_BITS else one + 1
     last_sum = max(sums, default=0)
     # the route's last index, within _ROUTE_BYTES, and the primes of ps it
     # divides by
@@ -585,17 +624,7 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
                 y = j**s
                 if j * j <= route:
                     powers[j] = y
-                if y < short:
-                    x = one // y
-                elif y > one:
-                    x = 0
-                else:
-                    # from y's top W + 40 - d bits, checked exact, or in full
-                    sh = 2 * y.bit_length() - W - 40
-                    top = y >> sh
-                    x, r = divmod(one >> sh, top)
-                    if r << 38 < top:
-                        x = one // y
+                x = _quotient(one, y, W)
             if j <= half:
                 kept[j] = x
             totals[c] += x
@@ -610,12 +639,13 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
                 if pr is None:
                     pr, pi = one - xr, -xi
                 elif pi or xi:
+                    d = one - pr
                     pr, pi = (
-                        _shr((pr << W) - pr * xr + pi * xi, W),
-                        _shr((pi << W) - pr * xi - pi * xr, W),
+                        _shr(((pr - xr) << W) + d * xr + pi * xi, W),
+                        _shr(((pi - xi) << W) + d * xi - pi * xr, W),
                     )
                 else:
-                    pr = _shr((pr << W) - pr * xr, W)
+                    pr = _shr(((pr - xr) << W) + (one - pr) * xr, W)
         if j in sum_at:
             re = im = 0
             for (a, m), total in zip(values, totals):

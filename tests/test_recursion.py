@@ -234,10 +234,14 @@ WIDE70 = dict(
 # character mod 5, both real, so each residual divides by the real product
 # alone and its quotient of 2 is a shift
 G5_REAL = G5.characters.index(G5.by_label(3))
+# and mod 4 label 2, real with chi(3) = -1: its running product 1 + 3**-s
+# lies above 1, so the product's deficit from 2**W is negative
+G4_REAL = G4.characters.index(G4.by_label(2))
 G5_COMPLEX = G5.characters.index(G5.by_label(2))
 SWEEP_S = 1900
 SWEEP_PREC = recursion.required_precision(2, SWEEP_S).prec_bits
 SWEEP_PREC_MOD5 = recursion.required_precision(2, SWEEP_S, G5.by_label(3)).prec_bits
+SWEEP_PREC_MOD4 = recursion.required_precision(3, SWEEP_S, G4.by_label(2)).prec_bits
 # a slopes pass: n = 2..30 at s = 20, at the widest n's precision
 SLOPES_PREC = max(recursion.required_precision(n, 20).prec_bits for n in range(2, 31))
 # the primes every pass below takes its cells' primes from
@@ -312,6 +316,8 @@ class TestSharedPass:
     @example(**MOD70_ANY, cells=MOD70_PRODUCTS)
     @example(k=1, pick=0, s=SWEEP_S, cells=[2], prec=SWEEP_PREC)
     @example(k=5, pick=G5_REAL, s=SWEEP_S, cells=[2, 1], prec=SWEEP_PREC_MOD5)
+    @example(k=4, pick=G4_REAL, s=SWEEP_S, cells=[3], prec=SWEEP_PREC_MOD4)
+    @example(k=4, pick=G4_REAL, s=SWEEP_S, cells=[2, 3, 1], prec=SWEEP_PREC_MOD4)
     @example(k=5, pick=G5_REAL, s=1, cells=[1, 2, 6, 30], prec=64)
     @example(k=5, pick=G5_COMPLEX, s=1, cells=[1, 2, 6, 30], prec=64)
     @example(k=1, pick=0, s=20, cells=list(range(2, 31)), prec=SLOPES_PREC)
@@ -592,6 +598,113 @@ class TestKernelQuotient:
             tracemalloc.stop()
         assert peak < recursion._ROUTE_BYTES + (1 << 20)
         assert got == (sum((1 << W) // j**s for j in range(1, J + 1)), 0)
+
+
+def unchecked_quotient(u: int, v: int) -> int:
+    """``recursion._quotient``'s short route without its check: the quotient
+    of u's and v's top bits, as ``-t - 1`` for u < 0."""
+    m, d = abs(u), v.bit_length()
+    sh = max(0, d - max(1, m.bit_length() - d + 1) - 40)
+    t = (m >> sh) // (v >> sh)
+    return t if u >= 0 else -t - 1
+
+
+@st.composite
+def division_cases(draw):
+    """(W, u, v) for W from 64 to 100k bits: v of up to W + 60 bits and u of
+    either sign, with a random quotient of up to W bits, a zero quotient, or
+    ``k v`` or ``k v +- 1``, where the quotient of the top bits can be one off."""
+    W = draw(st.integers(64, 100_000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    d = draw(st.integers(1, W + 60))
+    v = rng.getrandbits(d) | 1 << (d - 1)
+    q = draw(st.integers(1, W))
+    kind = draw(st.sampled_from(("random", "zero", "multiple")))
+    if kind == "random":
+        u = rng.getrandbits(q + d)
+    elif kind == "zero":
+        u = rng.randrange(v)
+    else:
+        u = (rng.getrandbits(q) | 1) * v + draw(st.integers(-1, 1))
+    return W, draw(st.sampled_from((1, -1))) * u, v
+
+
+def full_minus_inverse(a: int, b: int, product: tuple, W: int) -> tuple:
+    """``(a, b)`` minus the product's inverse at scale ``2**W``, each component
+    ``trunc(N / den)`` of the full numerator ``N`` and denominator."""
+    pr, pi = product
+    if not pi:
+        return a - trunc(1 << 2 * W, pr) if pr > 0 else a + trunc(1 << 2 * W, -pr), b
+    den = pr * pr + pi * pi
+    return a - trunc(pr << 2 * W, den), b - trunc(-pi << 2 * W, den)
+
+
+@st.composite
+def inverse_cases(draw):
+    """(a, b, (pr, pi), W) for W from 64 to 30000 bits: pr at a deficit of
+    either sign from ``+-2**W``, pi 0 or of the deficit's size, and (a, b)
+    the inverse plus a residual of up to W bits, or a random sum."""
+    W = draw(st.integers(64, 30_000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, W - 2))
+    pr = (1 << W) - draw(st.sampled_from((1, -1))) * (rng.getrandbits(k) | 1 << (k - 1))
+    pr *= draw(st.sampled_from((1, 1, -1)))
+    pi = draw(st.sampled_from((0, 1, -1))) * rng.getrandbits(k)
+    a, b = full_minus_inverse(0, 0, (pr, pi), W)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, W))
+        a, b = -a + rng.getrandbits(r) - rng.getrandbits(r), -b + rng.getrandbits(r) - rng.getrandbits(r)
+    else:
+        a, b = (1 << W) + rng.getrandbits(k) - rng.getrandbits(k), rng.getrandbits(k) - rng.getrandbits(k)
+    return a, b, (pr, pi), W
+
+
+class TestShortQuotient:
+    """``recursion._quotient`` is ``u // v`` exactly: from W =
+    ``_SHORT_QUOTIENT_BITS`` on, where the quotient is short, from the top
+    bits, checked, and in full where the check fails; and the residual's
+    ``_minus_inverse``, through it and the deficits from ``2**W``, gives the
+    integers of the full inversion."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=division_cases())
+    # k v - 1 and -(k v - 1): the quotient of the top bits is k, one too large
+    # for the first and one too small (-k - 1) for the second
+    @example(case=(5120, 12345 * 3**3000 - 1, 3**3000))
+    @example(case=(5120, -(12345 * 3**3000 - 1), 3**3000))
+    @example(case=(100_000, 3**1000 * 5**20_000 - 1, 5**20_000))
+    # -k v: the top bits give -k - 1, where the quotient is -k
+    @example(case=(5120, -12345 * 3**3000, 3**3000))
+    @example(case=(1400, -(7 << 1400), 1 << 1400))
+    # zero numerators and zero quotients of either sign
+    @example(case=(5120, 0, 3**3000))
+    @example(case=(5120, -1, 3**3000))
+    @example(case=(5120, 3**2000, 3**3000))
+    # below the crossover width every quotient is divided in full
+    @example(case=(1000, 12345 * 3**500 - 1, 3**500))
+    def test_matches_floor_division(self, case):
+        W, u, v = case
+        assert recursion._quotient(u, v, W) == u // v
+
+    def test_top_bits_alone_are_one_off(self):
+        # the check is what keeps the examples above exact
+        v = 3**3000
+        for u, want in ((12345 * v - 1, 12344), (-(12345 * v - 1), -12345), (-12345 * v, -12345)):
+            assert unchecked_quotient(u, v) != want
+            assert recursion._quotient(u, v, 5120) == u // v == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=inverse_cases())
+    # the sweep's real products below and above 2**W, and a complex one
+    @example(case=((1 << 5120) + (1 << 3220), 0, ((1 << 5120) - (1 << 3220) + 1, 0), 5120))
+    @example(case=((1 << 7632) + 5, 0, ((1 << 7632) + (1 << 4620), 0), 7632))
+    @example(case=((1 << 7020) + 5, 1 << 3000, ((1 << 7020) - (1 << 4000), 1 << 2999), 7020))
+    # a product of exactly 1 against a sum of exactly 1: a zero numerator
+    @example(case=(1 << 1500, 0, (1 << 1500, 0), 1500))
+    @example(case=(1 << 1500, 0, (-(1 << 1500), 0), 1500))
+    def test_minus_inverse_matches_full_inversion(self, case):
+        a, b, product, W = case
+        assert recursion._minus_inverse(a, b, product, W) == full_minus_inverse(a, b, product, W)
 
 
 class TestEulerProduct:
@@ -1069,8 +1182,42 @@ class TestChain:
                     )
 
 
+def integer_sizing(num: int, den: int, s: int) -> int:
+    """The sizing's bits for the base num / den in integers: ``ceil(base**s) - 1``'s
+    bit length plus 96, at least 64."""
+    return max(64, (-(-(num**s) // den**s) - 1).bit_length() + 96)
+
+
 class TestPrecisionSizing:
     """Precision sized from the character's own tail terms (ROADMAP S1)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        den=st.one_of(st.integers(1, 1000), st.integers(1 << 30, 1 << 45)),
+        extra=st.integers(0, 10**6),
+        s=st.integers(1, 3000),
+    )
+    # power-of-two bases, where s log2(base) is an integer
+    @example(den=1, extra=0, s=50)
+    @example(den=1, extra=4, s=1900)
+    @example(den=1, extra=(1 << 20) - 4, s=3)
+    # bases within 2**-40 of 4 and 8: s log2(base) within 2**-20 of an integer
+    @example(den=1 << 40, extra=1, s=3)
+    @example(den=1 << 40, extra=-1, s=3000)
+    @example(den=(1 << 40) + 1, extra=(1 << 42) + 3, s=1000)
+    # a base 2**-60 above 4, which floating point rounds to 4: s log2(base)
+    # reads 2 s, yet ceil(base**s) - 1 has 2 s + 1 bits
+    @example(den=1 << 60, extra=1, s=3)
+    # the sizing's bases: 2 p_n and m2**2 / m1
+    @example(den=1, extra=2, s=1900)
+    @example(den=6, extra=40, s=300)
+    def test_matches_integer_power(self, den, extra, s):
+        # the bit length of ceil(base**s) - 1 from s log2(base) in floating
+        # point where that lies more than 2**-20 from an integer, else from
+        # the power: both give the integer route's bits
+        num = 4 * den + extra
+        facts = recursion._Facts(J=3, terms=(), num=num, den=den, roots=0, sum_units=0)
+        assert recursion._sizing(2, s, facts).prec_bits == integer_sizing(num, den, s)
 
     def test_tail_terms_found_once_per_character(self, monkeypatch):
         recursion._cell_facts.cache_clear()
@@ -1250,7 +1397,8 @@ class TestCostGuard:
     def test_refused_before_sizing(self, monkeypatch, s):
         # n = 2: at s = 10**6 the kernels project about 1.3e14; at 10**7
         # the base's s-th power alone takes seconds, so the sizing's base
-        # refuses to be raised to any power
+        # refuses to be raised to any power; n = 1's base 4 has an integer
+        # s log2(base), which the sizing takes in integers
         class Base(int):
             def __pow__(self, *args):
                 raise AssertionError("the base was raised to the s-th power")
@@ -1263,7 +1411,7 @@ class TestCostGuard:
 
         monkeypatch.setattr(recursion, "_cell_facts", facts)
         with pytest.raises(AssertionError, match="raised to the s-th power"):
-            recursion.required_precision(2, 50)
+            recursion.required_precision(1, 50)
         with pytest.raises(UnsupportedSizeError, match=rf"n=2, s={s} .* above the cap of 1e\+14"):
             recursion.estimate(2, s, K1)
 
@@ -1413,10 +1561,10 @@ class TestCostGuard:
         # the Euler product's final inversion, where J * W**2 alone projected
         # 2.4 s at the documented 0.8e-12 s per unit, and the projection is
         # pinned within 2x of that.  The residual now divides once per
-        # component, a short quotient after one W-by-W product, each
-        # 2**W // j**s comes from the divisor's top bits, and the kernels
-        # take 0.31-0.41 s, 0.64-0.85 units of W**2 against the 19
-        # projected: the projection over-counts (ROADMAP F12)
+        # component, a short quotient after one product of the deficits
+        # from 2**W, each 2**W // j**s comes from the divisor's top bits,
+        # and the kernels take 0.19-0.20 s, 0.40-0.41 units of W**2 against
+        # the 19 projected: the projection over-counts (ROADMAP F12)
         ctx = recursion.required_precision(2, 300000)
         monkeypatch.setattr(recursion, "MAX_KERNEL_COST", 0)
         with pytest.raises(UnsupportedSizeError) as info:
