@@ -475,12 +475,13 @@ def _quotient(u: int, v: int, W: int) -> int:
     t + 1, so the floor is t, or ``-t - 1`` for u < 0 (see the module
     docstring).  Elsewhere, and below that width, u is divided in full.
     """
-    m, d = abs(u), v.bit_length()
-    sh = d - max(1, m.bit_length() - d + 1) - 40
-    if sh > 0 and W >= _SHORT_QUOTIENT_BITS:
-        t, r = divmod(m >> sh, v >> sh)
-        if t <= r:
-            return t if u >= 0 else -t - 1
+    if W >= _SHORT_QUOTIENT_BITS:
+        m, d = abs(u), v.bit_length()
+        sh = d - max(1, m.bit_length() - d + 1) - 40
+        if sh > 0:
+            t, r = divmod(m >> sh, v >> sh)
+            if t <= r:
+                return t if u >= 0 else -t - 1
     return u // v
 
 
