@@ -408,7 +408,9 @@ def _sizing(n: int, s: int, facts: _Facts, prec_bits: Optional[int] = None) -> P
     which may only raise it.  The estimate's cost is checked once, at the
     larger of the override and ``ceil(s * log2(base)) - 1`` in floating
     point (a lower bound on the required bits), before the base is raised
-    to the s-th power: its kernels and roots at J = 2 p_n - 1.
+    to the s-th power: its kernels and roots at J = 2 p_n - 1.  The power
+    is taken only where ``s * log2(base)`` lies within ``2**-20`` of an
+    integer; elsewhere its ceiling is the bit length the power would give.
     """
     if s > MAX_KERNEL_COST:
         # J >= 3 and W > 2 s, so the kernels alone cost more than 12 s**2;
@@ -492,9 +494,10 @@ def _minus_inverse(a: int, b: int, product: tuple, W: int) -> tuple:
     For ``product = (pr, pi)`` the inverse is ``(pr, -pi) 2**(2W) / den``
     with ``den = pr**2 + pi**2``, or ``+-2**(2W) / |pr|`` when pi = 0.  A
     component c less ``trunc(N / den)`` is ``-((N - c den) // den)`` for
-    ``N >= 0`` and ``(c den - N) // den`` otherwise, each one ``_quotient``;
-    for a real product ``2**(2W) - a pr`` is formed from the deficits
-    ``e = a - 2**W`` and ``d = 2**W - pr`` as ``2**W (d - e) + e d``.
+    ``N >= 0`` and ``(c den - N) // den`` otherwise, each one ``_quotient``.
+    For a real product ``N - a den`` is ``+-(2**(2W) - a pr)``, the sign
+    that of pr, formed from the deficits ``e = a - 2**W`` and
+    ``d = 2**W - pr`` as ``2**W (d - e) + e d``.
     """
     pr, pi = product
     if pi:

@@ -699,7 +699,8 @@ class TestShortQuotient:
     @example(case=((1 << 5120) + (1 << 3220), 0, ((1 << 5120) - (1 << 3220) + 1, 0), 5120))
     @example(case=((1 << 7632) + 5, 0, ((1 << 7632) + (1 << 4620), 0), 7632))
     @example(case=((1 << 7020) + 5, 1 << 3000, ((1 << 7020) - (1 << 4000), 1 << 2999), 7020))
-    # a product of exactly 1 against a sum of exactly 1: a zero numerator
+    # products of exactly 1 and -1 against a sum of exactly 1, the first
+    # with a zero numerator
     @example(case=(1 << 1500, 0, (1 << 1500, 0), 1500))
     @example(case=(1 << 1500, 0, (-(1 << 1500), 0), 1500))
     def test_minus_inverse_matches_full_inversion(self, case):
