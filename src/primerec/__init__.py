@@ -30,6 +30,7 @@ from .characters import (
     DirichletCharacter,
     UnitGroupStructure,
     char_product,
+    character,
     enumerate_characters,
     keller_one,
     unit_group,
@@ -55,6 +56,7 @@ from .recursion import (
     EstimateResult,
     estimate,
     estimate_many,
+    estimate_series,
     euler_product,
     l_partial_sum,
     required_precision,
@@ -84,10 +86,12 @@ __all__ = [
     "UnsupportedSizeError",
     "ZeroResidualError",
     "char_product",
+    "character",
     "d_table",
     "enumerate_characters",
     "estimate",
     "estimate_many",
+    "estimate_series",
     "euler_product",
     "first_n_primes",
     "format_decimal",

@@ -21,14 +21,20 @@ with w workers, capped at the task count and the CPU count, the process
 forks w - 1 children, child i computes tasks i, i + w, ... while the
 parent computes tasks 0, w, ..., and results are collected by grid index,
 so output is bit-identical to a sequential run.  Where ``os.fork`` is
-missing the tasks run in-process.  A series task
-holds every n of one s (``recursion.estimate_many``), so they share one
-kernel pass at one precision; a table keeps one task per cell.  The CLI
-renders the results (``primerec.cli`` holds the row format).
+missing the tasks run in-process.  A series is sized in full first, every
+(n, s) cell and every pass, before any fork (``recursion._size_series``),
+so a refused series is refused at once with the first s's error at every
+worker count.  Its task holds every n of one s, so they share one kernel
+pass at one precision, and a worker's share, the s values ``i::w``, is one
+series: its passes run in ascending s and each takes its quotients from
+the one before (``recursion.estimate_series``), each process holding its
+own.  A table keeps one task per cell.  The CLI renders the results
+(``primerec.cli`` holds the row format).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import NamedTuple, Optional, Sequence
@@ -199,24 +205,24 @@ def _d_error_task(task):
         return None
 
 
-def _series_task(task):
-    """y(s) for every n of one s; None where the error vanishes."""
-    ns, s, modulus, label = task
-    errors = [r.error for r in recursion.estimate_many(ns, s, _char(modulus, label))]
+def _series_task(series, task):
+    """y(s) for every n of one pass of ``series``; None where the error vanishes."""
+    errors = [r.error for r in recursion._run_pass(series, task)]
     return [None if e.is_zero else _Y_CTX.neg(_Y_CTX.ln(e)) for e in errors]
 
 
 def _series(ns, s_min: int, s_max: int, chi: DirichletCharacter, workers: int):
-    """One y(s) series per n in ``ns``, one task per s holding every n."""
+    """One y(s) series per n in ``ns``: every cell sized first, then one task
+    per s holding every n, a worker's tasks run in order as one series."""
     if not (1 <= s_min <= s_max <= S_RANGE_CAP):
         raise DomainError(
             f"s range [{s_min}, {s_max}] must satisfy 1 <= s_min <= s_max <= {S_RANGE_CAP}"
         )
     s_values = range(s_min, s_max + 1)
-    tasks = [(tuple(ns), s, chi.modulus, chi.label) for s in s_values]
-    rows = _map_tasks(_series_task, tasks, workers)
+    series = recursion._size_series(ns, s_values, chi)
+    rows = _map_tasks(functools.partial(_series_task, series), series.passes, workers)
     out = []
-    for i, n in enumerate(ns):
+    for i, n in enumerate(series.ns):
         points = tuple(SeriesPoint(s, row[i]) for s, row in zip(s_values, rows) if row[i] is not None)
         if not points:
             raise DomainError(f"series for n={n} over [{s_min}, {s_max}] is empty")

@@ -54,7 +54,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import analysis, recursion
-from .characters import enumerate_characters
+from .characters import character, enumerate_characters
 from .errors import PrimerecError
 from .mpnum import BigFloat, format_decimal
 from .primes import is_prime
@@ -187,7 +187,7 @@ def _cmd_chars(args):
 
 
 def _cmd_estimate(args):
-    chi = enumerate_characters(args.modulus).by_label(args.label)
+    chi = character(args.modulus, args.label)
     res = recursion.estimate(args.n, args.s, chi, prec_bits=args.precision)
     if res.warning:
         print(f"warning: {res.warning}", file=sys.stderr)
@@ -207,7 +207,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_sweep(args):
-    chi = enumerate_characters(args.modulus).by_label(args.label)
+    chi = character(args.modulus, args.label)
     series = analysis.neg_log_series(
         args.n, args.s_min, args.s_max, chi, workers=args.workers
     )
@@ -222,7 +222,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_slopes(args):
-    chi = enumerate_characters(args.modulus).by_label(args.label)
+    chi = character(args.modulus, args.label)
     fits = analysis.slope_series(
         args.n_min, args.n_max, args.s_min, args.s_max, chi, workers=args.workers
     )

@@ -95,9 +95,10 @@ would pass ``_ROUTE_BYTES`` (16 MiB): the pass keeps ``2**W // m**s`` for
 every ``m <= L / 2`` and ``p**s`` for every prime ``p <= sqrt(L)``, and
 sieves the least factors of the j up to L from the primes it is handed, so
 in a residual's pass, whose primes reach ``p_n >= sqrt(J)``, every
-composite up to L takes this route.  The other j take ``j**s``: 1, the
+composite up to L takes this route.  The other j take ``j**s``: the
 primes, the composites past L, and any j with no factor among the pass's
-primes, such as every j of ``l_partial_sum``, which is handed none.  For a
+primes, such as every j of ``l_partial_sum``, which is handed none (in a
+series of passes, from the quotient of an earlier one; see below).  For a
 divisor ``y = j**s`` of d bits the quotient has about ``W - d``, and where
 that is short only y's top bits take part, as in floating-point division
 (Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1.4 and 3).  Each
@@ -173,6 +174,27 @@ at the width its own P leaves, does not use them.  The pass is checked
 against the cost cap as a whole: the longest cell at the pass's
 precision.
 
+The passes of ascending s at the same n (``estimate_series``, one
+``estimate_many`` per s) are sized and checked, every cell and every pass,
+before any kernel runs (``_size_series``), so a series refused at some s is
+refused at once, with the error the loop over s would raise first.  The
+passes then divide ``2**W`` by the same ``j**s`` up to a few more factors
+of j, so a series holds each such quotient at the width W* of its widest
+pass (``_Held``): by the identity above, ``2**W* // j**s`` is
+``(2**W* // j**t) // j**(s - t)`` for the quotient held at an earlier t,
+one division by the short ``j**(s - t)``, and ``2**W // j**s`` is
+``(2**W* // j**s) >> (W* - W)``, a shift.  A quotient is held from the
+first pass that divides by it, taken there at W* from ``j**s``.  Every
+kernel integer, and so every ball, is that of the lone pass.  The held j
+are those a pass divides ``2**W`` by, in a residual's pass the odd primes:
+the composites past the route's L would be held too, but where the route
+stops short of the longest sum its state fills ``_ROUTE_BYTES``.  Each held
+quotient has at most W* + 1 bits; the held state, projected at
+``152 + 2 W* / 15`` bytes a quotient, stays within what ``_ROUTE_BYTES``
+leaves past the route's state of the longest sum at W*, and past that the
+other j divide ``2**W`` as in a lone pass.  The held state lives in the
+series (``_Series``) and no longer than it.
+
 So every residual, of one cell or of a shared pass, is a ball
 (midpoint-radius arithmetic: van der Hoeven, *Ball arithmetic*, 2009;
 Johansson, *Arb*, IEEE Trans. Comput. 66(8), 2017): the exact difference
@@ -189,9 +211,11 @@ Exponent s is restricted to positive integers; s = 1 is accepted but of
 dubious value for the trivial character (the harmonic-like partial sum has
 no limit to track).
 
-Below the public entries every function takes the known primes, a tuple
-``ps`` with ``ps[:n] = p_1..p_n``, and reads no prime table; each entry reads
-it once, at entry, up to ``p_{n+1}`` where it compares with the target.
+Below its entries every function takes the known primes, a tuple ``ps``
+with ``ps[:n] = p_1..p_n``, and reads no prime table; each entry reads it
+once, up to ``p_{n+1}`` where it compares with the target.  The entries are
+the public functions but the estimates, and ``_size_series``, which sizes
+every estimate, of one cell or a series, and which ``analysis`` calls too.
 """
 
 from __future__ import annotations
@@ -203,7 +227,7 @@ from itertools import islice
 from typing import NamedTuple, Optional
 
 from . import primes
-from .characters import DirichletCharacter, enumerate_characters, keller_one
+from .characters import DirichletCharacter, keller_one
 from .errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
 from .mpnum import (
     GUARD_BITS,
@@ -225,6 +249,7 @@ __all__ = [
     "scaled_residual",
     "estimate",
     "estimate_many",
+    "estimate_series",
     "MAX_KERNEL_COST",
 ]
 
@@ -349,15 +374,14 @@ class _Facts(NamedTuple):
 
 
 @lru_cache(maxsize=_CACHED_CELLS)
-def _cell_facts(ps: tuple, modulus: int, label: int) -> _Facts:
-    """``_Facts`` of ``ps`` = p_1..p_n and chi = (modulus, label).
+def _cell_facts(ps: tuple, chi: DirichletCharacter) -> _Facts:
+    """``_Facts`` of ``ps`` = p_1..p_n and chi.
 
-    None of them depends on s, so a series over s finds them once.  Keyed on
-    the label, not the character, whose hash covers its whole table.
+    None of them depends on s, so a series over s finds them once.  A
+    character hashes as its (modulus, label), not its whole table.
     """
     p = ps[-1]
     J = 2 * p - 1
-    chi = enumerate_characters(modulus).by_label(label)
     terms = tuple(islice(_tail_terms(ps, chi), 2))
     # the base as num / den, den = 1 unless it is m2**2 / m1
     num, den = 2 * p, 1
@@ -459,7 +483,7 @@ def required_precision(
     """
     _check_n_s(n, s)
     chi = keller_one() if chi is None else chi
-    return _sizing(n, s, _cell_facts(tuple(primes.first_n_primes(n)), chi.modulus, chi.label))
+    return _sizing(n, s, _cell_facts(tuple(primes.first_n_primes(n)), chi))
 
 
 def _shr(v: int, bits: int) -> int:
@@ -547,14 +571,53 @@ def euler_product(
     """
     _check_n_s(n, s)
     ps = tuple(primes.first_n_primes(n))
-    facts = _cell_facts(ps, chi.modulus, chi.label)
+    facts = _cell_facts(ps, chi)
     _check_cost(f"n={n}, s={s}", facts.J, ctx.prec_bits, facts.roots)
     W = _kernel_bits(ctx.prec_bits)
     re, im = _minus_inverse(0, 0, _kernels(chi, s, W, ps, [], [n])[1][0], W)
     return _to_complex(ctx, (-re, -im), W)
 
 
-def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, products: list) -> tuple:
+def _index_bytes(W: int) -> int:
+    """The bytes the composite route of a pass at scale ``2**W`` projects per
+    index (``_ROUTE_BYTES``)."""
+    return 34 + W // 15
+
+
+class _Held:
+    """The quotients ``2**W // j**s`` a series carries from one pass to the
+    next, at the width W of its widest pass, for the j its passes divide
+    ``2**W`` by (see ``_kernels``), up to ``cap`` of them.
+
+    ``cap`` leaves the route state of a pass over J indices at W within
+    ``_ROUTE_BYTES`` (the route's state, at most J indices, is largest at
+    the widest W): each held j takes a quotient of at most W + 1 bits, under
+    ``52 + 4 W / 30`` bytes, and its dict entry and key under 100.
+    """
+
+    __slots__ = ("W", "s", "cap", "quotients")
+
+    def __init__(self, W: int, s: int, J: int):
+        self.W, self.s, self.quotients = W, s, {}
+        room = _ROUTE_BYTES - min(J * _index_bytes(W), _ROUTE_BYTES)
+        self.cap = room // (152 + 2 * W // 15)
+
+    def advance(self, s: int) -> None:
+        """Take every held quotient to ``s``:
+        ``2**W // j**s = (2**W // j**t) // j**(s - t)``; for an s below the
+        held one, drop them."""
+        quotients, step = self.quotients, s - self.s
+        if step < 0:
+            quotients.clear()
+        elif step:
+            for j in quotients:
+                quotients[j] //= j**step
+        self.s = s
+
+
+def _kernels(
+    chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, products: list, held: Optional[_Held] = None
+) -> tuple:
     """The L-sum to J for every J in ``sums`` and the running product
     ``prod (1 - chi(p)/p**s)`` over ``ps[:n]`` for every n in ``products``,
     not inverted (``_minus_inverse`` divides), each a fixed-point
@@ -579,12 +642,23 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
     every j up to the longest sum, then only the primes past it.  The
     totals are rotated at each sum's J and the product is taken at each
     product's n-th prime, so every cell is its one-cell loop bit for bit.
+
+    A pass of a series (``held``, its quotients taken to s first) takes each
+    j it divides ``2**W`` by from its held ``2**W* // j**s``, W* the series'
+    widest W, as that quotient shifted right by ``W* - W``: the same floor.
+    A j not yet held is divided at W* and held while ``held.cap`` allows,
+    and past it at W, as in a lone pass, which holds nothing.
     """
     one = 1 << W
+    if held is None:
+        carried, cap, top, shift = {}, 0, one, 0
+    else:
+        held.advance(s)
+        carried, cap, top, shift = held.quotients, held.cap, 1 << held.W, held.W - W
     last_sum = max(sums, default=0)
     # the route's last index, within _ROUTE_BYTES, and the primes of ps it
     # divides by
-    route = min(last_sum, _ROUTE_BYTES // (34 + W // 15))
+    route = min(last_sum, _ROUTE_BYTES // _index_bytes(W))
     small = ps[: bisect_right(ps, math.isqrt(route))]
     # the least factor in small of each j <= route at least its square (0
     # for the other j), marked from each prime's square, the largest first
@@ -625,10 +699,20 @@ def _kernels(chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, pro
             elif not j & (j - 1):
                 x = one >> (j.bit_length() - 1) * s
             else:
-                y = j**s
+                x = carried.get(j)
+                if x is None:
+                    y = j**s
+                    if len(carried) < cap:
+                        # 2**W // y = (2**W* // y) >> (W* - W), exactly
+                        x = carried[j] = _quotient(top, y, W + shift)
+                        x >>= shift
+                    else:
+                        x = _quotient(one, y, W)
+                else:
+                    x >>= shift
+                    y = None
                 if j * j <= route:
-                    powers[j] = y
-                x = _quotient(one, y, W)
+                    powers[j] = y or j**s
             if j <= half:
                 kept[j] = x
             totals[c] += x
@@ -681,23 +765,32 @@ def residual(
 
 def _residual(ps: tuple, n: int, s: int, chi: DirichletCharacter, ctx: Optional[PrecisionContext]) -> tuple:
     """``(ctx, residual)`` of the first n primes of ``ps``, at ``ctx`` or, when it
-    is None, at ``required_precision``."""
-    facts = _cell_facts(ps[:n], chi.modulus, chi.label)
-    ctx = _sizing(n, s, facts) if ctx is None else ctx
-    re, im, W, _ = _residuals(ps, [n], s, chi, ctx.prec_bits, [facts])[0]
+    is None, at ``required_precision``; the pass checked first (``_check_pass``)."""
+    facts = [_cell_facts(ps[:n], chi)]
+    ctx = _sizing(n, s, facts[0]) if ctx is None else ctx
+    _check_pass([n], s, ctx.prec_bits, facts)
+    re, im, W, _ = _residuals(ps, [n], s, chi, ctx.prec_bits, facts)[0]
     return ctx, _to_complex(ctx, (re, im), W)
 
 
-def _residuals(ps: tuple, ns: list, s: int, chi: DirichletCharacter, bits: int, facts: list) -> list:
+def _check_pass(ns: list, s: int, bits: int, facts: list) -> None:
+    """Refuse the kernel pass of ``ns`` (their ``_Facts`` in ``facts``) at s
+    and ``bits`` of precision before it runs: the longest n's indices and
+    roots at that precision."""
+    longest = facts[ns.index(max(ns))]
+    _check_cost(f"n={', '.join(map(str, ns))}, s={s}", longest.J, bits, longest.roots)
+
+
+def _residuals(
+    ps: tuple, ns: list, s: int, chi: DirichletCharacter, bits: int, facts: list, held: Optional[_Held] = None
+) -> list:
     """The residual of each n in ``ns`` (its ``_Facts`` in ``facts``) at
     ``bits`` of precision as a ball ``(re, im, W, radius)`` (see the module
     docstring), all the L-sums and products over ``ps`` in one ``_kernels``
-    pass at ``W = _kernel_bits(bits)``.  The pass is checked first: the
-    longest n's indices and roots at that W."""
-    longest = facts[ns.index(max(ns))]
-    _check_cost(f"n={', '.join(map(str, ns))}, s={s}", longest.J, bits, longest.roots)
+    pass at ``W = _kernel_bits(bits)``, a pass of a series when ``held`` is
+    given.  The callers check the pass first (``_check_pass``)."""
     W = _kernel_bits(bits)
-    sums, products = _kernels(chi, s, W, ps, [f.J for f in facts], ns)
+    sums, products = _kernels(chi, s, W, ps, [f.J for f in facts], ns, held)
     return [
         (*_minus_inverse(a, b, product, W), W, f.sum_units + (20 * n + 2) * (ps[n - 1] ** 3 if s == 1 else 1))
         for n, f, (a, b), product in zip(ns, facts, sums, products)
@@ -726,23 +819,23 @@ def estimate(
     ``prec_bits``); the rest at the width that survives the cancellation,
     as the module docstring describes.  The estimate's kernel cost is
     checked before the precision is sized in full (``_sizing``),
-    and its kernel pass before it runs (``_residuals``): either raises
+    and its kernel pass before it runs (``_check_pass``): either raises
     ``UnsupportedSizeError`` above ``MAX_KERNEL_COST``.  A residual whose
     ball contains 0 raises ``PrecisionLossError``, and one that is exactly
     0 ``ZeroResidualError``, whatever the override.
     """
-    _check_n_s(n, s)
-    return _estimates(tuple(primes.first_n_primes(n + 1)), [n], s, chi, prec_bits)[0]
+    series = _size_series([n], [s], chi, prec_bits)
+    return _run_pass(series, series.passes[0])[0]
 
 
 def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
     """``[estimate(n, s, chi) for n in ns]``, with every residual in one
-    kernel pass at the widest n's precision.
+    kernel pass at the widest n's precision: ``estimate_series`` at one s.
 
     ``ns`` may be any iterable.  Every n is sized, its estimate checked
     against the cost cap (``_sizing``), before any kernel runs, and the
     first failing n raises; then the shared pass is checked, its longest n
-    at the widest n's precision (``_residuals``).
+    at the widest n's precision (``_check_pass``).
     Each residual is the ball ``estimate`` would compute for its n alone at
     that precision (see the module docstring), so a narrower n's can differ
     from ``estimate``'s by a few units of its own ``2**-W``, far below the
@@ -750,27 +843,92 @@ def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
     printed to 17 digits, can change only where such a move crosses a
     rounding boundary of the 17th digit.
     """
-    ns = list(ns)
-    for n in ns:
-        _check_n_s(n, s)
-    return _estimates(tuple(primes.first_n_primes(max(ns) + 1)), ns, s, chi) if ns else []
+    return estimate_series(ns, [s], chi)[0]
 
 
-def _estimates(ps: tuple, ns: list, s: int, chi: DirichletCharacter, prec_bits: Optional[int] = None) -> list:
-    """Size every n, run the kernels of all of them at the widest n's
-    precision, then each chain at its own, against its target ``ps[n]``."""
-    facts = [_cell_facts(ps[:n], chi.modulus, chi.label) for n in ns]
-    sized = []
-    for n, f in zip(ns, facts):
-        if not f.terms:
-            raise ZeroResidualError(
-                f"the residual is exactly zero for modulus {chi.modulus}, label {chi.label} at "
-                f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
-            )
-        sized.append(_sizing(n, s, f, prec_bits))
-    balls = _residuals(ps, ns, s, chi, max(ctx.prec_bits for ctx in sized), facts)
-    cells = zip(ns, facts, sized, balls)
-    return [_finish(n, s, chi, ctx, f.terms, ball, ps[n]) for n, f, ctx, ball in cells]
+def estimate_series(ns, s_values, chi: DirichletCharacter) -> list:
+    """``[estimate_many(ns, s, chi) for s in s_values]`` for ascending
+    ``s_values``, every pass after the first taking its quotients from the
+    one before (``_Held``); every result is that of ``estimate_many``.
+
+    ``ns`` and ``s_values`` may be any iterables.  Every (n, s) cell is
+    sized and every pass checked against the cost cap before any kernel
+    runs (``_size_series``), so a series refused at some s is refused at
+    once, with the error the loop over s would raise first.
+    """
+    ns, s_values = list(ns), list(s_values)
+    if not ns:
+        return [[] for _ in s_values]
+    series = _size_series(ns, s_values, chi)
+    return [_run_pass(series, p) for p in series.passes]
+
+
+class _Pass(NamedTuple):
+    """One s of a sized series."""
+
+    s: int
+    sized: list  # each n's working precision
+    bits: int  # the pass's precision: the widest n's
+
+
+class _Series(NamedTuple):
+    """The estimates of every n in ``ns`` at each s of ``passes``, sized."""
+
+    ps: tuple  # p_1 .. p_{max(ns) + 1}
+    ns: list
+    chi: DirichletCharacter
+    facts: list  # each n's _Facts
+    passes: list  # one _Pass per s, ascending
+    held: Optional[_Held]  # the quotients its passes carry; None for one pass
+
+
+def _size_series(ns, s_values, chi: DirichletCharacter, prec_bits: Optional[int] = None) -> _Series:
+    """Size the estimates of every n of the nonempty ``ns`` at every s of
+    the ascending ``s_values``, at ``prec_bits`` when it is given, reading
+    the prime table once, and check each pass before any kernel runs.
+
+    Raises what the loop over s of one pass each would raise first: at each
+    s, for each n, a ``ZeroResidualError`` where chi vanishes at every tail
+    term, or the sizing's refusal (``_sizing``); then the pass's
+    (``_check_pass``).  The passes of more than one s share a ``_Held`` at
+    the widest pass's W, within the route's bytes at the longest n's J.
+    """
+    ns, s_values = list(ns), list(s_values)
+    for s in s_values:
+        for n in ns:
+            _check_n_s(n, s)
+    if s_values != sorted(s_values):
+        raise DomainError(f"the s values of a series must ascend, got {s_values}")
+    ps = tuple(primes.first_n_primes(max(ns) + 1))
+    facts = [_cell_facts(ps[:n], chi) for n in ns]
+    passes = []
+    for s in s_values:
+        sized = []
+        for n, f in zip(ns, facts):
+            if not f.terms:
+                raise ZeroResidualError(
+                    f"the residual is exactly zero for modulus {chi.modulus}, label {chi.label} at "
+                    f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
+                )
+            sized.append(_sizing(n, s, f, prec_bits))
+        bits = max(ctx.prec_bits for ctx in sized)
+        _check_pass(ns, s, bits, facts)
+        passes.append(_Pass(s, sized, bits))
+    held = None
+    if len(passes) > 1:
+        held = _Held(_kernel_bits(max(p.bits for p in passes)), passes[0].s, max(f.J for f in facts))
+    return _Series(ps, ns, chi, facts, passes, held)
+
+
+def _run_pass(series: _Series, p: _Pass) -> list:
+    """The estimates of every n of ``series`` at its pass ``p``: the kernels
+    of all of them at the pass's precision, taking the quotients the series
+    holds to p's s, then each chain at its own precision, against its target
+    ``ps[n]``.  Passes run in ascending s take each held quotient from the
+    one before; in any order, the estimates are the same."""
+    ps, ns, chi, facts, _, held = series
+    balls = _residuals(ps, ns, p.s, chi, p.bits, facts, held)
+    return [_finish(n, p.s, chi, ctx, f.terms, ball, ps[n]) for n, f, ctx, ball in zip(ns, facts, p.sized, balls)]
 
 
 def _fp_pow(m: int, k: int, bits: int) -> tuple:

@@ -19,7 +19,7 @@ from primerec.analysis import (
 )
 from primerec.characters import enumerate_characters, keller_one
 from primerec.cli import run
-from primerec.errors import DomainError
+from primerec.errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
 from primerec.mpnum import PrecisionContext, to_float
 
 K1 = keller_one()
@@ -282,6 +282,68 @@ class TestFanOut:
             analysis._map_tasks(_interrupt_parent, list(range(6)), 3)
         assert time.monotonic() - t0 < 20  # the children's 30 s sleeps were cut
         assert_no_child_left()
+
+
+def first_error(calls):
+    """The type and message of what the first failing call raises."""
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no call failed")
+
+
+class TestSeriesErrors:
+    """A series is sized in the parent before its passes fan out, each
+    worker running its share of the s in order as one series: at every
+    worker count it raises what the loop over s, one pass each, raises
+    first."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_refused_series(self, monkeypatch, forks, workers):
+        # n = 5000 is refused from some s near 1920 on, where the loop over
+        # s would first run every pass below it, for hours
+        want = first_error(lambda s=s: recursion.required_precision(5000, s) for s in range(1, 2001))
+        monkeypatch.setattr(recursion, "_kernels", lambda *args: pytest.fail("the kernel ran"))
+        t0 = time.monotonic()
+        with pytest.raises(UnsupportedSizeError) as info:
+            neg_log_series(5000, 1, 2000, K1, workers=workers)
+        assert (info.type, str(info.value)) == want
+        assert time.monotonic() - t0 < 5 and forks == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_zero_residual_series(self, forks, workers):
+        # chi vanishes at 2 and 3 mod 6: n = 1 has no tail term at any s
+        chi = enumerate_characters(6).by_label(1)
+        want = first_error(lambda s=s: recursion.estimate_many([1], s, chi) for s in range(20, 31))
+        assert want[0] is ZeroResidualError
+        with pytest.raises(ZeroResidualError) as info:
+            neg_log_series(1, 20, 30, chi, workers=workers)
+        assert (info.type, str(info.value)) == want and forks == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_passes(self, monkeypatch, workers):
+        # the passes at s = 22 and 25 lose the residual: with three workers
+        # they fall to the second child's share, 22 first, and the parent's
+        # and first child's shares run on past them
+        real = recursion._residuals
+
+        def vanishing(ps, ns, s, chi, bits, facts, held=None):
+            if s in (22, 25):
+                return [(0, 0, recursion._kernel_bits(bits), 1) for _ in ns]
+            return real(ps, ns, s, chi, bits, facts, held)
+
+        monkeypatch.setattr(recursion, "_residuals", vanishing)
+        want = first_error(lambda s=s: recursion.estimate_many([2], s, K1) for s in range(20, 28))
+        assert want[0] is PrecisionLossError and "s=22" in want[1]
+        with pytest.raises(PrecisionLossError) as info:
+            neg_log_series(2, 20, 27, K1, workers=workers)
+        assert (info.type, str(info.value)) == want
 
 
 def cli_csv(capsys, *argv):

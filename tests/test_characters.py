@@ -11,6 +11,7 @@ from primerec.characters import (
     CHAR_ZERO,
     CharValue,
     char_product,
+    character,
     enumerate_characters,
     keller_one,
     unit_group,
@@ -167,6 +168,32 @@ class TestEnumeration:
     def test_by_label_range(self):
         with pytest.raises(DomainError):
             enumerate_characters(5).by_label(5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 400), pick=st.integers(0, 10**6))
+    def test_one_character_alone(self, k, pick):
+        # the one table, equal and hashed alike, from the group's logs
+        want = enumerate_characters(k).characters[pick % phi(k)]
+        got = character(k, want.label)
+        assert got == want and hash(got) == hash(want)
+        assert got.exponents == want.exponents
+
+    def test_one_character_label_range(self):
+        for label in (0, 5):
+            with pytest.raises(DomainError) as alone:
+                character(5, label)
+            with pytest.raises(DomainError) as grouped:
+                enumerate_characters(5).by_label(label)
+            assert str(alone.value) == str(grouped.value)
+
+    def test_one_character_without_its_group(self):
+        # the group mod 4999 holds 4998 tables of 4999 cells; one is built
+        # alone, and no group is enumerated for it
+        enumerate_characters.cache_clear()
+        chi = character(4999, 2)
+        assert enumerate_characters.cache_info().currsize == 0
+        ((g, order),) = unit_group(4999).components[0].generators
+        assert chi(g) == R(1, order) and order == 4998 and chi(4999).is_zero
 
     def test_group_cache_is_bounded(self):
         # one tables run touches 7 moduli: chars K, then dtable 4, 5, 8, 9, P

@@ -251,6 +251,24 @@ class TestEstimate:
         assert err.startswith(f"error: n=2, s={s} ") and "above the cap of 1e+14" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--n", "2", "--s", "10"],
+        ["sweep", "--n", "2", "--s-min", "10", "--s-max", "12"],
+        ["slopes", "--n-min", "2", "--n-max", "3", "--s-min", "10", "--s-max", "12"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_labelled_character_without_its_group(capsys, argv):
+    # mod 4999 has 4998 characters of 4999 cells each: a command on one of
+    # them builds its one table, and enumerates no group
+    enumerate_characters.cache_clear()
+    code, out, err = invoke(capsys, *argv, "--modulus", "4999", "--label", "2")
+    assert code == 0 and out and err == ""
+    assert enumerate_characters.cache_info().currsize == 0
+
+
 class TestSweep:
     def test_csv(self, capsys):
         code, out, _ = invoke(capsys, "sweep", "--n", "2", "--s-min", "20", "--s-max", "24")

@@ -13,8 +13,8 @@ helper left behind when its last caller goes fails here.  A stale
 A fresh interpreter that imports the package and builds the CLI parser
 loads none of the modules that only some commands use.
 
-``recursion`` reads the prime table only in its public entries, once in
-each: everything below them takes the primes it is given.
+``recursion`` reads the prime table only in its entries, once in each:
+everything below them takes the primes it is given.
 """
 
 import ast
@@ -109,9 +109,11 @@ def test_catches_an_unreferenced_private_name(tmp_path):
     assert unreferenced_private_names([a, b]) == ["a.py:7 _left_behind"]
 
 
-# The public entries of ``recursion`` that read the prime table.
+# The entries of ``recursion`` that read the prime table: its public
+# functions but the estimates, and ``_size_series``, which sizes every
+# estimate, of one cell or a series, and which ``analysis`` calls too.
 PRIME_READERS = {
-    "required_precision", "euler_product", "residual", "scaled_residual", "estimate", "estimate_many",
+    "required_precision", "euler_product", "residual", "scaled_residual", "_size_series",
 }
 
 

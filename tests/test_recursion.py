@@ -5,6 +5,7 @@ Derived expectations are recomputed here with exact rational arithmetic
 values appear only with their documented tolerances.
 """
 
+import itertools
 import math
 import random
 import re
@@ -20,7 +21,13 @@ from hypothesis import strategies as st
 from primerec import mpnum, oracle, primes, recursion
 from primerec.analysis import d_table, neg_log_series, slope_series
 from primerec.characters import enumerate_characters, keller_one
-from primerec.errors import DomainError, PrecisionLossError, UnsupportedSizeError, ZeroResidualError
+from primerec.errors import (
+    DomainError,
+    PrecisionLossError,
+    PrimerecError,
+    UnsupportedSizeError,
+    ZeroResidualError,
+)
 from primerec.mpnum import (
     GUARD_BITS,
     BigComplex,
@@ -255,7 +262,7 @@ BALL_CELLS = st.lists(st.integers(1, 6), min_size=1, max_size=5)
 
 def residuals(ns, s: int, chi, bits: int) -> list:
     """``recursion._residuals`` of ``ns`` from ``PS``, with the facts of each n."""
-    facts = [recursion._cell_facts(PS[:n], chi.modulus, chi.label) for n in ns]
+    facts = [recursion._cell_facts(PS[:n], chi) for n in ns]
     return recursion._residuals(PS, ns, s, chi, bits, facts)
 
 
@@ -600,6 +607,166 @@ class TestKernelQuotient:
         assert got == (sum((1 << W) // j**s for j in range(1, J + 1)), 0)
 
 
+# the characters a series is checked on: the trivial one, mod 4 label 2
+# (real, chi(3) = -1), mod 5 label 2 (values of order 4), mod 7 label 3
+# (order 6) and mod 70 label 7, which vanishes on 2, 5 and 7
+SERIES_CHARACTERS = [(1, 1), (4, 2), (5, 2), (7, 3), (70, 7)]
+
+
+@st.composite
+def series_cases(draw):
+    """(modulus, label, ns, s_values): up to four n in 1..30 and two to six
+    ascending s, with gaps of 1 to 5, from a first s where the passes run
+    below ``_SHORT_QUOTIENT_BITS`` (1..60) or reach it (500..700)."""
+    modulus, label = draw(st.sampled_from(SERIES_CHARACTERS))
+    ns = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    first = draw(st.one_of(st.integers(1, 60), st.integers(500, 700)))
+    gaps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    return modulus, label, ns, list(itertools.accumulate([first, *gaps]))
+
+
+def outcome(call):
+    """``call()``, or the type and message of the library error it raises."""
+    try:
+        return call()
+    except PrimerecError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def held_cases(draw):
+    """(J, passes): J up to 120 and two to five passes ``(s, W)`` of
+    ascending s, each W from 64 to 20k bits, in any order, and s up to
+    where ``J**s`` passes ``2**W`` by about 80 bits."""
+    J = draw(st.integers(1, 120))
+    Ws = draw(st.lists(st.integers(64, 20_000), min_size=2, max_size=5))
+    top = (min(Ws) + 80) // max(1, J.bit_length() - 1)
+    ss = sorted(draw(st.lists(st.integers(1, top), min_size=len(Ws), max_size=len(Ws))))
+    return J, list(zip(ss, Ws))
+
+
+def held_bytes(J: int, W: int, count: int) -> int:
+    """A ``_ROUTE_BYTES`` that leaves the carry of a series at W room for about
+    ``count`` quotients past the route state of J indices."""
+    return J * recursion._index_bytes(W) + count * (W // 7 + 160)
+
+
+class TestSeries:
+    """A series of passes over ascending s carries each quotient the passes
+    divide 2**W by from one pass to the next, at its widest W: every
+    integer, ball and estimate is that of the lone passes, the carried
+    state stays within ``_ROUTE_BYTES``, and the series is sized in full
+    before any kernel runs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=series_cases())
+    # the bench's sweep, and a slopes share at two workers
+    @example(case=(1, 1, [2], list(range(1850, 1951))))
+    @example(case=(1, 1, list(range(2, 31)), list(range(21, 152, 2))))
+    def test_matches_per_s_loop(self, case):
+        modulus, label, ns, s_values = case
+        chi = enumerate_characters(modulus).by_label(label)
+        want = outcome(lambda: [recursion.estimate_many(ns, s, chi) for s in s_values])
+        assert outcome(lambda: recursion.estimate_series(ns, s_values, chi)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=series_cases(), precs=st.lists(st.integers(64, 3000), min_size=6, max_size=6))
+    @example(case=(5, 2, [3, 2], [1900, 1901, 1903]), precs=[SWEEP_PREC_MOD5] * 6)
+    def test_residuals_match_lone_passes(self, case, precs):
+        # at precisions in any order, so the passes' W rise and fall
+        modulus, label, ns, s_values = case
+        chi = enumerate_characters(modulus).by_label(label)
+        facts = [recursion._cell_facts(PS[:n], chi) for n in ns]
+        longest = max(f.J for f in facts)
+        held = recursion._Held(kernel_bits(max(precs)), s_values[0], longest)
+        for s, bits in zip(s_values, precs):
+            got = recursion._residuals(PS, ns, s, chi, bits, facts, held)
+            assert got == recursion._residuals(PS, ns, s, chi, bits, facts)
+        assert held.quotients
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=held_cases(), count=st.one_of(st.none(), st.integers(0, 30)))
+    @example(case=(5, [(1900, 5120), (1901, 5125), (1902, 5128)]), count=None)
+    @example(case=(120, [(60, 1773), (62, 1400), (65, 1800)]), count=None)
+    # the carry stops part-way: the first odd primes are held, the rest divided
+    @example(case=(120, [(60, 1773), (62, 1400), (65, 1800)]), count=7)
+    def test_pass_takes_every_carried_quotient_exactly(self, case, count):
+        # the trivial character's L-sum at each J less its sum at J - 1
+        # reads every quotient of a pass; the odd primes up to J take theirs
+        # from the held 2**W* // p**s, and the composites from their cofactors'
+        J, passes = case
+        W_star = max(W for _, W in passes)
+        budget = recursion._ROUTE_BYTES if count is None else held_bytes(J, W_star, count)
+        odd_primes = [p for p in PS if 2 < p <= J]
+        with mock.patch.object(recursion, "_ROUTE_BYTES", budget):
+            held = recursion._Held(W_star, passes[0][0], J)
+            for s, W in passes:
+                sums = [re for re, _ in recursion._kernels(K1, s, W, PS, list(range(1, J + 1)), [], held)[0]]
+                got = [b - a for a, b in zip([0, *sums], sums)]
+                assert got == [(1 << W) // j**s for j in range(1, J + 1)]
+        kept = odd_primes[: held.cap]
+        assert held.quotients == {p: (1 << W_star) // p ** passes[-1][0] for p in kept}
+        if count == 7:
+            assert 0 < len(kept) < len(odd_primes)
+
+    def test_carried_state_stays_within_its_bytes(self):
+        # at s = 2 each held quotient holds nearly W bits: the route state
+        # of J = 3000 indices at W = 30000 takes about 6.1 MB, and the 429
+        # odd primes up to J would hold 1.8 MB more; with room for about 120
+        # past the route, the carry holds that many, and the passes' peak stays
+        # within _ROUTE_BYTES (the walk and totals take little more)
+        W, J = 30_000, 3000
+        ps = tuple(first_n_primes(430))
+        budget = held_bytes(J, W, 120)
+        with mock.patch.object(recursion, "_ROUTE_BYTES", budget):
+            held = recursion._Held(W, 2, J)
+            tracemalloc.start()
+            try:
+                for s in (2, 3):
+                    (got,), _ = recursion._kernels(K1, s, W, ps, [J], [], held)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 100 < len(held.quotients) == held.cap < 429
+        assert peak < budget + (1 << 18)
+        assert got == (sum((1 << W) // j**3 for j in range(1, J + 1)), 0)
+
+    def test_held_quotients_drop_on_a_lower_s(self):
+        held = recursion._Held(5120, 1900, 5)
+        recursion._kernels(K1, 1900, 5120, PS, [5], [], held)
+        assert held.quotients == {3: (1 << 5120) // 3**1900, 5: (1 << 5120) // 5**1900}
+        sums = recursion._kernels(K1, 1850, 5000, PS, [5], [], held)[0]
+        assert sums == recursion._kernels(K1, 1850, 5000, PS, [5], [])[0]
+        assert held.s == 1850 and held.quotients[3] == (1 << 5120) // 3**1850
+
+    def test_one_pass_holds_nothing(self):
+        assert recursion._size_series([2, 3], [40], K1).held is None
+        assert recursion._size_series([2, 3], [40, 41], K1).held is not None
+
+    def test_series_must_ascend(self):
+        with pytest.raises(DomainError, match="must ascend"):
+            recursion.estimate_series([2], [41, 40], K1)
+        assert recursion.estimate_series([], [41, 40], K1) == [[], []]
+        assert recursion.estimate_series([2], [], K1) == []
+
+    def test_sized_before_any_kernel(self, monkeypatch):
+        # n = 5000 is refused from some s on: the series raises that s's
+        # refusal, the first the loop over s would raise, before any kernel
+        def refused(s):
+            try:
+                recursion.required_precision(5000, s)
+            except UnsupportedSizeError as exc:
+                return str(exc)
+            return None
+
+        first = next(s for s in range(1, 2001) if refused(s))
+        monkeypatch.setattr(recursion, "_kernels", lambda *args: pytest.fail("the kernel ran"))
+        with pytest.raises(UnsupportedSizeError) as info:
+            recursion.estimate_series([5000], range(1, 2001), K1)
+        assert str(info.value) == refused(first)
+        assert 1900 < first < 2000
+
+
 def unchecked_quotient(u: int, v: int) -> int:
     """``recursion._quotient``'s short route without its check: the quotient
     of u's and v's top bits, as ``-t - 1`` for u < 0."""
@@ -923,7 +1090,7 @@ class TestEstimate:
         # a nonzero midpoint whose ball still contains 0 is refused; one
         # component beyond the radius resolves the residual from 0
         def balls(mid):
-            return lambda ps, ns, s, chi, bits, facts: [mid + (kernel_bits(bits), 5) for _ in ns]
+            return lambda ps, ns, s, chi, bits, facts, held=None: [mid + (kernel_bits(bits), 5) for _ in ns]
 
         for mid in ((3, -2), (-5, 5), (0, 1)):
             monkeypatch.setattr(recursion, "_residuals", balls(mid))
@@ -950,7 +1117,7 @@ class TestEstimate:
             recursion.estimate(2, 600, chi)
 
 
-def zero_balls(ps, ns, s, chi, bits, facts) -> list:
+def zero_balls(ps, ns, s, chi, bits, facts, held=None) -> list:
     """``recursion._residuals`` of residuals that vanished: midpoint 0, radius 1."""
     return [(0, 0, kernel_bits(bits), 1) for _ in ns]
 
@@ -1238,7 +1405,7 @@ class TestPrecisionSizing:
         for modulus in range(1, 13):
             for chi in enumerate_characters(modulus).characters:
                 for n in range(1, 31):
-                    terms = recursion._cell_facts(PS[:n], modulus, chi.label).terms
+                    terms = recursion._cell_facts(PS[:n], chi).terms
                     X = max((*terms, 2 * first_n_primes(n)[-1]))
                     want = [x for x, _, _ in tail_terms(n, chi, X)][:2]
                     assert want == list(terms), (modulus, chi.label, n)
@@ -1301,7 +1468,7 @@ class TestGivenPrimes:
             monkeypatch.setattr(primes, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
         with pytest.raises(pytest.fail.Exception, match="first_n_primes ran"):
             recursion.estimate(2, s, chi)
-        facts = [recursion._cell_facts(ps[:n], modulus, label) for n in ns]
+        facts = [recursion._cell_facts(ps[:n], chi) for n in ns]
         balls = recursion._residuals(ps, ns, s, chi, ctx.prec_bits, facts)
         assert [recursion._to_complex(ctx, ball[:2], ball[2]) for ball in balls] == residuals
         # the chain, through _finish, from each n's own precision
