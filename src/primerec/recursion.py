@@ -643,11 +643,14 @@ def _kernels(
     totals are rotated at each sum's J and the product is taken at each
     product's n-th prime, so every cell is its one-cell loop bit for bit.
 
-    A pass of a series (``held``, its quotients taken to s first) takes each
-    j it divides ``2**W`` by from its held ``2**W* // j**s``, W* the series'
-    widest W, as that quotient shifted right by ``W* - W``: the same floor.
-    A j not yet held is divided at W* and held while ``held.cap`` allows,
-    and past it at W, as in a lone pass, which holds nothing.
+    A pass of a series (``held``, its quotients taken to s first, each by
+    one division by ``j**(s - t)``) takes each j it divides ``2**W`` by (in
+    a residual's pass the odd primes) from its held ``2**W* // j**s``, W*
+    the series' widest W, as that quotient shifted right by ``W* - W``: the
+    same floor.  A j not yet held is divided at W* and held while
+    ``held.cap`` allows, which keeps the held bytes within what
+    ``_ROUTE_BYTES`` leaves past the route's state, and past it divided at
+    W, as in a lone pass, which holds nothing.
     """
     one = 1 << W
     if held is None:
@@ -867,7 +870,7 @@ class _Pass(NamedTuple):
     """One s of a sized series."""
 
     s: int
-    sized: list  # each n's working precision
+    sized: list  # each n's working precision, in bits
     bits: int  # the pass's precision: the widest n's
 
 
@@ -910,8 +913,8 @@ def _size_series(ns, s_values, chi: DirichletCharacter, prec_bits: Optional[int]
                     f"the residual is exactly zero for modulus {chi.modulus}, label {chi.label} at "
                     f"n={n}: the character vanishes at every tail term, so no precision gives an estimate"
                 )
-            sized.append(_sizing(n, s, f, prec_bits))
-        bits = max(ctx.prec_bits for ctx in sized)
+            sized.append(_sizing(n, s, f, prec_bits).prec_bits)
+        bits = max(sized)
         _check_pass(ns, s, bits, facts)
         passes.append(_Pass(s, sized, bits))
     held = None
@@ -928,7 +931,8 @@ def _run_pass(series: _Series, p: _Pass) -> list:
     one before; in any order, the estimates are the same."""
     ps, ns, chi, facts, _, held = series
     balls = _residuals(ps, ns, p.s, chi, p.bits, facts, held)
-    return [_finish(n, p.s, chi, ctx, f.terms, ball, ps[n]) for n, f, ctx, ball in zip(ns, facts, p.sized, balls)]
+    cells = zip(ns, facts, p.sized, balls)
+    return [_finish(n, p.s, chi, PrecisionContext(b), f.terms, ball, ps[n]) for n, f, b, ball in cells]
 
 
 def _fp_pow(m: int, k: int, bits: int) -> tuple:
