@@ -32,8 +32,9 @@ once per group and shared by every cell holding them, so enumeration is an
 integer dot product and a list index, with no ``Fraction`` arithmetic.
 ``character(k, label)`` builds one table the same way, in O(k), without
 the group's other phi(k) - 1.  A character hashes as its ``(k, label)``,
-which determines its table.  Tables are dense and indexed by residue (modulus cap 10**4), so evaluation
-is a table lookup and group identities can be checked cell by cell.
+which determines its table.  Tables are dense and indexed by residue
+(modulus cap 10**4), so evaluation is a table lookup and group identities
+can be checked cell by cell.
 """
 
 from __future__ import annotations
@@ -298,59 +299,59 @@ def _exponents(label: int, orders: tuple) -> tuple:
     return tuple(exponents)
 
 
-def _residue_logs(structure: UnitGroupStructure) -> tuple:
-    """``(lam, roots, logs)`` of a group: ``lam`` the lcm of its generator
-    orders, ``roots[a]`` the value ``e(a/lam)``, and ``logs[n]`` the discrete
-    logs of the residue n scaled to the denominator lam, None off the units."""
+def _characters(structure: UnitGroupStructure, labels) -> list:
+    """The characters of ``labels`` in the group of ``structure``, each table
+    an integer dot product and a list index per residue.
+
+    Every value is ``e(a/lam)``, lam the lcm of the generator orders: the
+    ``lam`` values and each unit's discrete logs, scaled to the denominator
+    lam, are built once for all the labels.
+    """
+    k = structure.modulus
     orders = structure.generator_orders()
     lam = math.lcm(*orders)
     roots = [CharValue.root(a, lam) for a in range(lam)]
     comp_dlogs = [_component_dlogs(c) for c in structure.components]
     qs = [c.prime_power for c in structure.components]
-    k = structure.modulus
-    logs = []
+
+    # discrete logs scaled to the common denominator lam; None off the units
+    scaled_dlogs = []
     for n in range(k):
         if math.gcd(n, k) == 1:
             vec = []
             for q, dl in zip(qs, comp_dlogs):
                 vec.extend(dl[n % q])
-            logs.append(tuple(d * (lam // o) for d, o in zip(vec, orders)))
+            scaled_dlogs.append(tuple(d * (lam // o) for d, o in zip(vec, orders)))
         else:
-            logs.append(None)
-    return lam, roots, logs
+            scaled_dlogs.append(None)
 
-
-def _table(exponents: tuple, lam: int, roots: list, logs: list) -> tuple:
-    """The dense table of the character with generator ``exponents``, from its
-    group's ``_residue_logs``: an integer dot product and a list index per residue."""
-    return tuple(
-        CHAR_ZERO if vec is None else roots[sum(map(operator.mul, exponents, vec)) % lam] for vec in logs
-    )
+    characters = []
+    for label in labels:
+        exponents = _exponents(label, orders)
+        table = tuple(
+            CHAR_ZERO if vec is None else roots[sum(map(operator.mul, exponents, vec)) % lam]
+            for vec in scaled_dlogs
+        )
+        characters.append(DirichletCharacter(k, label, exponents, table))
+    return characters
 
 
 @lru_cache(maxsize=_CACHED_GROUPS)
 def enumerate_characters(k: int) -> CharacterGroup:
     """All phi(k) characters mod k, labelled per the mixed-radix convention."""
     structure = unit_group(k)
-    orders = structure.generator_orders()
-    logs = _residue_logs(structure)
-    characters = []
-    for label in range(1, math.prod(orders) + 1):
-        exponents = _exponents(label, orders)
-        characters.append(DirichletCharacter(k, label, exponents, _table(exponents, *logs)))
-    return CharacterGroup(k, structure, tuple(characters))
+    labels = range(1, structure.phi() + 1)
+    return CharacterGroup(k, structure, tuple(_characters(structure, labels)))
 
 
 def character(modulus: int, label: int) -> DirichletCharacter:
     """The character ``enumerate_characters(modulus).by_label(label)``, built
     alone: its one table in O(modulus), without the group's phi(modulus)."""
     structure = unit_group(modulus)
-    orders = structure.generator_orders()
-    count = math.prod(orders)
+    count = structure.phi()
     if not 1 <= label <= count:
         raise DomainError(f"label {label} out of range 1..{count} for modulus {modulus}")
-    exponents = _exponents(label, orders)
-    return DirichletCharacter(modulus, label, exponents, _table(exponents, *_residue_logs(structure)))
+    return _characters(structure, [label])[0]
 
 
 def keller_one() -> DirichletCharacter:
