@@ -81,27 +81,32 @@ flagged, not rejected).
 The sum and the product run in fixed point, on integers scaled by
 ``2**W`` with ``W = P + 96 + 16``, in one pass over j (``_kernels``).  The
 product's primes are among the sum's indices, so each ``2**W // j**s`` is
-taken once, exactly (for ``j = 2**a`` it is the shift ``2**(W - a s)``, or
-0): it is added into one total per character value and, when j is a prime
-``p <= p_n``, multiplied into the running product as the factor
-``1 - x`` with ``x = chi(p) * (2**W // p**s)``.  For integers ``a >= 0`` and
-``b, c >= 1``, ``(a // b) // c = a // (b c)`` (Brent & Zimmermann, *Modern
-Computer Arithmetic*, ch. 1.4), so a composite ``j = p m``, p its least
-prime factor, takes ``2**W // j**s`` exactly as ``(2**W // m**s) // p**s``,
-or ``(2**W // m**s) >> s`` for p = 2: no power, and one full division of
-the cofactor's ``W - s log2 m`` bits by the ``s log2 p`` of ``p**s``.  The
-route runs up to an index L, the longest sum J or less where its state
-would pass ``_ROUTE_BYTES`` (16 MiB): the pass keeps ``2**W // m**s`` for
-every ``m <= L / 2`` and ``p**s`` for every prime ``p <= sqrt(L)``, and
-sieves the least factors of the j up to L from the primes it is handed, so
-in a residual's pass, whose primes reach ``p_n >= sqrt(J)``, every
-composite up to L takes this route.  The other j take ``j**s``: the
-primes, the composites past L, and any j with no factor among the pass's
-primes, such as every j of ``l_partial_sum``, which is handed none (in a
-series of passes, from the quotient of an earlier one; see below).  For a
-divisor ``y = j**s`` of d bits the quotient has about ``W - d``, and where
-that is short only y's top bits take part, as in floating-point division
-(Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1.4 and 3).  Each
+taken once, exactly: it is added into one total per character value and,
+when j is a prime ``p <= p_n``, multiplied into the running product as the
+factor ``1 - x`` with ``x = chi(p) * (2**W // p**s)``.  The pass reads its
+quotients from one table (``_Quotients``) at a scale ``2**W*``, ``W* >= W``:
+``q[j] = 2**W* // j**s`` for every j up to L where ``chi(j) != 0`` (0 for
+the other j), L the longest sum J or the last index whose table fits in
+``_ROUTE_BYTES`` (16 MiB).  For integers ``a >= 0`` and ``b, c >= 1``,
+``(a // b) // c = a // (b c)`` (Brent & Zimmermann, *Modern Computer
+Arithmetic*, ch. 1.4), so the pass takes ``2**W // j**s`` as
+``q[j] >> (W* - W)``, a shift, and the table is filled in ascending j with
+each composite ``j = p m``, p its least prime factor (sieved as the fill
+starts and dropped after it), taking ``q[m] // p**s``, or ``q[m] >> s`` for
+p = 2: no power, and one division of the cofactor's ``W* - s log2 m`` bits
+by the ``s log2 p`` of ``p**s`` (chi(m) and chi(p) are nonzero wherever
+chi(j) is).  1 and 2 take a shift, and every other prime divides ``2**W*``
+by ``j**s``.  A lone pass fills a table of its own at its W.  The passes of
+a series (``estimate_series``, below) share one, at the width W* of their
+widest pass: for a higher s than the table's t it advances every nonzero
+``q[j]`` to ``(2**W* // j**t) // j**(s - t)``, one division by the short
+``j**(s - t)``, and for a lower s it is filled again, so every kernel
+integer, and every ball, is that of the lone pass.  The table lives in its
+pass or its series (``_Series``) and no longer.  Past L, j divides
+``2**W`` by ``j**s``.  For a divisor ``y = j**s`` of d bits the quotient
+has about ``W - d``, and where that is short only y's top bits take part,
+as in floating-point division (Brent & Zimmermann, *Modern Computer
+Arithmetic*, ch. 1.4 and 3).  Each
 such floor ``u // v`` (v > 0, u of either sign), here and in the residual
 below, is one ``_quotient``: with ``q = max(1, bits(u) - bits(v) + 1)``,
 at least the quotient's bit count, ``sh = bits(v) - q - 40``,
@@ -177,23 +182,8 @@ precision.
 The passes of ascending s at the same n (``estimate_series``, one
 ``estimate_many`` per s) are sized and checked, every cell and every pass,
 before any kernel runs (``_size_series``), so a series refused at some s is
-refused at once, with the error the loop over s would raise first.  The
-passes then divide ``2**W`` by the same ``j**s`` up to a few more factors
-of j, so a series holds each such quotient at the width W* of its widest
-pass (``_Held``): by the identity above, ``2**W* // j**s`` is
-``(2**W* // j**t) // j**(s - t)`` for the quotient held at an earlier t,
-one division by the short ``j**(s - t)``, and ``2**W // j**s`` is
-``(2**W* // j**s) >> (W* - W)``, a shift.  A quotient is held from the
-first pass that divides by it, taken there at W* from ``j**s``.  Every
-kernel integer, and so every ball, is that of the lone pass.  The held j
-are those a pass divides ``2**W`` by, in a residual's pass the odd primes:
-the composites past the route's L would be held too, but where the route
-stops short of the longest sum its state fills ``_ROUTE_BYTES``.  Each held
-quotient has at most W* + 1 bits; the held state, projected at
-``152 + 2 W* / 15`` bytes a quotient, stays within what ``_ROUTE_BYTES``
-leaves past the route's state of the longest sum at W*, and past that the
-other j divide ``2**W`` as in a lone pass.  The held state lives in the
-series (``_Series``) and no longer than it.
+refused at once, with the error the loop over s would raise first.  They
+then share one quotient table, as above.
 
 So every residual, of one cell or of a shared pass, is a ball
 (midpoint-radius arithmetic: van der Hoeven, *Ball arithmetic*, 2009;
@@ -221,7 +211,6 @@ every estimate, of one cell or a series, and which ``analysis`` calls too.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple, Optional
@@ -291,15 +280,18 @@ _ROOT_WEIGHT = 5
 # full division and -4% at 1420, and 12-29% more at W = 600-900 (CPython
 # 3.11, 2-vCPU x86).
 _SHORT_QUOTIENT_BITS = 1400
-# The bytes a kernel pass spends on its composite route (``_kernels``), up to
-# the last index that fits: per index 8 for its least factor, and per second
-# index a kept quotient of at most W + 1 bits, under 52 + 4 W / 30 bytes with
-# its list slot (30-bit digits, 16-byte allocations), so 34 + W / 15 in all.
-# The route reaches every j of the bench's passes (J up to 225) and of the
-# (n, s) = (150, 2765) estimate at 40000 bits (J = 1725, W = 40112, 6195
-# indices); past it the composites divide 2**W by j**s.  Unbounded, it held
-# 134 MiB at (n, s) = (100000, 2) (J = 2.6M) and would pass 1 GB near the
-# prime table's cap (J = 3.1e7).
+# The bytes of a quotient table (``_Quotients``), up to the last index that
+# fits, projected at 60 + W // 7 per index (``_index_bytes``): a quotient of
+# at most W + 1 bits takes under 28 + 4 W / 30 bytes (30-bit digits), its
+# list slot 8 and the fill's least-factor sieve about 12 more while it runs.
+# Under tracemalloc a fill at s = 2 with chi(j) != 0 for every j peaked at
+# 48, 72, 172, 705, 4042 and 13385 bytes per index at W = 64, 256, 1000,
+# 5000, 30000 and 100000 (CPython 3.11), 0.70-0.93 of the projection.  The
+# table reaches every j of the bench's passes (J up to 225) and of the
+# (n, s) = (150, 2765) estimate at 40000 bits (J = 1725, W = 40112, L up to
+# 2897); past it the j divide 2**W by j**s.  Unbounded, it would take about
+# 190 MB at (n, s) = (100000, 2) (J = 2.6M) and pass 1 GB near the prime
+# table's cap (J = 3.1e7).
 _ROUTE_BYTES = 1 << 24
 # (primes, modulus, label) whose sizing facts (``_cell_facts``) are kept: a
 # ``slopes`` run visits 29 prime lists for one character, a ``dtable`` one per cell.
@@ -579,100 +571,94 @@ def euler_product(
 
 
 def _index_bytes(W: int) -> int:
-    """The bytes the composite route of a pass at scale ``2**W`` projects per
-    index (``_ROUTE_BYTES``)."""
-    return 34 + W // 15
+    """The bytes a ``_Quotients`` at scale ``2**W`` projects per index
+    (``_ROUTE_BYTES``)."""
+    return 60 + W // 7
 
 
-class _Held:
-    """The quotients ``2**W // j**s`` a series carries from one pass to the
-    next, at the width W of its widest pass, for the j its passes divide
-    ``2**W`` by (see ``_kernels``), up to ``cap`` of them.
+class _Quotients:
+    """``q[j] = 2**W // j**s`` for every j up to L where chi(j) != 0, and 0
+    for the other j: the quotients of a kernel pass at scale ``2**W``, or of
+    a series of passes at the widest pass's.
 
-    ``cap`` leaves the route state of a pass over J indices at W within
-    ``_ROUTE_BYTES`` (the route's state, at most J indices, is largest at
-    the widest W): each held j takes a quotient of at most W + 1 bits, under
-    ``52 + 4 W / 30`` bytes, and its dict entry and key under 100.
+    L is the longest sum J, or the last index whose table fits in
+    ``_ROUTE_BYTES``.  ``at(s, chi)`` fills the table the first time and for
+    an s below the last one, and advances it for a higher s (see the module
+    docstring).
     """
 
-    __slots__ = ("W", "s", "cap", "quotients")
+    __slots__ = ("W", "L", "s", "q")
 
-    def __init__(self, W: int, s: int, J: int):
-        self.W, self.s, self.quotients = W, s, {}
-        room = _ROUTE_BYTES - min(J * _index_bytes(W), _ROUTE_BYTES)
-        self.cap = room // (152 + 2 * W // 15)
+    def __init__(self, W: int, J: int):
+        self.W, self.L, self.s = W, min(J, _ROUTE_BYTES // _index_bytes(W)), None
+        self.q = [0] * (self.L + 1)
 
-    def advance(self, s: int) -> None:
-        """Take every held quotient to ``s``:
-        ``2**W // j**s = (2**W // j**t) // j**(s - t)``; for an s below the
-        held one, drop them."""
-        quotients, step = self.quotients, s - self.s
-        if step < 0:
-            quotients.clear()
-        elif step:
-            for j in quotients:
-                quotients[j] //= j**step
+    def at(self, s: int, chi: DirichletCharacter) -> list:
+        """The table at s, for chi (the same character at every s)."""
+        if self.s is None or s < self.s:
+            self._fill(s, chi)
+        elif s > self.s:
+            # 2**W // j**s = (2**W // j**t) // j**(s - t), exactly
+            q, step = self.q, s - self.s
+            for j in range(2, self.L + 1):
+                if q[j]:
+                    q[j] //= j**step
         self.s = s
+        return self.q
+
+    def _fill(self, s: int, chi: DirichletCharacter) -> None:
+        L, W, k = self.L, self.W, chi.modulus
+        one = 1 << W
+        nonzero = [not v.is_zero for v in chi.table[: L + 1]]
+        # the least prime factor of each composite j <= L (0 for the other
+        # j): the last of the d <= sqrt(j) dividing j to mark it, the largest
+        # first, is the least
+        least = [0] * (L + 1)
+        for d in range(math.isqrt(L), 1, -1):
+            least[d * d :: d] = [d] * ((L - d * d) // d + 1)
+        q, powers = self.q, {}
+        for j in range(1, L + 1):
+            if nonzero[j % k]:
+                p = least[j]
+                if p:
+                    # 2**W // (m**s p**s) = (2**W // m**s) // p**s, exactly
+                    q[j] = q[j // p] >> s if p == 2 else q[j // p] // powers[p]
+                elif j <= 2:
+                    # 2**W // 2**((j - 1) s), a shift
+                    q[j] = one >> (j - 1) * s
+                else:
+                    y = j**s
+                    q[j] = _quotient(one, y, W)
+                    if j * j <= L:
+                        powers[j] = y
 
 
 def _kernels(
-    chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, products: list, held: Optional[_Held] = None
+    chi: DirichletCharacter, s: int, W: int, ps: tuple, sums: list, products: list, table: Optional[_Quotients] = None
 ) -> tuple:
     """The L-sum to J for every J in ``sums`` and the running product
     ``prod (1 - chi(p)/p**s)`` over ``ps[:n]`` for every n in ``products``,
     not inverted (``_minus_inverse`` divides), each a fixed-point
     ``(re, im)`` at scale ``2**W``, in one pass over j.
 
-    The pass takes each ``2**W // j**s`` once, exactly.  A composite j up
-    to the route's last index L with a least prime factor p among ``ps``
-    divides its cofactor's quotient: ``(2**W // (j/p)**s) // p**s``, or
-    ``>> s`` for p = 2, which is the same floor (see the module docstring).
-    L is the longest sum, or less where its state would pass
-    ``_ROUTE_BYTES``: the least factors of the j up to L, sieved in the pass
-    from the primes of ``ps`` up to ``sqrt(L)``, the quotients of
-    ``m <= L / 2`` and the powers of those primes.  Every other j divides
-    ``2**W`` by ``j**s`` (for ``j = 2**a`` the shift ``2**(W - a s)``, or
-    0) in one ``_quotient``: where the quotient is short and W is at least
-    ``_SHORT_QUOTIENT_BITS``, from the top bits of ``j**s``, checked exact,
-    and in full where the check fails.  It adds the quotient to the total
-    of chi(j) and, where j is one of the products' primes, multiplies its
-    factor ``1 - x`` into the running product z as
+    The pass takes each ``2**W // j**s`` once, exactly: up to the table's L
+    as ``q[j] >> (W* - W)``, the same floor, from ``table`` (a series'
+    ``_Quotients`` at its widest W*, taken to s first) or, when none is
+    given, from one of its own at W over the longest sum; past L in one
+    ``_quotient`` of ``2**W`` by ``j**s``.  It adds the quotient to the
+    total of chi(j) and, where j is one of the products' primes, multiplies
+    its factor ``1 - x`` into the running product z as
     ``(z - x) 2**W + (2**W - z) x``, z's deficit from ``2**W`` by the
-    quotient's bits, truncated by ``2**W``.  It walks
-    every j up to the longest sum, then only the primes past it.  The
-    totals are rotated at each sum's J and the product is taken at each
-    product's n-th prime, so every cell is its one-cell loop bit for bit.
-
-    A pass of a series (``held``, its quotients taken to s first, each by
-    one division by ``j**(s - t)``) takes each j it divides ``2**W`` by (in
-    a residual's pass the odd primes) from its held ``2**W* // j**s``, W*
-    the series' widest W, as that quotient shifted right by ``W* - W``: the
-    same floor.  A j not yet held is divided at W* and held while
-    ``held.cap`` allows, which keeps the held bytes within what
-    ``_ROUTE_BYTES`` leaves past the route's state, and past it divided at
-    W, as in a lone pass, which holds nothing.
+    quotient's bits, truncated by ``2**W``.  It walks every j up to the
+    longest sum, then only the primes past it.  The totals are rotated at
+    each sum's J and the product is taken at each product's n-th prime, so
+    every cell is its one-cell loop bit for bit.
     """
     one = 1 << W
-    if held is None:
-        carried, cap, top, shift = {}, 0, one, 0
-    else:
-        held.advance(s)
-        carried, cap, top, shift = held.quotients, held.cap, 1 << held.W, held.W - W
     last_sum = max(sums, default=0)
-    # the route's last index, within _ROUTE_BYTES, and the primes of ps it
-    # divides by
-    route = min(last_sum, _ROUTE_BYTES // _index_bytes(W))
-    small = ps[: bisect_right(ps, math.isqrt(route))]
-    # the least factor in small of each j <= route at least its square (0
-    # for the other j), marked from each prime's square, the largest first
-    least = [0] * (route + 1) if small else []
-    for p in reversed(small):
-        least[p * p :: p] = [p] * ((route - p * p) // p + 1)
-    sieved = len(least)
-    # 2**W // m**s for the m a composite's quotient is taken from (none
-    # without a sieve), and p**s for the primes p it divides by
-    half = route // 2 if small else 0
-    kept, powers = [0] * (half + 1), {}
+    if table is None:
+        table = _Quotients(W, last_sum)
+    q, L, shift = table.at(s, chi), table.L, table.W - W
     ps = ps[: max(products, default=0)]
     # every j up to the longest sum, then only the products' primes past it
     walk = range(1, last_sum + 1)
@@ -695,29 +681,8 @@ def _kernels(
     for j in walk:
         c = cls[j % k]
         if c >= 0:
-            p = least[j] if j < sieved else 0
-            if p:
-                # 2**W // (m**s p**s) = (2**W // m**s) // p**s, exactly
-                x = kept[j // p] >> s if p == 2 else kept[j // p] // powers[p]
-            elif not j & (j - 1):
-                x = one >> (j.bit_length() - 1) * s
-            else:
-                x = carried.get(j)
-                if x is None:
-                    y = j**s
-                    if len(carried) < cap:
-                        # 2**W // y = (2**W* // y) >> (W* - W), exactly
-                        x = carried[j] = _quotient(top, y, W + shift)
-                        x >>= shift
-                    else:
-                        x = _quotient(one, y, W)
-                else:
-                    x >>= shift
-                    y = None
-                if j * j <= route:
-                    powers[j] = y or j**s
-            if j <= half:
-                kept[j] = x
+            # 2**W // j**s = (2**W* // j**s) >> (W* - W), exactly
+            x = q[j] >> shift if j <= L else _quotient(one, j**s, W)
             totals[c] += x
             if is_factor[j]:
                 # the factor is one - (xr + i xi), xr + i xi = chi(p) x
@@ -785,15 +750,15 @@ def _check_pass(ns: list, s: int, bits: int, facts: list) -> None:
 
 
 def _residuals(
-    ps: tuple, ns: list, s: int, chi: DirichletCharacter, bits: int, facts: list, held: Optional[_Held] = None
+    ps: tuple, ns: list, s: int, chi: DirichletCharacter, bits: int, facts: list, table: Optional[_Quotients] = None
 ) -> list:
     """The residual of each n in ``ns`` (its ``_Facts`` in ``facts``) at
     ``bits`` of precision as a ball ``(re, im, W, radius)`` (see the module
     docstring), all the L-sums and products over ``ps`` in one ``_kernels``
-    pass at ``W = _kernel_bits(bits)``, a pass of a series when ``held`` is
-    given.  The callers check the pass first (``_check_pass``)."""
+    pass at ``W = _kernel_bits(bits)``, on a series' quotient ``table`` when
+    it is given.  The callers check the pass first (``_check_pass``)."""
     W = _kernel_bits(bits)
-    sums, products = _kernels(chi, s, W, ps, [f.J for f in facts], ns, held)
+    sums, products = _kernels(chi, s, W, ps, [f.J for f in facts], ns, table)
     return [
         (*_minus_inverse(a, b, product, W), W, f.sum_units + (20 * n + 2) * (ps[n - 1] ** 3 if s == 1 else 1))
         for n, f, (a, b), product in zip(ns, facts, sums, products)
@@ -851,8 +816,8 @@ def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
 
 def estimate_series(ns, s_values, chi: DirichletCharacter) -> list:
     """``[estimate_many(ns, s, chi) for s in s_values]`` for ascending
-    ``s_values``, every pass after the first taking its quotients from the
-    one before (``_Held``); every result is that of ``estimate_many``.
+    ``s_values``, every pass reading one quotient table that the pass before
+    it left (``_Quotients``); every result is that of ``estimate_many``.
 
     ``ns`` and ``s_values`` may be any iterables.  Every (n, s) cell is
     sized and every pass checked against the cost cap before any kernel
@@ -882,7 +847,7 @@ class _Series(NamedTuple):
     chi: DirichletCharacter
     facts: list  # each n's _Facts
     passes: list  # one _Pass per s, ascending
-    held: Optional[_Held]  # the quotients its passes carry; None for one pass
+    table: Optional[_Quotients]  # the quotients its passes share; None for one pass
 
 
 def _size_series(ns, s_values, chi: DirichletCharacter, prec_bits: Optional[int] = None) -> _Series:
@@ -893,8 +858,8 @@ def _size_series(ns, s_values, chi: DirichletCharacter, prec_bits: Optional[int]
     Raises what the loop over s of one pass each would raise first: at each
     s, for each n, a ``ZeroResidualError`` where chi vanishes at every tail
     term, or the sizing's refusal (``_sizing``); then the pass's
-    (``_check_pass``).  The passes of more than one s share a ``_Held`` at
-    the widest pass's W, within the route's bytes at the longest n's J.
+    (``_check_pass``).  The passes of more than one s share one
+    ``_Quotients`` at the widest pass's W over the longest n's J.
     """
     ns, s_values = list(ns), list(s_values)
     for s in s_values:
@@ -917,20 +882,20 @@ def _size_series(ns, s_values, chi: DirichletCharacter, prec_bits: Optional[int]
         bits = max(sized)
         _check_pass(ns, s, bits, facts)
         passes.append(_Pass(s, sized, bits))
-    held = None
+    table = None
     if len(passes) > 1:
-        held = _Held(_kernel_bits(max(p.bits for p in passes)), passes[0].s, max(f.J for f in facts))
-    return _Series(ps, ns, chi, facts, passes, held)
+        table = _Quotients(_kernel_bits(max(p.bits for p in passes)), max(f.J for f in facts))
+    return _Series(ps, ns, chi, facts, passes, table)
 
 
 def _run_pass(series: _Series, p: _Pass) -> list:
     """The estimates of every n of ``series`` at its pass ``p``: the kernels
-    of all of them at the pass's precision, taking the quotients the series
-    holds to p's s, then each chain at its own precision, against its target
-    ``ps[n]``.  Passes run in ascending s take each held quotient from the
-    one before; in any order, the estimates are the same."""
-    ps, ns, chi, facts, _, held = series
-    balls = _residuals(ps, ns, p.s, chi, p.bits, facts, held)
+    of all of them at the pass's precision, on the series' quotient table
+    taken to p's s, then each chain at its own precision, against its target
+    ``ps[n]``.  Passes run in ascending s advance the table from the one
+    before; in any order, the estimates are the same."""
+    ps, ns, chi, facts, _, table = series
+    balls = _residuals(ps, ns, p.s, chi, p.bits, facts, table)
     cells = zip(ns, facts, p.sized, balls)
     return [_finish(n, p.s, chi, PrecisionContext(b), f.terms, ball, ps[n]) for n, f, b, ball in cells]
 

@@ -333,10 +333,10 @@ class TestSeriesErrors:
         # and first child's shares run on past them
         real = recursion._residuals
 
-        def vanishing(ps, ns, s, chi, bits, facts, held=None):
+        def vanishing(ps, ns, s, chi, bits, facts, table=None):
             if s in (22, 25):
                 return [(0, 0, recursion._kernel_bits(bits), 1) for _ in ns]
-            return real(ps, ns, s, chi, bits, facts, held)
+            return real(ps, ns, s, chi, bits, facts, table)
 
         monkeypatch.setattr(recursion, "_residuals", vanishing)
         want = first_error(lambda s=s: recursion.estimate_many([2], s, K1) for s in range(20, 28))

@@ -645,17 +645,16 @@ def held_cases(draw):
     return J, list(zip(ss, Ws))
 
 
-def held_bytes(J: int, W: int, count: int) -> int:
-    """A ``_ROUTE_BYTES`` that leaves the carry of a series at W room for about
-    ``count`` quotients past the route state of J indices."""
-    return J * recursion._index_bytes(W) + count * (W // 7 + 160)
+def table_want(chi, W: int, s: int, L: int) -> list:
+    """``_Quotients.q`` of chi at scale ``2**W`` and s over 1..L, by full division."""
+    return [0] + [0 if chi(j).is_zero else (1 << W) // j**s for j in range(1, L + 1)]
 
 
 class TestSeries:
-    """A series of passes over ascending s carries each quotient the passes
-    divide 2**W by from one pass to the next, at its widest W: every
-    integer, ball and estimate is that of the lone passes, the carried
-    state stays within ``_ROUTE_BYTES``, and the series is sized in full
+    """A series of passes over ascending s shares one table of the
+    quotients ``2**W* // j**s`` at its widest W*, advanced from one pass to
+    the next: every integer, ball and estimate is that of the lone passes,
+    the table stays within ``_ROUTE_BYTES``, and the series is sized in full
     before any kernel runs."""
 
     @settings(max_examples=40, deadline=None)
@@ -678,70 +677,82 @@ class TestSeries:
         chi = enumerate_characters(modulus).by_label(label)
         facts = [recursion._cell_facts(PS[:n], chi) for n in ns]
         longest = max(f.J for f in facts)
-        held = recursion._Held(kernel_bits(max(precs)), s_values[0], longest)
+        table = recursion._Quotients(kernel_bits(max(precs)), longest)
         for s, bits in zip(s_values, precs):
-            got = recursion._residuals(PS, ns, s, chi, bits, facts, held)
+            got = recursion._residuals(PS, ns, s, chi, bits, facts, table)
             assert got == recursion._residuals(PS, ns, s, chi, bits, facts)
-        assert held.quotients
+        assert table.s == s_values[-1] and table.L == longest
 
     @settings(max_examples=60, deadline=None)
-    @given(case=held_cases(), count=st.one_of(st.none(), st.integers(0, 30)))
-    @example(case=(5, [(1900, 5120), (1901, 5125), (1902, 5128)]), count=None)
-    @example(case=(120, [(60, 1773), (62, 1400), (65, 1800)]), count=None)
-    # the carry stops part-way: the first odd primes are held, the rest divided
-    @example(case=(120, [(60, 1773), (62, 1400), (65, 1800)]), count=7)
-    def test_pass_takes_every_carried_quotient_exactly(self, case, count):
+    @given(case=series_cases())
+    @example(case=(1, 1, [2], [1850, 1851, 1853]))
+    @example(case=(70, 7, [30, 4], [600, 601, 606]))
+    def test_table_reads_back(self, case):
+        # after the fill and after each advance the series' table holds
+        # 2**W* // j**s, W* its widest pass's W, where chi(j) != 0, and 0
+        # elsewhere; a lower s refills it
+        modulus, label, ns, s_values = case
+        chi = enumerate_characters(modulus).by_label(label)
+        try:
+            series = recursion._size_series(ns, s_values, chi)
+        except PrimerecError:
+            return
+        table, W_star = series.table, kernel_bits(max(p.bits for p in series.passes))
+        J = 2 * PS[max(ns) - 1] - 1
+        for s in [*s_values, s_values[0]]:
+            assert table.at(s, chi) == table_want(chi, W_star, s, J)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=held_cases(), cut=st.one_of(st.none(), st.floats(0, 1)))
+    @example(case=(5, [(1900, 5120), (1901, 5125), (1902, 5128)]), cut=None)
+    @example(case=(120, [(60, 1773), (62, 1400), (65, 1800)]), cut=None)
+    # the table stops part-way: the j past L divide 2**W by j**s
+    @example(case=(120, [(60, 1773), (62, 1400), (65, 1800)]), cut=0.3)
+    def test_pass_takes_every_carried_quotient_exactly(self, case, cut):
         # the trivial character's L-sum at each J less its sum at J - 1
-        # reads every quotient of a pass; the odd primes up to J take theirs
-        # from the held 2**W* // p**s, and the composites from their cofactors'
+        # reads every quotient of a pass: those up to L from the table's
+        # 2**W* // j**s, the rest divided alone
         J, passes = case
         W_star = max(W for _, W in passes)
-        budget = recursion._ROUTE_BYTES if count is None else held_bytes(J, W_star, count)
-        odd_primes = [p for p in PS if 2 < p <= J]
-        with mock.patch.object(recursion, "_ROUTE_BYTES", budget):
-            held = recursion._Held(W_star, passes[0][0], J)
+        L = J if cut is None else int(cut * J)
+        with mock.patch.object(recursion, "_ROUTE_BYTES", L * recursion._index_bytes(W_star)):
+            table = recursion._Quotients(W_star, J)
             for s, W in passes:
-                sums = [re for re, _ in recursion._kernels(K1, s, W, PS, list(range(1, J + 1)), [], held)[0]]
+                sums = [re for re, _ in recursion._kernels(K1, s, W, PS, list(range(1, J + 1)), [], table)[0]]
                 got = [b - a for a, b in zip([0, *sums], sums)]
                 assert got == [(1 << W) // j**s for j in range(1, J + 1)]
-        kept = odd_primes[: held.cap]
-        assert held.quotients == {p: (1 << W_star) // p ** passes[-1][0] for p in kept}
-        if count == 7:
-            assert 0 < len(kept) < len(odd_primes)
+        assert table.L == L and table.q == table_want(K1, W_star, passes[-1][0], L)
 
     def test_carried_state_stays_within_its_bytes(self):
-        # at s = 2 each held quotient holds nearly W bits: the route state
-        # of J = 3000 indices at W = 30000 takes about 6.1 MB, and the 429
-        # odd primes up to J would hold 1.8 MB more; with room for about 120
-        # past the route, the carry holds that many, and the passes' peak stays
-        # within _ROUTE_BYTES (the walk and totals take little more)
-        W, J = 30_000, 3000
-        ps = tuple(first_n_primes(430))
-        budget = held_bytes(J, W, 120)
-        with mock.patch.object(recursion, "_ROUTE_BYTES", budget):
-            held = recursion._Held(W, 2, J)
-            tracemalloc.start()
-            try:
-                for s in (2, 3):
-                    (got,), _ = recursion._kernels(K1, s, W, ps, [J], [], held)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert 100 < len(held.quotients) == held.cap < 429
-        assert peak < budget + (1 << 18)
-        assert got == (sum((1 << W) // j**3 for j in range(1, J + 1)), 0)
+        # at s = 2 each quotient holds nearly W bits: a table over J = 20000
+        # at W* = 30000 would take about 80 MB, and the series' table stops
+        # at L < J within _ROUTE_BYTES (16 MiB), the walk, the totals and the
+        # narrower pass's shifts taking little more
+        W, J = 30_000, 20_000
+        table = recursion._Quotients(W, J)
+        tracemalloc.start()
+        try:
+            for s, width in ((2, W), (3, W - 500)):
+                (got,), _ = recursion._kernels(K1, s, width, PS, [J], [], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 3000 < table.L < J
+        assert peak < recursion._ROUTE_BYTES + (1 << 20)
+        assert got == (sum((1 << (W - 500)) // j**3 for j in range(1, J + 1)), 0)
 
     def test_held_quotients_drop_on_a_lower_s(self):
-        held = recursion._Held(5120, 1900, 5)
-        recursion._kernels(K1, 1900, 5120, PS, [5], [], held)
-        assert held.quotients == {3: (1 << 5120) // 3**1900, 5: (1 << 5120) // 5**1900}
-        sums = recursion._kernels(K1, 1850, 5000, PS, [5], [], held)[0]
+        # a lower s refills the table
+        table = recursion._Quotients(5120, 5)
+        recursion._kernels(K1, 1900, 5120, PS, [5], [], table)
+        assert table.q == table_want(K1, 5120, 1900, 5)
+        sums = recursion._kernels(K1, 1850, 5000, PS, [5], [], table)[0]
         assert sums == recursion._kernels(K1, 1850, 5000, PS, [5], [])[0]
-        assert held.s == 1850 and held.quotients[3] == (1 << 5120) // 3**1850
+        assert table.s == 1850 and table.q == table_want(K1, 5120, 1850, 5)
 
     def test_one_pass_holds_nothing(self):
-        assert recursion._size_series([2, 3], [40], K1).held is None
-        assert recursion._size_series([2, 3], [40, 41], K1).held is not None
+        assert recursion._size_series([2, 3], [40], K1).table is None
+        assert recursion._size_series([2, 3], [40, 41], K1).table is not None
 
     def test_series_must_ascend(self):
         with pytest.raises(DomainError, match="must ascend"):
@@ -1090,7 +1101,7 @@ class TestEstimate:
         # a nonzero midpoint whose ball still contains 0 is refused; one
         # component beyond the radius resolves the residual from 0
         def balls(mid):
-            return lambda ps, ns, s, chi, bits, facts, held=None: [mid + (kernel_bits(bits), 5) for _ in ns]
+            return lambda ps, ns, s, chi, bits, facts, table=None: [mid + (kernel_bits(bits), 5) for _ in ns]
 
         for mid in ((3, -2), (-5, 5), (0, 1)):
             monkeypatch.setattr(recursion, "_residuals", balls(mid))
@@ -1117,7 +1128,7 @@ class TestEstimate:
             recursion.estimate(2, 600, chi)
 
 
-def zero_balls(ps, ns, s, chi, bits, facts, held=None) -> list:
+def zero_balls(ps, ns, s, chi, bits, facts, table=None) -> list:
     """``recursion._residuals`` of residuals that vanished: midpoint 0, radius 1."""
     return [(0, 0, kernel_bits(bits), 1) for _ in ns]
 
