@@ -26,10 +26,10 @@ missing the tasks run in-process.  A series is sized in full first, every
 so a refused series is refused at once with the first s's error at every
 worker count.  Its task holds every n of one s, so they share one kernel
 pass at one precision, and a worker's share, the s values ``i::w``, is one
-series: its passes run in ascending s and each takes its quotients from
-the one before (``recursion.estimate_series``), each process holding its
-own.  A table keeps one task per cell.  The CLI renders the results
-(``primerec.cli`` holds the row format).
+series: its passes run in ascending s on one quotient table, each pass
+advancing it from the one before (``recursion.estimate_series``), each
+process with its own.  A ``d_table`` keeps one task per cell.  The CLI
+renders the results (``primerec.cli`` holds the row format).
 """
 
 from __future__ import annotations
@@ -282,7 +282,10 @@ def slope_series(
 ):
     """One best-fit line per n in [n_min, n_max], ascending n.
 
-    Defaults to the trivial character when none is given.
+    Defaults to the trivial character when none is given.  A fit that
+    ``linear_fit`` refuses raises its ``DomainError`` naming the first such
+    n: where chi vanishes at the target prime the estimate tends to another
+    tail term, and the error can read the same at every s.
     """
     if not (N_RANGE[0] <= n_min <= n_max <= N_RANGE[1]):
         raise DomainError(
@@ -290,8 +293,13 @@ def slope_series(
         )
     if chi is None:
         chi = enumerate_characters(1).characters[0]
-    series = _series(range(n_min, n_max + 1), s_min, s_max, chi, workers)
-    return [(ser.n, linear_fit(ser.points, ser.n_excluded)) for ser in series]
+    fits = []
+    for ser in _series(range(n_min, n_max + 1), s_min, s_max, chi, workers):
+        try:
+            fits.append((ser.n, linear_fit(ser.points, ser.n_excluded)))
+        except DomainError as exc:
+            raise DomainError(f"the fit for n={ser.n} failed: {exc}") from None
+    return fits
 
 
 def _status(chi: DirichletCharacter, n: int, zero_residual: bool) -> str:

@@ -346,6 +346,16 @@ class TestSlopes:
         argv = ["slopes", "--n-min", "2", "--n-max", "3", "--s-min", "20", "--s-max", "30"]
         assert invoke(capsys, *argv) == invoke(capsys, *argv, "--modulus", "1", "--label", "1")
 
+    def test_degenerate_fit_names_its_n(self, capsys):
+        # mod 70 label 7 vanishes at 5 and 7, the targets of n = 2 and 3,
+        # whose estimates read 9 and 27 and errors 4 and 20 at every s
+        code, out, err = invoke(
+            capsys, "slopes", "--n-min", "2", "--n-max", "12", "--s-min", "20", "--s-max", "80",
+            "--modulus", "70", "--label", "7",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: the fit for n=2 failed: degenerate fit input: y is constant\n"
+
 
 @pytest.mark.parametrize(
     "header,rows",
