@@ -27,6 +27,11 @@ every composite j's quotient still came from its own power ``j**s``.
 so the running product ``1 + 3**-s`` lies above 1, at the bench's sweep
 widths) was written while the residual still multiplied the product by the
 sum at full width and divided ``2**(2W)`` less that product by it in full.
+``slopes_n4-12_s20-80_mod70_label7.csv`` (a character vanishing on 2, 5 and
+7, so the quotient table of each series leaves those j and their multiples
+empty) was written while a series still carried only the quotients of the
+j its passes divided ``2**W`` by, each pass taking the composites' from
+their cofactors'.
 Each CLI file name is its command line; every command but ``estimate``,
 which has no ``--workers``, runs at one worker.
 
@@ -58,6 +63,10 @@ CASES = {
     "slopes_n2-12_s20-80_mod13_label2.csv": [
         "slopes", "--n-min", "2", "--n-max", "12", "--s-min", "20", "--s-max", "80",
         "--modulus", "13", "--label", "2",
+    ],
+    "slopes_n4-12_s20-80_mod70_label7.csv": [
+        "slopes", "--n-min", "4", "--n-max", "12", "--s-min", "20", "--s-max", "80",
+        "--modulus", "70", "--label", "7",
     ],
     "sweep_n5_s20-120_mod7_label3.csv": [
         "sweep", "--n", "5", "--s-min", "20", "--s-max", "120", "--modulus", "7", "--label", "3",
