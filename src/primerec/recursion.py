@@ -90,17 +90,18 @@ the other j), L the longest sum J or the last index whose table fits in
 ``_ROUTE_BYTES`` (16 MiB).  For integers ``a >= 0`` and ``b, c >= 1``,
 ``(a // b) // c = a // (b c)`` (Brent & Zimmermann, *Modern Computer
 Arithmetic*, ch. 1.4), so the pass takes ``2**W // j**s`` as
-``q[j] >> (W* - W)``, a shift, and the table is filled in ascending j with
-each composite ``j = p m``, p its least prime factor (sieved as the fill
+``q[j] >> (W* - W)``, a shift.  The walk makes each entry as it reads it:
+on a new table, or for an s below the table's, it fills q[j] in ascending
+j, each composite ``j = p m``, p its least prime factor (sieved as the walk
 starts and dropped after it), taking ``q[m] // p**s``, or ``q[m] >> s`` for
 p = 2: no power, and one division of the cofactor's ``W* - s log2 m`` bits
 by the ``s log2 p`` of ``p**s`` (chi(m) and chi(p) are nonzero wherever
 chi(j) is).  1 and 2 take a shift, and every other prime divides ``2**W*``
-by ``j**s``.  A lone pass fills a table of its own at its W.  The passes of
-a series (``estimate_series``, below) share one, at the width W* of their
-widest pass: for a higher s than the table's t it advances every nonzero
-``q[j]`` to ``(2**W* // j**t) // j**(s - t)``, one division by the short
-``j**(s - t)``, and for a lower s it is filled again, so every kernel
+by ``j**s``.  For a higher s than the table's t it advances each q[j],
+j >= 2, to ``(2**W* // j**t) // j**(s - t)``, one division by the short
+``j**(s - t)``.  A lone pass fills a table of its own at its W.  The passes
+of a series (``estimate_series``, below) share one, at the width W* of
+their widest pass, and each walks every j up to its L, so every kernel
 integer, and every ball, is that of the lone pass.  The table lives in its
 pass or its series (``_Series``) and no longer.  Past L, j divides
 ``2**W`` by ``j**s``.  For a divisor ``y = j**s`` of d bits the quotient
@@ -183,7 +184,7 @@ The passes of ascending s at the same n (``estimate_series``, one
 ``estimate_many`` per s) are sized and checked, every cell and every pass,
 before any kernel runs (``_size_series``), so a series refused at some s is
 refused at once, with the error the loop over s would raise first.  They
-then share one quotient table, as above.
+then share one quotient table, each pass walking all of it, as above.
 
 So every residual, of one cell or of a shared pass, is a ball
 (midpoint-radius arithmetic: van der Hoeven, *Ball arithmetic*, 2009;
@@ -582,9 +583,9 @@ class _Quotients:
     a series of passes at the widest pass's.
 
     L is the longest sum J, or the last index whose table fits in
-    ``_ROUTE_BYTES``.  ``at(s, chi)`` fills the table the first time and for
-    an s below the last one, and advances it for a higher s (see the module
-    docstring).
+    ``_ROUTE_BYTES``; s is None until a pass walks the table.  ``_kernels``
+    fills or advances it in its walk, so only passes that walk every j up
+    to L, for one character, may share it (see the module docstring).
     """
 
     __slots__ = ("W", "L", "s", "q")
@@ -592,45 +593,6 @@ class _Quotients:
     def __init__(self, W: int, J: int):
         self.W, self.L, self.s = W, min(J, _ROUTE_BYTES // _index_bytes(W)), None
         self.q = [0] * (self.L + 1)
-
-    def at(self, s: int, chi: DirichletCharacter) -> list:
-        """The table at s, for chi (the same character at every s)."""
-        if self.s is None or s < self.s:
-            self._fill(s, chi)
-        elif s > self.s:
-            # 2**W // j**s = (2**W // j**t) // j**(s - t), exactly
-            q, step = self.q, s - self.s
-            for j in range(2, self.L + 1):
-                if q[j]:
-                    q[j] //= j**step
-        self.s = s
-        return self.q
-
-    def _fill(self, s: int, chi: DirichletCharacter) -> None:
-        L, W, k = self.L, self.W, chi.modulus
-        one = 1 << W
-        nonzero = [not v.is_zero for v in chi.table[: L + 1]]
-        # the least prime factor of each composite j <= L (0 for the other
-        # j): the last of the d <= sqrt(j) dividing j to mark it, the largest
-        # first, is the least
-        least = [0] * (L + 1)
-        for d in range(math.isqrt(L), 1, -1):
-            least[d * d :: d] = [d] * ((L - d * d) // d + 1)
-        q, powers = self.q, {}
-        for j in range(1, L + 1):
-            if nonzero[j % k]:
-                p = least[j]
-                if p:
-                    # 2**W // (m**s p**s) = (2**W // m**s) // p**s, exactly
-                    q[j] = q[j // p] >> s if p == 2 else q[j // p] // powers[p]
-                elif j <= 2:
-                    # 2**W // 2**((j - 1) s), a shift
-                    q[j] = one >> (j - 1) * s
-                else:
-                    y = j**s
-                    q[j] = _quotient(one, y, W)
-                    if j * j <= L:
-                        powers[j] = y
 
 
 def _kernels(
@@ -643,22 +605,22 @@ def _kernels(
 
     The pass takes each ``2**W // j**s`` once, exactly: up to the table's L
     as ``q[j] >> (W* - W)``, the same floor, from ``table`` (a series'
-    ``_Quotients`` at its widest W*, taken to s first) or, when none is
-    given, from one of its own at W over the longest sum; past L in one
-    ``_quotient`` of ``2**W`` by ``j**s``.  It adds the quotient to the
-    total of chi(j) and, where j is one of the products' primes, multiplies
-    its factor ``1 - x`` into the running product z as
-    ``(z - x) 2**W + (2**W - z) x``, z's deficit from ``2**W`` by the
-    quotient's bits, truncated by ``2**W``.  It walks every j up to the
-    longest sum, then only the primes past it.  The totals are rotated at
-    each sum's J and the product is taken at each product's n-th prime, so
-    every cell is its one-cell loop bit for bit.
+    ``_Quotients`` at its widest W*) or, when none is given, from one of its
+    own at W over the longest sum, each entry filled or advanced to s as the
+    walk reads it; past L in one ``_quotient`` of ``2**W`` by ``j**s``.  It
+    adds the quotient to the total of chi(j) and, where j is the next of the
+    products' primes with chi(p) != 0, multiplies its factor ``1 - x`` into
+    the running product z as ``(z - x) 2**W + (2**W - z) x``, z's deficit
+    from ``2**W`` by the quotient's bits, truncated by ``2**W``.  It walks
+    every j up to the longest sum, then only the primes past it.  The totals
+    are rotated at each sum's J and the product is taken at each product's
+    n-th prime, so every cell is its one-cell loop bit for bit.
     """
     one = 1 << W
     last_sum = max(sums, default=0)
     if table is None:
         table = _Quotients(W, last_sum)
-    q, L, shift = table.at(s, chi), table.L, table.W - W
+    q, L, shift = table.q, table.L, table.W - W
     ps = ps[: max(products, default=0)]
     # every j up to the longest sum, then only the products' primes past it
     walk = range(1, last_sum + 1)
@@ -670,9 +632,21 @@ def _kernels(
     for v in chi.table[: walk[-1] + 1]:
         cls.append(-1 if v.is_zero else roots.setdefault((v.a, v.m), len(roots)))
     values = list(roots)
-    is_factor = bytearray(walk[-1] + 1)
-    for p in ps:
-        is_factor[p] = 1
+    # the products' primes whose factor is not 1, in ascending order
+    factors = (p for p in ps if cls[p % k] >= 0)
+    factor = next(factors, 0)
+    fill = table.s is None or s < table.s
+    if fill:
+        top, powers = 1 << table.W, {}
+        # the least prime factor of each composite j <= L (0 for the other
+        # j): the last of the d <= sqrt(j) dividing j to mark it, the largest
+        # first, is the least
+        least = [0] * (L + 1)
+        for d in range(math.isqrt(L), 1, -1):
+            least[d * d :: d] = [d] * ((L - d * d) // d + 1)
+    else:
+        step = s - table.s
+    table.s = s
     # each cell's value, keyed by the j it closes at
     sum_at, product_at = dict.fromkeys(sums), dict.fromkeys(ps[n - 1] for n in products)
     totals = [0] * len(roots)
@@ -681,10 +655,30 @@ def _kernels(
     for j in walk:
         c = cls[j % k]
         if c >= 0:
-            # 2**W // j**s = (2**W* // j**s) >> (W* - W), exactly
-            x = q[j] >> shift if j <= L else _quotient(one, j**s, W)
+            if j > L:
+                x = _quotient(one, j**s, W)
+            else:
+                if fill:
+                    p = least[j]
+                    if p:
+                        # 2**W* // (m**s p**s) = (2**W* // m**s) // p**s, exactly
+                        q[j] = q[j // p] >> s if p == 2 else q[j // p] // powers[p]
+                    elif j <= 2:
+                        # 2**W* // 2**((j - 1) s), a shift
+                        q[j] = top >> (j - 1) * s
+                    else:
+                        y = j**s
+                        q[j] = _quotient(top, y, table.W)
+                        if j * j <= L:
+                            powers[j] = y
+                elif j > 1:
+                    # 2**W* // j**s = (2**W* // j**t) // j**(s - t), exactly
+                    q[j] //= j**step
+                # 2**W // j**s = (2**W* // j**s) >> (W* - W), exactly
+                x = q[j] >> shift
             totals[c] += x
-            if is_factor[j]:
+            if j == factor:
+                factor = next(factors, 0)
                 # the factor is one - (xr + i xi), xr + i xi = chi(p) x
                 a, m = values[c]
                 if m <= 2:
@@ -755,8 +749,8 @@ def _residuals(
     """The residual of each n in ``ns`` (its ``_Facts`` in ``facts``) at
     ``bits`` of precision as a ball ``(re, im, W, radius)`` (see the module
     docstring), all the L-sums and products over ``ps`` in one ``_kernels``
-    pass at ``W = _kernel_bits(bits)``, on a series' quotient ``table`` when
-    it is given.  The callers check the pass first (``_check_pass``)."""
+    pass at ``W = _kernel_bits(bits)``, whose walk takes a series' quotient
+    ``table``, when given, to s.  The callers check it first (``_check_pass``)."""
     W = _kernel_bits(bits)
     sums, products = _kernels(chi, s, W, ps, [f.J for f in facts], ns, table)
     return [
@@ -816,8 +810,8 @@ def estimate_many(ns, s: int, chi: DirichletCharacter) -> list:
 
 def estimate_series(ns, s_values, chi: DirichletCharacter) -> list:
     """``[estimate_many(ns, s, chi) for s in s_values]`` for ascending
-    ``s_values``, every pass reading one quotient table that the pass before
-    it left (``_Quotients``); every result is that of ``estimate_many``.
+    ``s_values``, every pass's walk advancing one quotient table from the
+    pass before (``_Quotients``); every result is that of ``estimate_many``.
 
     ``ns`` and ``s_values`` may be any iterables.  Every (n, s) cell is
     sized and every pass checked against the cost cap before any kernel
@@ -859,7 +853,7 @@ def _size_series(ns, s_values, chi: DirichletCharacter, prec_bits: Optional[int]
     s, for each n, a ``ZeroResidualError`` where chi vanishes at every tail
     term, or the sizing's refusal (``_sizing``); then the pass's
     (``_check_pass``).  The passes of more than one s share one
-    ``_Quotients`` at the widest pass's W over the longest n's J.
+    ``_Quotients`` at the widest pass's W over the longest J, which each walks.
     """
     ns, s_values = list(ns), list(s_values)
     for s in s_values:
@@ -890,10 +884,10 @@ def _size_series(ns, s_values, chi: DirichletCharacter, prec_bits: Optional[int]
 
 def _run_pass(series: _Series, p: _Pass) -> list:
     """The estimates of every n of ``series`` at its pass ``p``: the kernels
-    of all of them at the pass's precision, on the series' quotient table
-    taken to p's s, then each chain at its own precision, against its target
-    ``ps[n]``.  Passes run in ascending s advance the table from the one
-    before; in any order, the estimates are the same."""
+    of all of them at the pass's precision, their walk taking the series'
+    quotient table to p's s (advanced from a lower s, filled from a higher),
+    then each chain at its own precision, against its target ``ps[n]``; in
+    any order of passes the estimates are the same."""
     ps, ns, chi, facts, _, table = series
     balls = _residuals(ps, ns, p.s, chi, p.bits, facts, table)
     cells = zip(ns, facts, p.sized, balls)

@@ -587,14 +587,16 @@ class TestKernelQuotient:
         # divide 2**W by j**s, and every quotient is still exact
         W, s, J = case
         L = int(cut * J)
-        with mock.patch.object(recursion, "_ROUTE_BYTES", L * (34 + W // 15)):
-            sums = [re for re, _ in recursion._kernels(K1, s, W, PS, list(range(1, J + 1)), [])[0]]
+        with mock.patch.object(recursion, "_ROUTE_BYTES", L * recursion._index_bytes(W)):
+            table = recursion._Quotients(W, J)
+        sums = [re for re, _ in recursion._kernels(K1, s, W, PS, list(range(1, J + 1)), [], table)[0]]
         got = [b - a for a, b in zip([0, *sums], sums)]
+        assert table.L == L
         assert got == [(1 << W) // j**s for j in range(1, J + 1)]
 
     def test_route_state_stays_within_its_bytes(self):
-        # at s = 2 each kept quotient holds nearly W bits: the route's state
-        # over J = 20000 would take about 39 MiB, and the pass stops it at
+        # at s = 2 each quotient holds nearly W bits: the pass's table over
+        # J = 20000 would project about 87 MB, and the pass stops it at
         # _ROUTE_BYTES (16 MiB), its walk and totals taking little more
         W, s, J = 30_000, 2, 20_000
         tracemalloc.start()
@@ -688,9 +690,9 @@ class TestSeries:
     @example(case=(1, 1, [2], [1850, 1851, 1853]))
     @example(case=(70, 7, [30, 4], [600, 601, 606]))
     def test_table_reads_back(self, case):
-        # after the fill and after each advance the series' table holds
-        # 2**W* // j**s, W* its widest pass's W, where chi(j) != 0, and 0
-        # elsewhere; a lower s refills it
+        # after each pass, whose walk fills the series' table or advances
+        # it, the table holds 2**W* // j**s, W* its widest pass's W, where
+        # chi(j) != 0, and 0 elsewhere; a lower s refills it
         modulus, label, ns, s_values = case
         chi = enumerate_characters(modulus).by_label(label)
         try:
@@ -699,8 +701,10 @@ class TestSeries:
             return
         table, W_star = series.table, kernel_bits(max(p.bits for p in series.passes))
         J = 2 * PS[max(ns) - 1] - 1
-        for s in [*s_values, s_values[0]]:
-            assert table.at(s, chi) == table_want(chi, W_star, s, J)
+        for p in [*series.passes, series.passes[0]]:
+            outcome(lambda: recursion._run_pass(series, p))
+            assert table.s == p.s
+            assert table.q == table_want(chi, W_star, p.s, J)
 
     @settings(max_examples=60, deadline=None)
     @given(case=held_cases(), cut=st.one_of(st.none(), st.floats(0, 1)))
